@@ -98,51 +98,34 @@ bench-check:
 mix:
 	$(GO) run ./cmd/smodfleet -loadcurve -mix fast=2,slow=2,crypto=1 -skew 1.2 -epochs 8 -rebalance -json BENCH_mix.json
 
-# The chaos recovery drills under the race detector: schedule parsing,
-# pool reclaim/failover, placement shard-down conformance (and its
-# fuzzer seeds), the fleet kill/stall/drop/corrupt property tests, and
-# the Release-vs-migration orphan regression. The CI chaos job runs
-# exactly this plus a kill-drill load-curve smoke.
+# The chaos drills' end-to-end smoke: a kill-drill load curve on a
+# replicated fleet (availability under shard loss). Their property
+# tests run with everything else under `make race`.
 chaos:
-	$(GO) test -race ./internal/chaos
-	$(GO) test -race -run 'Chaos|Reclaim|ShardDown|PoolDown|ReleaseDuringMigration' \
-		./internal/fleet ./internal/placement ./internal/measure
+	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 -skew 1.5 -epochs 6 \
+		-replicas 2 -chaos kill:0@4 -json /tmp/BENCH_chaos_smoke.json
 
-# The elastic-fleet drills under the race detector: the autoscale
-# controller, shard add/drain lifecycle (including the add-then-drain
-# replay determinism property), the placement grow/drain conformance
-# suite, plus a standalone SLO-autoscaled load curve (see README
-# "Elastic fleet & autoscaler").
+# The elastic-fleet smoke: a standalone SLO-autoscaled load curve (see
+# README "Elastic fleet & autoscaler"). The autoscaler and add/drain
+# lifecycle tests run under `make race`.
 elastic:
-	$(GO) test -race ./internal/autoscale
-	$(GO) test -race -run 'Elastic|Autoscaler|AddShard|DrainShard|ShardUp|PlanDrain|GrowThenDrain' \
-		./internal/fleet ./internal/placement
 	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 4 -clients 24 -lccalls 200 \
 		-epochs 10 -warmup 5 -rebalance -util 0.3,0.6,0.9,1.2 \
 		-autoscale -slo 60 -asmin 2 -asmax 6 -json BENCH_elastic.json
 
-# The multi-tenant QoS drills under the race detector: the tenant
-# scheduling core (token buckets, DRR, the shed rule), the fleet's
-# admission/WFQ/shed/replay-determinism property tests, the
-# spec+reconcile tenants block, then a tenanted aggressor-vs-victim
-# load-curve smoke. The CI qos job runs exactly this; the isolation
-# invariant itself is gated by `make bench-check`.
+# The multi-tenant QoS smoke: a tenanted aggressor-vs-victim load
+# curve. The tenant and admission tests run under `make race`; the
+# isolation invariant itself is gated by `make bench-check`.
 qos:
-	$(GO) test -race ./internal/tenant
-	$(GO) test -race -run 'Tenant|Sentinel|Overload' \
-		./internal/fleet ./internal/spec ./internal/reconcile
 	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 \
 		-tenants victim:64:4:1,aggressor:1:4:6 -tenantknee 64 -tenantwindow 1 \
 		-util 0.5,1.1 -json /tmp/BENCH_qos_smoke.json
 
-# The observability gates (see README "Deterministic observability"):
-# the flight recorder and metrics registry unit tests plus the fleet's
-# zero-perturbation drills under the race detector, then the CI-gated
-# microbenchmark — the per-call emission path with no recorder attached
-# must report exactly 0 allocs/op (the "free when off" invariant).
+# The observability gate (see README "Deterministic observability"):
+# the per-call emission path with no recorder attached must report
+# exactly 0 allocs/op (the "free when off" invariant). The recorder,
+# registry, and zero-perturbation tests run under `make race`.
 observe:
-	$(GO) test -race ./internal/trace ./internal/metrics
-	$(GO) test -race -run 'Observability|TraceExport|ZeroAllocs' ./internal/fleet
 	@out="$$($(GO) test -run=NONE -bench=BenchmarkEmitDisabled -benchmem ./internal/fleet)"; \
 		echo "$$out"; \
 		echo "$$out" | grep -Eq 'BenchmarkEmitDisabled.*[^0-9]0 allocs/op' || \
@@ -163,9 +146,9 @@ trace:
 # smodfleetd/smodfleetctl, boot the daemon on loopback from a 4-shard
 # spec, run a wall-clock client burst, apply a live 4 -> 2 spec edit
 # over SIGHUP, assert reconcile convergence via /reconcile, and shut
-# down gracefully. The spec/reconcile unit layer runs first.
+# down gracefully. The spec/reconcile/daemon tests run under
+# `make race`.
 serve:
-	$(GO) test -race ./internal/spec ./internal/reconcile ./cmd/smodfleetd
 	sh scripts/serve-smoke.sh
 
 # The paper's Figure 8 table (scaled down; see cmd/smodbench -h).

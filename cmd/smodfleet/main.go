@@ -22,7 +22,7 @@
 //
 // The load curve also hosts the loadmgr story: -skew draws arrival
 // keys from a Zipf popularity distribution (hot clients pin to one
-// shard), -rebalance lets the load manager migrate hot keys between
+// shard), -rebalance lets the migrator move hot keys between
 // the -epochs barriers of each point, and -cache N memoizes the
 // module's idempotent functions per shard (pair with -argscard to give
 // the memo table repeats to hit).
@@ -87,7 +87,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/clock"
-	"repro/internal/loadmgr"
 	"repro/internal/measure"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -166,15 +165,6 @@ func main() {
 	}
 
 	if *loadCurve {
-		var lm *loadmgr.Options
-		if *rebalance || *cacheSize > 0 || *replicas > 0 {
-			lm = &loadmgr.Options{
-				Migrate:   *rebalance,
-				HeatOnly:  *heatOnly,
-				CacheSize: *cacheSize,
-				Seed:      *seed,
-			}
-		}
 		lcCfg := measure.LoadCurveConfig{
 			Shards:          *lcShards,
 			Clients:         *clients,
@@ -184,7 +174,9 @@ func main() {
 			ZipfS:           *skew,
 			ArgsCardinality: *argsCard,
 			Epochs:          *epochs,
-			LoadManager:     lm,
+			Rebalance:       *rebalance,
+			HeatOnly:        *heatOnly,
+			CacheSize:       *cacheSize,
 			Replicas:        *replicas,
 			Chaos:           *chaosSpec,
 			WarmupEpochs:    *warmup,
@@ -361,7 +353,7 @@ func scalingRows(shards []int, clients, calls, openCalls, maxSessions int, openL
 
 // autoRates estimates the fleet's capacity and returns the -util
 // fractions of it as the offered-rate sweep. Homogeneous fleets probe
-// with a short closed-loop run (without skew or a load manager, so
+// with a short closed-loop run (without skew, migration or caching, so
 // skewed/rebalanced curves sweep the same rates and their knees are
 // comparable); heterogeneous fleets sum per-profile capacities from
 // backend calibration stretches.
@@ -412,9 +404,9 @@ func describeCurve(cfg measure.LoadCurveConfig) {
 		fmt.Printf("key popularity: Zipf(s=%.2f) over %d keys, %d epoch(s) per point\n",
 			cfg.ZipfS, cfg.Clients, max(cfg.Epochs, 1))
 	}
-	if lm := cfg.LoadManager; lm != nil {
+	if cfg.Rebalance || cfg.CacheSize > 0 || cfg.Replicas > 0 {
 		fmt.Printf("placement: rebalance=%v heatonly=%v cache=%d entries/shard argscard=%d\n",
-			lm.Migrate, lm.HeatOnly, lm.CacheSize, cfg.ArgsCardinality)
+			cfg.Rebalance, cfg.HeatOnly, cfg.CacheSize, cfg.ArgsCardinality)
 	}
 	if cfg.Replicas > 0 {
 		fmt.Printf("replication: idempotent hot keys served from up to %d shards (heat-sized at epoch barriers)\n",
@@ -682,9 +674,6 @@ func runSuite(p suiteParams) {
 	if err != nil {
 		fatal(err)
 	}
-	lm := func(heatOnly bool) *loadmgr.Options {
-		return &loadmgr.Options{Migrate: true, HeatOnly: heatOnly, Seed: p.seed}
-	}
 	base := measure.LoadCurveConfig{
 		Clients: p.clients,
 		Calls:   p.calls,
@@ -698,17 +687,17 @@ func runSuite(p suiteParams) {
 	skewed.Shards = 4
 	skewed.ZipfS = 1.2
 	skewed.Epochs = 8
-	skewed.LoadManager = lm(false)
+	skewed.Rebalance = true
 
 	mixCost := base
 	mixCost.Backends = as
 	mixCost.Shards = len(as)
 	mixCost.ZipfS = 1.2
 	mixCost.Epochs = 8
-	mixCost.LoadManager = lm(false)
+	mixCost.Rebalance = true
 
 	mixHeat := mixCost
-	mixHeat.LoadManager = lm(true)
+	mixHeat.HeatOnly = true
 
 	// The dominant-key pair: one key draws ~half the arrivals, so the
 	// sticky+migrating fleet saturates at its primary shard's capacity;
@@ -717,7 +706,7 @@ func runSuite(p suiteParams) {
 	dominant.Shards = 4
 	dominant.ZipfS = suiteDominantZipf
 	dominant.Epochs = 8
-	dominant.LoadManager = lm(false)
+	dominant.Rebalance = true
 
 	replicated := dominant
 	replicated.Replicas = 4
@@ -739,7 +728,7 @@ func runSuite(p suiteParams) {
 	elasticFixed.Clients = suiteElasticClients
 	elasticFixed.Epochs = suiteElasticEpochs
 	elasticFixed.WarmupEpochs = suiteElasticWarmup
-	elasticFixed.LoadManager = lm(false)
+	elasticFixed.Rebalance = true
 
 	elasticSLO := elasticFixed
 	elasticSLO.SLOMicros = suiteElasticSLO

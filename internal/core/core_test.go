@@ -962,3 +962,36 @@ func TestNativeClientViaPolicy(t *testing.T) {
 		t.Fatalf("exit=%d v1=%d v2=%d", client.ExitStatus, v1, v2)
 	}
 }
+
+// TestNativeSessionsFreeTheirFrames: a finished session returns every
+// physical frame it took. The client's stack and heap are force-shared
+// with its handle, so those frames must go when the second of the pair
+// exits, not leak with the shared mappings.
+func TestNativeSessionsFreeTheirFrames(t *testing.T) {
+	k, sm := newSMod(t)
+	registerLibc(t, sm, nil)
+	fidIncr := uint32(mustFuncID(t, sm, "incr"))
+	frames0 := k.Phys.InUse()
+	for i := 0; i < 50; i++ {
+		var v uint32
+		client := k.SpawnNative("nc", clientCred(), func(s *kern.Sys) int {
+			c, err := AttachNative(s, "libc", 1, "")
+			if err != nil {
+				return 1
+			}
+			v = c.MustCall(fidIncr, uint32(i))
+			return 0
+		})
+		if err := k.RunUntil(func() bool {
+			return client.State == kern.StateZombie || client.State == kern.StateDead
+		}, 200_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if client.ExitStatus != 0 || v != uint32(i)+1 {
+			t.Fatalf("session %d: exit=%d v=%d", i, client.ExitStatus, v)
+		}
+	}
+	if got := k.Phys.InUse(); got != frames0 {
+		t.Fatalf("50 finished sessions hold %d frames, want 0", int64(got)-int64(frames0))
+	}
+}

@@ -77,7 +77,7 @@ func (f *Fleet) killShard(sid int) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return ErrClosed
+		return ErrFleetClosed
 	}
 	if sid < 0 || sid >= len(f.shards) || f.down[sid] || f.liveShards() <= 1 {
 		f.mu.Unlock()
@@ -100,7 +100,7 @@ func (f *Fleet) killShard(sid int) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return ErrClosed
+		return ErrFleetClosed
 	}
 	var jobs []*job
 	for _, rh := range rehomes {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/clock"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 	"repro/internal/trace"
 )
@@ -145,23 +144,14 @@ func (f *Fleet) growShard(p backend.Profile) error {
 	}
 	id := len(f.shards)
 	f.mu.Unlock()
-	var cache *loadmgr.ResultCache
-	if f.cfg.cacheSize > 0 {
-		cache = loadmgr.NewResultCache(f.cfg.cacheSize)
-	}
-	sh, err := newShard(id, &f.cfg, p, cache)
-	if err != nil {
-		return fmt.Errorf("fleet: add shard %d: %w", id, err)
-	}
-	sh.onEvict = func(key string) { f.placement().Evicted(key, sh.id) }
-	if sh.cache != nil {
-		sh.idemp = f.idemp
-	}
 	// QoS state is installed before the goroutine starts so a call that
 	// races the barrier onto the new shard already queues fairly; the
 	// applyTenants re-split later in this same barrier fixes up the
 	// bucket rates for the exact post-resize live count.
-	sh.installQOS(f.tenantSet(), f.LiveShards()+1)
+	sh, err := f.bootShard(id, p, f.LiveShards()+1)
+	if err != nil {
+		return fmt.Errorf("fleet: add shard %d: %w", id, err)
+	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -175,16 +165,10 @@ func (f *Fleet) growShard(p backend.Profile) error {
 	f.added++
 	f.mu.Unlock()
 	if f.tr != nil {
-		sh.ring = f.tr.ShardRing(id)
 		f.tr.EmitControl(trace.Event{Kind: trace.KShardUp, Val: int64(id), Note: p.Label()})
 	}
 	f.placement().OnShardUp(id, p.CostFactor())
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		defer close(sh.stopped)
-		sh.loop()
-	}()
+	f.start(sh)
 	return nil
 }
 

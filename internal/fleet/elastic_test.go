@@ -166,10 +166,6 @@ func TestDrainShardErrors(t *testing.T) {
 	if _, err := f.AddShard(backend.Default()); !errors.Is(err, ErrFleetClosed) {
 		t.Fatalf("AddShard after Close = %v, want ErrFleetClosed", err)
 	}
-	// The legacy name remains an alias of the new sentinel.
-	if !errors.Is(ErrClosed, ErrFleetClosed) {
-		t.Fatal("ErrClosed is not ErrFleetClosed")
-	}
 }
 
 // TestAddThenDrainSameBarrier pins the ordering guarantee inside one

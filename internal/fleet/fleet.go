@@ -108,192 +108,6 @@ type TimedRequest struct {
 	Req Request
 }
 
-// Stats aggregates the fleet. Per-shard entries are each in their own
-// simulated clock domain; MakespanCycles is the maximum shard clock,
-// the fleet-wide simulated elapsed time. The struct marshals directly
-// (snake_case JSON), and Delta turns two snapshots into the per-epoch
-// view a measured phase reports.
-type Stats struct {
-	Shards         int          `json:"shards"`
-	PerShard       []ShardStats `json:"per_shard,omitempty"`
-	TotalCalls     uint64       `json:"total_calls"`
-	SessionsOpened uint64       `json:"sessions_opened"`
-	Evictions      uint64       `json:"evictions"`
-	MakespanCycles uint64       `json:"makespan_cycles"`
-	// Placement and cache aggregates: the result-cache counters summed
-	// over shards (nonzero whenever WithResultCache is set, under any
-	// strategy), Migrations — completed cross-shard session moves (the
-	// sum of per-shard MigratedOut) — and ReplicasAdded/ReplicasDropped
-	// — replica sessions warmed in / drained by the replicating
-	// strategy. The move counters are zero under the default sticky
-	// strategy.
-	CacheHits       uint64 `json:"cache_hits"`
-	CacheMisses     uint64 `json:"cache_misses"`
-	CacheEvictions  uint64 `json:"cache_evictions"`
-	Migrations      uint64 `json:"migrations"`
-	ReplicasAdded   uint64 `json:"replicas_added"`
-	ReplicasDropped uint64 `json:"replicas_dropped"`
-	// Chaos drill aggregates (zero without WithChaos): shards killed so
-	// far, orphaned keys re-warmed after shard deaths (with the single
-	// costliest recovery in cycles — the number a drill's re-warm budget
-	// gates), stall cycles injected, sessions dropped by drop faults,
-	// and warm-ins discarded as corrupt.
-	ShardsDown      int    `json:"shards_down"`
-	Rewarms         uint64 `json:"rewarms"`
-	RewarmMaxCycles uint64 `json:"rewarm_max_cycles"`
-	StallCycles     uint64 `json:"stall_cycles"`
-	SessionsDropped uint64 `json:"sessions_dropped"`
-	CorruptWarms    uint64 `json:"corrupt_warms"`
-	// Elastic resize aggregates (zero on a fixed fleet): shards added /
-	// drained so far (drained shards are retired on purpose and counted
-	// apart from chaos kills in ShardsDown), and the costliest single
-	// session warm-in (migration, replica, or re-warm) in cycles — the
-	// number an elastic drill's re-warm budget gates.
-	ShardsAdded   int    `json:"shards_added"`
-	ShardsDrained int    `json:"shards_drained"`
-	WarmMaxCycles uint64 `json:"warm_max_cycles"`
-	// Tenants aggregates per-class QoS counters across shards (nil
-	// without WithTenants, so existing bench JSON is byte-identical).
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-}
-
-// TenantStats is one QoS class's counters: calls admitted through the
-// class's token bucket into its fair queue, calls refused by the shed
-// policy or the bucket, the deepest its queue ever got on any one shard,
-// and the warm sessions it currently holds.
-type TenantStats struct {
-	Admitted uint64 `json:"admitted"`
-	Shed     uint64 `json:"shed"`
-	QueueMax int    `json:"queue_max"`
-	Sessions int    `json:"sessions"`
-}
-
-// Delta returns the change from a prior snapshot prev to s — the
-// per-epoch view a measured phase reports, so callers stop subtracting
-// fields by hand. Cumulative counters are subtracted (fleet-wide and
-// per-shard); point-in-time fields (Shards, ShardsDown, LiveSessions)
-// and the high-water marks (RewarmMaxCycles, WarmMaxCycles) keep the
-// receiver's current values, a maximum being un-subtractable.
-// MakespanCycles becomes the fleet-wide simulated elapsed time of the
-// interval: the maximum per-shard cycle delta, where a shard with no
-// row in prev (added by an elastic resize mid-interval) counts its
-// whole clock, provisioning included.
-func (s Stats) Delta(prev Stats) Stats {
-	d := s
-	d.TotalCalls -= prev.TotalCalls
-	d.SessionsOpened -= prev.SessionsOpened
-	d.Evictions -= prev.Evictions
-	d.CacheHits -= prev.CacheHits
-	d.CacheMisses -= prev.CacheMisses
-	d.CacheEvictions -= prev.CacheEvictions
-	d.Migrations -= prev.Migrations
-	d.ReplicasAdded -= prev.ReplicasAdded
-	d.ReplicasDropped -= prev.ReplicasDropped
-	d.Rewarms -= prev.Rewarms
-	d.StallCycles -= prev.StallCycles
-	d.SessionsDropped -= prev.SessionsDropped
-	d.CorruptWarms -= prev.CorruptWarms
-	d.ShardsAdded -= prev.ShardsAdded
-	d.ShardsDrained -= prev.ShardsDrained
-	d.Tenants = deltaTenants(s.Tenants, prev.Tenants)
-
-	d.PerShard = make([]ShardStats, len(s.PerShard))
-	d.MakespanCycles = 0
-	for i, a := range s.PerShard {
-		var b ShardStats
-		if i < len(prev.PerShard) {
-			b = prev.PerShard[i]
-		}
-		a.Cycles -= b.Cycles
-		a.Ticks -= b.Ticks
-		a.Calls -= b.Calls
-		a.SessionsOpened -= b.SessionsOpened
-		a.PolicyChecks -= b.PolicyChecks
-		a.ContextSwitches -= b.ContextSwitches
-		a.Syscalls -= b.Syscalls
-		a.Evictions -= b.Evictions
-		a.CacheHits -= b.CacheHits
-		a.CacheMisses -= b.CacheMisses
-		a.CacheEvictions -= b.CacheEvictions
-		a.MigratedOut -= b.MigratedOut
-		a.MigratedIn -= b.MigratedIn
-		a.ReplicasIn -= b.ReplicasIn
-		a.ReplicasOut -= b.ReplicasOut
-		a.IdleCycles -= b.IdleCycles
-		a.Rewarms -= b.Rewarms
-		a.StallCycles -= b.StallCycles
-		a.SessionsDropped -= b.SessionsDropped
-		a.CorruptWarms -= b.CorruptWarms
-		a.Tenants = deltaTenants(a.Tenants, b.Tenants)
-		d.PerShard[i] = a
-		if a.Cycles > d.MakespanCycles {
-			d.MakespanCycles = a.Cycles
-		}
-	}
-	return d
-}
-
-// deltaTenants subtracts the cumulative per-class counters (Admitted,
-// Shed); QueueMax — a high-water mark — and Sessions — point-in-time —
-// keep the current values. A fresh map is built so the source snapshot
-// is never mutated.
-func deltaTenants(cur, prev map[string]TenantStats) map[string]TenantStats {
-	if len(cur) == 0 {
-		return nil
-	}
-	out := make(map[string]TenantStats, len(cur))
-	for name, a := range cur {
-		b := prev[name]
-		a.Admitted -= b.Admitted
-		a.Shed -= b.Shed
-		out[name] = a
-	}
-	return out
-}
-
-// merge folds per-shard snapshots into fleet aggregates.
-func merge(per []ShardStats) Stats {
-	st := Stats{Shards: len(per), PerShard: per}
-	for _, s := range per {
-		st.TotalCalls += s.Calls
-		st.SessionsOpened += s.SessionsOpened
-		st.Evictions += s.Evictions
-		st.CacheHits += s.CacheHits
-		st.CacheMisses += s.CacheMisses
-		st.CacheEvictions += s.CacheEvictions
-		st.Migrations += s.MigratedOut
-		st.ReplicasAdded += s.ReplicasIn
-		st.ReplicasDropped += s.ReplicasOut
-		st.Rewarms += s.Rewarms
-		st.StallCycles += s.StallCycles
-		st.SessionsDropped += s.SessionsDropped
-		st.CorruptWarms += s.CorruptWarms
-		if s.RewarmMaxCycles > st.RewarmMaxCycles {
-			st.RewarmMaxCycles = s.RewarmMaxCycles
-		}
-		if s.WarmMaxCycles > st.WarmMaxCycles {
-			st.WarmMaxCycles = s.WarmMaxCycles
-		}
-		if s.Cycles > st.MakespanCycles {
-			st.MakespanCycles = s.Cycles
-		}
-		for name, ts := range s.Tenants {
-			agg := st.Tenants[name]
-			agg.Admitted += ts.Admitted
-			agg.Shed += ts.Shed
-			agg.Sessions += ts.Sessions
-			if ts.QueueMax > agg.QueueMax {
-				agg.QueueMax = ts.QueueMax
-			}
-			if st.Tenants == nil {
-				st.Tenants = map[string]TenantStats{}
-			}
-			st.Tenants[name] = agg
-		}
-	}
-	return st
-}
-
 // Fleet is a running shard fleet.
 type Fleet struct {
 	cfg    config
@@ -417,12 +231,6 @@ var (
 	ErrTenantUnknown = errors.New("fleet: unknown tenant")
 )
 
-// ErrClosed is returned by operations on a closed fleet.
-//
-// Deprecated: use ErrFleetClosed (the same error instance; errors.Is
-// matches either name).
-var ErrClosed = ErrFleetClosed
-
 // Open builds and starts a fleet from functional options. WithModule,
 // WithProvision, and a fleet size (WithShards or WithBackends) are
 // required; everything else defaults: homogeneous baseline backends,
@@ -454,19 +262,10 @@ func Open(opts ...Option) (*Fleet, error) {
 		f.met = newFleetMetrics(cfg.met)
 	}
 	for i := 0; i < cfg.shards; i++ {
-		var cache *loadmgr.ResultCache
-		if cfg.cacheSize > 0 {
-			cache = loadmgr.NewResultCache(cfg.cacheSize)
-		}
-		sh, err := newShard(i, &f.cfg, backend.ProfileOf(cfg.backends, i), cache)
+		sh, err := f.bootShard(i, backend.ProfileOf(cfg.backends, i), cfg.shards)
 		if err != nil {
 			return nil, err
 		}
-		sh.onEvict = func(key string) { f.placement().Evicted(key, sh.id) }
-		if f.tr != nil {
-			sh.ring = f.tr.ShardRing(i)
-		}
-		sh.installQOS(cfg.tenants, cfg.shards)
 		f.shards = append(f.shards, sh)
 	}
 	// Bind the strategy only once every shard provisioned cleanly, so a
@@ -480,24 +279,51 @@ func Open(opts ...Option) (*Fleet, error) {
 	if cfg.tenants != nil {
 		f.applyTenantWeights(cfg.place, cfg.tenants)
 	}
-	// One derivation of the module's idempotent funcIDs, shared by the
-	// routing layer and every shard's result cache (the map is
-	// read-only once the shard goroutines start below).
-	f.idemp = idempotentFuncs(f.shards[0].sm, cfg.module, cfg.version)
 	for _, sh := range f.shards {
-		if sh.cache != nil {
-			sh.idemp = f.idemp
-		}
-	}
-	for _, sh := range f.shards {
-		f.wg.Add(1)
-		go func(sh *shard) {
-			defer f.wg.Done()
-			defer close(sh.stopped)
-			sh.loop()
-		}(sh)
+		f.start(sh)
 	}
 	return f, nil
+}
+
+// bootShard provisions shard id on a fresh kernel with profile p and
+// wires it into the fleet — result cache, eviction hook, trace ring, and
+// QoS state split over live shards — ready for start. Open and
+// growShard boot every shard through it.
+func (f *Fleet) bootShard(id int, p backend.Profile, live int) (*shard, error) {
+	var cache *loadmgr.ResultCache
+	if f.cfg.cacheSize > 0 {
+		cache = loadmgr.NewResultCache(f.cfg.cacheSize)
+	}
+	sh, err := newShard(id, &f.cfg, p, cache)
+	if err != nil {
+		return nil, err
+	}
+	sh.onEvict = func(key string) { f.placement().Evicted(key, sh.id) }
+	if f.idemp == nil {
+		// One derivation of the module's idempotent funcIDs, from the
+		// first shard (provisioning is identical across shards), shared
+		// by the routing layer and every shard's result cache. The map is
+		// read-only once shard goroutines run.
+		f.idemp = idempotentFuncs(sh.sm, f.cfg.module, f.cfg.version)
+	}
+	if sh.cache != nil {
+		sh.idemp = f.idemp
+	}
+	if f.tr != nil {
+		sh.ring = f.tr.ShardRing(id)
+	}
+	sh.installQOS(f.tenantSet(), live)
+	return sh, nil
+}
+
+// start launches a booted shard's goroutine.
+func (f *Fleet) start(sh *shard) {
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		defer close(sh.stopped)
+		sh.loop()
+	}()
 }
 
 // FuncID resolves an exported function name of the fleet's module.
@@ -518,7 +344,7 @@ func (f *Fleet) send(sid int, j *job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
-		return ErrClosed
+		return ErrFleetClosed
 	}
 	if f.down[sid] {
 		return ErrShardDown
@@ -536,7 +362,7 @@ func (f *Fleet) route(req *Request, j *job) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
-		return -1, ErrClosed
+		return -1, ErrFleetClosed
 	}
 	if err := f.checkTenant(req.Tenant); err != nil {
 		return -1, err
@@ -643,7 +469,7 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
 	f.mu.RLock()
 	if f.closed {
 		f.mu.RUnlock()
-		return nil, ErrClosed
+		return nil, ErrFleetClosed
 	}
 	perShard := make([][]int, len(f.shards))
 	for i := 0; i < n; i++ {
@@ -856,7 +682,7 @@ func (f *Fleet) rebalance() (int, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return 0, ErrClosed
+		return 0, ErrFleetClosed
 	}
 	for _, mv := range moves {
 		// A move touching a dead shard is stale (planned from heat that
@@ -923,13 +749,18 @@ func (f *Fleet) Stats() Stats {
 		<-j.done
 		per[jobSid[i]] = j.stats
 	}
+	return f.fleetStats(per, downCount)
+}
+
+// fleetStats merges per-shard snapshots and stamps the fleet-level
+// lifecycle counters. down counts every dead shard; drained ones retired
+// on purpose and are reported separately from chaos kills.
+func (f *Fleet) fleetStats(per []ShardStats, down int) Stats {
 	st := merge(per)
 	f.mu.RLock()
-	st.ShardsAdded = f.added
-	st.ShardsDrained = f.drainedN
-	// downCount covers every dead shard; drained ones retired on purpose
-	// and are reported separately from chaos kills.
-	st.ShardsDown = downCount - f.drainedN
+	st.ShardsAdded = uint64(f.added)
+	st.ShardsDrained = uint64(f.drainedN)
+	st.ShardsDown = down - f.drainedN
 	f.mu.RUnlock()
 	return st
 }
@@ -966,10 +797,7 @@ func (f *Fleet) Close() error {
 				f.closeErr = sh.err
 			}
 		}
-		f.final = merge(per)
-		f.final.ShardsAdded = f.added
-		f.final.ShardsDrained = f.drainedN
-		f.final.ShardsDown = downCount - f.drainedN
+		f.final = f.fleetStats(per, downCount)
 		// One last publication so scrapes after Close see the final
 		// counters rather than the last barrier's.
 		f.publishMetrics(f.final)

@@ -33,19 +33,10 @@ func libcProvisionIdem(k *kern.Kernel, sm *core.SMod, _ backend.Profile) error {
 	return err
 }
 
-// lmOpts is testOpts plus the option-API mapping of the historical
-// load-manager knobs (and the idempotent-aware provision, so cache
-// options actually bite): CacheSize becomes WithResultCache, Migrate
-// becomes a migrating placement strategy.
-func lmOpts(shards int, lm loadmgr.Options) []Option {
-	opts := append(testOpts(shards), WithProvision(libcProvisionIdem))
-	if lm.CacheSize > 0 {
-		opts = append(opts, WithResultCache(lm.CacheSize))
-	}
-	if p := placement.Legacy(lm); p != nil {
-		opts = append(opts, WithPlacement(p))
-	}
-	return opts
+// idemOpts is testOpts plus the idempotent-aware provision (so result
+// cache options actually bite) and any extra options.
+func idemOpts(shards int, extra ...Option) []Option {
+	return append(append(testOpts(shards), WithProvision(libcProvisionIdem)), extra...)
 }
 
 // skewedPlan builds one round of a skewed workload: hotKey gets `hot`
@@ -62,15 +53,14 @@ func skewedPlan(incr uint32, keys, hot int) []Request {
 }
 
 func TestMigrationRebalancesSkewedLoad(t *testing.T) {
-	f := newTestFleet(t, lmOpts(2, loadmgr.Options{
-		Migrate:            true,
+	f := newTestFleet(t, idemOpts(2, WithPlacement(placement.NewCostAware(loadmgr.Options{
 		ImbalanceThreshold: 1.05,
-	})...)
+	})))...)
 	incr := incrID(t, f)
 
 	// k00..k05 alternate shards on first sight; k00, k02, k04 land on
 	// shard 0 and k00 is far hotter than everything else, so shard 0
-	// carries almost all the heat until the load manager reacts. The
+	// carries almost all the heat until the migrator reacts. The
 	// greedy planner cannot usefully move k00 itself (that would just
 	// swap which shard is hot); it must drain k00's co-resident keys
 	// to the cold shard instead.
@@ -122,8 +112,8 @@ func TestMigrationRebalancesSkewedLoad(t *testing.T) {
 }
 
 func TestNoMigrationWhenDisabled(t *testing.T) {
-	// Manager present (cache only): barriers must not move sessions.
-	f := newTestFleet(t, lmOpts(2, loadmgr.Options{CacheSize: 16})...)
+	// Result cache on, sticky placement: barriers must not move sessions.
+	f := newTestFleet(t, idemOpts(2, WithResultCache(16))...)
 	incr := incrID(t, f)
 	for round := 0; round < 3; round++ {
 		if err := respErr(f.RunPlan(skewedPlan(incr, 6, 20))); err != nil {
@@ -131,7 +121,7 @@ func TestNoMigrationWhenDisabled(t *testing.T) {
 		}
 	}
 	if st := f.Stats(); st.Migrations != 0 {
-		t.Fatalf("cache-only manager migrated %d sessions", st.Migrations)
+		t.Fatalf("cache-only fleet migrated %d sessions", st.Migrations)
 	}
 }
 
@@ -172,11 +162,10 @@ func migPlanFor(incr uint32, seed int64, round, keys, calls int) []Request {
 // migration enabled across runs of the same seed — migrations included.
 func TestDeterministicCyclesWithMigration(t *testing.T) {
 	run := func() ([]uint64, uint64) {
-		f := newTestFleet(t, lmOpts(3, loadmgr.Options{
-			Migrate:            true,
+		f := newTestFleet(t, idemOpts(3, WithPlacement(placement.NewCostAware(loadmgr.Options{
 			ImbalanceThreshold: 1.05,
 			Seed:               7,
-		})...)
+		})))...)
 		incr := incrID(t, f)
 		for round := 0; round < 5; round++ {
 			if err := respErr(f.RunPlan(migPlanFor(incr, 42, round, 8, 40))); err != nil {
@@ -240,7 +229,7 @@ func TestCacheNeverChangesResponses(t *testing.T) {
 	}
 
 	plain := runHalves(newTestFleet(t, testOpts(2)...))
-	f := newTestFleet(t, lmOpts(2, loadmgr.Options{CacheSize: 32})...)
+	f := newTestFleet(t, idemOpts(2, WithResultCache(32))...)
 	cached := runHalves(f)
 	for i := range plain {
 		if plain[i].Val != cached[i].Val || plain[i].Errno != cached[i].Errno ||
@@ -267,7 +256,7 @@ func TestCacheNeverChangesResponses(t *testing.T) {
 // are cheaper) but must keep them deterministic run-to-run.
 func TestCacheDeterministicCycles(t *testing.T) {
 	run := func() []uint64 {
-		f := newTestFleet(t, lmOpts(2, loadmgr.Options{CacheSize: 8})...)
+		f := newTestFleet(t, idemOpts(2, WithResultCache(8))...)
 		incr := incrID(t, f)
 		rng := rand.New(rand.NewSource(5))
 		for round := 0; round < 3; round++ {
@@ -308,7 +297,7 @@ func TestCacheDeterministicCycles(t *testing.T) {
 // run queue.
 func TestScheduleCacheHitsOverIdleGaps(t *testing.T) {
 	run := func() ([]uint64, uint64) {
-		f := newTestFleet(t, lmOpts(2, loadmgr.Options{CacheSize: 16})...)
+		f := newTestFleet(t, idemOpts(2, WithResultCache(16))...)
 		incr := incrID(t, f)
 		// Warm the memo table, then a schedule of pure repeats with
 		// wide idle gaps: every arrival after the first hits.
@@ -358,11 +347,10 @@ func TestScheduleCacheHitsOverIdleGaps(t *testing.T) {
 // session during the warm job, so the key's first post-migration call
 // pays no session setup there.
 func TestWarmSessionAfterMigration(t *testing.T) {
-	f := newTestFleet(t, lmOpts(2, loadmgr.Options{
-		Migrate:            true,
+	f := newTestFleet(t, idemOpts(2, WithPlacement(placement.NewCostAware(loadmgr.Options{
 		ImbalanceThreshold: 1.05,
 		MaxMovesPerRound:   1,
-	})...)
+	})))...)
 	incr := incrID(t, f)
 	keys := []string{"k00", "k01", "k02", "k03"}
 	before := map[string]int{}
@@ -409,10 +397,9 @@ func TestWarmSessionAfterMigration(t *testing.T) {
 // TestReleaseAfterMigration: a released migrated key can come back
 // anywhere and still work.
 func TestReleaseAfterMigration(t *testing.T) {
-	f := newTestFleet(t, lmOpts(2, loadmgr.Options{
-		Migrate:            true,
+	f := newTestFleet(t, idemOpts(2, WithPlacement(placement.NewCostAware(loadmgr.Options{
 		ImbalanceThreshold: 1.05,
-	})...)
+	})))...)
 	incr := incrID(t, f)
 	for round := 0; round < 3; round++ {
 		if err := respErr(f.RunPlan(skewedPlan(incr, 4, 16))); err != nil {

@@ -25,14 +25,11 @@ import (
 type fleetMetrics struct {
 	reg *metrics.Registry
 
-	calls, sessions, evictions             *metrics.Series
-	cacheHits, cacheMisses, cacheEvictions *metrics.Series
-	migrations, replicasAdded, replicasDropped,
-	rewarms, rewarmMax, stallCycles, dropped,
-	corruptWarms, warmMax *metrics.Series
+	// counters holds one series per row of the counter table that
+	// names a metric (nil for per-shard-only rows).
+	counters []*metrics.Series
 
-	shardsLive, shardsDown, shardsAdded, shardsDrained *metrics.Series
-	liveSessions, costUnits, makespan, barriers        *metrics.Series
+	shardsLive, shardsDown, liveSessions, costUnits, barriers *metrics.Series
 
 	autoAdds, autoDrains, autoP99, autoWindowCalls *metrics.Series
 	faults                                         *metrics.Series
@@ -47,34 +44,25 @@ type fleetMetrics struct {
 }
 
 func newFleetMetrics(reg *metrics.Registry) *fleetMetrics {
+	series := make([]*metrics.Series, len(counters))
+	for i, c := range counters {
+		switch {
+		case c.metric == "":
+		case c.agg == sum:
+			series[i] = reg.Counter(c.metric, c.help)
+		default:
+			series[i] = reg.Gauge(c.metric, c.help)
+		}
+	}
 	return &fleetMetrics{
-		reg: reg,
+		reg:      reg,
+		counters: series,
 
-		calls:          reg.Counter("smod_calls_total", "Completed smod_call dispatches across the fleet."),
-		sessions:       reg.Counter("smod_sessions_opened_total", "Warm client sessions opened."),
-		evictions:      reg.Counter("smod_evictions_total", "Sessions reclaimed by the LRU cap."),
-		cacheHits:      reg.Counter("smod_cache_hits_total", "Idempotent calls answered from the result cache."),
-		cacheMisses:    reg.Counter("smod_cache_misses_total", "Result-cache lookups that missed."),
-		cacheEvictions: reg.Counter("smod_cache_evictions_total", "Result-cache entries evicted."),
-
-		migrations:      reg.Counter("smod_migrations_total", "Completed cross-shard session migrations."),
-		replicasAdded:   reg.Counter("smod_replicas_added_total", "Hot-key replica sessions warmed in."),
-		replicasDropped: reg.Counter("smod_replicas_dropped_total", "Hot-key replica sessions drained."),
-		rewarms:         reg.Counter("smod_rewarms_total", "Orphaned keys re-warmed after shard deaths."),
-		rewarmMax:       reg.Gauge("smod_rewarm_max_cycles", "Costliest single orphan re-warm, in cycles (the chaos budget gate)."),
-		stallCycles:     reg.Counter("smod_stall_cycles_total", "Clock cycles injected by chaos stall faults."),
-		dropped:         reg.Counter("smod_sessions_dropped_total", "Live sessions torn down by chaos drop faults."),
-		corruptWarms:    reg.Counter("smod_corrupt_warms_total", "Warm-ins discarded as corrupt."),
-		warmMax:         reg.Gauge("smod_warm_max_cycles", "Costliest single session warm-in, in cycles (the elastic budget gate)."),
-
-		shardsLive:    reg.Gauge("smod_shards_live", "Shards currently serving."),
-		shardsDown:    reg.Gauge("smod_shards_down", "Shards killed by chaos faults."),
-		shardsAdded:   reg.Counter("smod_shards_added_total", "Shards added by elastic resize."),
-		shardsDrained: reg.Counter("smod_shards_drained_total", "Shards drained and retired on purpose."),
-		liveSessions:  reg.Gauge("smod_sessions_live", "Warm client sessions currently held."),
-		costUnits:     reg.Gauge("smod_cost_units", "Sum of UnitPrice over live shards — the fleet's running cost."),
-		makespan:      reg.Gauge("smod_makespan_cycles", "Maximum per-shard simulated clock — the fleet's elapsed time."),
-		barriers:      reg.Counter("smod_barriers_total", "Rebalance barriers executed."),
+		shardsLive:   reg.Gauge("smod_shards_live", "Shards currently serving."),
+		shardsDown:   reg.Gauge("smod_shards_down", "Shards killed by chaos faults."),
+		liveSessions: reg.Gauge("smod_sessions_live", "Warm client sessions currently held."),
+		costUnits:    reg.Gauge("smod_cost_units", "Sum of UnitPrice over live shards — the fleet's running cost."),
+		barriers:     reg.Counter("smod_barriers_total", "Rebalance barriers executed."),
 
 		autoAdds:        reg.Counter("smod_autoscale_adds_total", "Shards the autoscaler added on SLO breaches."),
 		autoDrains:      reg.Counter("smod_autoscale_drains_total", "Shards the autoscaler drained after sustained comfort."),
@@ -104,28 +92,14 @@ func shardLabel(id int) metrics.Label {
 // counters (monotone because the source is), point-in-time fields in
 // gauges.
 func (m *fleetMetrics) publish(st Stats, load []int, live int, cost float64, barriers uint64, tr *trace.Recorder) {
-	m.calls.Set(float64(st.TotalCalls))
-	m.sessions.Set(float64(st.SessionsOpened))
-	m.evictions.Set(float64(st.Evictions))
-	m.cacheHits.Set(float64(st.CacheHits))
-	m.cacheMisses.Set(float64(st.CacheMisses))
-	m.cacheEvictions.Set(float64(st.CacheEvictions))
-	m.migrations.Set(float64(st.Migrations))
-	m.replicasAdded.Set(float64(st.ReplicasAdded))
-	m.replicasDropped.Set(float64(st.ReplicasDropped))
-	m.rewarms.Set(float64(st.Rewarms))
-	m.rewarmMax.Set(float64(st.RewarmMaxCycles))
-	m.stallCycles.Set(float64(st.StallCycles))
-	m.dropped.Set(float64(st.SessionsDropped))
-	m.corruptWarms.Set(float64(st.CorruptWarms))
-	m.warmMax.Set(float64(st.WarmMaxCycles))
-
+	for i, c := range counters {
+		if m.counters[i] != nil {
+			m.counters[i].Set(float64(*c.fleet(&st)))
+		}
+	}
 	m.shardsLive.Set(float64(live))
 	m.shardsDown.Set(float64(st.ShardsDown))
-	m.shardsAdded.Set(float64(st.ShardsAdded))
-	m.shardsDrained.Set(float64(st.ShardsDrained))
 	m.costUnits.Set(cost)
-	m.makespan.Set(float64(st.MakespanCycles))
 	m.barriers.Set(float64(barriers))
 
 	liveSessions := 0

@@ -9,7 +9,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/kern"
-	"repro/internal/loadmgr"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/tenant"
@@ -215,67 +214,4 @@ func (c *config) resolve() error {
 		}
 	}
 	return nil
-}
-
-// Config describes a fleet.
-//
-// Deprecated: Config and New are the pre-placement field-bag API, kept
-// only so existing callers compile during the migration. Use Open with
-// functional options: strategy-specific knobs that used to be Config
-// fields are now WithBackends, WithResultCache, and — in place of
-// LoadManager's migration switches — a placement strategy passed to
-// WithPlacement.
-type Config struct {
-	// Shards is the number of independent kernels (>= 1).
-	Shards int
-	// Module and Version name the protected module; see WithModule.
-	Module  string
-	Version int
-	// Credential is the client credential text; see WithCredential.
-	Credential string
-	// ClientUID and ClientName form the client kernel credential; see
-	// WithClient.
-	ClientUID  int
-	ClientName string
-	// Provision registers modules on one shard's fresh kernel; see
-	// WithProvision.
-	Provision ProvisionFunc
-	// Backends assigns machine-class profiles; see WithBackends.
-	Backends []backend.Assignment
-	// MaxSessionsPerShard caps warm sessions; see WithSessionCap.
-	MaxSessionsPerShard int
-	// MaxBatch bounds jobs per kernel stretch; see WithMaxBatch.
-	MaxBatch int
-	// LoadManager, when non-nil, selects the historical loadmgr wiring:
-	// CacheSize maps to WithResultCache, and Migrate/HeatOnly map to
-	// the placement.HeatMigrate / placement.CostAware strategies.
-	LoadManager *loadmgr.Options
-}
-
-// New builds and starts a fleet from a legacy Config.
-//
-// Deprecated: use Open. New translates the Config fields onto the
-// option API (bit-for-bit: the mapped strategies reproduce the old
-// hard-wired pool/loadmgr behaviour exactly) and will be removed once
-// nothing constructs a Config.
-func New(cfg Config) (*Fleet, error) {
-	opts := []Option{
-		WithShards(cfg.Shards),
-		WithModule(cfg.Module, cfg.Version),
-		WithProvision(cfg.Provision),
-		WithClient(cfg.ClientUID, cfg.ClientName),
-		WithCredential(cfg.Credential),
-		WithBackends(cfg.Backends),
-		WithSessionCap(cfg.MaxSessionsPerShard),
-		WithMaxBatch(cfg.MaxBatch),
-	}
-	if lm := cfg.LoadManager; lm != nil {
-		if lm.CacheSize > 0 {
-			opts = append(opts, WithResultCache(lm.CacheSize))
-		}
-		if p := placement.Legacy(*lm); p != nil {
-			opts = append(opts, WithPlacement(p))
-		}
-	}
-	return Open(opts...)
 }

@@ -153,57 +153,6 @@ type timedCursor struct {
 	pos  int
 }
 
-// ShardStats is one shard's merged counters, all in that shard's own
-// simulated clock domain.
-type ShardStats struct {
-	Shard int `json:"shard"`
-	// Profile names the shard's backend machine class ("fast", "slow",
-	// "crypto", ...), for per-profile aggregation in the bench layer.
-	Profile         string `json:"profile,omitempty"`
-	Cycles          uint64 `json:"cycles"`
-	Ticks           uint64 `json:"ticks"`
-	Calls           uint64 `json:"calls"` // completed smod_call dispatches
-	SessionsOpened  uint64 `json:"sessions_opened"`
-	PolicyChecks    uint64 `json:"policy_checks"`
-	ContextSwitches uint64 `json:"context_switches"`
-	Syscalls        uint64 `json:"syscalls"`
-	LiveSessions    int    `json:"live_sessions"`
-	Evictions       uint64 `json:"evictions"`
-	// Result-cache counters (zero unless the fleet runs a loadmgr
-	// manager with caching enabled).
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheEvictions uint64 `json:"cache_evictions"`
-	// Migration counters: sessions handed off this shard / warmed onto
-	// it by the placement strategy.
-	MigratedOut uint64 `json:"migrated_out"`
-	MigratedIn  uint64 `json:"migrated_in"`
-	// Replica counters: hot-key replicas warmed onto this shard /
-	// drained from it by the replicating strategy.
-	ReplicasIn  uint64 `json:"replicas_in"`
-	ReplicasOut uint64 `json:"replicas_out"`
-	// IdleCycles counts clock advances over idle arrival gaps (timed
-	// schedules only). Cycles - IdleCycles is the shard's busy time,
-	// the numerator of per-shard utilization in mixed-fleet sweeps.
-	IdleCycles uint64 `json:"idle_cycles"`
-	// Chaos drill counters: orphaned keys re-warmed onto this shard
-	// after another shard's death (with the costliest single recovery),
-	// clock cycles injected by stall faults, sessions dropped by drop
-	// faults, and warm-ins discarded as corrupt.
-	Rewarms         uint64 `json:"rewarms"`
-	RewarmMaxCycles uint64 `json:"rewarm_max_cycles"`
-	StallCycles     uint64 `json:"stall_cycles"`
-	SessionsDropped uint64 `json:"sessions_dropped"`
-	CorruptWarms    uint64 `json:"corrupt_warms"`
-	// WarmMaxCycles is the costliest single session warm-in on this
-	// shard (migration warm-in, replica warm, or orphan re-warm) — the
-	// per-shard number elastic drills gate against the re-warm budget.
-	WarmMaxCycles uint64 `json:"warm_max_cycles"`
-	// Tenants holds per-QoS-class counters (nil without WithTenants,
-	// keeping untenanted snapshots byte-identical).
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-}
-
 // shard is one independent simulated kernel plus its routing state.
 // All fields are owned by the shard goroutine; client goroutines touch
 // shared state only under the kernel's strict-alternation handoff
@@ -224,7 +173,7 @@ type shard struct {
 
 	// onEvict reports a torn-down session's key back to the fleet so
 	// the pool assignment is reclaimed along with the session (set by
-	// fleet.New; Pool is mutex-guarded, so this is safe from the shard
+	// bootShard; Pool is mutex-guarded, so this is safe from the shard
 	// goroutine).
 	onEvict func(key string)
 
@@ -249,9 +198,10 @@ type shard struct {
 	// idle gaps to the next scheduled arrival.
 	idleCycles uint64
 
-	// Load-management state (nil/zero when the fleet has no manager):
-	// cache memoizes idempotent responses, idemp marks which funcIDs
-	// qualify (from the module spec), mid keys cache entries by module.
+	// Result-cache and placement state (nil/zero without
+	// WithResultCache, or under sticky placement): cache memoizes
+	// idempotent responses, idemp marks which funcIDs qualify (from the
+	// module spec), mid keys cache entries by module.
 	cache       *loadmgr.ResultCache
 	idemp       map[uint32]bool
 	mid         int
@@ -317,8 +267,9 @@ func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.Resul
 			id, cfg.module, cfg.version)
 	}
 	if sh.cache = cache; sh.cache != nil {
-		// sh.idemp is filled in by Open, once, fleet-wide: provisioning
-		// is identical across shards, so the derivation is shared.
+		// sh.idemp is filled in by bootShard, once, fleet-wide:
+		// provisioning is identical across shards, so the derivation is
+		// shared.
 		sh.mid = sh.sm.Module(mid).ID
 	}
 	sh.k.RegisterSyscall(SysParkNo, "fleet_park", sh.sysPark)

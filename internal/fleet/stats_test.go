@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,111 @@ func TestStatsDelta(t *testing.T) {
 	// The receiver is untouched (Delta is by value).
 	if after.TotalCalls != 80 || after.PerShard[0].Cycles != 3000 {
 		t.Fatalf("Delta mutated its receiver: %+v", after)
+	}
+
+	// Every row of the counter table: distinct values per row and shard
+	// (shard 2 has no prev row), folded per the row's aggregation by
+	// both Delta and merge.
+	prev := Stats{PerShard: make([]ShardStats, 2)}
+	cur := Stats{PerShard: make([]ShardStats, 3)}
+	for i, c := range counters {
+		base := uint64(1000 * (i + 1))
+		for s := range cur.PerShard {
+			if c.shard == nil {
+				continue
+			}
+			if s < len(prev.PerShard) {
+				*c.shard(&prev.PerShard[s]) = base + uint64(s)
+			}
+			*c.shard(&cur.PerShard[s]) = base + uint64(s) + uint64(10*(s+1))
+		}
+		if c.fleet != nil {
+			*c.fleet(&prev), *c.fleet(&cur) = base, base+7
+		}
+	}
+	d = cur.Delta(prev)
+	merged := merge(cur.PerShard)
+	for i, c := range counters {
+		base := uint64(1000 * (i + 1))
+		var most, total uint64
+		for s := range cur.PerShard {
+			if c.shard == nil {
+				continue
+			}
+			v := *c.shard(&cur.PerShard[s])
+			total += v
+			most = max(most, v)
+			want := uint64(10 * (s + 1))
+			switch {
+			case c.agg == peak:
+				want = v
+			case s >= len(prev.PerShard):
+				want = v // no prev row: the whole counter is new
+			}
+			if got := *c.shard(&d.PerShard[s]); got != want {
+				t.Errorf("row %d (%s) shard %d delta = %d, want %d", i, c.metric, s, got, want)
+			}
+		}
+		if c.fleet == nil {
+			continue
+		}
+		want := map[aggregation]uint64{sum: 7, peak: base + 7, elapsed: base + 2 + 30}[c.agg]
+		if got := *c.fleet(&d); got != want {
+			t.Errorf("row %d (%s) fleet delta = %d, want %d", i, c.metric, got, want)
+		}
+		if c.shard == nil {
+			continue
+		}
+		want = total
+		if c.agg != sum {
+			want = most
+		}
+		if got := *c.fleet(&merged); got != want {
+			t.Errorf("row %d (%s) merged = %d, want %d", i, c.metric, got, want)
+		}
+	}
+}
+
+// TestCounterTableCoversStats: every numeric Stats/ShardStats field is
+// declared exactly once in the counter table, or listed here as
+// point-in-time (never subtracted, never summed by merge).
+func TestCounterTableCoversStats(t *testing.T) {
+	pointInTime := map[string]bool{
+		"Stats.Shards":            true,
+		"Stats.ShardsDown":        true,
+		"ShardStats.Shard":        true,
+		"ShardStats.LiveSessions": true,
+	}
+	var st Stats
+	var sh ShardStats
+	declared := map[*uint64]int{}
+	for _, c := range counters {
+		if c.shard != nil {
+			declared[c.shard(&sh)]++
+		}
+		if c.fleet != nil {
+			declared[c.fleet(&st)]++
+		}
+	}
+	for _, v := range []reflect.Value{reflect.ValueOf(&st).Elem(), reflect.ValueOf(&sh).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanInt() && !f.CanUint() && !f.CanFloat() {
+				continue
+			}
+			name := v.Type().Name() + "." + v.Type().Field(i).Name
+			p, _ := f.Addr().Interface().(*uint64)
+			switch n := declared[p]; {
+			case pointInTime[name]:
+				if p != nil && n > 0 {
+					t.Errorf("%s is both point-in-time and in the counter table", name)
+				}
+			case p == nil:
+				t.Errorf("%s is a %s: declare it point-in-time or make it a uint64 counter row", name, f.Type())
+			case n != 1:
+				t.Errorf("%s appears %d times in the counter table, want exactly once", name, n)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,8 @@
 // global randomness.
 package loadmgr
 
-// Options configures the load manager a fleet attaches.
+// Options tunes the heat tracker and migrator behind the heat-driven
+// placement strategies (see internal/placement).
 type Options struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]: the weight of the
 	// newest round's counts. 0 selects DefaultAlpha.
@@ -43,17 +44,11 @@ type Options struct {
 	// rounds so the planner cannot flap it between shards. 0 selects
 	// DefaultCooldownRounds.
 	CooldownRounds int
-	// Migrate enables cross-shard session migration at barrier points.
+	// Migrate enables hot-key migration inside placement.Replicated,
+	// which otherwise only replicates. The migrating strategies
+	// (placement.HeatMigrate, placement.CostAware) migrate by
+	// construction and ignore it.
 	Migrate bool
-	// HeatOnly makes the migrator ignore any per-shard cost weights the
-	// fleet installed (SetCostWeights) and balance raw heat, as if the
-	// fleet were homogeneous. It exists for A/B measurement: a mixed
-	// fleet swept with and without it is the cost-aware-vs-heat-only
-	// comparison the bench suite records.
-	HeatOnly bool
-	// CacheSize is the per-shard idempotent result cache capacity in
-	// entries; 0 disables caching.
-	CacheSize int
 	// Seed drives the migrator's tie-break among equally hot candidate
 	// keys; fixed seed, fixed decisions.
 	Seed int64
@@ -82,67 +77,4 @@ func (o Options) withDefaults() Options {
 		o.CooldownRounds = DefaultCooldownRounds
 	}
 	return o
-}
-
-// Manager bundles the three components for one fleet.
-type Manager struct {
-	opts Options
-	heat *HeatTracker
-	mig  *Migrator
-	// costw holds the per-shard cost factors (heat -> estimated
-	// completion cost) the fleet derives from its backend assignment;
-	// nil means homogeneous.
-	costw []float64
-}
-
-// New builds a manager for a fleet of the given shard count.
-func New(opts Options, shards int) *Manager {
-	opts = opts.withDefaults()
-	return &Manager{
-		opts: opts,
-		heat: NewHeatTracker(shards, opts.Alpha),
-		mig:  NewMigrator(opts),
-	}
-}
-
-// Options returns the resolved (defaulted) options.
-func (m *Manager) Options() Options { return m.opts }
-
-// Heat exposes the tracker for the fleet's routing-path feed.
-func (m *Manager) Heat() *HeatTracker { return m.heat }
-
-// SetCostWeights installs the per-shard cost factors (from the fleet's
-// backend assignment) the migrator weighs heat by. Called once at
-// fleet construction, before any planning; ignored under
-// Options.HeatOnly.
-func (m *Manager) SetCostWeights(w []float64) {
-	m.costw = append([]float64(nil), w...)
-}
-
-// NewCache builds one shard's result cache, or nil when caching is
-// disabled. Each shard owns its cache exclusively (no locking).
-func (m *Manager) NewCache() *ResultCache {
-	if m.opts.CacheSize <= 0 {
-		return nil
-	}
-	return NewResultCache(m.opts.CacheSize)
-}
-
-// PlanRebalance closes the current heat round and plans this barrier's
-// migrations. The returned moves are already applied to the tracker's
-// key->shard view (optimistically), so back-to-back plans do not
-// re-propose the same move; the fleet must skip a move whose pool
-// assignment changed underneath it (which is why executed-move
-// counters live fleet-side, per shard, not here). Returns nil when
-// migration is disabled or the fleet is balanced.
-func (m *Manager) PlanRebalance() []Migration {
-	if !m.opts.Migrate {
-		return nil
-	}
-	m.heat.Advance()
-	costw := m.costw
-	if m.opts.HeatOnly {
-		costw = nil
-	}
-	return m.mig.Plan(m.heat, costw, nil)
 }

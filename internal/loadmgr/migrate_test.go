@@ -166,32 +166,29 @@ func TestPlanSeededTieBreakStableAcrossMapOrder(t *testing.T) {
 // completion cost, not raw heat. Shard 1 is 2.5x slower; even though
 // shard 0 carries more raw heat than shard 1, shard 1's *cost* is
 // higher, so keys must flow slow -> fast — the opposite of what a
-// heat-only plan would do.
+// heat-only plan (nil weights, as placement.HeatMigrate passes) would
+// do.
 func TestPlanCostAware(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
-	h.Record("fastbig", 0, 5)     // shard 0 (fast): raw heat 5.5 total
-	h.Record("fastsmall", 0, 0.5) // movable by the heat-only plan
-	h.Record("slowhot", 1, 4)     // shard 1 (slow): raw heat 4, cost 10
-	h.Advance()
-	costw := []float64{1.0, 2.5}
+	build := func() *HeatTracker {
+		h := NewHeatTracker(2, 1.0)
+		h.Record("fastbig", 0, 5)     // shard 0 (fast): raw heat 5.5 total
+		h.Record("fastsmall", 0, 0.5) // movable by the heat-only plan
+		h.Record("slowhot", 1, 4)     // shard 1 (slow): raw heat 4, cost 10
+		h.Advance()
+		return h
+	}
+	opts := Options{MaxMovesPerRound: 1, ImbalanceThreshold: 1.05}
 
 	// Heat-only view: shard 0 (heat 5.5) looks hotter than shard 1 (4);
 	// a heat-only plan moves fast -> slow.
-	mHeat := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
-	heatMoves := mHeat.Plan(h, nil, nil)
+	heatMoves := NewMigrator(opts).Plan(build(), nil, nil)
 	if len(heatMoves) != 1 || heatMoves[0].From != 0 || heatMoves[0].To != 1 {
 		t.Fatalf("heat-only plan = %v, want a 0->1 move", heatMoves)
 	}
 
 	// Cost view: shard 1 costs 10 vs shard 0's 5.5; the cost-aware plan
 	// moves work off the slow shard onto the fast one.
-	h2 := NewHeatTracker(2, 1.0)
-	h2.Record("fastbig", 0, 5)
-	h2.Record("fastsmall", 0, 0.5)
-	h2.Record("slowhot", 1, 4)
-	h2.Advance()
-	mCost := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
-	costMoves := mCost.Plan(h2, costw, nil)
+	costMoves := NewMigrator(opts).Plan(build(), []float64{1.0, 2.5}, nil)
 	if len(costMoves) != 1 || costMoves[0].From != 1 || costMoves[0].To != 0 {
 		t.Fatalf("cost-aware plan = %v, want a 1->0 move", costMoves)
 	}
@@ -233,46 +230,5 @@ func TestPlanUniformWeightsMatchHeatOnly(t *testing.T) {
 	b := NewMigrator(Options{Migrate: true, Seed: 5, ImbalanceThreshold: 1.05}).Plan(build(), []float64{1, 1, 1}, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nil weights %v != unit weights %v", a, b)
-	}
-}
-
-func TestManagerCostWeightsAndHeatOnly(t *testing.T) {
-	skew := func(m *Manager) {
-		m.Heat().Record("fastbig", 0, 5)
-		m.Heat().Record("fastsmall", 0, 0.5)
-		m.Heat().Record("slowhot", 1, 4)
-	}
-	m := New(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05}, 2)
-	m.SetCostWeights([]float64{1.0, 2.5})
-	skew(m)
-	if moves := m.PlanRebalance(); len(moves) != 1 || moves[0].From != 1 {
-		t.Fatalf("cost-aware manager plan = %v, want a 1->0 move", moves)
-	}
-	// HeatOnly ignores the installed weights.
-	ho := New(Options{Migrate: true, HeatOnly: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05}, 2)
-	ho.SetCostWeights([]float64{1.0, 2.5})
-	skew(ho)
-	if moves := ho.PlanRebalance(); len(moves) != 1 || moves[0].From != 0 {
-		t.Fatalf("heat-only manager plan = %v, want a 0->1 move", moves)
-	}
-}
-
-func TestManagerPlanRebalance(t *testing.T) {
-	m := New(Options{Migrate: true, MaxMovesPerRound: 1}, 2)
-	for i := 0; i < 8; i++ {
-		m.Heat().Record("hot", 0, 1)
-		m.Heat().Record("warm", 0, 1)
-	}
-	moves := m.PlanRebalance()
-	if len(moves) != 1 {
-		t.Fatalf("PlanRebalance = %v, want 1 move", moves)
-	}
-	// Migration disabled: no plans, ever.
-	off := New(Options{}, 2)
-	for i := 0; i < 8; i++ {
-		off.Heat().Record("hot", 0, 1)
-	}
-	if moves := off.PlanRebalance(); moves != nil {
-		t.Fatalf("disabled manager planned %v", moves)
 	}
 }

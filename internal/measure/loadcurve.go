@@ -64,17 +64,21 @@ type LoadCurveConfig struct {
 	// opportunity, so migration (and replica resizing) needs Epochs >= 2
 	// to act within a point.
 	Epochs int
-	// LoadManager, when non-nil, tunes the measured fleet's placement
-	// and caching: CacheSize maps to fleet.WithResultCache, and
-	// Migrate/HeatOnly select the placement.CostAware or
-	// placement.HeatMigrate strategy (with the remaining fields as
-	// tuning), mirroring the historical loadmgr wiring.
-	LoadManager *loadmgr.Options
+	// Rebalance migrates hot keys between shards at the epoch barriers
+	// (placement.CostAware, or placement.HeatMigrate under HeatOnly;
+	// seeded by Seed). Without it the fleet keeps the sticky default.
+	Rebalance bool
+	// HeatOnly makes migration ignore backend cost factors: the
+	// heat-only A/B baseline of the cost-aware story on mixed fleets.
+	HeatOnly bool
+	// CacheSize gives every shard a result cache of this many entries
+	// (fleet.WithResultCache); 0 disables caching.
+	CacheSize int
 	// Replicas, when > 0, swaps the placement strategy for
 	// placement.Replicated with this replica-set cap: idempotent hot
 	// keys are served from up to Replicas shards at once, resized at
-	// epoch barriers. LoadManager (if set) still tunes heat/migration
-	// and the result cache.
+	// epoch barriers. Rebalance and HeatOnly still govern migration of
+	// the unreplicated keys.
 	Replicas int
 
 	// Backends assigns a machine-class profile to every shard (see
@@ -468,25 +472,25 @@ func tenantSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.Tim
 // after the run; nil otherwise.
 func curvePlacement(cfg LoadCurveConfig) ([]fleet.Option, *placement.Replicated) {
 	var opts []fleet.Option
-	var tuning loadmgr.Options
-	if lm := cfg.LoadManager; lm != nil {
-		tuning = *lm
-		if lm.CacheSize > 0 {
-			opts = append(opts, fleet.WithResultCache(lm.CacheSize))
-		}
+	if cfg.CacheSize > 0 {
+		opts = append(opts, fleet.WithResultCache(cfg.CacheSize))
 	}
-	if cfg.Replicas > 0 {
+	tuning := loadmgr.Options{Migrate: cfg.Rebalance, Seed: cfg.Seed}
+	switch {
+	case cfg.Replicas > 0:
 		rep := placement.NewReplicated(placement.ReplicatedConfig{
 			Options:     tuning,
 			MaxReplicas: cfg.Replicas,
-			HeatOnly:    tuning.HeatOnly,
+			HeatOnly:    cfg.HeatOnly,
 		})
 		return append(opts, fleet.WithPlacement(rep)), rep
+	case !cfg.Rebalance:
+		return opts, nil
+	case cfg.HeatOnly:
+		return append(opts, fleet.WithPlacement(placement.NewHeatMigrate(tuning))), nil
+	default:
+		return append(opts, fleet.WithPlacement(placement.NewCostAware(tuning))), nil
 	}
-	if p := placement.Legacy(tuning); p != nil {
-		opts = append(opts, fleet.WithPlacement(p))
-	}
-	return opts, nil
 }
 
 // runLoadPoint measures one offered rate on a fresh fleet. With Epochs
@@ -682,8 +686,8 @@ func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error
 	if elastic && samples > 0 {
 		point.AvgShards = shardsSum / float64(samples)
 		point.CostUnits = costSum / float64(samples)
-		point.ShardsAdded = d.ShardsAdded
-		point.ShardsDrained = d.ShardsDrained
+		point.ShardsAdded = int(d.ShardsAdded)
+		point.ShardsDrained = int(d.ShardsDrained)
 		point.WarmMaxCycles = d.WarmMaxCycles
 	}
 	if tenanted {
@@ -898,6 +902,9 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 		ZipfS:         cfg.ZipfS,
 		ArgsCard:      cfg.ArgsCardinality,
 		Epochs:        cfg.Epochs,
+		Rebalance:     cfg.Rebalance,
+		HeatOnly:      cfg.HeatOnly,
+		CacheSize:     cfg.CacheSize,
 		Replicas:      cfg.Replicas,
 		Chaos:         cfg.Chaos,
 		SLOMicros:     cfg.SLOMicros,
@@ -915,11 +922,6 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 		if lc.RewarmBudgetCycles == 0 {
 			lc.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
 		}
-	}
-	if lm := cfg.LoadManager; lm != nil {
-		lc.Rebalance = lm.Migrate
-		lc.CacheSize = lm.CacheSize
-		lc.HeatOnly = lm.HeatOnly
 	}
 	if lc.KneeIndex >= 0 {
 		lc.KneeOfferedCPS = points[lc.KneeIndex].OfferedPerSec

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/loadmgr"
 )
 
 // testCurveConfig sweeps one shard from well under to well past its
@@ -158,18 +157,19 @@ func TestLoadCurveBadConfig(t *testing.T) {
 	}
 }
 
-// skewConfig is a 2-shard skewed-workload point at the given rate.
-func skewConfig(rate float64, lm *loadmgr.Options) LoadCurveConfig {
+// skewConfig is a 2-shard skewed-workload point at the given rate,
+// migrating hot keys at the epoch barriers when rebalance is set.
+func skewConfig(rate float64, rebalance bool) LoadCurveConfig {
 	return LoadCurveConfig{
-		Shards:      2,
-		Clients:     12,
-		Calls:       240,
-		Rates:       []float64{rate},
-		Kind:        Poisson,
-		Seed:        3,
-		ZipfS:       1.3,
-		Epochs:      6,
-		LoadManager: lm,
+		Shards:    2,
+		Clients:   12,
+		Calls:     240,
+		Rates:     []float64{rate},
+		Kind:      Poisson,
+		Seed:      3,
+		ZipfS:     1.3,
+		Epochs:    6,
+		Rebalance: rebalance,
 	}
 }
 
@@ -182,14 +182,11 @@ func TestSkewedCurveRebalanceRaisesCapacity(t *testing.T) {
 	// half the traffic on the rank-0 key's shard, so 200k/s offered
 	// overloads the static assignment but not a balanced one.
 	const rate = 200_000
-	static, err := RunFleetLoadCurve(skewConfig(rate, nil))
+	static, err := RunFleetLoadCurve(skewConfig(rate, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	moving, err := RunFleetLoadCurve(skewConfig(rate, &loadmgr.Options{
-		Migrate:            true,
-		ImbalanceThreshold: 1.05,
-	}))
+	moving, err := RunFleetLoadCurve(skewConfig(rate, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestSkewedCurveRebalanceRaisesCapacity(t *testing.T) {
 // TestSkewedCurveDeterministic: skew + epochs + migration stays
 // bit-for-bit reproducible, points and counters included.
 func TestSkewedCurveDeterministic(t *testing.T) {
-	cfg := skewConfig(150_000, &loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 9})
+	cfg := skewConfig(150_000, true)
 	a, err := RunFleetLoadCurve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +231,7 @@ func TestSkewedCurveDeterministic(t *testing.T) {
 func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 	cfg := testCurveConfig(50_000)
 	cfg.ArgsCardinality = 6
-	cfg.LoadManager = &loadmgr.Options{CacheSize: 64}
+	cfg.CacheSize = 64
 	points, err := RunFleetLoadCurve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +244,7 @@ func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 		t.Errorf("cache counters %d+%d do not cover the %d idempotent calls",
 			p.CacheHits, p.CacheMisses, cfg.Calls)
 	}
-	// The BENCH document records the loadmgr configuration.
+	// The BENCH document records the cache configuration.
 	doc := NewBenchFleet(cfg, points, nil)
 	if doc.LoadCurve.CacheSize != 64 || doc.LoadCurve.ArgsCard != 6 {
 		t.Errorf("BENCH loadcurve config not recorded: %+v", doc.LoadCurve)
@@ -260,17 +257,17 @@ func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 // curve carries the drill spec and budget for the benchdiff gate.
 func TestChaosCurveKillDrill(t *testing.T) {
 	cfg := LoadCurveConfig{
-		Shards:      2,
-		Clients:     6,
-		Calls:       60,
-		Rates:       []float64{40_000},
-		Kind:        Poisson,
-		Seed:        5,
-		ZipfS:       1.5,
-		Epochs:      4,
-		Replicas:    2,
-		LoadManager: &loadmgr.Options{Migrate: true, Seed: 5},
-		Chaos:       "kill:0@3",
+		Shards:    2,
+		Clients:   6,
+		Calls:     60,
+		Rates:     []float64{40_000},
+		Kind:      Poisson,
+		Seed:      5,
+		ZipfS:     1.5,
+		Epochs:    4,
+		Replicas:  2,
+		Rebalance: true,
+		Chaos:     "kill:0@3",
 	}
 	a, err := RunFleetLoadCurve(cfg)
 	if err != nil {

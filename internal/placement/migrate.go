@@ -175,24 +175,6 @@ func (b *balancer) Rebalance() []Move {
 // balanced), for observability via the concrete strategy types.
 func (b *balancer) Imbalance() float64 { return b.heat.ImbalanceScore() }
 
-// Legacy maps the historical loadmgr.Options migration switches onto
-// a strategy — the one place the old field-bag semantics are spelled
-// out, shared by the fleet's deprecated Config shim and the bench
-// harness. Migrate selects CostAware (HeatMigrate under HeatOnly);
-// without Migrate there is no strategy to attach (nil — the caller
-// keeps the default sticky placement). CacheSize is not placement:
-// callers map it to fleet.WithResultCache themselves.
-func Legacy(lm loadmgr.Options) Placement {
-	switch {
-	case !lm.Migrate:
-		return nil
-	case lm.HeatOnly:
-		return NewHeatMigrate(lm)
-	default:
-		return NewCostAware(lm)
-	}
-}
-
 // HeatMigrate migrates hot keys off overloaded shards at rebalance
 // barriers, balancing raw EWMA heat as if every shard were the same
 // machine class (the heat-only A/B baseline on mixed fleets; on a
@@ -203,8 +185,7 @@ type HeatMigrate struct{ balancer }
 // fields take the loadmgr defaults; Seed pins the tie-break.
 // Constructing the strategy is itself the migration opt-in, so
 // Options.Migrate is ignored here (unlike Replicated, where it gates
-// the migration half), and Options.CacheSize is ignored everywhere in
-// this package — result caching is the fleet's WithResultCache.
+// the migration half).
 func NewHeatMigrate(opts loadmgr.Options) *HeatMigrate {
 	return &HeatMigrate{newBalancer(opts, false)}
 }
@@ -221,8 +202,8 @@ func (s *HeatMigrate) Bind(shards int, costFactors []float64) error {
 type CostAware struct{ balancer }
 
 // NewCostAware builds a cost-aware migrating strategy. Like
-// NewHeatMigrate, constructing it is the migration opt-in:
-// Options.Migrate and Options.CacheSize are ignored (see there).
+// NewHeatMigrate, constructing it is the migration opt-in, so
+// Options.Migrate is ignored.
 func NewCostAware(opts loadmgr.Options) *CostAware {
 	return &CostAware{newBalancer(opts, true)}
 }

@@ -115,6 +115,10 @@ type Entry struct {
 	// COW marks the entry copy-on-write: anons with Refs>1 must be
 	// copied before the first write.
 	COW bool
+	// aliases counts the entries, across all spaces, that alias Amap;
+	// nil means this entry is the amap's only one. The anons go with
+	// the last alias (see release).
+	aliases *int
 }
 
 func (e *Entry) contains(addr uint32) bool { return addr >= e.Start && addr < e.End }
@@ -122,6 +126,23 @@ func (e *Entry) contains(addr uint32) bool { return addr >= e.Start && addr < e.
 func (e *Entry) pageIndex(addr uint32) uint32 {
 	return (mem.PageAlign(addr) - e.Start) >> mem.PageShift
 }
+
+// alias returns a new entry over e's amap: both become write-shared and
+// the amap counts one more alias. The caller maps the result.
+func (e *Entry) alias() *Entry {
+	if e.aliases == nil {
+		e.aliases = new(int)
+		*e.aliases = 1
+	}
+	*e.aliases++
+	e.Shared = true
+	return &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
+		Amap: e.Amap, Shared: true, aliases: e.aliases}
+}
+
+// lastAlias reports whether no other entry aliases e's amap, so the
+// amap (and its anon references) goes when e does.
+func (e *Entry) lastAlias() bool { return e.aliases == nil || *e.aliases <= 1 }
 
 // Space is one process's address space.
 type Space struct {
@@ -233,8 +254,7 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 	if err != nil {
 		return nil, nil, err
 	}
-	e2 := &Entry{Start: start, End: start + size, Prot: prot, Name: name, Amap: e1.Amap, Shared: true}
-	e1.Shared = true
+	e2 := e1.alias()
 	if err := s2.insert(e2); err != nil {
 		s1.Unmap(start, start+size)
 		return nil, nil, err
@@ -244,6 +264,8 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 
 // Unmap removes all mappings overlapping [start,end), splitting entries
 // at the boundaries, and drops anon references for the removed range.
+// An entry whose amap other entries still alias leaves the amap to
+// them: its remainders then take their own anon references.
 func (s *Space) Unmap(start, end uint32) {
 	var keep []*Entry
 	for _, e := range s.entries {
@@ -252,6 +274,7 @@ func (s *Space) Unmap(start, end uint32) {
 			continue
 		}
 		// Overlap: possibly split into a left and/or right remainder.
+		last := e.lastAlias()
 		lo, hi := start, end
 		if lo < e.Start {
 			lo = e.Start
@@ -266,6 +289,9 @@ func (s *Space) Unmap(start, end uint32) {
 				a := e.Start + idx<<mem.PageShift
 				if a < lo {
 					left.Amap[idx] = an
+					if !last {
+						an.Refs++
+					}
 				}
 			}
 			// Rebase is unnecessary: left.Start == e.Start.
@@ -279,13 +305,18 @@ func (s *Space) Unmap(start, end uint32) {
 				a := e.Start + idx<<mem.PageShift
 				if a >= hi {
 					right.Amap[idx-base] = an
+					if !last {
+						an.Refs++
+					}
 				}
 			}
 			keep = append(keep, right)
 		}
-		// Drop references covered by [lo,hi). Shared aliased amaps keep
-		// the anons alive through the other space's entry.
-		if !e.Shared {
+		// Drop references covered by [lo,hi) with the amap's last alias;
+		// otherwise the other aliases keep the amap, anons and all.
+		if !last {
+			*e.aliases--
+		} else {
 			for idx, an := range e.Amap {
 				a := e.Start + idx<<mem.PageShift
 				if a >= lo && a < hi {
@@ -312,13 +343,21 @@ func (s *Space) dropAnon(an *Anon) {
 // UnmapAll removes every mapping (process teardown).
 func (s *Space) UnmapAll() {
 	for _, e := range s.entries {
-		if !e.Shared {
-			for _, an := range e.Amap {
-				s.dropAnon(an)
-			}
-		}
+		s.release(e)
 	}
 	s.entries = nil
+}
+
+// release drops e's hold on its amap: the last alias drops the anons,
+// any other just leaves the amap to the rest.
+func (s *Space) release(e *Entry) {
+	if !e.lastAlias() {
+		*e.aliases--
+		return
+	}
+	for _, an := range e.Amap {
+		s.dropAnon(an)
+	}
 }
 
 // Fault resolves a page fault at addr for the given access kind,
@@ -336,16 +375,15 @@ func (s *Space) Fault(addr uint32, access Access) (*mem.Page, error) {
 		if s.Partner != nil && addr >= s.ShareStart && addr < s.ShareEnd {
 			pe := s.Partner.find(addr)
 			if pe != nil {
-				alias := &Entry{Start: pe.Start, End: pe.End, Prot: pe.Prot,
-					Name: pe.Name, Amap: pe.Amap, Shared: true}
-				pe.Shared = true
 				// Clip the alias to the share range so a partner entry
 				// straddling the boundary cannot leak outside it.
-				if alias.Start < s.ShareStart || alias.End > s.ShareEnd {
+				if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
 					return nil, fmt.Errorf("%w: partner entry %s [%#x,%#x) exceeds share range",
 						ErrNoMapping, pe.Name, pe.Start, pe.End)
 				}
+				alias := pe.alias()
 				if err := s.insert(alias); err != nil {
+					*alias.aliases--
 					return nil, err
 				}
 				s.ShareFaults++
@@ -559,10 +597,7 @@ func (s *Space) Fork() *Space {
 				child.entries = append(child.entries, ce)
 				continue
 			}
-			child.entries = append(child.entries, &Entry{
-				Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
-				Amap: e.Amap, Shared: true,
-			})
+			child.entries = append(child.entries, e.alias())
 			continue
 		}
 		e.COW = true
@@ -611,10 +646,10 @@ func ForceShare(map1, map2 *Space, start, end uint32) error {
 			return fmt.Errorf("vm: ForceShare: entry %s [%#x,%#x) straddles share boundary",
 				e.Name, e.Start, e.End)
 		}
-		e.Shared = true
 		e.COW = false
-		if err := map1.insert(&Entry{Start: e.Start, End: e.End, Prot: e.Prot,
-			Name: e.Name, Amap: e.Amap, Shared: true}); err != nil {
+		alias := e.alias()
+		if err := map1.insert(alias); err != nil {
+			*alias.aliases--
 			return err
 		}
 	}
@@ -665,13 +700,12 @@ func (s *Space) Obreak(newEnd uint32) error {
 			s.Partner.HeapEnd = newEnd
 		}
 	case newEnd < heap.End:
-		// Shrink: drop pages past the new break.
+		// Shrink: drop pages past the new break (from every alias of a
+		// shared heap at once, since they share the amap).
 		base := (newEnd - heap.Start) >> mem.PageShift
 		for idx, an := range heap.Amap {
 			if idx >= base {
-				if !heap.Shared {
-					s.dropAnon(an)
-				}
+				s.dropAnon(an)
 				delete(heap.Amap, idx)
 			}
 		}

@@ -492,6 +492,68 @@ func TestUnmapAllKeepsSharedAlive(t *testing.T) {
 	}
 }
 
+// TestSharedFramesFreedWithLastAlias: a SecModule pair's shared
+// memory — force-shared at the handshake, grown by a shared obreak,
+// aliased by a partner fault, split by a partial unmap, aliased again by
+// fork — stays alive while any alias maps it and returns every frame
+// once the last one goes.
+func TestSharedFramesFreedWithLastAlias(t *testing.T) {
+	phys := mem.NewPhys(0)
+	client := NewSpace(phys, clock.New())
+	handle := NewSpace(phys, clock.New())
+	write := func(s *Space, addr, v uint32) {
+		t.Helper()
+		if err := s.Write32(addr, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.Map(0x00400000, 0x2000, ProtRW, "data"); err != nil {
+		t.Fatal(err)
+	}
+	write(client, 0x00400000, 1)
+	write(client, 0x00401000, 2)
+	client.HeapStart, client.HeapEnd = 0x00500000, 0x00500000
+	if err := ForceShareSpaces(handle, client, 0x00400000, 0x7FFF0000); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Obreak(0x00502000); err != nil {
+		t.Fatal(err)
+	}
+	write(client, 0x00501000, 3)
+	if _, err := client.Map(0x01000000, 0x1000, ProtRW, "mmap"); err != nil {
+		t.Fatal(err)
+	}
+	write(client, 0x01000000, 4)
+	for _, addr := range []uint32{0x00501000, 0x01000000} {
+		if _, err := handle.Read32(addr); err != nil { // partner-fault alias
+			t.Fatal(err)
+		}
+	}
+	other := NewSpace(phys, clock.New())
+	if _, _, err := MapSharedInternal(client, other, 0x90000000, 0x1000, ProtRW, "shm"); err != nil {
+		t.Fatal(err)
+	}
+	write(client, 0x90000000, 5)
+	child := client.Fork() // aliases shm, deep-copies the share range
+	handle.Unmap(0x00400000, 0x00401000)
+
+	client.UnmapAll()
+	for addr, want := range map[uint32]uint32{0x00401000: 2, 0x00501000: 3, 0x01000000: 4} {
+		if v, err := handle.Read32(addr); err != nil || v != want {
+			t.Fatalf("handle lost %#x after client teardown: v=%d err=%v", addr, v, err)
+		}
+	}
+	handle.UnmapAll()
+	other.UnmapAll()
+	if v, err := child.Read32(0x90000000); err != nil || v != 5 {
+		t.Fatalf("child lost shm after its aliases went: v=%d err=%v", v, err)
+	}
+	child.UnmapAll()
+	if got := phys.InUse(); got != 0 {
+		t.Fatalf("InUse after every alias unmapped = %d, want 0", int64(got))
+	}
+}
+
 func TestDescribeLayout(t *testing.T) {
 	s := newTestSpace(t)
 	if _, err := s.Map(0x1000, 0x1000, ProtRX, "text"); err != nil {
