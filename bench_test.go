@@ -21,9 +21,10 @@ import (
 )
 
 // benchRow runs a measure workload sized to b.N calls in one trial and
-// reports simulated us/call.
+// reports simulated us/call, and host allocs per call.
 func benchRow(b *testing.B, run func(calls, trials int) (measure.Stats, error)) {
 	b.Helper()
+	b.ReportAllocs()
 	calls := b.N
 	if calls < 1 {
 		calls = 1

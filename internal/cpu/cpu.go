@@ -154,9 +154,11 @@ type StopKind int
 
 // Stop kinds.
 const (
+	// StopNone: an ordinary instruction; execution continues.
+	StopNone StopKind = iota
 	// StopTrap: the instruction was TRAP n; the kernel must service
 	// syscall n and resume (or switch) the context.
-	StopTrap StopKind = iota
+	StopTrap
 	// StopHalt: HALT executed.
 	StopHalt
 )
@@ -236,40 +238,41 @@ func (m *Machine) fetchOperand(pc uint32) (uint32, error) {
 	return v, nil
 }
 
-// Step executes a single instruction. It returns (nil, nil) for an
-// ordinary instruction, a Stop for TRAP/HALT, or an error (wrapped in
-// *Fault) for memory violations, decode failures and division by zero.
-func (m *Machine) Step(ctx *Context) (*Stop, error) {
+// Step executes a single instruction. It returns a StopNone Stop for an
+// ordinary instruction, a StopTrap or StopHalt Stop for TRAP/HALT, or an
+// error (wrapped in *Fault) for memory violations, decode failures and
+// division by zero.
+func (m *Machine) Step(ctx *Context) (Stop, error) {
 	pc := ctx.PC
 	op, err := m.Space.FetchExec(pc)
 	if err != nil {
-		return nil, &Fault{PC: pc, Err: err}
+		return Stop{}, &Fault{PC: pc, Err: err}
 	}
 	if op >= byte(opCount) {
-		return nil, &Fault{PC: pc, Err: fmt.Errorf("illegal instruction %#02x", op)}
+		return Stop{}, &Fault{PC: pc, Err: fmt.Errorf("illegal instruction %#02x", op)}
 	}
 	var imm uint32
 	if HasOperand(op) {
 		imm, err = m.fetchOperand(pc)
 		if err != nil {
-			return nil, &Fault{PC: pc, Err: err}
+			return Stop{}, &Fault{PC: pc, Err: err}
 		}
 	}
 	next := pc + InstrLen(op)
 	cost := uint64(costBase)
 
-	fail := func(e error) (*Stop, error) { return nil, &Fault{PC: pc, Err: e} }
+	fail := func(e error) (Stop, error) { return Stop{}, &Fault{PC: pc, Err: e} }
 
 	switch op {
 	case NOP:
 	case HALT:
 		ctx.PC = next
 		m.charge(cost)
-		return &Stop{Kind: StopHalt}, nil
+		return Stop{Kind: StopHalt}, nil
 	case TRAP:
 		ctx.PC = next
 		m.charge(cost)
-		return &Stop{Kind: StopTrap, TrapNo: imm}, nil
+		return Stop{Kind: StopTrap, TrapNo: imm}, nil
 
 	case PUSHI:
 		cost = costMem
@@ -565,7 +568,7 @@ func (m *Machine) Step(ctx *Context) (*Stop, error) {
 
 	ctx.PC = next
 	m.charge(cost)
-	return nil, nil
+	return Stop{}, nil
 }
 
 func boolWord(b bool) uint32 {
@@ -584,8 +587,8 @@ func (m *Machine) Run(ctx *Context, maxSteps int) (*Stop, error) {
 		if err != nil {
 			return nil, err
 		}
-		if stop != nil {
-			return stop, nil
+		if stop.Kind != StopNone {
+			return &stop, nil
 		}
 	}
 	return nil, fmt.Errorf("cpu: step budget exhausted at PC %#x", ctx.PC)

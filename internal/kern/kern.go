@@ -154,12 +154,16 @@ type Proc struct {
 	// the old slice scan was O(queue length) per wakeup.
 	nextRun *Proc
 	onRunq  bool
-	// pendingTrap is the syscall to retry on wakeup (SM32 procs).
-	pendingTrap *uint32
+	// args holds the arguments of the syscall being serviced. It lives
+	// in the process so that servicing a syscall allocates nothing.
+	args [6]uint32
+	// pending marks a blocked syscall, number pendingNo, to retry on
+	// wakeup. An SM32 retry rereads its arguments from the user stack;
+	// a native retry finds them still in args.
+	pending   bool
+	pendingNo uint32
 	// Native process machinery (nil for SM32 procs).
 	native *nativeRunner
-	// pendingNative is the blocked native syscall to retry on wakeup.
-	pendingNative *natRequest
 
 	fds    map[int]*Socket
 	nextFD int
@@ -202,6 +206,10 @@ type Kernel struct {
 	// fleet shard holding hundreds of parked client/handle pairs, the
 	// per-syscall wakeup scan dominates otherwise.
 	sleepers map[any][]*Proc
+	// spareWaiters is the waiter slice Wakeup last emptied, reused by
+	// the next sleep on a token nobody waits on, so a call that parks
+	// and wakes its client and handle allocates no waiter lists.
+	spareWaiters []*Proc
 
 	// nlive counts processes that are neither zombie nor dead,
 	// maintained at the two transitions that matter (newProc, doExit).
@@ -420,6 +428,8 @@ func (k *Kernel) Wakeup(token any) {
 			k.ready(p)
 		}
 	}
+	clear(waiters)
+	k.spareWaiters = waiters[:0]
 }
 
 // unsleep removes p from the sleeper index (on exit while sleeping).
@@ -564,12 +574,11 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 
 	// Retry a syscall that blocked earlier: arguments are still on the
 	// user stack, PC already past the TRAP.
-	if p.pendingTrap != nil {
-		no := *p.pendingTrap
-		if done := k.serviceTrap(p, m, no); !done {
+	if p.pending {
+		if done := k.serviceTrap(p, p.pendingNo); !done {
 			return nil // still blocked
 		}
-		p.pendingTrap = nil
+		p.pending = false
 		if p.State != StateRunning {
 			return nil
 		}
@@ -587,21 +596,19 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 			k.fatalSignal(p, sig, err)
 			return nil
 		}
-		if stop != nil {
-			switch stop.Kind {
-			case cpu.StopHalt:
-				k.doExit(p, int(p.CPU.RV))
-				return nil
-			case cpu.StopTrap:
-				if done := k.serviceTrap(p, m, stop.TrapNo); !done {
-					p.pendingTrap = &stop.TrapNo
-					return nil // blocked
-				}
-				if p.State != StateRunning {
-					return nil // exited or switched away
-				}
-				m.Space = p.Space // execve may have replaced the address space
+		switch stop.Kind {
+		case cpu.StopHalt:
+			k.doExit(p, int(p.CPU.RV))
+			return nil
+		case cpu.StopTrap:
+			if done := k.serviceTrap(p, stop.TrapNo); !done {
+				p.pending, p.pendingNo = true, stop.TrapNo
+				return nil // blocked
 			}
+			if p.State != StateRunning {
+				return nil // exited or switched away
+			}
+			m.Space = p.Space // execve may have replaced the address space
 		}
 		if k.preempt {
 			return nil
@@ -612,7 +619,7 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 
 // serviceTrap executes syscall no for p. It returns false if the
 // syscall blocked (the caller must retry on wakeup).
-func (k *Kernel) serviceTrap(p *Proc, m *cpu.Machine, no uint32) bool {
+func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
 	fn := k.syscalls[no]
@@ -622,16 +629,17 @@ func (k *Kernel) serviceTrap(p *Proc, m *cpu.Machine, no uint32) bool {
 		k.Clk.Advance(k.Costs.Trap)
 		return true
 	}
-	// Read up to 6 argument words from the user stack.
-	var args [6]uint32
-	for i := range args {
-		v, err := m.Peek(&p.CPU, i)
-		if err != nil {
+	// Read up to 6 argument words from the user stack. Words past its
+	// top are expected to be unmapped and read as zero.
+	p.args = [6]uint32{}
+	for i := range p.args {
+		v, ok := p.Space.Probe32(p.CPU.SP + uint32(4*i))
+		if !ok {
 			break
 		}
-		args[i] = v
+		p.args[i] = v
 	}
-	res := fn(k, p, args[:])
+	res := fn(k, p, p.args[:])
 	if res.BlockOn != nil {
 		k.sleep(p, res.BlockOn)
 		return false
@@ -648,7 +656,11 @@ func (k *Kernel) serviceTrap(p *Proc, m *cpu.Machine, no uint32) bool {
 func (k *Kernel) sleep(p *Proc, token any) {
 	p.State = StateSleeping
 	p.sleepOn = token
-	k.sleepers[token] = append(k.sleepers[token], p)
+	waiters, ok := k.sleepers[token]
+	if !ok {
+		waiters, k.spareWaiters = k.spareWaiters, nil
+	}
+	k.sleepers[token] = append(waiters, p)
 }
 
 // fatalSignal kills p with sig, dumping core unless forbidden. Paper

@@ -9,7 +9,7 @@ import (
 )
 
 // buildProg assembles and links a standalone SM32 program.
-func buildProg(t *testing.T, src string) *obj.Image {
+func buildProg(t testing.TB, src string) *obj.Image {
 	t.Helper()
 	o, err := asm.Assemble("prog.s", src)
 	if err != nil {

@@ -326,13 +326,12 @@ func (k *Kernel) dispatchNative(p *Proc) error {
 	r := p.native
 
 	// A syscall that blocked earlier: retry it now that we were woken.
-	if p.pendingNative != nil {
-		req := *p.pendingNative
-		done, rep := k.serviceNative(p, req)
+	if p.pending {
+		done, rep := k.serviceNative(p, p.pendingNo)
 		if !done {
 			return nil // still blocked
 		}
-		p.pendingNative = nil
+		p.pending = false
 		if p.State != StateRunning {
 			return nil // exited inside the syscall
 		}
@@ -356,15 +355,16 @@ func (k *Kernel) dispatchNative(p *Proc) error {
 	for {
 		select {
 		case req := <-r.reqCh:
+			p.args = req.args
 			if k.preempt {
 				// Preemption point: hold the unserviced syscall until our
 				// next slice; the pending path services it then.
-				p.pendingNative = &req
+				p.pending, p.pendingNo = true, req.no
 				return nil
 			}
-			done, rep := k.serviceNative(p, req)
+			done, rep := k.serviceNative(p, req.no)
 			if !done {
-				p.pendingNative = &req
+				p.pending, p.pendingNo = true, req.no
 				return nil // blocked; sleep state already set
 			}
 			if p.State != StateRunning {
@@ -383,17 +383,18 @@ func (k *Kernel) dispatchNative(p *Proc) error {
 	}
 }
 
-// serviceNative runs the syscall handler for a native request. It
-// returns done=false when the syscall blocked (sleep state set).
-func (k *Kernel) serviceNative(p *Proc, req natRequest) (bool, natReply) {
+// serviceNative runs the handler of native syscall no on the arguments
+// in p.args. It returns done=false when the syscall blocked (sleep state
+// set).
+func (k *Kernel) serviceNative(p *Proc, no uint32) (bool, natReply) {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
-	fn := k.syscalls[req.no]
+	fn := k.syscalls[no]
 	if fn == nil {
 		k.Clk.Advance(k.Costs.Trap)
 		return true, natReply{errno: ENOSYS}
 	}
-	res := fn(k, p, req.args[:])
+	res := fn(k, p, p.args[:])
 	if res.BlockOn != nil {
 		k.sleep(p, res.BlockOn)
 		return false, natReply{}

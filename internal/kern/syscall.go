@@ -41,7 +41,8 @@ type Sysret struct {
 
 // SyscallFn is a syscall handler. args holds up to six words read from
 // the caller's stack; pointer arguments refer to the caller's address
-// space and must be accessed via CopyIn/CopyOut.
+// space and must be accessed via CopyIn/CopyOut. The slice is the
+// kernel's buffer, valid only until the handler returns.
 type SyscallFn func(k *Kernel, p *Proc, args []uint32) Sysret
 
 func ok(v uint32) Sysret     { return Sysret{Val: v} }

@@ -367,38 +367,76 @@ func (s *Space) release(e *Entry) {
 // SecModule share range and the partner space has a valid mapping for
 // it, the partner's entry is aliased into this space so the pair keeps
 // sharing memory that was mapped after the handshake.
+//
+// A failed fault wraps ErrNoMapping or ErrProtection with the address,
+// the access kind and the entry involved.
 func (s *Space) Fault(addr uint32, access Access) (*mem.Page, error) {
+	pg, err := s.fault(addr, access)
+	if err != nil {
+		return nil, s.faultError(addr, access, err)
+	}
+	return pg, nil
+}
+
+// faultError details a bare sentinel returned by fault. fault returns
+// one only after its last change to the map entries, so the lookups
+// here see the entries fault saw.
+func (s *Space) faultError(addr uint32, access Access, err error) error {
+	switch err {
+	case ErrProtection:
+		e := s.find(addr)
+		return fmt.Errorf("%w: %s access to %s page %#x (prot %s)",
+			ErrProtection, accessName(access), e.Name, addr, e.Prot)
+	case ErrNoMapping:
+		// A partner entry at an unmapped address means fault refused to
+		// alias it for straddling the share range.
+		if pe := s.partnerEntry(addr); pe != nil {
+			return fmt.Errorf("%w: partner entry %s [%#x,%#x) exceeds share range",
+				ErrNoMapping, pe.Name, pe.Start, pe.End)
+		}
+		return fmt.Errorf("%w: addr %#x (%s)", ErrNoMapping, addr, accessName(access))
+	}
+	return err
+}
+
+// partnerEntry returns the partner's entry at addr when addr lies in the
+// share range, or nil.
+func (s *Space) partnerEntry(addr uint32) *Entry {
+	if s.Partner == nil || addr < s.ShareStart || addr >= s.ShareEnd {
+		return nil
+	}
+	return s.Partner.find(addr)
+}
+
+// fault is Fault without the error detail: no mapping and a protection
+// violation come back as the bare ErrNoMapping and ErrProtection, so an
+// expected fault costs no allocation.
+func (s *Space) fault(addr uint32, access Access) (*mem.Page, error) {
 	e := s.find(addr)
 	if e == nil {
 		// Modified uvm_fault: consult the partner space inside the
 		// share range (paper section 4.1).
-		if s.Partner != nil && addr >= s.ShareStart && addr < s.ShareEnd {
-			pe := s.Partner.find(addr)
-			if pe != nil {
-				// Clip the alias to the share range so a partner entry
-				// straddling the boundary cannot leak outside it.
-				if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
-					return nil, fmt.Errorf("%w: partner entry %s [%#x,%#x) exceeds share range",
-						ErrNoMapping, pe.Name, pe.Start, pe.End)
-				}
-				alias := pe.alias()
-				if err := s.insert(alias); err != nil {
-					*alias.aliases--
-					return nil, err
-				}
-				s.ShareFaults++
-				s.Faults++
-				s.charge(s.Costs().PageFault)
-				e = alias
-			}
+		pe := s.partnerEntry(addr)
+		if pe == nil {
+			return nil, ErrNoMapping
 		}
-		if e == nil {
-			return nil, fmt.Errorf("%w: addr %#x (%s)", ErrNoMapping, addr, accessName(access))
+		// Clip the alias to the share range so a partner entry
+		// straddling the boundary cannot leak outside it.
+		if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
+			return nil, ErrNoMapping
 		}
+		alias := pe.alias()
+		if err := s.insert(alias); err != nil {
+			*alias.aliases--
+			return nil, err
+		}
+		s.ShareFaults++
+		s.Faults++
+		s.charge(s.Costs().PageFault)
+		e = alias
 	}
 	if e.Prot&access.prot() == 0 {
-		return nil, fmt.Errorf("%w: %s access to %s page %#x (prot %s)",
-			ErrProtection, accessName(access), e.Name, addr, e.Prot)
+		return nil, ErrProtection
 	}
 	idx := e.pageIndex(addr)
 	an := e.Amap[idx]
@@ -536,6 +574,24 @@ func (s *Space) Read32(addr uint32) (uint32, error) {
 		return 0, err
 	}
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+}
+
+// Probe32 is Read32 for a reader that expects some words to be
+// unmapped, such as the kernel reading syscall arguments past the stack
+// top: it faults pages in exactly as Read32 does (zero-fill, partner
+// sharing, counters and cycle charges) but reports a failure as false
+// instead of building an error.
+func (s *Space) Probe32(addr uint32) (uint32, bool) {
+	var b [4]byte
+	for done := 0; done < len(b); {
+		a := addr + uint32(done)
+		pg, err := s.fault(a, AccessRead)
+		if err != nil {
+			return 0, false
+		}
+		done += copy(b[done:], pg.Data[a&(mem.PageSize-1):])
+	}
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, true
 }
 
 // Write32 writes a little-endian 32-bit word.
