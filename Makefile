@@ -34,7 +34,9 @@ race:
 # (random fault schedules against the same fleet, asserting zero lost
 # calls and replay determinism), and the kernel-free placement
 # conformance fuzzer (random op interleavings against all four
-# strategies); long hunts run nightly in CI (see
+# strategies), and the VM's TLB coherence (random map, fork, share and
+# access sequences with and without the TLB, asserting identical
+# results); long hunts run nightly in CI (see
 # .github/workflows/fuzz-nightly.yml) or by hand:
 # go test -fuzz=<target> -fuzztime=10m ./internal/<pkg>
 fuzz-short:
@@ -55,6 +57,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzTraceEvents -fuzztime=10s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzSpecParse -fuzztime=10s ./internal/spec
 	$(GO) test -run=NONE -fuzz=FuzzTenantAdmission -fuzztime=10s ./internal/tenant
+	$(GO) test -run=NONE -fuzz=FuzzSpaceTLB -fuzztime=10s ./internal/vm
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -225,19 +225,6 @@ func (m *Machine) Peek(ctx *Context, idx int) (uint32, error) {
 	return m.Space.Read32(ctx.SP + uint32(4*idx))
 }
 
-// fetchOperand reads the 4-byte immediate following the opcode.
-func (m *Machine) fetchOperand(pc uint32) (uint32, error) {
-	var v uint32
-	for i := uint32(0); i < 4; i++ {
-		b, err := m.Space.FetchExec(pc + 1 + i)
-		if err != nil {
-			return 0, err
-		}
-		v |= uint32(b) << (8 * i)
-	}
-	return v, nil
-}
-
 // Step executes a single instruction. It returns a StopNone Stop for an
 // ordinary instruction, a StopTrap or StopHalt Stop for TRAP/HALT, or an
 // error (wrapped in *Fault) for memory violations, decode failures and
@@ -253,7 +240,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 	}
 	var imm uint32
 	if HasOperand(op) {
-		imm, err = m.fetchOperand(pc)
+		imm, err = m.Space.FetchExec32(pc + 1)
 		if err != nil {
 			return Stop{}, &Fault{PC: pc, Err: err}
 		}

@@ -13,7 +13,7 @@ import (
 
 // harness assembles a machine with text at 0x1000 and a stack at
 // 0x7000-0x8000 (SP starts at 0x8000).
-func harness(t *testing.T, code []byte) (*Machine, *Context) {
+func harness(t testing.TB, code []byte) (*Machine, *Context) {
 	t.Helper()
 	s := vm.NewSpace(mem.NewPhys(0), clock.New())
 	if _, err := s.Map(0x1000, 0x1000, vm.ProtRX, "text"); err != nil {
@@ -32,7 +32,7 @@ func harness(t *testing.T, code []byte) (*Machine, *Context) {
 // writeText pokes code into a read-exec mapping the way the kernel
 // loader does: by writing to the underlying page via a temporary
 // protection upgrade.
-func writeText(t *testing.T, s *vm.Space, addr uint32, code []byte) {
+func writeText(t testing.TB, s *vm.Space, addr uint32, code []byte) {
 	t.Helper()
 	e := s.FindEntry(addr)
 	if e == nil {

@@ -31,13 +31,19 @@ type Phys struct {
 	allocated uint64
 	freed     uint64
 	next      uint64
+
+	// Epoch is the mapping generation of every address space drawing
+	// frames from this allocator: internal/vm caches translations under
+	// it and advances it whenever one of them may have gone stale. It
+	// starts at 1, so an empty cache slot (epoch 0) never matches.
+	Epoch uint64
 }
 
 // NewPhys returns an allocator that will hand out at most limitBytes of
 // physical memory (rounded down to whole frames). limitBytes of zero
 // means unlimited.
 func NewPhys(limitBytes uint64) *Phys {
-	return &Phys{limit: limitBytes / PageSize}
+	return &Phys{limit: limitBytes / PageSize, Epoch: 1}
 }
 
 // Alloc returns a zeroed page frame, or an error if physical memory is

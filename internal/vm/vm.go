@@ -170,13 +170,85 @@ type Space struct {
 	ZeroFills   uint64
 	COWCopies   uint64
 	ShareFaults uint64 // faults resolved from the partner space
+
+	// epoch is the mapping generation the TLB's slots are checked
+	// against, shared by every space whose pages this one may share
+	// (see NewSpace and join).
+	epoch *uint64
+	tlb   [tlbSlots]tlbSlot
+}
+
+// The TLB caches a space's successful translations: fault's
+// side-effect-free return, for a page that is already resident and
+// needs no copy-on-write break for the access. A miss runs fault and
+// fills the slot; a failed fault is never cached.
+const (
+	tlbBits  = 3
+	tlbSlots = 1 << tlbBits
+	// tlbHash spreads page numbers over the slots by multiplicative
+	// hashing: the layout puts module text at 0xA0000000 and the secret
+	// stack at 0x90000000, which collide on their low 16 bits.
+	tlbHash = 0x9E3779B1
+)
+
+// retired is the value of an epoch no space may cache under any more
+// (see join).
+const retired = ^uint64(0)
+
+// tlbSlot is one cached translation of page vpn. It hits while the
+// space's epoch is still epoch and entry's current Prot allows the
+// access; a write also needs writable, which records that the page
+// needed no copy-on-write break when the slot was filled.
+type tlbSlot struct {
+	vpn      uint32
+	writable bool
+	epoch    uint64
+	entry    *Entry
+	page     *mem.Page
 }
 
 // NewSpace returns an empty address space drawing frames from phys and
-// charging fault-service costs to clk. Either may be nil in unit tests
-// (nil phys panics on first allocation; nil clk skips charging).
+// charging fault-service costs to clk. Either may be nil in unit tests:
+// nil phys allocates untracked pages, and nil clk skips charging.
+//
+// Every space drawing frames from one phys shares phys.Epoch, the epoch
+// its TLB is checked against; a space with nil phys starts on an epoch
+// of its own, and the functions that make two spaces share memory
+// (ForceShare, MapSharedInternal, Fork) put them on one epoch.
 func NewSpace(phys *mem.Phys, clk *clock.Clock) *Space {
-	return &Space{phys: phys, clk: clk}
+	s := &Space{phys: phys, clk: clk}
+	if phys != nil {
+		s.epoch = &phys.Epoch
+	} else {
+		s.epoch = new(uint64)
+		*s.epoch = 1
+	}
+	return s
+}
+
+// bump invalidates every translation cached under s's epoch, in s and
+// in every space sharing the epoch. Whatever removes, replaces,
+// re-counts or re-flags a page a slot may hold calls it; adding a page
+// or an entry needs no bump, since no slot can hold an address that had
+// no translation.
+func (s *Space) bump() {
+	if *s.epoch != retired {
+		*s.epoch++
+	}
+}
+
+// join puts s on o's epoch before the two share memory, so a change
+// either makes to a shared page reaches the other's TLB. Spaces on one
+// mem.Phys already share its epoch. Any other space still on s's old
+// epoch, such as a fork relative, would miss the bumps on o's, so the
+// old epoch retires: its spaces stop caching.
+func (s *Space) join(o *Space) {
+	if s.epoch == o.epoch {
+		return
+	}
+	*s.epoch = retired
+	s.epoch = o.epoch
+	s.tlb = [tlbSlots]tlbSlot{}
 }
 
 // baseCosts is the fallback charge table for spaces whose owner never
@@ -250,6 +322,7 @@ func (s *Space) Map(start, size uint32, prot Prot, name string) (*Entry, error) 
 // physically shared. This is the analogue of the paper's
 // uvm_map_shared_internal (Figure 6).
 func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string) (*Entry, *Entry, error) {
+	s2.join(s1)
 	e1, err := s1.Map(start, size, prot, name)
 	if err != nil {
 		return nil, nil, err
@@ -267,6 +340,7 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 // An entry whose amap other entries still alias leaves the amap to
 // them: its remainders then take their own anon references.
 func (s *Space) Unmap(start, end uint32) {
+	s.bump()
 	var keep []*Entry
 	for _, e := range s.entries {
 		if e.End <= start || e.Start >= end {
@@ -342,6 +416,7 @@ func (s *Space) dropAnon(an *Anon) {
 
 // UnmapAll removes every mapping (process teardown).
 func (s *Space) UnmapAll() {
+	s.bump()
 	for _, e := range s.entries {
 		s.release(e)
 	}
@@ -371,11 +446,11 @@ func (s *Space) release(e *Entry) {
 // A failed fault wraps ErrNoMapping or ErrProtection with the address,
 // the access kind and the entry involved.
 func (s *Space) Fault(addr uint32, access Access) (*mem.Page, error) {
-	pg, err := s.fault(addr, access)
+	_, an, err := s.fault(addr, access)
 	if err != nil {
 		return nil, s.faultError(addr, access, err)
 	}
-	return pg, nil
+	return an.Page, nil
 }
 
 // faultError details a bare sentinel returned by fault. fault returns
@@ -410,25 +485,26 @@ func (s *Space) partnerEntry(addr uint32) *Entry {
 
 // fault is Fault without the error detail: no mapping and a protection
 // violation come back as the bare ErrNoMapping and ErrProtection, so an
-// expected fault costs no allocation.
-func (s *Space) fault(addr uint32, access Access) (*mem.Page, error) {
+// expected fault costs no allocation. On success it returns the entry
+// and the anon now holding addr's page.
+func (s *Space) fault(addr uint32, access Access) (*Entry, *Anon, error) {
 	e := s.find(addr)
 	if e == nil {
 		// Modified uvm_fault: consult the partner space inside the
 		// share range (paper section 4.1).
 		pe := s.partnerEntry(addr)
 		if pe == nil {
-			return nil, ErrNoMapping
+			return nil, nil, ErrNoMapping
 		}
 		// Clip the alias to the share range so a partner entry
 		// straddling the boundary cannot leak outside it.
 		if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
-			return nil, ErrNoMapping
+			return nil, nil, ErrNoMapping
 		}
 		alias := pe.alias()
 		if err := s.insert(alias); err != nil {
 			*alias.aliases--
-			return nil, err
+			return nil, nil, err
 		}
 		s.ShareFaults++
 		s.Faults++
@@ -436,7 +512,7 @@ func (s *Space) fault(addr uint32, access Access) (*mem.Page, error) {
 		e = alias
 	}
 	if e.Prot&access.prot() == 0 {
-		return nil, ErrProtection
+		return nil, nil, ErrProtection
 	}
 	idx := e.pageIndex(addr)
 	an := e.Amap[idx]
@@ -444,29 +520,51 @@ func (s *Space) fault(addr uint32, access Access) (*mem.Page, error) {
 		// Demand zero-fill.
 		pg, err := s.alloc()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		an = &Anon{Page: pg, Refs: 1}
 		e.Amap[idx] = an
 		s.Faults++
 		s.ZeroFills++
 		s.charge(s.Costs().PageFault + s.Costs().PageZeroFill)
-		return pg, nil
+		return e, an, nil
 	}
 	if access == AccessWrite && e.COW && an.Refs > 1 {
-		// Copy-on-write break.
+		// Copy-on-write break. The amap may be aliased by other
+		// spaces, whose slots still hold the old page.
 		pg, err := s.alloc()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pg.Data = an.Page.Data
 		an.Refs--
 		an = &Anon{Page: pg, Refs: 1}
 		e.Amap[idx] = an
+		s.bump()
 		s.Faults++
 		s.COWCopies++
 		s.charge(s.Costs().PageFault + s.Costs().PageCopy)
-		return pg, nil
+		return e, an, nil
+	}
+	return e, an, nil
+}
+
+// translate is fault behind the TLB: a hit returns what fault's
+// side-effect-free return would, and a miss runs fault and caches what
+// it returns.
+func (s *Space) translate(addr uint32, access Access) (*mem.Page, error) {
+	vpn := addr >> mem.PageShift
+	t := &s.tlb[vpn*tlbHash>>(32-tlbBits)]
+	if t.vpn == vpn && t.epoch == *s.epoch && t.entry.Prot&access.prot() != 0 &&
+		(t.writable || access != AccessWrite) {
+		return t.page, nil
+	}
+	e, an, err := s.fault(addr, access)
+	if err != nil {
+		return nil, err
+	}
+	if *s.epoch != retired {
+		*t = tlbSlot{vpn: vpn, writable: !(e.COW && an.Refs > 1), epoch: *s.epoch, entry: e, page: an.Page}
 	}
 	return an.Page, nil
 }
@@ -496,9 +594,9 @@ func accessName(a Access) string {
 // resolve returns the page and intra-page offset for addr, faulting it
 // in as needed.
 func (s *Space) resolve(addr uint32, access Access) (*mem.Page, uint32, error) {
-	pg, err := s.Fault(addr, access)
+	pg, err := s.translate(addr, access)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, s.faultError(addr, access, err)
 	}
 	return pg, addr & (mem.PageSize - 1), nil
 }
@@ -585,7 +683,7 @@ func (s *Space) Probe32(addr uint32) (uint32, bool) {
 	var b [4]byte
 	for done := 0; done < len(b); {
 		a := addr + uint32(done)
-		pg, err := s.fault(a, AccessRead)
+		pg, err := s.translate(a, AccessRead)
 		if err != nil {
 			return 0, false
 		}
@@ -620,6 +718,30 @@ func (s *Space) FetchExec(addr uint32) (byte, error) {
 	return pg.Data[off], nil
 }
 
+// FetchExec32 reads a little-endian word with execute permission, the
+// CPU's immediate-operand fetch. A word inside one page takes one
+// translation; a word crossing a page is fetched a byte at a time, so a
+// fault names the first byte that fails.
+func (s *Space) FetchExec32(addr uint32) (uint32, error) {
+	if addr&(mem.PageSize-1) <= mem.PageSize-4 {
+		pg, off, err := s.resolve(addr, AccessExec)
+		if err != nil {
+			return 0, err
+		}
+		b := pg.Data[off : off+4]
+		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	}
+	var v uint32
+	for i := uint32(0); i < 4; i++ {
+		b, err := s.FetchExec(addr + i)
+		if err != nil {
+			return 0, err
+		}
+		v |= uint32(b) << (8 * i)
+	}
+	return v, nil
+}
+
 // Fork produces the child address space for fork(): shared entries stay
 // shared (aliased amap), private entries become copy-on-write in both
 // parent and child, exactly as uvmspace_fork arranges.
@@ -633,8 +755,8 @@ func (s *Space) FetchExec(addr uint32) (byte, error) {
 // handling gives the child its own handle over its own memory, which
 // presupposes exactly this copy.
 func (s *Space) Fork() *Space {
-	child := NewSpace(s.phys, s.clk)
-	child.costs = s.costs
+	s.bump()
+	child := &Space{phys: s.phys, clk: s.clk, costs: s.costs, epoch: s.epoch}
 	child.HeapStart, child.HeapEnd = s.HeapStart, s.HeapEnd
 	for _, e := range s.entries {
 		if e.Shared {
@@ -693,6 +815,7 @@ func ForceShare(map1, map2 *Space, start, end uint32) error {
 	if start%mem.PageSize != 0 || end%mem.PageSize != 0 || end <= start {
 		return fmt.Errorf("vm: ForceShare [%#x,%#x): bad range", start, end)
 	}
+	map1.join(map2)
 	map1.Unmap(start, end)
 	for _, e := range map2.entries {
 		if e.End <= start || e.Start >= end {
@@ -758,6 +881,7 @@ func (s *Space) Obreak(newEnd uint32) error {
 	case newEnd < heap.End:
 		// Shrink: drop pages past the new break (from every alias of a
 		// shared heap at once, since they share the amap).
+		s.bump()
 		base := (newEnd - heap.Start) >> mem.PageShift
 		for idx, an := range heap.Amap {
 			if idx >= base {
