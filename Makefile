@@ -34,9 +34,12 @@ race:
 # (random fault schedules against the same fleet, asserting zero lost
 # calls and replay determinism), and the kernel-free placement
 # conformance fuzzer (random op interleavings against all four
-# strategies), and the VM's TLB coherence (random map, fork, share and
+# strategies), the VM's TLB coherence (random map, fork, share and
 # access sequences with and without the TLB, asserting identical
-# results); long hunts run nightly in CI (see
+# results), and its frame reuse (the same sequences on a recycling
+# allocator and on never-freed pages, asserting identical results and
+# that the frames in use are exactly the frames mapped); long hunts
+# run nightly in CI (see
 # .github/workflows/fuzz-nightly.yml) or by hand:
 # go test -fuzz=<target> -fuzztime=10m ./internal/<pkg>
 fuzz-short:
@@ -58,6 +61,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzSpecParse -fuzztime=10s ./internal/spec
 	$(GO) test -run=NONE -fuzz=FuzzTenantAdmission -fuzztime=10s ./internal/tenant
 	$(GO) test -run=NONE -fuzz=FuzzSpaceTLB -fuzztime=10s ./internal/vm
+	$(GO) test -run=NONE -fuzz=FuzzFrameReuse -fuzztime=10s ./internal/vm
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/kern"
@@ -58,5 +59,68 @@ loop:
 	}
 	if got := sm.Calls - before; got != runs+1 {
 		t.Fatalf("smod calls = %d, want %d (one per run)", got, runs+1)
+	}
+}
+
+// nativeSession runs one native client session on k to the client's
+// exit: spawn, AttachNative to libc (find, policy check, handle fork,
+// secret segment), one incr call, exit and teardown.
+func nativeSession(tb testing.TB, k *kern.Kernel, fidIncr, arg uint32) {
+	var v uint32
+	client := k.SpawnNative("nc", clientCred(), func(s *kern.Sys) int {
+		c, err := AttachNative(s, "libc", 1, "")
+		if err != nil {
+			return 1
+		}
+		v = c.MustCall(fidIncr, arg)
+		return 0
+	})
+	if err := k.RunUntil(func() bool {
+		return client.State == kern.StateZombie || client.State == kern.StateDead
+	}, 200_000_000); err != nil {
+		tb.Fatal(err)
+	}
+	if client.ExitStatus != 0 || v != arg+1 {
+		tb.Fatalf("session: exit=%d v=%d, want 0 and %d", client.ExitStatus, v, arg+1)
+	}
+}
+
+// TestNativeSessionAllocs ratchets the Go heap a warm native session
+// allocates. The kernel reuses the frames each session frees, so a
+// session allocates its bookkeeping (about 6 KB) but no fresh 4 KiB
+// frame, and it gives every frame back.
+func TestNativeSessionAllocs(t *testing.T) {
+	k, sm := newSMod(t)
+	registerLibc(t, sm, nil)
+	fidIncr := uint32(mustFuncID(t, sm, "incr"))
+	frames0 := k.Phys.InUse()
+	for i := 0; i < 5; i++ {
+		nativeSession(t, k, fidIncr, uint32(i)) // warm: frames, queues, tables
+	}
+	const sessions = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		nativeSession(t, k, fidIncr, uint32(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / sessions; per >= 8<<10 {
+		t.Fatalf("warm native session: %d bytes of heap, want < %d", per, 8<<10)
+	}
+	if got := k.Phys.InUse(); got != frames0 {
+		t.Fatalf("%d frames in use after %d sessions, want %d", got, sessions+5, frames0)
+	}
+}
+
+// BenchmarkNativeSession times a warm native session end to end.
+func BenchmarkNativeSession(b *testing.B) {
+	k, sm := newSMod(b)
+	registerLibc(b, sm, nil)
+	fidIncr := uint32(mustFuncID(b, sm, "incr"))
+	nativeSession(b, k, fidIncr, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nativeSession(b, k, fidIncr, uint32(i))
 	}
 }

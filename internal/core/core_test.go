@@ -21,13 +21,13 @@ licensees: "testclient"
 conditions: app_domain == "secmodule" -> "allow";
 `
 
-func newSMod(t *testing.T) (*kern.Kernel, *SMod) {
+func newSMod(t testing.TB) (*kern.Kernel, *SMod) {
 	t.Helper()
 	k := kern.New()
 	return k, Attach(k)
 }
 
-func registerLibc(t *testing.T, sm *SMod, mutate func(*ModuleSpec)) *Module {
+func registerLibc(t testing.TB, sm *SMod, mutate func(*ModuleSpec)) *Module {
 	t.Helper()
 	lib, err := LibCArchive()
 	if err != nil {
@@ -812,7 +812,7 @@ func TestTwoClientsGetTwoHandles(t *testing.T) {
 	}
 }
 
-func mustFuncID(t *testing.T, sm *SMod, name string) int {
+func mustFuncID(t testing.TB, sm *SMod, name string) int {
 	t.Helper()
 	for _, m := range sm.modules {
 		if id, ok := m.FuncID(name); ok {

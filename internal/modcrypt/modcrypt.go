@@ -22,6 +22,7 @@ import (
 	"crypto/cipher"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"repro/internal/obj"
 )
@@ -75,15 +76,24 @@ func keystream(key []byte, keyID string, n int) ([]byte, error) {
 	return out, nil
 }
 
-// relocWindows returns the sorted byte offsets within text covered by
-// 4-byte relocation windows starting at each offset in holes.
-func inHole(holes []uint32, off uint32) bool {
-	for _, h := range holes {
-		if off >= h && off < h+4 {
-			return true
+// xorOutsideHoles XORs stream into text except inside the 4-byte
+// relocation windows starting at each offset in holes. holes may be
+// unsorted and may overlap. It is sorted in place, so callers pass a
+// slice of their own, and then walked once as the byte index advances.
+func xorOutsideHoles(text, stream []byte, holes []uint32) {
+	slices.Sort(holes)
+	j := 0 // holes[:j] start at or before the current byte
+	for i := range text {
+		off := uint32(i)
+		for j < len(holes) && holes[j] <= off {
+			j++
 		}
+		// Of the windows started so far, the last to start ends last.
+		if j > 0 && off-holes[j-1] < 4 {
+			continue
+		}
+		text[i] ^= stream[i]
 	}
-	return false
 }
 
 // EncryptObject encrypts o's text in place (except relocation windows),
@@ -106,11 +116,7 @@ func EncryptObject(ks *Keystore, o *obj.Object, keyID string, key []byte) error 
 			holes = append(holes, r.Offset)
 		}
 	}
-	for i := range o.Text {
-		if !inHole(holes, uint32(i)) {
-			o.Text[i] ^= stream[i]
-		}
-	}
+	xorOutsideHoles(o.Text, stream, holes)
 	o.Encrypted = true
 	o.KeyID = keyID
 	return nil
@@ -166,16 +172,13 @@ func DecryptImageText(ks *Keystore, im *obj.Image) error {
 			return err
 		}
 		// Hole addresses are image-absolute; convert to member offsets.
+		// This copy, never pl.RelocHoles, is what gets sorted.
 		holes := make([]uint32, 0, len(pl.RelocHoles))
 		for _, h := range pl.RelocHoles {
 			holes = append(holes, h-pl.Addr)
 		}
 		segOff := pl.Addr - im.TextBase
-		for i := uint32(0); i < pl.Size; i++ {
-			if !inHole(holes, i) {
-				im.Text[segOff+i] ^= stream[i]
-			}
-		}
+		xorOutsideHoles(im.Text[segOff:segOff+pl.Size], stream, holes)
 	}
 	return nil
 }

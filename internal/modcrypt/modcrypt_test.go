@@ -2,6 +2,8 @@ package modcrypt
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,5 +284,114 @@ func TestEncryptDecryptRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// inHole is the reference xorOutsideHoles must match: whether off lies
+// in the 4-byte relocation window starting at any offset in holes.
+func inHole(holes []uint32, off uint32) bool {
+	for _, h := range holes {
+		if off >= h && off < h+4 {
+			return true
+		}
+	}
+	return false
+}
+
+// xorReference is xorOutsideHoles written with inHole.
+func xorReference(text, stream []byte, holes []uint32) {
+	for i := range text {
+		if !inHole(holes, uint32(i)) {
+			text[i] ^= stream[i]
+		}
+	}
+}
+
+// TestXorOutsideHolesMatchesInHole: the sorted walk skips exactly the
+// bytes inHole skips, on unsorted, duplicated, overlapping and
+// out-of-range holes.
+func TestXorOutsideHolesMatchesInHole(t *testing.T) {
+	check := func(n int, holes []uint32) {
+		t.Helper()
+		stream := make([]byte, n)
+		for i := range stream {
+			stream[i] = byte(i*7 + 1)
+		}
+		text := make([]byte, n)
+		want := make([]byte, n)
+		xorReference(want, stream, holes)
+		xorOutsideHoles(text, stream, slices.Clone(holes))
+		if !bytes.Equal(text, want) {
+			t.Fatalf("n=%d holes=%v:\n got %v\nwant %v", n, holes, text, want)
+		}
+	}
+	for _, c := range []struct {
+		n     int
+		holes []uint32
+	}{
+		{0, nil},
+		{0, []uint32{0}},
+		{12, nil},
+		{12, []uint32{0}},
+		{12, []uint32{8, 0, 4}},
+		{12, []uint32{6, 5, 5, 3}},
+		{12, []uint32{1, 2, 0}},
+		{12, []uint32{10}},
+		{12, []uint32{11, 40}},
+		{12, []uint32{^uint32(0), 2, ^uint32(0) - 3}},
+	} {
+		check(c.n, c.holes)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		n := rng.Intn(96)
+		holes := make([]uint32, rng.Intn(12))
+		for j := range holes {
+			switch rng.Intn(8) {
+			case 0:
+				holes[j] = ^uint32(rng.Intn(8)) // a hole address below its placement
+			default:
+				holes[j] = uint32(rng.Intn(n + 8))
+			}
+		}
+		check(n, holes)
+	}
+}
+
+// TestDecryptMatchesInHoleReference: DecryptImageText on a placement
+// with unsorted, overlapping holes XORs exactly the bytes inHole leaves
+// out, and leaves the placement's hole list as it was.
+func TestDecryptMatchesInHoleReference(t *testing.T) {
+	ks := NewKeystore()
+	ks.Add("k", []byte("key"))
+	key, _ := ks.Key("k")
+	const base, addr, size = 0x1000, 0x1010, 40
+	text := make([]byte, 64)
+	for i := range text {
+		text[i] = byte(i)
+	}
+	holes := []uint32{addr + 30, addr + 2, addr + 4, addr + 2, addr + 38}
+	im := &obj.Image{TextBase: base, Text: slices.Clone(text), Placements: []obj.Placement{{
+		Section: "text", Addr: addr, Size: size, Encrypted: true, KeyID: "k",
+		RelocHoles: slices.Clone(holes),
+	}}}
+	if err := DecryptImageText(ks, im); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := keystream(key, "k", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := make([]uint32, len(holes))
+	for i, h := range holes {
+		rel[i] = h - addr
+	}
+	want := slices.Clone(text)
+	xorReference(want[addr-base:addr-base+size], stream, rel)
+	if !bytes.Equal(im.Text, want) {
+		t.Fatalf("decrypted text:\n got %v\nwant %v", im.Text, want)
+	}
+	if got := im.Placements[0].RelocHoles; !slices.Equal(got, holes) {
+		t.Fatalf("RelocHoles = %v after decryption, want %v untouched", got, holes)
 	}
 }

@@ -34,10 +34,24 @@ type value struct {
 }
 
 func strValue(s string) value {
-	if n, err := strconv.ParseFloat(s, 64); err == nil {
-		return value{str: s, num: n, isNum: true}
+	if s != "" && mayStartNumber(s[0]) {
+		if n, err := strconv.ParseFloat(s, 64); err == nil {
+			return value{str: s, num: n, isNum: true}
+		}
 	}
 	return value{str: s}
+}
+
+// mayStartNumber reports whether c can begin a string strconv.ParseFloat
+// accepts: a sign, a digit, a point, or the first letter of "inf",
+// "infinity" or "nan" in any case. Other strings skip ParseFloat and
+// the error it would build.
+func mayStartNumber(c byte) bool {
+	switch c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return c >= '0' && c <= '9'
 }
 
 func boolValue(b bool) value {

@@ -1,0 +1,81 @@
+package vm
+
+import (
+	"testing"
+
+	"repro/internal/mem"
+)
+
+// A mem.Phys recycles the frames its spaces free, so a frame freed while
+// still mapped, or handed out again without zeroing, would show up as
+// memory changing under a space that never wrote it. An unbacked world,
+// whose pages are never freed, is the reference.
+
+// reuseSeeds are scenarios beyond tlbSeeds that free and reuse frames.
+var reuseSeeds = [][]tlbOp{
+	// A private page written, forked and unmapped in the parent stays
+	// the child's: the unmap drops one of its two references, and only
+	// the last may free the frame. The parent's next page must not be
+	// that frame.
+	{
+		{opMap, 1, at(5, 0), 0, 0}, {opWrite32, 1, at(5, 0), 0, 3}, {opFork, 1, 0, 0, 0},
+		{opUnmap, 1, at(5, 0), 0, 0}, {opMap, 1, at(5, 0), 0, 0}, {opWrite32, 1, at(5, 0), 0, 9},
+		{opRead32, 2, at(5, 0), 0, 0}, {opRead32, 1, at(5, 0), 0, 0},
+	},
+	// A client forks and exits, then its handle exits and frees the
+	// pages the pair shared, and a fresh space takes frames: the child's
+	// copies stay intact and the fresh pages read as zero.
+	{
+		{opWrite32, 1, at(6, 1), 0, 4}, {opFork, 1, 0, 0, 0}, {opUnmapAll, 1, 0, 0, 0},
+		{opRead32, 0, at(6, 1), 0, 0}, {opUnmapAll, 0, 0, 0, 0}, {opSpawn, 0, 0, 0, 0},
+		{opMap, 3, at(5, 0), 0, 2}, {opWrite32, 3, at(5, 2), 0, 8}, {opWrite32, 3, at(5, 0), 0, 8},
+		{opRead32, 3, at(5, 1), 0, 0}, {opRead32, 2, at(6, 1), 0, 0},
+	},
+}
+
+// reachableFrames counts the distinct frames the world's amaps hold.
+func (w *tlbWorld) reachableFrames() uint64 {
+	seen := map[*mem.Page]bool{}
+	for _, s := range w.spaces {
+		for _, e := range s.entries {
+			for _, an := range e.Amap {
+				if an != nil {
+					seen[an.Page] = true
+				}
+			}
+		}
+	}
+	return uint64(len(seen))
+}
+
+// FuzzFrameReuse runs one operation sequence in a world backed by a
+// recycling mem.Phys and in an unbacked one, and fails on the first
+// difference in an outcome or in the worlds' state, or when the frames
+// reachable from the backed world's amaps are not exactly the frames
+// its allocator has in use.
+func FuzzFrameReuse(f *testing.F) {
+	for _, seeds := range [][][]tlbOp{tlbSeeds, reuseSeeds} {
+		for _, ops := range seeds {
+			f.Add(encodeOps(ops...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64*tlbOpSize {
+			data = data[:64*tlbOpSize]
+		}
+		backed, ref := newTLBWorld(t, false, false), newTLBWorld(t, true, false)
+		for i := 0; i+tlbOpSize <= len(data); i += tlbOpSize {
+			o := tlbOp{data[i], data[i+1], data[i+2], data[i+3], data[i+4]}
+			got, want := backed.apply(o), ref.apply(o)
+			if got != want {
+				t.Fatalf("op %d %+v: backed %q, unbacked %q", i/tlbOpSize, o, got, want)
+			}
+			if got, want := backed.state(), ref.state(); got != want {
+				t.Fatalf("op %d %+v: state differs\nbacked:\n%sunbacked:\n%s", i/tlbOpSize, o, got, want)
+			}
+			if got, want := backed.reachableFrames(), backed.phys.InUse(); got != want {
+				t.Fatalf("op %d %+v: %d frames reachable, %d in use", i/tlbOpSize, o, got, want)
+			}
+		}
+	})
+}

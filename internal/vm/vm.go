@@ -17,8 +17,10 @@
 package vm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -299,9 +301,12 @@ func (s *Space) insert(e *Entry) error {
 		}
 	}
 	s.entries = append(s.entries, e)
-	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Start < s.entries[j].Start })
+	slices.SortFunc(s.entries, byStart)
 	return nil
 }
+
+// byStart orders entries by start address, the order of Space.entries.
+func byStart(a, b *Entry) int { return cmp.Compare(a.Start, b.Start) }
 
 // Map establishes an anonymous mapping [start,start+size) with the given
 // protection. start and size must be page aligned. This is the analogue
@@ -401,9 +406,12 @@ func (s *Space) Unmap(start, end uint32) {
 		}
 	}
 	s.entries = keep
-	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Start < s.entries[j].Start })
+	slices.SortFunc(s.entries, byStart)
 }
 
+// dropAnon drops one amap reference to an and frees its frame with the
+// last. The allocator hands freed frames out again, so every caller
+// bumps the epoch first: no TLB slot may keep the page.
 func (s *Space) dropAnon(an *Anon) {
 	if an == nil {
 		return
@@ -787,7 +795,7 @@ func (s *Space) Fork() *Space {
 		}
 		child.entries = append(child.entries, ce)
 	}
-	sort.Slice(child.entries, func(i, j int) bool { return child.entries[i].Start < child.entries[j].Start })
+	slices.SortFunc(child.entries, byStart)
 	return child
 }
 
