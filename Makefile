@@ -81,8 +81,15 @@ loadcurve:
 # are simulated-time, so they are comparable across runners. Refreshing
 # the committed baseline (after an intentional perf change) is just
 # `make bench-json` and committing the result.
+#
+# SUITE_FLAGS are the suite parameters of both bench-json and
+# bench-check. TestSuiteMatchesBaseline (cmd/smodfleet/main_test.go)
+# repeats them and requires BENCH_fleet.json byte for byte, so change
+# both together.
+SUITE_FLAGS = -suite -lcshards 2 -clients 8 -lccalls 200
+
 bench-json:
-	$(GO) run ./cmd/smodfleet -suite -lcshards 2 -clients 8 -lccalls 200 -json BENCH_fleet.json
+	$(GO) run ./cmd/smodfleet $(SUITE_FLAGS) -json BENCH_fleet.json
 
 # CI bench gate: rerun the baseline suite into BENCH_new.json and fail
 # on a knee-index regression, a >15% pre-knee p95 shift in ANY of the
@@ -93,10 +100,10 @@ bench-json:
 # the p99 SLO past the fixed fleet at no more average shards), or a
 # tenant-isolation breach (aggressor overload moving the victim's p99
 # more than 10% off its solo baseline at the overloaded rates; see
-# cmd/benchdiff). The sweep params MUST match bench-json or the
-# documents are incomparable by construction.
+# cmd/benchdiff). Both targets share SUITE_FLAGS, so the documents
+# are comparable by construction.
 bench-check:
-	$(GO) run ./cmd/smodfleet -suite -lcshards 2 -clients 8 -lccalls 200 -json BENCH_new.json
+	$(GO) run ./cmd/smodfleet $(SUITE_FLAGS) -json BENCH_new.json
 	$(GO) run ./cmd/benchdiff -old BENCH_fleet.json -new BENCH_new.json
 
 # A standalone heterogeneous-fleet sweep: Zipf-skewed keys on a

@@ -89,8 +89,13 @@ import (
 	"repro/internal/clock"
 	"repro/internal/measure"
 	"repro/internal/metrics"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
+
+// defaultUtil is the -util default: the utilization fractions of
+// measured capacity the auto rate sweep offers.
+const defaultUtil = "0.2,0.5,0.8,0.95,1.1,1.4"
 
 func main() {
 	var (
@@ -107,7 +112,7 @@ func main() {
 		process   = flag.String("process", "poisson", "load curve: arrival process (poisson|uniform)")
 		seed      = flag.Int64("seed", 1, "load curve: arrival schedule seed")
 		rateList  = flag.String("rates", "", "load curve: comma-separated offered calls/sec (default: -util fractions of measured capacity)")
-		utilList  = flag.String("util", "0.2,0.5,0.8,0.95,1.1,1.4", "load curve: utilization fractions for the auto rate sweep")
+		utilList  = flag.String("util", defaultUtil, "load curve: utilization fractions for the auto rate sweep")
 		jsonPath  = flag.String("json", "", "write BENCH_fleet.json to this path (default BENCH_fleet.json in -loadcurve/-suite modes, off otherwise)")
 
 		skew      = flag.Float64("skew", 0, "load curve: Zipf exponent for key popularity (0 = uniform; try 1.2)")
@@ -117,8 +122,8 @@ func main() {
 		argsCard  = flag.Int("argscard", 0, "load curve: distinct argument values (0 = all unique; small values feed the result cache)")
 
 		mix          = flag.String("mix", "", "load curve: heterogeneous backend mix, e.g. fast=2,slow=2,crypto=1 (overrides -lcshards)")
-		heatOnly     = flag.Bool("heatonly", false, "load curve: migration balances raw heat, ignoring backend cost weights (A/B baseline for -mix)")
-		replicas     = flag.Int("replicas", 0, "load curve: serve idempotent hot keys from up to N shards at once (placement.Replicated; implies rebalancing at epoch barriers)")
+		heatOnly     = flag.Bool("heatonly", false, "load curve: with -rebalance, migration balances raw heat, ignoring backend cost weights (A/B baseline for -mix)")
+		replicas     = flag.Int("replicas", 0, "load curve: serve idempotent hot keys from up to N shards at once, resized at epoch barriers (with -rebalance, the rest keep migrating)")
 		chaosSpec    = flag.String("chaos", "", "load curve: deterministic fault drill replayed at every point, e.g. kill:0@5 or kill:0@4;stall:1@6+50000 (chaos.Parse syntax; barriers count warm-up as 1)")
 		rewarmBudget = flag.Uint64("rewarmbudget", chaos.DefaultRewarmBudgetCycles, "load curve: declared per-re-warm cycle budget recorded with -chaos curves (benchdiff gates on it)")
 		suite        = flag.Bool("suite", false, "run the CI gate suite (uniform + skewed + mixed cost-aware/heat-only + dominant-key replicated pair + kill-drill + elastic fixed/autoscaled pair + qos isolation pair) into one BENCH document")
@@ -151,7 +156,7 @@ func main() {
 	defer obs.export()
 
 	if *suite {
-		runSuite(suiteParams{
+		err := runSuite(suiteParams{
 			uniformShards: *lcShards,
 			clients:       *clients,
 			calls:         *lcCalls,
@@ -161,33 +166,53 @@ func main() {
 			jsonPath:      *jsonPath,
 			obs:           obs,
 		})
+		if err != nil {
+			fatal(err)
+		}
 		return
 	}
 
 	if *loadCurve {
+		// The flags fill the fleet spec. -mix or -autoscale replace the
+		// fixed -lcshards size, which an autoscaled curve keeps as its
+		// reference size.
+		place, err := placementOf(*rebalance, *heatOnly, *replicas)
+		if err != nil {
+			fatal(err)
+		}
+		fs := spec.FleetSpec{
+			Schema:      spec.SchemaV1,
+			Mix:         *mix,
+			Placement:   place,
+			Replicas:    *replicas,
+			Seed:        *seed,
+			ResultCache: *cacheSize,
+		}
+		refShards := 0
+		switch {
+		case *autoscale:
+			fs.Autoscale = &spec.AutoscaleSpec{Min: *asMin, Max: *asMax, SLOMicros: *slo}
+			refShards = *lcShards
+		case *mix == "":
+			fs.Shards = *lcShards
+		}
+		if *chaosSpec != "" {
+			fs.RewarmBudgetCycles = *rewarmBudget
+		}
+		if err := fs.Validate(); err != nil {
+			fatal(err)
+		}
 		lcCfg := measure.LoadCurveConfig{
-			Shards:          *lcShards,
+			Fleet:           fs,
+			RefShards:       refShards,
 			Clients:         *clients,
 			Calls:           *lcCalls,
 			Kind:            kind,
-			Seed:            *seed,
 			ZipfS:           *skew,
 			ArgsCardinality: *argsCard,
 			Epochs:          *epochs,
-			Rebalance:       *rebalance,
-			HeatOnly:        *heatOnly,
-			CacheSize:       *cacheSize,
-			Replicas:        *replicas,
 			Chaos:           *chaosSpec,
 			WarmupEpochs:    *warmup,
-		}
-		if *chaosSpec != "" {
-			lcCfg.RewarmBudgetCycles = *rewarmBudget
-		}
-		if *autoscale {
-			lcCfg.SLOMicros = *slo
-			lcCfg.AutoMin = *asMin
-			lcCfg.AutoMax = *asMax
 		}
 		if *tenants != "" {
 			tls, err := parseTenants(*tenants)
@@ -203,14 +228,6 @@ func main() {
 			for _, tl := range tls {
 				lcCfg.Clients += tl.Clients
 			}
-		}
-		if *mix != "" {
-			as, err := backend.DefaultCatalog().ParseMix(*mix)
-			if err != nil {
-				fatal(err)
-			}
-			lcCfg.Backends = as
-			lcCfg.Shards = len(as)
 		}
 		obs.apply(&lcCfg)
 		runLoadCurve(lcCfg, *rateList, *utilList, *jsonPath)
@@ -243,6 +260,24 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// placementOf maps -rebalance, -heatonly and -replicas onto a spec
+// placement: -rebalance migrates cost-aware, or heat-only under
+// -heatonly, and -replicas alone replicates without migrating. A
+// replica cap under a migrating placement replicates and migrates.
+func placementOf(rebalance, heatOnly bool, replicas int) (string, error) {
+	switch {
+	case heatOnly && !rebalance:
+		return "", fmt.Errorf("-heatonly selects how -rebalance migrates; it needs -rebalance")
+	case heatOnly:
+		return spec.PlacementHeat, nil
+	case rebalance:
+		return spec.PlacementCostAware, nil
+	case replicas > 0:
+		return spec.PlacementReplicated, nil
+	}
+	return spec.PlacementSticky, nil
 }
 
 // observability carries the optional flight recorder, metrics registry,
@@ -363,13 +398,17 @@ func autoRates(cfg measure.LoadCurveConfig, utilList string) ([]float64, error) 
 		return nil, err
 	}
 	var capacity float64
-	if len(cfg.Backends) > 0 {
-		total, ests, err := backend.FleetCapacity(cfg.Backends, 40)
+	if cfg.Fleet.Mix != "" {
+		as, err := cfg.Fleet.Assignments()
+		if err != nil {
+			return nil, err
+		}
+		total, ests, err := backend.FleetCapacity(as, 40)
 		if err != nil {
 			return nil, fmt.Errorf("mixed-fleet calibration: %w", err)
 		}
-		fmt.Printf("\nbackend calibration (%s):\n", cfg.Mix())
-		for _, a := range cfg.Backends {
+		fmt.Printf("\nbackend calibration (%s):\n", cfg.Fleet.Mix)
+		for _, a := range as {
 			est := ests[a.Profile.Name]
 			fmt.Printf("  shard %d %-8s %6.1f us/call  ~%8.0f calls/sec\n",
 				a.Shard, a.Profile.Name,
@@ -378,13 +417,14 @@ func autoRates(cfg measure.LoadCurveConfig, utilList string) ([]float64, error) 
 		fmt.Printf("  fleet capacity ~%.0f calls/sec\n", total)
 		capacity = total
 	} else {
-		probe, err := measure.RunFleetClosedLoop(cfg.Shards, cfg.Clients, 30)
+		shards := cfg.Shards()
+		probe, err := measure.RunFleetClosedLoop(shards, cfg.Clients, 30)
 		if err != nil {
 			return nil, fmt.Errorf("capacity probe: %w", err)
 		}
-		capacity = float64(cfg.Shards) * 1e6 / probe.MicrosPerCall
+		capacity = float64(shards) * 1e6 / probe.MicrosPerCall
 		fmt.Printf("\ncapacity probe: %.1f us/call serial => ~%.0f calls/sec across %d shards\n",
-			probe.MicrosPerCall, capacity, cfg.Shards)
+			probe.MicrosPerCall, capacity, shards)
 	}
 	rates := make([]float64, len(utils))
 	for i, u := range utils {
@@ -393,35 +433,37 @@ func autoRates(cfg measure.LoadCurveConfig, utilList string) ([]float64, error) 
 	return rates, nil
 }
 
-// describeCurve prints one curve's workload header.
+// describeCurve prints one curve's workload header; cfg.Fleet is
+// validated.
 func describeCurve(cfg measure.LoadCurveConfig) {
+	fs := &cfg.Fleet
 	fmt.Printf("\nOpen-loop load curve: %d shards, %d warm clients, %d %s arrivals per point (simulated time)\n",
-		cfg.Shards, cfg.Clients, cfg.Calls, cfg.Kind)
-	if m := cfg.Mix(); m != "" {
-		fmt.Printf("backend mix: %s\n", m)
+		cfg.Shards(), cfg.Clients, cfg.Calls, cfg.Kind)
+	if fs.Mix != "" {
+		fmt.Printf("backend mix: %s\n", fs.Mix)
 	}
 	if cfg.ZipfS > 0 {
 		fmt.Printf("key popularity: Zipf(s=%.2f) over %d keys, %d epoch(s) per point\n",
 			cfg.ZipfS, cfg.Clients, max(cfg.Epochs, 1))
 	}
-	if cfg.Rebalance || cfg.CacheSize > 0 || cfg.Replicas > 0 {
-		fmt.Printf("placement: rebalance=%v heatonly=%v cache=%d entries/shard argscard=%d\n",
-			cfg.Rebalance, cfg.HeatOnly, cfg.CacheSize, cfg.ArgsCardinality)
+	if fs.Placement != spec.PlacementSticky || fs.ResultCache > 0 {
+		fmt.Printf("placement: %s, cache %d entries/shard, argscard %d\n",
+			fs.PlacementLabel(), fs.ResultCache, cfg.ArgsCardinality)
 	}
-	if cfg.Replicas > 0 {
+	if fs.Replicas > 0 {
 		fmt.Printf("replication: idempotent hot keys served from up to %d shards (heat-sized at epoch barriers)\n",
-			cfg.Replicas)
+			fs.Replicas)
 	}
 	if cfg.Chaos != "" {
-		budget := cfg.RewarmBudgetCycles
+		budget := fs.RewarmBudgetCycles
 		if budget == 0 {
 			budget = chaos.DefaultRewarmBudgetCycles
 		}
 		fmt.Printf("chaos drill: %s replayed at every point (re-warm budget %d cycles)\n", cfg.Chaos, budget)
 	}
-	if cfg.SLOMicros > 0 {
+	if a := fs.Autoscale; a != nil {
 		fmt.Printf("elastic: autoscaled %d..%d shards to hold p99 <= %.0f us at epoch barriers\n",
-			cfg.AutoMin, cfg.AutoMax, cfg.SLOMicros)
+			a.Min, a.Max, a.SLOMicros)
 	}
 	if cfg.WarmupEpochs > 0 {
 		fmt.Printf("warm-up: first %d epoch(s) per point excluded from latency quantiles\n", cfg.WarmupEpochs)
@@ -469,11 +511,11 @@ func reportCurve(cfg measure.LoadCurveConfig, points []measure.LoadPoint) {
 		fmt.Printf("chaos totals: %d shard(s) down per point, %d orphan re-warms, slowest re-warm %d cycles\n",
 			down, rewarms, rewarmMax)
 	}
-	if cfg.SLOMicros > 0 {
-		fmt.Printf("\nelastic sizing per offered rate (SLO %.0f us):\n", cfg.SLOMicros)
+	if a := cfg.Fleet.Autoscale; a != nil {
+		fmt.Printf("\nelastic sizing per offered rate (SLO %.0f us):\n", a.SLOMicros)
 		for _, p := range points {
 			held := "held"
-			if p.P99Micros > cfg.SLOMicros {
+			if p.P99Micros > a.SLOMicros {
 				held = "MISSED"
 			}
 			fmt.Printf("  %8.0f/s  avg %.2f shards (cost %.2f)  +%d/-%d resizes  p99 %8.1f us  SLO %s\n",
@@ -492,28 +534,22 @@ func reportCurve(cfg measure.LoadCurveConfig, points []measure.LoadPoint) {
 		}
 	}
 	k := measure.KneeIndex(points)
-	if len(cfg.Backends) > 0 {
-		at := k
-		if at < 0 {
-			at = len(points) - 1
-		}
+	at := k // the knee, or the last point of a sweep that never saturates
+	if at < 0 {
+		at = len(points) - 1
+	}
+	if cfg.Fleet.Mix != "" {
 		fmt.Printf("\nper-profile utilization at %.0f calls/sec offered:\n", points[at].OfferedPerSec)
 		for _, pl := range points[at].Profiles {
 			fmt.Printf("  %-8s %d shard(s)  %6d calls  %5.1f%% busy\n",
 				pl.Name, pl.Shards, pl.Calls, 100*pl.Utilization)
 		}
 	}
-	if cfg.Replicas > 0 {
-		at := k
-		if at < 0 {
-			at = len(points) - 1
-		}
-		if p := points[at]; p.ReplicaKey != "" {
-			fmt.Printf("\nper-replica hits for hottest key %q at %.0f calls/sec offered:\n",
-				p.ReplicaKey, p.OfferedPerSec)
-			for _, h := range p.ReplicaHits {
-				fmt.Printf("  shard %d  %6d calls\n", h.Shard, h.Calls)
-			}
+	if p := points[at]; p.ReplicaKey != "" {
+		fmt.Printf("\nper-replica hits for hottest key %q at %.0f calls/sec offered:\n",
+			p.ReplicaKey, p.OfferedPerSec)
+		for _, h := range p.ReplicaHits {
+			fmt.Printf("  shard %d  %6d calls\n", h.Shard, h.Calls)
 		}
 	}
 	if k >= 0 {
@@ -666,57 +702,52 @@ func suiteQoSTenants(aggBoost float64) []measure.TenantLoad {
 // between chaos-kill and skew-replicated is the capacity one dead
 // shard costs a replicated fleet that fails over and re-warms at the
 // barrier.
-func runSuite(p suiteParams) {
+func runSuite(p suiteParams) error {
 	fmt.Println(clock.MachineInfo())
 	fmt.Printf("\n=== bench suite: uniform + skew-rebalance + %s cost-aware/heat-only + dominant-key replication pair + kill drill + elastic pair + qos pair ===\n", suiteMix)
 
-	as, err := backend.DefaultCatalog().ParseMix(suiteMix)
-	if err != nil {
-		fatal(err)
-	}
 	base := measure.LoadCurveConfig{
+		Fleet:   spec.FleetSpec{Schema: spec.SchemaV1, Seed: p.seed},
 		Clients: p.clients,
 		Calls:   p.calls,
 		Kind:    p.kind,
-		Seed:    p.seed,
 	}
 	uniform := base
-	uniform.Shards = p.uniformShards
+	uniform.Fleet.Shards = p.uniformShards
 
 	skewed := base
-	skewed.Shards = 4
+	skewed.Fleet.Shards = 4
+	skewed.Fleet.Placement = spec.PlacementCostAware
 	skewed.ZipfS = 1.2
 	skewed.Epochs = 8
-	skewed.Rebalance = true
 
 	mixCost := base
-	mixCost.Backends = as
-	mixCost.Shards = len(as)
+	mixCost.Fleet.Mix = suiteMix
+	mixCost.Fleet.Placement = spec.PlacementCostAware
 	mixCost.ZipfS = 1.2
 	mixCost.Epochs = 8
-	mixCost.Rebalance = true
 
 	mixHeat := mixCost
-	mixHeat.HeatOnly = true
+	mixHeat.Fleet.Placement = spec.PlacementHeat
 
 	// The dominant-key pair: one key draws ~half the arrivals, so the
 	// sticky+migrating fleet saturates at its primary shard's capacity;
 	// the replicated variant serves that key from up to 4 shards.
 	dominant := base
-	dominant.Shards = 4
+	dominant.Fleet.Shards = 4
+	dominant.Fleet.Placement = spec.PlacementCostAware
 	dominant.ZipfS = suiteDominantZipf
 	dominant.Epochs = 8
-	dominant.Rebalance = true
 
 	replicated := dominant
-	replicated.Replicas = 4
+	replicated.Fleet.Replicas = 4
 
 	// The kill drill: the replicated fleet loses shard 0 at barrier 5
 	// of every point (warm-up is barrier 1, so mid-schedule). Survivors
 	// fail hot replicated keys over and re-warm the orphans.
 	chaosKill := replicated
 	chaosKill.Chaos = suiteChaosDrill
-	chaosKill.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
+	chaosKill.Fleet.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
 
 	// The elastic pair: a fixed 4-shard fleet swept past its knee vs the
 	// SLO-autoscaled 2..6-shard fleet on the identical rate grid. Uniform
@@ -724,16 +755,17 @@ func runSuite(p suiteParams) {
 	// migrating balancer can spread load over every shard the autoscaler
 	// adds; half of each point's epochs are the adaptation window.
 	elasticFixed := base
-	elasticFixed.Shards = suiteElasticFixed
+	elasticFixed.Fleet.Shards = suiteElasticFixed
+	elasticFixed.Fleet.Placement = spec.PlacementCostAware
 	elasticFixed.Clients = suiteElasticClients
 	elasticFixed.Epochs = suiteElasticEpochs
 	elasticFixed.WarmupEpochs = suiteElasticWarmup
-	elasticFixed.Rebalance = true
 
 	elasticSLO := elasticFixed
-	elasticSLO.SLOMicros = suiteElasticSLO
-	elasticSLO.AutoMin = suiteElasticMin
-	elasticSLO.AutoMax = suiteElasticMax
+	elasticSLO.Fleet.Shards = 0
+	elasticSLO.RefShards = suiteElasticFixed
+	elasticSLO.Fleet.Autoscale = &spec.AutoscaleSpec{
+		Min: suiteElasticMin, Max: suiteElasticMax, SLOMicros: suiteElasticSLO}
 
 	// The QoS pair: same 2-shard fleet and nominal rate grid, the victim
 	// class's arrival stream bit-identical across both curves, and only
@@ -741,7 +773,7 @@ func runSuite(p suiteParams) {
 	// 4:1 plus the shed knee are what must keep the victim's quantiles
 	// in place when the aggressor floods.
 	qosSolo := base
-	qosSolo.Shards = 2
+	qosSolo.Fleet.Shards = 2
 	qosSolo.Clients = 8 // the classes own the key space: 4 + 4
 	qosSolo.TenantKnee = suiteQoSKnee
 	qosSolo.TenantWindow = suiteQoSWindow
@@ -778,6 +810,9 @@ func runSuite(p suiteParams) {
 	rates := map[string][]float64{}
 	for i := range curves {
 		cfg := &curves[i].Config
+		if err := cfg.Fleet.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", curves[i].Name, err)
+		}
 		if p.obs != nil {
 			p.obs.apply(cfg)
 		}
@@ -790,7 +825,7 @@ func runSuite(p suiteParams) {
 			}
 			rs, err := autoRates(*cfg, utils)
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", curves[i].Name, err))
+				return fmt.Errorf("%s: %w", curves[i].Name, err)
 			}
 			cfg.Rates = rs
 			rates[curves[i].Name] = rs
@@ -799,7 +834,7 @@ func runSuite(p suiteParams) {
 		describeCurve(*cfg)
 		points, err := measure.RunFleetLoadCurve(*cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", curves[i].Name, err))
+			return fmt.Errorf("%s: %w", curves[i].Name, err)
 		}
 		curves[i].Points = points
 		reportCurve(*cfg, points)
@@ -865,9 +900,7 @@ func runSuite(p suiteParams) {
 	if jsonPath == "" {
 		jsonPath = "BENCH_fleet.json"
 	}
-	if err := writeJSON(jsonPath, measure.NewBenchFleetCurves(curves, nil)); err != nil {
-		fatal(err)
-	}
+	return writeJSON(jsonPath, measure.NewBenchFleetCurves(curves, nil))
 }
 
 // writeJSON writes the BENCH document and reports where.

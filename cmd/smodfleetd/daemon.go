@@ -118,30 +118,14 @@ type Daemon struct {
 	lastRaw []byte // spec file bytes behind the current target
 }
 
-// openFleet maps a validated spec onto fleet options and opens it —
-// the daemon-side twin of the benchmarks' fleet construction, plus
-// metrics publication.
+// openFleet opens the fleet a validated spec describes — the same
+// fleet a load-curve point measures — publishing into reg.
 func openFleet(fs *spec.FleetSpec, reg *metrics.Registry) (*fleet.Fleet, error) {
-	asg, err := fs.Assignments()
+	opts, _, err := measure.FleetOptions(fs)
 	if err != nil {
 		return nil, err
 	}
-	shards := len(asg)
-	if fs.Autoscale != nil {
-		shards = fs.Autoscale.Min
-	}
-	opts := measure.ServeFleetOptions(shards, fs.SessionCap, asg)
-	opts = append(opts, fleet.WithPlacement(fs.NewPlacement()), fleet.WithMetrics(reg))
-	if fs.ResultCache > 0 {
-		opts = append(opts, fleet.WithResultCache(fs.ResultCache))
-	}
-	if ac := fs.AutoscaleConfig(); ac != nil {
-		opts = append(opts, fleet.WithAutoscalerConfig(*ac))
-	}
-	if fs.Tenants != nil {
-		opts = append(opts, fleet.WithTenants(fs.Tenants))
-	}
-	return fleet.Open(opts...)
+	return fleet.Open(append(opts, fleet.WithMetrics(reg))...)
 }
 
 // New loads the spec, opens the fleet, binds every configured

@@ -202,3 +202,46 @@ func TestDaemonRejectsBadSpecAtBoot(t *testing.T) {
 		t.Fatal("New accepted a missing spec file")
 	}
 }
+
+// TestDaemonServesReplicatedCostAware boots from a spec that
+// replicates hot keys and keeps migrating the rest (costaware with a
+// replica cap), serves a burst over TCP, and reports the cap in the
+// applied placement.
+func TestDaemonServesReplicatedCostAware(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "fleet.json")
+	doc := `{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`
+	if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{SpecPath: specPath, TCPAddr: "127.0.0.1:0", Barrier: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx, nil) }()
+
+	st, err := measure.RunWallClockBurst(func() (*rpc.Client, error) {
+		return rpc.DialTCP(d.TCPAddr())
+	}, 4, 25)
+	if err != nil {
+		t.Fatalf("tcp burst: %v", err)
+	}
+	if st.Errors != 0 || st.TotalCalls != 100 {
+		t.Fatalf("tcp burst lost calls: %+v", st)
+	}
+	if got := d.Loop().Target().PlacementLabel(); got != "costaware/2" {
+		t.Fatalf("target placement = %q, want costaware/2", got)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+}

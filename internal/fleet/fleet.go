@@ -35,7 +35,7 @@
 //
 // Three submission modes exist:
 //
-//   - Call/Go/SubmitAsync: live traffic from any number of goroutines,
+//   - Call/SubmitAsync: live traffic from any number of goroutines,
 //     coalesced and pipelined opportunistically (open-loop friendly);
 //   - RunPlan: a fixed request sequence routed and executed
 //     deterministically — same plan, same config, same per-shard cycle
@@ -395,8 +395,7 @@ func (fu *Future) Response() Response {
 }
 
 // SubmitAsync submits one request without waiting, returning a Future.
-// Unlike Go it allocates no forwarding goroutine. Safe for concurrent
-// use.
+// Safe for concurrent use.
 func (f *Fleet) SubmitAsync(req Request) (*Future, error) {
 	j := &job{
 		kind:    jobCalls,
@@ -410,25 +409,9 @@ func (f *Fleet) SubmitAsync(req Request) (*Future, error) {
 	return &Future{j: j}, nil
 }
 
-// Go submits one request asynchronously; the returned channel yields
-// exactly one Response. Safe for concurrent use.
-func (f *Fleet) Go(req Request) <-chan Response {
-	out := make(chan Response, 1)
-	fu, err := f.SubmitAsync(req)
-	if err != nil {
-		out <- Response{Err: err, Shard: -1}
-		return out
-	}
-	go func() {
-		out <- fu.Response()
-	}()
-	return out
-}
-
 // Call submits one request and waits for its response. Safe for
 // concurrent use; concurrent callers hitting the same shard are
-// coalesced into shared kernel batches. Unlike Go it waits on the job
-// directly, with no forwarding goroutine per request.
+// coalesced into shared kernel batches.
 func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) {
 	req := Request{Key: key, FuncID: funcID, Args: args}
 	j := &job{

@@ -98,13 +98,21 @@ func TestFleetBasicCalls(t *testing.T) {
 func TestStickyRouting(t *testing.T) {
 	f := newTestFleet(t, testOpts(4)...)
 	incr := incrID(t, f)
+	submit := func(key string) Response {
+		t.Helper()
+		fu, err := f.SubmitAsync(Request{Key: key, FuncID: incr, Args: []uint32{1}})
+		if err != nil {
+			t.Fatalf("SubmitAsync(%s): %v", key, err)
+		}
+		return fu.Response()
+	}
 	for _, key := range []string{"a", "b", "c"} {
-		first := <-f.Go(Request{Key: key, FuncID: incr, Args: []uint32{1}})
+		first := submit(key)
 		if first.Err != nil || first.Errno != 0 {
 			t.Fatalf("first call for %s failed: %+v", key, first)
 		}
 		for i := 0; i < 5; i++ {
-			r := <-f.Go(Request{Key: key, FuncID: incr, Args: []uint32{1}})
+			r := submit(key)
 			if r.Shard != first.Shard {
 				t.Fatalf("key %s moved shard %d -> %d without Release", key, first.Shard, r.Shard)
 			}

@@ -36,7 +36,6 @@ type config struct {
 	provision   ProvisionFunc
 	backends    []backend.Assignment
 	maxSessions int
-	maxBatch    int
 	place       placement.Placement
 	cacheSize   int
 	chaosEng    *chaos.Engine
@@ -165,10 +164,6 @@ func WithResultCache(entries int) Option { return func(c *config) { c.cacheSize 
 // cap is soft: sessions busy in the current batch are never evicted.
 func WithSessionCap(n int) Option { return func(c *config) { c.maxSessions = n } }
 
-// WithMaxBatch bounds how many inbox jobs a shard coalesces into one
-// kernel stretch (default 256).
-func WithMaxBatch(n int) Option { return func(c *config) { c.maxBatch = n } }
-
 // resolve validates the option set and fills defaults.
 func (c *config) resolve() error {
 	if c.shards < 1 && len(c.backends) > 0 {
@@ -179,9 +174,6 @@ func (c *config) resolve() error {
 	}
 	if c.module == "" || c.provision == nil {
 		return errors.New("fleet: Open needs WithModule and WithProvision")
-	}
-	if c.maxBatch <= 0 {
-		c.maxBatch = 256
 	}
 	if c.clientName == "" {
 		c.clientName = "fleet-client"

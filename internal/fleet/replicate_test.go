@@ -211,3 +211,62 @@ func TestReplicaShrinksWhenHeatFades(t *testing.T) {
 		t.Error("no replica drains counted despite shrink")
 	}
 }
+
+// scriptedPlacement is a sticky pool whose Rebalance replays one
+// scripted plan per barrier.
+type scriptedPlacement struct {
+	*placement.Sticky
+	plans [][]placement.Move
+}
+
+func (s *scriptedPlacement) Rebalance() []placement.Move {
+	if len(s.plans) == 0 {
+		return nil
+	}
+	plan := s.plans[0]
+	s.plans = s.plans[1:]
+	return plan
+}
+
+// TestRebalanceDrainThenMigrateKeepsBinding regresses a lost binding:
+// a round that drains a key's replica on shard S and then migrates the
+// key onto S must leave the key bound to S, warm. The replica drain's
+// session teardown used to report an eviction back to the placement;
+// when that report ran after the migration's commit, it dropped the
+// new binding, so the result depended on goroutine timing (it made the
+// suite's chaos-kill curve nondeterministic).
+func TestRebalanceDrainThenMigrateKeepsBinding(t *testing.T) {
+	sp := &scriptedPlacement{Sticky: placement.NewSticky()}
+	f := newTestFleet(t, append(testOpts(3), WithPlacement(sp))...)
+	incr := incrID(t, f)
+	call := func() Response {
+		t.Helper()
+		resps, err := f.RunPlan([]Request{{Key: "k", FuncID: incr, Args: []uint32{1}}})
+		if err != nil || resps[0].Err != nil || resps[0].Errno != 0 {
+			t.Fatalf("call: %v %+v", err, resps)
+		}
+		return resps[0]
+	}
+	from := call().Shard
+	to := (from + 1) % 3
+	sp.plans = [][]placement.Move{
+		{{Kind: placement.MoveReplicate, Key: "k", From: from, To: to}},
+		{{Kind: placement.MoveDrain, Key: "k", From: to, To: from},
+			{Kind: placement.MoveMigrate, Key: "k", From: from, To: to}},
+	}
+	for i := range sp.plans {
+		if n, err := f.Rebalance(); err != nil || n == 0 {
+			t.Fatalf("rebalance %d: applied %d, err %v", i, n, err)
+		}
+	}
+	if got, ok := sp.Lookup("k"); !ok || got != to {
+		t.Fatalf("after drain+migrate: Lookup(k) = %d, %v; want shard %d", got, ok, to)
+	}
+	opened := f.Stats().SessionsOpened
+	if r := call(); r.Shard != to {
+		t.Fatalf("next call served by shard %d, want %d", r.Shard, to)
+	}
+	if got := f.Stats().SessionsOpened; got != opened {
+		t.Fatalf("next call opened %d new session(s), want 0 (migrated session is warm)", got-opened)
+	}
+}

@@ -19,6 +19,10 @@ import (
 // syscall (390) and well clear of the Figure 4 range.
 const SysParkNo = 392
 
+// maxBatch bounds how many inbox jobs a shard coalesces into one kernel
+// stretch, and sizes the inbox.
+const maxBatch = 256
+
 // parkToken is the sleep token of one parked client process.
 type parkToken struct{ pid int }
 
@@ -184,7 +188,7 @@ type shard struct {
 
 	// Stretch state: pipelined dispatch admits jobs into the running
 	// kernel stretch from the RunUntil predicate, so one stretch serves
-	// every call that arrives while it runs (up to MaxBatch jobs).
+	// every call that arrives while it runs (up to maxBatch jobs).
 	submitted     int            // pendingCalls injected this stretch
 	completed     int            // pendingCalls finished this stretch
 	pcs           []*pendingCall // all calls injected this stretch
@@ -251,7 +255,7 @@ func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.Resul
 		k:       kern.New(),
 		clients: map[string]*clientProc{},
 		byPID:   map[int]*clientProc{},
-		inbox:   make(chan *job, cfg.maxBatch),
+		inbox:   make(chan *job, maxBatch),
 		stopped: make(chan struct{}),
 	}
 	sh.k.SetCosts(profile.Costs())
@@ -448,7 +452,7 @@ func (sh *shard) loop() {
 			close(j.done)
 		case jobMigrateOut:
 			before := sh.k.Clk.Cycles()
-			sh.evict(j.key)
+			sh.teardown(j.key)
 			sh.migratedOut++
 			sh.emitSpan(trace.KMigrateOut, before, j.key, "")
 			close(j.done)
@@ -474,7 +478,7 @@ func (sh *shard) loop() {
 			close(j.done)
 		case jobReplicaOut:
 			before := sh.k.Clk.Cycles()
-			sh.evict(j.key)
+			sh.teardown(j.key)
 			sh.replicasOut++
 			sh.emitSpan(trace.KReplicaOut, before, j.key, "")
 			close(j.done)
@@ -610,11 +614,11 @@ func (sh *shard) inject(j *job, i int, at uint64) {
 }
 
 // drainInbox admits further call jobs that arrived while the stretch
-// runs, up to MaxBatch jobs per stretch. The first control or barrier
+// runs, up to maxBatch jobs per stretch. The first control or barrier
 // job seen is stashed — it executes after the stretch — and stops
 // further admission so inbox order is preserved.
 func (sh *shard) drainInbox() {
-	for sh.stash == nil && !sh.inboxClosed && sh.jobsInStretch < sh.cfg.maxBatch {
+	for sh.stash == nil && !sh.inboxClosed && sh.jobsInStretch < maxBatch {
 		select {
 		case j, ok := <-sh.inbox:
 			if !ok {
@@ -834,15 +838,27 @@ func (sh *shard) evictLRUTenant() {
 	}
 }
 
-// evict tears down key's session: killing the client process runs the
-// SecModule exit hooks, which close the session and kill the handle.
-// The key's pool assignment is reclaimed too, so the key's next
+// evict tears down key's session and reports the eviction, so the
+// placement reclaims the key's binding on this shard: the key's next
 // request may land anywhere and pool load tracks live sessions rather
 // than cumulative history.
 func (sh *shard) evict(key string) {
+	if sh.teardown(key) && sh.onEvict != nil {
+		sh.onEvict(key)
+	}
+}
+
+// teardown kills key's session, reporting whether there was one:
+// killing the client process runs the SecModule exit hooks, which close
+// the session and kill the handle. The kernel half of a committed move
+// (a migration's old copy, a drained replica) tears down without
+// reporting an eviction: the commit already moved the binding, and a
+// report landing after a later commit of the same round could drop the
+// binding that commit made on this shard.
+func (sh *shard) teardown(key string) bool {
 	cp := sh.clients[key]
 	if cp == nil {
-		return
+		return false
 	}
 	if sh.ring != nil {
 		sh.ring.Emit(trace.Event{
@@ -855,9 +871,7 @@ func (sh *shard) evict(key string) {
 	delete(sh.clients, key)
 	delete(sh.byPID, cp.proc.PID)
 	sh.k.Kill(cp.proc, kern.SIGKILL)
-	if sh.onEvict != nil {
-		sh.onEvict(key)
-	}
+	return true
 }
 
 // emitSpan records one control-job span from `before` to the current

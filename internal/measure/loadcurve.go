@@ -20,22 +20,34 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/fleet"
-	"repro/internal/loadmgr"
 	"repro/internal/metrics"
 	"repro/internal/placement"
+	"repro/internal/spec"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
-// LoadCurveConfig describes one load-curve sweep.
+// LoadCurveConfig describes one load-curve sweep: the fleet every
+// point opens, plus the workload the points offer it.
 type LoadCurveConfig struct {
-	// Shards is the fleet size; Clients the number of warm sticky keys
-	// arrivals are spread over (round-robin by seeded rng).
-	Shards  int
+	// Fleet describes the measured fleet: its size (shards, backend mix
+	// or autoscale band), placement and replica cap, result cache and
+	// re-warm budget. Fleet.Seed seeds the placement strategy and the
+	// arrival schedule alike, so a fixed seed makes the whole curve
+	// bit-for-bit reproducible. Tenancy is part of the workload here
+	// (see Tenants), so Fleet.Tenants must be nil. Held by value: copy a
+	// config and edit its Fleet to derive a paired curve.
+	Fleet spec.FleetSpec
+	// RefShards is the fixed fleet size an autoscaled curve is compared
+	// against: the size its auto rate grid is calibrated at and the size
+	// its BENCH record names. Valid only when Fleet.Autoscale is set (the
+	// spec's sizing modes are mutually exclusive).
+	RefShards int
+	// Clients is the number of warm sticky keys arrivals are spread
+	// over (round-robin by seeded rng).
 	Clients int
 	// Calls is the number of arrivals measured per offered-load point.
 	Calls int
@@ -44,9 +56,6 @@ type LoadCurveConfig struct {
 	Rates []float64
 	// Kind selects the arrival process (Poisson or Uniform).
 	Kind ArrivalKind
-	// Seed drives arrival gaps and key assignment; a fixed seed makes
-	// the whole curve bit-for-bit reproducible.
-	Seed int64
 
 	// ZipfS, when >= 1.01, draws each arrival's key from a Zipf(s)
 	// popularity distribution over the Clients keys instead of
@@ -64,55 +73,19 @@ type LoadCurveConfig struct {
 	// opportunity, so migration (and replica resizing) needs Epochs >= 2
 	// to act within a point.
 	Epochs int
-	// Rebalance migrates hot keys between shards at the epoch barriers
-	// (placement.CostAware, or placement.HeatMigrate under HeatOnly;
-	// seeded by Seed). Without it the fleet keeps the sticky default.
-	Rebalance bool
-	// HeatOnly makes migration ignore backend cost factors: the
-	// heat-only A/B baseline of the cost-aware story on mixed fleets.
-	HeatOnly bool
-	// CacheSize gives every shard a result cache of this many entries
-	// (fleet.WithResultCache); 0 disables caching.
-	CacheSize int
-	// Replicas, when > 0, swaps the placement strategy for
-	// placement.Replicated with this replica-set cap: idempotent hot
-	// keys are served from up to Replicas shards at once, resized at
-	// epoch barriers. Rebalance and HeatOnly still govern migration of
-	// the unreplicated keys.
-	Replicas int
-
-	// Backends assigns a machine-class profile to every shard (see
-	// internal/backend), making the measured fleet heterogeneous:
-	// scaled cost tables, flavor-aware provisioning, capacity-weighted
-	// placement. nil keeps the homogeneous baseline fleet. When set,
-	// Shards must match its length (or be 0 to derive it).
-	Backends []backend.Assignment
-
 	// Chaos, when non-empty, runs every point of the sweep as a fault
 	// drill: the schedule (chaos.Parse syntax, e.g. "kill:0@5") is
 	// compiled into a fresh engine per point, so each offered rate
 	// replays the identical fault sequence at the identical barriers
 	// (warm-up is barrier 1; each epoch adds one). The availability
 	// story: the curve's knee under a kill-one-shard drill, next to the
-	// healthy curve's knee.
+	// healthy curve's knee. Fleet.RewarmBudgetCycles declares the
+	// re-warm budget the drill is gated on (0 means
+	// chaos.DefaultRewarmBudgetCycles); the BENCH record carries it for
+	// cmd/benchdiff, and autoscaled curves reuse it for their resize
+	// warm-ins.
 	Chaos string
-	// RewarmBudgetCycles declares the re-warm budget the drill is gated
-	// on: no orphan re-warm may exceed it (0 means
-	// chaos.DefaultRewarmBudgetCycles). Recorded in the BENCH document
-	// so cmd/benchdiff can enforce it. Elastic (SLO-autoscaled) curves
-	// reuse the same budget for their resize warm-ins.
-	RewarmBudgetCycles uint64
 
-	// SLOMicros, when > 0, runs every point on an elastic fleet: the
-	// fleet opens at AutoMin shards and the SLO autoscaler
-	// (internal/autoscale) steers the live count between AutoMin and
-	// AutoMax at the epoch barriers — growing on a p99 breach, draining
-	// the newest shard after sustained comfort. Shards then only names
-	// the fixed-fleet reference size the auto rate sweep derives its
-	// grid from. Homogeneous fleets only (Backends must be nil).
-	SLOMicros float64
-	// AutoMin and AutoMax bound the autoscaled fleet (SLOMicros > 0).
-	AutoMin, AutoMax int
 	// WarmupEpochs excludes the first n epochs of every point from the
 	// latency quantiles (the calls still run and still count toward
 	// achieved throughput and the makespan): for elastic points this is
@@ -150,13 +123,28 @@ type LoadCurveConfig struct {
 	Metrics *metrics.Registry
 }
 
-// Mix returns the canonical backend mix label ("fast=2,slow=2"), or ""
-// for a homogeneous fleet.
-func (cfg LoadCurveConfig) Mix() string {
-	if len(cfg.Backends) == 0 {
-		return ""
+// Shards returns the fleet size the curve is recorded and compared at:
+// the spec's fixed size, or RefShards when the fleet autoscales.
+func (cfg LoadCurveConfig) Shards() int {
+	if cfg.Fleet.Autoscale != nil {
+		return cfg.RefShards
 	}
-	return backend.MixLabel(cfg.Backends)
+	return cfg.Fleet.MaxShards()
+}
+
+// curveFleet validates and normalizes a copy of the curve's fleet spec.
+func curveFleet(cfg LoadCurveConfig) (spec.FleetSpec, error) {
+	fs := cfg.Fleet
+	if fs.Tenants != nil {
+		return fs, fmt.Errorf("measure: load curves declare tenancy in Tenants, not Fleet.Tenants")
+	}
+	if cfg.RefShards != 0 && fs.Autoscale == nil {
+		return fs, fmt.Errorf("measure: RefShards applies to autoscaled fleets only")
+	}
+	if err := fs.Validate(); err != nil {
+		return fs, fmt.Errorf("measure: %w", err)
+	}
+	return fs, nil
 }
 
 // TenantLoad declares one QoS class of a multi-tenant sweep: its
@@ -301,27 +289,13 @@ const SatAchievedFraction = 0.9
 // LoadPoint per rate. Every point runs on a fresh fleet with the same
 // seed, so points differ only in offered load.
 func RunFleetLoadCurve(cfg LoadCurveConfig) ([]LoadPoint, error) {
-	if cfg.SLOMicros > 0 {
-		if len(cfg.Backends) > 0 {
-			return nil, fmt.Errorf("measure: elastic (SLO-autoscaled) sweeps run on the homogeneous baseline fleet only")
-		}
-		if cfg.AutoMin < 1 || cfg.AutoMax < cfg.AutoMin {
-			return nil, fmt.Errorf("measure: elastic sweep needs 1 <= AutoMin <= AutoMax, got %d..%d",
-				cfg.AutoMin, cfg.AutoMax)
-		}
-		if cfg.Shards < 1 {
-			cfg.Shards = cfg.AutoMin
-		}
+	fs, err := curveFleet(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 1 && len(cfg.Backends) > 0 {
-		cfg.Shards = len(cfg.Backends)
-	}
-	if len(cfg.Backends) > 0 && cfg.Shards != len(cfg.Backends) {
-		return nil, fmt.Errorf("measure: %d shards vs %d backend assignments",
-			cfg.Shards, len(cfg.Backends))
-	}
-	if cfg.Shards < 1 || cfg.Clients < 1 || cfg.Calls < 1 {
-		return nil, fmt.Errorf("measure: load curve needs shards, clients, calls >= 1")
+	cfg.Fleet = fs
+	if cfg.Clients < 1 || cfg.Calls < 1 {
+		return nil, fmt.Errorf("measure: load curve needs clients, calls >= 1")
 	}
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("measure: load curve needs at least one offered rate")
@@ -331,7 +305,7 @@ func RunFleetLoadCurve(cfg LoadCurveConfig) ([]LoadPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("measure: %w", err)
 		}
-		if err := sched.Validate(cfg.Shards); err != nil {
+		if err := sched.Validate(fs.MaxShards()); err != nil {
 			return nil, fmt.Errorf("measure: %w", err)
 		}
 	}
@@ -382,11 +356,11 @@ func RunFleetLoadCurve(cfg LoadCurveConfig) ([]LoadPoint, error) {
 // argument values optionally folded into a small cardinality. Pure
 // function of the config and rate, so every run of a point is identical.
 func loadPointSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.TimedRequest, error) {
-	arrivals, err := Arrivals(cfg.Kind, cfg.Seed, rate, cfg.Calls)
+	arrivals, err := Arrivals(cfg.Kind, cfg.Fleet.Seed, rate, cfg.Calls)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	rng := rand.New(rand.NewSource(cfg.Fleet.Seed + 1))
 	var zipf *rand.Zipf
 	if cfg.ZipfS > 0 {
 		if cfg.ZipfS < 1.01 {
@@ -437,7 +411,7 @@ func tenantSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.Tim
 		share := float64(tl.Clients) * tl.Boost / float64(total)
 		calls := int(math.Round(float64(cfg.Calls) * share))
 		if calls > 0 {
-			seed := cfg.Seed + int64(ti+1)*7919
+			seed := cfg.Fleet.Seed + int64(ti+1)*7919
 			arrivals, err := Arrivals(cfg.Kind, seed, rate*share, calls)
 			if err != nil {
 				return nil, err
@@ -465,41 +439,16 @@ func tenantSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.Tim
 	return all, nil
 }
 
-// curvePlacement maps the curve config onto the fleet options it
-// measures under: result cache, and the placement strategy (sticky,
-// migrating, or replicated). The *placement.Replicated pointer is
-// returned so the point can read the per-replica hit distribution
-// after the run; nil otherwise.
-func curvePlacement(cfg LoadCurveConfig) ([]fleet.Option, *placement.Replicated) {
-	var opts []fleet.Option
-	if cfg.CacheSize > 0 {
-		opts = append(opts, fleet.WithResultCache(cfg.CacheSize))
-	}
-	tuning := loadmgr.Options{Migrate: cfg.Rebalance, Seed: cfg.Seed}
-	switch {
-	case cfg.Replicas > 0:
-		rep := placement.NewReplicated(placement.ReplicatedConfig{
-			Options:     tuning,
-			MaxReplicas: cfg.Replicas,
-			HeatOnly:    cfg.HeatOnly,
-		})
-		return append(opts, fleet.WithPlacement(rep)), rep
-	case !cfg.Rebalance:
-		return opts, nil
-	case cfg.HeatOnly:
-		return append(opts, fleet.WithPlacement(placement.NewHeatMigrate(tuning))), nil
-	default:
-		return append(opts, fleet.WithPlacement(placement.NewCostAware(tuning))), nil
-	}
-}
-
 // runLoadPoint measures one offered rate on a fresh fleet. With Epochs
 // > 1 the schedule runs as that many back-to-back RunSchedule barriers
 // (each re-based to its first arrival): between epochs the placement
 // strategy may migrate hot keys or resize replica sets, which is the
 // only way rebalancing can act within a single measured point.
 func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error) {
-	placeOpts, rep := curvePlacement(cfg)
+	opts, place, err := FleetOptions(&cfg.Fleet)
+	if err != nil {
+		return LoadPoint{}, err
+	}
 	if cfg.Chaos != "" {
 		// A fresh engine per point: each offered rate replays the full
 		// fault schedule from barrier 1 (engines are single-use).
@@ -507,23 +456,11 @@ func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error
 		if perr != nil {
 			return LoadPoint{}, perr
 		}
-		placeOpts = append(placeOpts, fleet.WithChaos(chaos.NewEngine(sched)))
+		opts = append(opts, fleet.WithChaos(chaos.NewEngine(sched)))
 	}
-	if cfg.Trace != nil {
-		placeOpts = append(placeOpts, fleet.WithTrace(cfg.Trace))
-	}
-	if cfg.Metrics != nil {
-		placeOpts = append(placeOpts, fleet.WithMetrics(cfg.Metrics))
-	}
-	openShards := cfg.Shards
-	elastic := cfg.SLOMicros > 0
-	if elastic {
-		// Elastic points open at the floor and let the autoscaler earn
-		// every extra shard at the epoch barriers.
-		openShards = cfg.AutoMin
-		placeOpts = append(placeOpts, fleet.WithAutoscaler(cfg.SLOMicros, cfg.AutoMin, cfg.AutoMax))
-	}
-	f, err := fleet.Open(append(benchFleetOpts(openShards, 0, cfg.Backends), placeOpts...)...)
+	opts = append(opts, fleet.WithTrace(cfg.Trace), fleet.WithMetrics(cfg.Metrics))
+	elastic := cfg.Fleet.Autoscale != nil
+	f, err := fleet.Open(opts...)
 	if err != nil {
 		return LoadPoint{}, err
 	}
@@ -658,7 +595,7 @@ func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error
 	}
 	achieved := clock.PerSec(served, makespan)
 	var profiles []ProfileLoad
-	if len(cfg.Backends) > 0 {
+	if cfg.Fleet.Mix != "" {
 		profiles = profileBreakdown(d, makespan)
 	}
 	point = LoadPoint{
@@ -717,7 +654,7 @@ func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error
 			}
 		}
 	}
-	if rep != nil {
+	if rep, ok := place.(*placement.Replicated); ok {
 		point.ReplicaKey, point.ReplicaHits = hottestReplica(rep)
 	}
 	return point, nil
@@ -885,31 +822,28 @@ func newBenchDoc(rows []ThroughputStats) *BenchFleet {
 	}
 }
 
-// buildCurve assembles one named curve section.
+// buildCurve assembles one named curve section, recording the fleet
+// from its validated spec.
 func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoadCurve {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = len(cfg.Backends)
-	}
+	// Points exist only for a config RunFleetLoadCurve accepted, so the
+	// spec validates here too; the record reads its normalized form.
+	fs, _ := curveFleet(cfg)
 	lc := &BenchLoadCurve{
 		Name:          name,
-		Mix:           cfg.Mix(),
-		Shards:        shards,
+		Mix:           fs.Mix,
+		HeatOnly:      fs.Placement == spec.PlacementHeat,
+		Shards:        cfg.Shards(),
 		Clients:       cfg.Clients,
 		CallsPerPoint: cfg.Calls,
 		Process:       cfg.Kind.String(),
-		Seed:          cfg.Seed,
+		Seed:          fs.Seed,
 		ZipfS:         cfg.ZipfS,
 		ArgsCard:      cfg.ArgsCardinality,
 		Epochs:        cfg.Epochs,
-		Rebalance:     cfg.Rebalance,
-		HeatOnly:      cfg.HeatOnly,
-		CacheSize:     cfg.CacheSize,
-		Replicas:      cfg.Replicas,
+		Rebalance:     fs.Placement == spec.PlacementHeat || fs.Placement == spec.PlacementCostAware,
+		CacheSize:     fs.ResultCache,
+		Replicas:      fs.Replicas,
 		Chaos:         cfg.Chaos,
-		SLOMicros:     cfg.SLOMicros,
-		AutoMin:       cfg.AutoMin,
-		AutoMax:       cfg.AutoMax,
 		WarmupEpochs:  cfg.WarmupEpochs,
 		Tenants:       cfg.Tenants,
 		TenantKnee:    cfg.TenantKnee,
@@ -917,8 +851,11 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 		Points:        points,
 		KneeIndex:     KneeIndex(points),
 	}
-	if cfg.Chaos != "" || cfg.SLOMicros > 0 {
-		lc.RewarmBudgetCycles = cfg.RewarmBudgetCycles
+	if a := fs.Autoscale; a != nil {
+		lc.SLOMicros, lc.AutoMin, lc.AutoMax = a.SLOMicros, a.Min, a.Max
+	}
+	if cfg.Chaos != "" || fs.Autoscale != nil {
+		lc.RewarmBudgetCycles = fs.RewarmBudgetCycles
 		if lc.RewarmBudgetCycles == 0 {
 			lc.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
 		}

@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/spec"
+	"repro/internal/tenant"
 )
 
 // testCurveConfig sweeps one shard from well under to well past its
 // capacity (~135k incr calls/sec at ~7.4us/call service time).
 func testCurveConfig(rates ...float64) LoadCurveConfig {
 	return LoadCurveConfig{
-		Shards:  1,
+		Fleet:   spec.FleetSpec{Schema: spec.SchemaV1, Shards: 1, Seed: 1},
 		Clients: 4,
 		Calls:   80,
 		Rates:   rates,
 		Kind:    Poisson,
-		Seed:    1,
 	}
 }
 
@@ -142,9 +143,14 @@ func TestLoadCurveTableAndJSON(t *testing.T) {
 	}
 }
 
-// TestLoadCurveBadConfig covers input validation.
+// TestLoadCurveBadConfig covers input validation, including what
+// RunFleetLoadCurve refuses of its fleet spec: a replica cap the fleet
+// cannot hold (the strategy would clamp it while the BENCH record named
+// the larger cap), tenancy declared in the spec instead of Tenants, and
+// a reference size on a fleet that does not autoscale.
 func TestLoadCurveBadConfig(t *testing.T) {
-	if _, err := RunFleetLoadCurve(LoadCurveConfig{Shards: 0, Clients: 1, Calls: 1, Rates: []float64{1}}); err == nil {
+	if _, err := RunFleetLoadCurve(LoadCurveConfig{Fleet: spec.FleetSpec{Schema: spec.SchemaV1},
+		Clients: 1, Calls: 1, Rates: []float64{1}}); err == nil {
 		t.Error("shards=0 accepted")
 	}
 	if _, err := RunFleetLoadCurve(testCurveConfig()); err == nil {
@@ -155,22 +161,42 @@ func TestLoadCurveBadConfig(t *testing.T) {
 	if _, err := RunFleetLoadCurve(flat); err == nil {
 		t.Error("too-flat zipf exponent accepted")
 	}
+
+	overCap := testCurveConfig(10_000)
+	overCap.Fleet.Shards = 2
+	overCap.Fleet.Placement = spec.PlacementCostAware
+	overCap.Fleet.Replicas = 4
+	if _, err := RunFleetLoadCurve(overCap); err == nil || !strings.Contains(err.Error(), "replica cap 4") {
+		t.Errorf("replicas 4 on 2 shards: err = %v, want the replica cap rejected", err)
+	}
+	tenanted := testCurveConfig(10_000)
+	tenanted.Fleet.Tenants = &tenant.Set{Classes: []tenant.Config{{Name: "gold"}}}
+	if _, err := RunFleetLoadCurve(tenanted); err == nil || !strings.Contains(err.Error(), "Fleet.Tenants") {
+		t.Errorf("Fleet.Tenants: err = %v, want it rejected", err)
+	}
+	ref := testCurveConfig(10_000)
+	ref.RefShards = 4
+	if _, err := RunFleetLoadCurve(ref); err == nil || !strings.Contains(err.Error(), "RefShards") {
+		t.Errorf("RefShards on a fixed fleet: err = %v, want it rejected", err)
+	}
 }
 
 // skewConfig is a 2-shard skewed-workload point at the given rate,
 // migrating hot keys at the epoch barriers when rebalance is set.
 func skewConfig(rate float64, rebalance bool) LoadCurveConfig {
-	return LoadCurveConfig{
-		Shards:    2,
-		Clients:   12,
-		Calls:     240,
-		Rates:     []float64{rate},
-		Kind:      Poisson,
-		Seed:      3,
-		ZipfS:     1.3,
-		Epochs:    6,
-		Rebalance: rebalance,
+	cfg := LoadCurveConfig{
+		Fleet:   spec.FleetSpec{Schema: spec.SchemaV1, Shards: 2, Seed: 3},
+		Clients: 12,
+		Calls:   240,
+		Rates:   []float64{rate},
+		Kind:    Poisson,
+		ZipfS:   1.3,
+		Epochs:  6,
 	}
+	if rebalance {
+		cfg.Fleet.Placement = spec.PlacementCostAware
+	}
+	return cfg
 }
 
 // TestSkewedCurveRebalanceRaisesCapacity is the measure-level version
@@ -231,7 +257,7 @@ func TestSkewedCurveDeterministic(t *testing.T) {
 func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 	cfg := testCurveConfig(50_000)
 	cfg.ArgsCardinality = 6
-	cfg.CacheSize = 64
+	cfg.Fleet.ResultCache = 64
 	points, err := RunFleetLoadCurve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,17 +283,15 @@ func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 // curve carries the drill spec and budget for the benchdiff gate.
 func TestChaosCurveKillDrill(t *testing.T) {
 	cfg := LoadCurveConfig{
-		Shards:    2,
-		Clients:   6,
-		Calls:     60,
-		Rates:     []float64{40_000},
-		Kind:      Poisson,
-		Seed:      5,
-		ZipfS:     1.5,
-		Epochs:    4,
-		Replicas:  2,
-		Rebalance: true,
-		Chaos:     "kill:0@3",
+		Fleet: spec.FleetSpec{Schema: spec.SchemaV1, Shards: 2, Seed: 5,
+			Placement: spec.PlacementCostAware, Replicas: 2},
+		Clients: 6,
+		Calls:   60,
+		Rates:   []float64{40_000},
+		Kind:    Poisson,
+		ZipfS:   1.5,
+		Epochs:  4,
+		Chaos:   "kill:0@3",
 	}
 	a, err := RunFleetLoadCurve(cfg)
 	if err != nil {

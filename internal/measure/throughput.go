@@ -18,6 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/kern"
+	"repro/internal/placement"
+	"repro/internal/spec"
 )
 
 // ThroughputStats is one row of the fleet scaling curve.
@@ -69,17 +71,50 @@ func benchProvision(k *kern.Kernel, sm *core.SMod, p backend.Profile) error {
 	return err
 }
 
-// benchFleetOpts is the option set every bench fleet opens with;
-// backends may be nil (homogeneous baseline).
-func benchFleetOpts(shards, maxSessions int, backends []backend.Assignment) []fleet.Option {
-	return []fleet.Option{
+// FleetOptions maps a validated fleet spec onto the options that open
+// the fleet it describes: its size, backends, placement, caches,
+// autoscaler and tenancy, provisioned with the bench module for the
+// bench licensee. It is the one mapping from a spec to a fleet, shared
+// by every load-curve point, smodfleetd and the reconcile tests. The
+// placement strategy it builds (fresh, single-use) is returned too, so
+// a caller can read it after a run.
+func FleetOptions(fs *spec.FleetSpec) ([]fleet.Option, placement.Placement, error) {
+	asg, err := fs.Assignments()
+	if err != nil {
+		return nil, nil, err
+	}
+	shards := len(asg)
+	if fs.Autoscale != nil {
+		// An autoscaled fleet opens at its floor and lets the autoscaler
+		// earn every extra shard at the barriers.
+		shards = fs.Autoscale.Min
+	}
+	place := fs.NewPlacement()
+	opts := []fleet.Option{
 		fleet.WithShards(shards),
-		fleet.WithBackends(backends),
+		fleet.WithBackends(asg),
 		fleet.WithModule("libc", 1),
 		fleet.WithClient(1, "bench"),
-		fleet.WithSessionCap(maxSessions),
+		fleet.WithSessionCap(fs.SessionCap),
 		fleet.WithProvision(benchProvision),
+		fleet.WithPlacement(place),
+		fleet.WithResultCache(fs.ResultCache),
+		fleet.WithTenants(fs.Tenants),
 	}
+	if ac := fs.AutoscaleConfig(); ac != nil {
+		opts = append(opts, fleet.WithAutoscalerConfig(*ac))
+	}
+	return opts, place, nil
+}
+
+// openBenchFleet opens a homogeneous sticky bench fleet of the given
+// size and per-shard warm-session cap.
+func openBenchFleet(shards, maxSessions int) (*fleet.Fleet, error) {
+	opts, _, err := FleetOptions(&spec.FleetSpec{Shards: shards, SessionCap: maxSessions})
+	if err != nil {
+		return nil, err
+	}
+	return fleet.Open(opts...)
 }
 
 // benchKey names the c-th warm sticky client key.
@@ -126,14 +161,7 @@ func throughputRow(name string, shards, clients, calls int, before, after fleet.
 // loop (next call only after the previous returned). Sessions are
 // pre-warmed so the measured phase contains only smod_call traffic.
 func RunFleetClosedLoop(shards, clients, callsPerClient int) (row ThroughputStats, err error) {
-	return RunFleetClosedLoopMix(shards, nil, clients, callsPerClient)
-}
-
-// RunFleetClosedLoopMix is RunFleetClosedLoop over an explicit backend
-// assignment (nil = homogeneous baseline fleet): the closed-loop
-// capacity probe for mixed-fleet load curves.
-func RunFleetClosedLoopMix(shards int, backends []backend.Assignment, clients, callsPerClient int) (row ThroughputStats, err error) {
-	f, err := fleet.Open(benchFleetOpts(shards, 0, backends)...)
+	f, err := openBenchFleet(shards, 0)
 	if err != nil {
 		return ThroughputStats{}, err
 	}
@@ -176,7 +204,7 @@ func RunFleetClosedLoopMix(shards int, backends []backend.Assignment, clients, c
 // open-loop bound; the gap to the closed-loop row is the value of
 // session reuse.
 func RunFleetOpenLoop(shards, totalCalls, maxSessions int) (row ThroughputStats, err error) {
-	f, err := fleet.Open(benchFleetOpts(shards, maxSessions, nil)...)
+	f, err := openBenchFleet(shards, maxSessions)
 	if err != nil {
 		return ThroughputStats{}, err
 	}

@@ -15,29 +15,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/backend"
-	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/kern"
 	"repro/internal/rpc"
 )
-
-// FleetProvision is the bench/serving provision hook: it registers the
-// SecModule libc (incr declared idempotent) under the bench policy on
-// one shard, honoring the shard's backend-profile flavor. smodfleetd
-// provisions every shard with it so served fleets run the same module
-// the benchmarks measure.
-func FleetProvision(k *kern.Kernel, sm *core.SMod, p backend.Profile) error {
-	return benchProvision(k, sm, p)
-}
-
-// ServeFleetOptions is the option set a served fleet opens with — the
-// bench fleet options (libc module, bench licensee, FleetProvision)
-// parameterized by shard count, warm-session cap, and backend mix
-// (nil = homogeneous baseline).
-func ServeFleetOptions(shards, maxSessions int, backends []backend.Assignment) []fleet.Option {
-	return benchFleetOpts(shards, maxSessions, backends)
-}
 
 // ClientKey names the c-th sticky client key, matching the warm keys
 // the benchmarks use.

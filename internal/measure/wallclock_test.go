@@ -4,7 +4,6 @@ import (
 	"net"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/rpc"
 )
 
@@ -13,7 +12,7 @@ import (
 // out, the stats add up, and the simulated-time side of the fleet saw
 // exactly the burst's calls.
 func TestRunWallClockBurst(t *testing.T) {
-	f, err := fleet.Open(ServeFleetOptions(2, 0, nil)...)
+	f, err := openBenchFleet(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,29 +23,13 @@ func mustSpec(t *testing.T, doc string) *spec.FleetSpec {
 	return fs
 }
 
-// openFromSpec opens a live fleet matching the spec — the same mapping
-// smodfleetd uses: bench provisioning (libc with idempotent incr), the
-// spec's sizing, placement, caches, and autoscale band.
+// openFromSpec opens a live fleet matching the spec through
+// measure.FleetOptions, the mapping smodfleetd uses.
 func openFromSpec(t *testing.T, fs *spec.FleetSpec) *fleet.Fleet {
 	t.Helper()
-	asg, err := fs.Assignments()
+	opts, _, err := measure.FleetOptions(fs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	shards := len(asg)
-	if fs.Autoscale != nil {
-		shards = fs.Autoscale.Min
-	}
-	opts := measure.ServeFleetOptions(shards, fs.SessionCap, asg)
-	opts = append(opts, fleet.WithPlacement(fs.NewPlacement()))
-	if fs.ResultCache > 0 {
-		opts = append(opts, fleet.WithResultCache(fs.ResultCache))
-	}
-	if ac := fs.AutoscaleConfig(); ac != nil {
-		opts = append(opts, fleet.WithAutoscalerConfig(*ac))
-	}
-	if fs.Tenants != nil {
-		opts = append(opts, fleet.WithTenants(fs.Tenants))
 	}
 	f, err := fleet.Open(opts...)
 	if err != nil {
@@ -481,5 +465,62 @@ func TestReconcileTenants(t *testing.T) {
 	}
 	if applied != 3 {
 		t.Fatalf("set-tenants applied %d times in history, want 3", applied)
+	}
+}
+
+// TestReconcileReplicaCapEdits drives live placement edits on a
+// migrating fleet: costaware, then costaware with a replica cap, then
+// the cap under heat. Each edit plans exactly one swap-placement,
+// converges, and every call in between is answered.
+func TestReconcileReplicaCapEdits(t *testing.T) {
+	s0 := mustSpec(t, `{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware"}`)
+	f := openFromSpec(t, s0)
+	incr, ok := f.FuncID("incr")
+	if !ok {
+		t.Fatal("no incr")
+	}
+	l := New(f, s0)
+	round := 0
+	converge(t, l, f, incr, &round, 4)
+
+	swaps := func() []string {
+		var out []string
+		for _, h := range l.Status().History {
+			if h.Action.Kind == spec.ActionSwapPlacement && h.Outcome == "applied" {
+				out = append(out, h.Action.Detail)
+			}
+		}
+		return out
+	}
+	cur := s0
+	for _, edit := range []struct{ doc, label string }{
+		{`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`, "costaware/2"},
+		{`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"heat","replicas":2}`, "heat/2"},
+	} {
+		fs := mustSpec(t, edit.doc)
+		if plan := fs.Diff(cur, shardStates(f.Inventory())); len(plan) != 1 ||
+			plan[0] != (spec.Action{Kind: spec.ActionSwapPlacement, Detail: edit.label}) {
+			t.Fatalf("%s: plan = %v, want one swap-placement %s", edit.label, plan, edit.label)
+		}
+		before := len(swaps())
+		if err := l.SetSpec(fs); err != nil {
+			t.Fatal(err)
+		}
+		converge(t, l, f, incr, &round, 4)
+		// A few more barriers under traffic on the new strategy.
+		for i := 0; i < 3; i++ {
+			if _, err := l.Step(); err != nil {
+				t.Fatal(err)
+			}
+			runTraffic(t, f, incr, round)
+			round++
+		}
+		if got := swaps(); len(got) != before+1 || got[len(got)-1] != edit.label {
+			t.Fatalf("%s: applied swaps %v, want exactly one more (%s)", edit.label, got, edit.label)
+		}
+		if st := l.Status(); st.Applied != fs || !st.Converged {
+			t.Fatalf("%s: not converged on the edit: %+v", edit.label, st)
+		}
+		cur = fs
 	}
 }

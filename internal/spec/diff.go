@@ -161,10 +161,10 @@ func (fs *FleetSpec) diffBand(live []ShardState) []Action {
 }
 
 // PlacementLabel renders the spec's placement configuration compactly
-// ("replicated/3 seed=7", "sticky").
+// ("replicated/3 seed=7", "costaware/2", "sticky").
 func (fs *FleetSpec) PlacementLabel() string {
 	label := fs.Placement
-	if fs.Placement == PlacementReplicated && fs.Replicas > 0 {
+	if fs.Replicas > 0 {
 		label = fmt.Sprintf("%s/%d", label, fs.Replicas)
 	}
 	if fs.Seed != 0 {

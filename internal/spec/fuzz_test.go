@@ -15,6 +15,8 @@ func FuzzSpecParse(f *testing.F) {
 		`{"schema":"smod-fleet-spec/v1","shards":4}`,
 		`{"schema":"smod-fleet-spec/v1","mix":"fast=2,slow=2","placement":"costaware","seed":9}`,
 		`{"schema":"smod-fleet-spec/v1","placement":"replicated","replicas":3,"shards":4}`,
+		`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`,
+		`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"heat","replicas":2,"seed":3}`,
 		`{"schema":"smod-fleet-spec/v1","autoscale":{"min":2,"max":6,"slo_us":60,"profile":"turbo"}}`,
 		`{"schema":"smod-fleet-spec/v1","shards":2,"result_cache":512,"session_cap":64,` +
 			`"rewarm_budget_cycles":250000,"max_actions_per_barrier":3}`,

@@ -7,7 +7,9 @@
 // turns the gap between a live shard inventory and a spec into an
 // ordered action list the reconcile loop applies through the fleet's
 // barrier-point primitives (AddShard / DrainShard / SwapPlacement /
-// SetAutoscaler).
+// SetAutoscaler). The same document describes the fleet smodfleetd
+// serves and the fleet every load-curve point measures
+// (internal/measure).
 //
 // Parsing is strict: unknown fields, unknown schema versions, and
 // every inconsistent combination are rejected up front, so a spec that
@@ -81,8 +83,11 @@ type FleetSpec struct {
 	// Placement names the routing strategy: "sticky" (default),
 	// "heat", "costaware", or "replicated".
 	Placement string `json:"placement,omitempty"`
-	// Replicas caps hot-key replica fan-out (replicated placement
-	// only; 0 tracks the fleet size).
+	// Replicas caps hot-key replica fan-out. Under "replicated" the
+	// strategy only replicates, and 0 tracks the fleet size. Under
+	// "heat" or "costaware" a cap > 0 replicates idempotent hot keys
+	// and keeps migrating the rest; 0 migrates only. Sticky placement
+	// takes no cap.
 	Replicas int `json:"replicas,omitempty"`
 	// Seed seeds the placement strategy's deterministic tie-breaking.
 	Seed int64 `json:"seed,omitempty"`
@@ -210,9 +215,9 @@ func (fs *FleetSpec) Validate() error {
 	if fs.Replicas < 0 {
 		return fmt.Errorf("spec: replicas must be >= 0, got %d", fs.Replicas)
 	}
-	if fs.Replicas > 0 && fs.Placement != PlacementReplicated {
-		return fmt.Errorf("spec: replicas requires placement %q, got %q",
-			PlacementReplicated, fs.Placement)
+	if fs.Replicas > 0 && fs.Placement == PlacementSticky {
+		return fmt.Errorf("spec: replicas requires placement %q, %q, or %q, got %q",
+			PlacementReplicated, PlacementHeat, PlacementCostAware, fs.Placement)
 	}
 	if max := fs.MaxShards(); fs.Replicas > max {
 		return fmt.Errorf("spec: replica cap %d exceeds fleet size %d", fs.Replicas, max)
@@ -326,19 +331,25 @@ func (fs *FleetSpec) AutoscaleConfig() *autoscale.Config {
 
 // NewPlacement builds a fresh single-use placement strategy instance
 // from the spec (strategies cannot be rebound, so every fleet open and
-// every swap needs its own instance).
+// every swap needs its own instance). It is the one place a fleet
+// description picks its strategy.
 func (fs *FleetSpec) NewPlacement() placement.Placement {
+	migrates := fs.Placement == PlacementHeat || fs.Placement == PlacementCostAware
 	opts := loadmgr.Options{Seed: fs.Seed}
-	switch fs.Placement {
-	case PlacementHeat:
-		return placement.NewHeatMigrate(opts)
-	case PlacementCostAware:
-		return placement.NewCostAware(opts)
-	case PlacementReplicated:
+	switch {
+	case fs.Placement == PlacementReplicated || migrates && fs.Replicas > 0:
+		// A migrating strategy with a replica cap replicates idempotent
+		// hot keys and keeps migrating the rest.
+		opts.Migrate = migrates
 		return placement.NewReplicated(placement.ReplicatedConfig{
 			Options:     opts,
 			MaxReplicas: fs.Replicas,
+			HeatOnly:    fs.Placement == PlacementHeat,
 		})
+	case fs.Placement == PlacementHeat:
+		return placement.NewHeatMigrate(opts)
+	case fs.Placement == PlacementCostAware:
+		return placement.NewCostAware(opts)
 	default:
 		return placement.NewSticky()
 	}
@@ -348,16 +359,8 @@ func (fs *FleetSpec) NewPlacement() placement.Placement {
 // strategies — the predicate Diff uses to decide whether a live swap
 // is needed.
 func (fs *FleetSpec) PlacementEqual(other *FleetSpec) bool {
-	if other == nil {
-		return false
-	}
-	if fs.Placement != other.Placement || fs.Seed != other.Seed {
-		return false
-	}
-	if fs.Placement == PlacementReplicated && fs.Replicas != other.Replicas {
-		return false
-	}
-	return true
+	return other != nil && fs.Placement == other.Placement &&
+		fs.Seed == other.Seed && fs.Replicas == other.Replicas
 }
 
 // AutoscaleEqual reports whether two specs declare the same autoscale

@@ -2,8 +2,11 @@ package spec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/placement"
 )
 
 // validSpec is the smallest useful v1 document.
@@ -102,6 +105,12 @@ func TestParseErrors(t *testing.T) {
 				`"autoscale":{"min":2,"max":6,"slo_us":60}}`, "replica cap 7 exceeds fleet size 6"},
 		{"replicas without replicated",
 			`{"schema":"smod-fleet-spec/v1","shards":4,"replicas":2}`, "replicas requires placement"},
+		{"replicas under sticky",
+			`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"sticky","replicas":2}`,
+			"replicas requires placement"},
+		{"migrating replica cap exceeds shards",
+			`{"schema":"smod-fleet-spec/v1","shards":2,"placement":"costaware","replicas":4}`,
+			"replica cap 4 exceeds fleet size 2"},
 		{"autoscale min > max",
 			`{"schema":"smod-fleet-spec/v1","autoscale":{"min":6,"max":2,"slo_us":60}}`,
 			"min 6 > max 2"},
@@ -142,6 +151,77 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// drive runs rounds of one dominant idempotent key plus co-resident
+// keys (half of them idempotent) through a strategy bound to 4 shards,
+// and counts the replications and migrations it commits.
+func drive(t *testing.T, p placement.Placement) (replicas, migrations int) {
+	t.Helper()
+	if err := p.Bind(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 24; i++ {
+			p.Route(placement.Call{Key: "hot", Idempotent: true})
+		}
+		for c := 1; c < 10; c++ {
+			for i := 0; i < c; i++ {
+				p.Route(placement.Call{Key: fmt.Sprintf("bg%d", c), Idempotent: c%2 == 0})
+			}
+		}
+		for _, mv := range p.Rebalance() {
+			if p.Commit(mv) {
+				switch mv.Kind {
+				case placement.MoveReplicate:
+					replicas++
+				case placement.MoveMigrate:
+					migrations++
+				}
+			}
+		}
+	}
+	return replicas, migrations
+}
+
+// TestReplicasWithMigratingPlacement pins the replicate-and-migrate
+// mapping: a replica cap under heat or costaware builds a
+// *placement.Replicated that both replicates and migrates, while
+// "replicated" only replicates. The cap is part of placement equality,
+// so editing it plans one strategy swap. (TestMarshalFixedPoint covers
+// both documents' canonical form.)
+func TestReplicasWithMigratingPlacement(t *testing.T) {
+	for _, tc := range []struct{ doc, label string }{
+		{`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`, "costaware/2"},
+		{`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"heat","replicas":2,"seed":3}`, "heat/2 seed=3"},
+	} {
+		fs := mustParse(t, tc.doc)
+		if got := fs.PlacementLabel(); got != tc.label {
+			t.Errorf("%s: PlacementLabel = %q, want %q", tc.doc, got, tc.label)
+		}
+		p, ok := fs.NewPlacement().(*placement.Replicated)
+		if !ok {
+			t.Fatalf("%s: NewPlacement built %T, want *placement.Replicated", tc.doc, fs.NewPlacement())
+		}
+		if reps, migs := drive(t, p); reps == 0 || migs == 0 {
+			t.Errorf("%s: %d replications, %d migrations; want both > 0", tc.doc, reps, migs)
+		}
+	}
+
+	only := mustParse(t, `{"schema":"smod-fleet-spec/v1","shards":4,"placement":"replicated","replicas":2}`)
+	if reps, migs := drive(t, only.NewPlacement()); reps == 0 || migs != 0 {
+		t.Errorf("replicated: %d replications, %d migrations; want replication only", reps, migs)
+	}
+
+	plain := mustParse(t, `{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware"}`)
+	capped := mustParse(t, `{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`)
+	if plain.PlacementEqual(capped) || capped.PlacementEqual(plain) {
+		t.Error("PlacementEqual ignores a replica cap under costaware")
+	}
+	plan := capped.Diff(plain, inv(0, 1, 2, 3))
+	if len(plan) != 1 || plan[0] != (Action{Kind: ActionSwapPlacement, Detail: "costaware/2"}) {
+		t.Errorf("cap edit plan = %v, want one swap-placement costaware/2", plan)
+	}
+}
+
 // TestMarshalFixedPoint: marshal -> parse -> marshal is the identity
 // on canonical documents, for every accepted shape.
 func TestMarshalFixedPoint(t *testing.T) {
@@ -152,6 +232,8 @@ func TestMarshalFixedPoint(t *testing.T) {
 			`"result_cache":512,"session_cap":64,"rewarm_budget_cycles":250000}`,
 		`{"schema":"smod-fleet-spec/v1","placement":"heat",` +
 			`"autoscale":{"min":2,"max":6,"slo_us":60,"profile":"turbo","down_fraction":0.4,"hold_windows":3}}`,
+		`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"costaware","replicas":2}`,
+		`{"schema":"smod-fleet-spec/v1","shards":4,"placement":"heat","replicas":2,"seed":3}`,
 	}
 	for _, doc := range docs {
 		fs := mustParse(t, doc)
