@@ -13,6 +13,10 @@ import (
 // smod_call dispatch, with the argument words laid out on a simulated
 // client stack inside the share range so the handle's receive stub
 // reads arguments and restores clobbered words exactly as in Figure 3.
+//
+// Both protocols exist in step form, for a kern.Stepper body: a
+// Handshake attaches, and Prepare lays out one call. AttachNative and
+// Call drive the same two from blocking code.
 type NativeClient struct {
 	sys *kern.Sys
 	mid int
@@ -24,49 +28,92 @@ type NativeClient struct {
 // nativeStackSize is the simulated-stack reservation for native clients.
 const nativeStackSize = 16 * 1024
 
-// AttachNative performs the full Figure 1 client handshake from a
-// native process: find the module, start the session presenting the
-// credential text, and wait for the handle. It returns a client ready
-// to Call.
-func AttachNative(s *kern.Sys, module string, version int, credential string) (*NativeClient, error) {
-	nameAddr := s.StageString(module)
-	mid, errno := s.Call(SysFindNo, nameAddr, uint32(int32(version)))
-	if errno != 0 {
-		return nil, fmt.Errorf("core: smod_find(%s,%d): errno %d", module, version, errno)
-	}
+// Handshake is the Figure 1 client handshake in step form: a
+// kern.Stepper that finds the module, starts the session presenting the
+// credential text, and waits for the handle, then exits. It leaves the
+// attached client in Client, or the failed step in Err (exit status 1).
+type Handshake struct {
+	Module     string
+	Version    int
+	Credential string
 
-	// Build the session descriptor {m_id, cred_ptr, cred_len, 0}.
-	cred := []byte(credential)
-	credAddr := uint32(0)
-	if len(cred) > 0 {
-		credAddr = s.StageBytes(cred)
+	Client *NativeClient
+	Err    error
+
+	sent int    // syscalls returned so far
+	mid  uint32 // smod_find's m_id
+}
+
+// Step returns the handshake's next syscall, given the last one's result.
+func (h *Handshake) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
+	h.sent++
+	switch h.sent {
+	case 1:
+		return kern.Syscall{No: SysFindNo, Args: [6]uint32{s.StageString(h.Module), uint32(int32(h.Version))}}, false, 0
+	case 2:
+		if errno != 0 {
+			return h.fail(fmt.Errorf("core: smod_find(%s,%d): errno %d", h.Module, h.Version, errno))
+		}
+		h.mid = val
+		// Build the session descriptor {m_id, cred_ptr, cred_len, 0}.
+		cred := []byte(h.Credential)
+		credAddr := uint32(0)
+		if len(cred) > 0 {
+			credAddr = s.StageBytes(cred)
+		}
+		var desc [descSize]byte
+		putLE32(desc[0:], h.mid)
+		putLE32(desc[4:], credAddr)
+		putLE32(desc[8:], uint32(len(cred)))
+		return kern.Syscall{No: SysStartSessionNo, Args: [6]uint32{s.StageBytes(desc[:])}}, false, 0
+	case 3:
+		if errno != 0 {
+			return h.fail(fmt.Errorf("core: smod_start_session(%s): errno %d", h.Module, errno))
+		}
+		return kern.Syscall{No: SysHandleInfoNo, Args: [6]uint32{h.mid}}, false, 0
+	default:
+		if errno != 0 {
+			return h.fail(fmt.Errorf("core: smod_handle_info(%s): errno %d", h.Module, errno))
+		}
+		h.Client = &NativeClient{
+			sys:      s,
+			mid:      int(h.mid),
+			stackTop: s.ReserveTop(nativeStackSize),
+		}
+		return kern.Syscall{}, true, 0
 	}
-	desc := make([]byte, descSize)
-	putLE32(desc[0:], mid)
-	putLE32(desc[4:], credAddr)
-	putLE32(desc[8:], uint32(len(cred)))
-	descAddr := s.StageBytes(desc)
-	if _, errno := s.Call(SysStartSessionNo, descAddr); errno != 0 {
-		return nil, fmt.Errorf("core: smod_start_session(%s): errno %d", module, errno)
+}
+
+func (h *Handshake) fail(err error) (kern.Syscall, bool, int) {
+	h.Err = err
+	return kern.Syscall{}, true, 1
+}
+
+// AttachNative performs the full Figure 1 client handshake from a
+// native process run by kern.SpawnNative. It returns a client ready to
+// Call.
+func AttachNative(s *kern.Sys, module string, version int, credential string) (*NativeClient, error) {
+	h := Handshake{Module: module, Version: version, Credential: credential}
+	var val uint32
+	var errno int
+	for {
+		sc, exit, _ := h.Step(s, val, errno)
+		if exit {
+			return h.Client, h.Err
+		}
+		val, errno = s.Call(sc.No, sc.Args[:]...)
 	}
-	if _, errno := s.Call(SysHandleInfoNo, mid); errno != 0 {
-		return nil, fmt.Errorf("core: smod_handle_info(%s): errno %d", module, errno)
-	}
-	return &NativeClient{
-		sys:      s,
-		mid:      int(mid),
-		stackTop: s.ReserveTop(nativeStackSize),
-	}, nil
 }
 
 // ModuleID returns the attached module's m_id.
 func (c *NativeClient) ModuleID() int { return c.mid }
 
-// Call invokes funcID with the given word arguments through smod_call.
-// The words are laid out exactly like an SM32 client stub would leave
-// them: arguments, then the return address, funcID and moduleID on top,
-// with the process SP pointing at the moduleID word (Figure 3 step 2).
-func (c *NativeClient) Call(funcID uint32, args ...uint32) (uint32, int) {
+// Prepare lays out a call of funcID with the given word arguments and
+// returns the smod_call syscall that makes it. The words are laid out
+// exactly like an SM32 client stub would leave them: arguments, then
+// the return address, funcID and moduleID on top, with the process SP
+// pointing at the moduleID word (Figure 3 step 2).
+func (c *NativeClient) Prepare(funcID uint32, args ...uint32) kern.Syscall {
 	p := c.sys.Proc()
 	sp := c.stackTop
 	write := func(v uint32) {
@@ -82,7 +129,14 @@ func (c *NativeClient) Call(funcID uint32, args ...uint32) (uint32, int) {
 	write(funcID)
 	write(uint32(c.mid))
 	p.CPU.SP = sp
-	return c.sys.Call(SysCallNo, uint32(c.mid), funcID, 0)
+	return kern.Syscall{No: SysCallNo, Args: [6]uint32{uint32(c.mid), funcID}}
+}
+
+// Call invokes funcID with the given word arguments through smod_call,
+// from a native process run by kern.SpawnNative.
+func (c *NativeClient) Call(funcID uint32, args ...uint32) (uint32, int) {
+	sc := c.Prepare(funcID, args...)
+	return c.sys.Call(sc.No, sc.Args[:]...)
 }
 
 // MustCall is Call that fails the driver on error, for benchmark loops.

@@ -36,8 +36,8 @@ type qItem struct {
 }
 
 // shardQOS is one shard's QoS state: the per-class token buckets and
-// DRR queues plus counters. Owned by the shard goroutine (same
-// strict-alternation discipline as everything else on shard).
+// DRR queues plus counters. Owned by the shard goroutine, like
+// everything else on shard.
 type shardQOS struct {
 	set    *tenant.Set
 	names  []string       // class names, set order (+ implicit default last)
@@ -167,11 +167,12 @@ func (sh *shard) qosArrive(j *job, i int, at uint64) {
 }
 
 // qosPump moves queued requests into the inject path in DRR fair order,
-// keeping at most window calls in flight. Runs on the shard goroutine
-// between kernel dispatches (stretchDone) — never from finish, which
-// executes on a native client goroutine. A pumped call answered by the
-// result cache creates no pendingCall (detected via the submitted
-// delta) and costs no window slot, so the pump keeps draining.
+// keeping at most window calls in flight. Runs between kernel
+// dispatches (stretchDone) — never from finish, which runs inside a
+// client's dispatch, where injecting would wake and queue processes
+// mid-dispatch. A pumped call answered by the result cache creates no
+// pendingCall (detected via the submitted delta) and costs no window
+// slot, so the pump keeps draining.
 func (sh *shard) qosPump() {
 	q := sh.qos
 	for q.inflight < q.window {

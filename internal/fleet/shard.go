@@ -23,9 +23,6 @@ const SysParkNo = 392
 // stretch, and sizes the inbox.
 const maxBatch = 256
 
-// parkToken is the sleep token of one parked client process.
-type parkToken struct{ pid int }
-
 // pendingCall is one routed request while it traverses a shard.
 type pendingCall struct {
 	funcID uint32
@@ -43,7 +40,8 @@ type pendingCall struct {
 // clientProc is one simulated client process holding a warm session.
 // Exactly one exists per (shard, client key); it is spawned on the
 // key's first request and lives — session, handle process and all —
-// until evicted, released, or fleet shutdown.
+// until evicted, released, or fleet shutdown. A parked client sleeps
+// on its own *clientProc.
 type clientProc struct {
 	key     string
 	proc    *kern.Proc
@@ -158,11 +156,9 @@ type timedCursor struct {
 }
 
 // shard is one independent simulated kernel plus its routing state.
-// All fields are owned by the shard goroutine; client goroutines touch
-// shared state only under the kernel's strict-alternation handoff
-// (exactly one of {shard loop, one native goroutine} runs at a time,
-// every transition crossing a channel), which is what makes the whole
-// structure race-free without locks.
+// All fields are owned by the shard goroutine. The client processes are
+// steppers the kernel calls inline on that goroutine, so the whole
+// structure is race-free without locks.
 type shard struct {
 	id int
 	// profile is the shard's backend machine class; its scaled cost
@@ -233,10 +229,9 @@ type shard struct {
 	winHist [latBuckets]uint64
 
 	// ring is the shard's flight-recorder lane (nil without WithTrace).
-	// It is written only under the shard's strict-alternation execution
-	// — the shard goroutine or the one running native client — so
-	// emission takes no lock; like winHist it records host-side only
-	// and never touches the simulated clock.
+	// It is written only from the shard goroutine, client steps
+	// included, so emission takes no lock; like winHist it records
+	// host-side only and never touches the simulated clock.
 	ring *trace.Ring
 
 	// stopped closes when the shard goroutine has fully wound down
@@ -306,7 +301,7 @@ func (sh *shard) sysPark(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysre
 	if cp.closing || len(cp.queue) > 0 {
 		return kern.Sysret{Val: 0}
 	}
-	return kern.Sysret{BlockOn: parkToken{p.PID}}
+	return kern.Sysret{BlockOn: cp}
 }
 
 // finish completes one injected call: record the response (with its
@@ -321,8 +316,9 @@ func (sh *shard) finish(pc *pendingCall, resp Response) {
 	pc.cp.inflight--
 	if sh.qos != nil {
 		// Frees one window slot; the pump refills it from the tenant
-		// queues at the next stretchDone check, never from here (finish
-		// runs on the native client goroutine, and injection must not).
+		// queues at the next stretchDone check, never from here: finish
+		// runs inside a client's dispatch, and injecting from there
+		// would wake and queue processes mid-dispatch.
 		sh.qos.inflight--
 	}
 	resp.Shard = sh.id
@@ -365,50 +361,75 @@ func (sh *shard) finishSlot(j *job, idx int, resp Response) {
 	}
 }
 
-// clientMain is the native body of one client process: attach once
-// (opening the warm session), then serve its queue until shutdown.
+// parkCall is the syscall a client waits for work with.
+var parkCall = kern.Syscall{No: SysParkNo}
+
+// clientSteps is the body of one client process, a kern.Stepper the
+// kernel steps on the shard goroutine. It attaches once (opening the
+// warm session), then parks. On each wake it exits if the client is
+// closing; otherwise it serves the queue, one smod_call per step with
+// finish after each return, and parks again once the queue is empty.
 // Requests appended to the queue while a wake is being served (the
 // pipelined path) are served in the same wake.
-func (sh *shard) clientMain(cp *clientProc) func(*kern.Sys) int {
-	return func(s *kern.Sys) int {
-		nc, err := core.AttachNative(s, sh.cfg.module, sh.cfg.version, sh.cfg.credential)
-		if err != nil {
+type clientSteps struct {
+	sh     *shard
+	cp     *clientProc
+	attach core.Handshake
+	nc     *core.NativeClient // nil until attached
+	pc     *pendingCall       // the call in flight, nil while parked
+}
+
+func (c *clientSteps) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
+	sh, cp := c.sh, c.cp
+	switch {
+	case c.nc == nil:
+		sc, done, _ := c.attach.Step(s, val, errno)
+		if !done {
+			return sc, false, 0
+		}
+		if err := c.attach.Err; err != nil {
 			for _, pc := range cp.queue {
 				sh.finish(pc, Response{Err: err})
 			}
 			cp.queue = nil
-			return 1
+			return kern.Syscall{}, true, 1
 		}
-		for {
-			s.Call(SysParkNo)
-			if cp.closing {
-				return 0
-			}
-			for len(cp.queue) > 0 {
-				pc := cp.queue[0]
-				cp.queue = cp.queue[1:]
-				if pc.done {
-					// Stale entry answered by an errored stretch's abort
-					// fill; the finish guard would make serving it a
-					// no-op, skipping avoids the wasted call.
-					continue
-				}
-				if sh.ring != nil {
-					// The execute instant: queue wait is this minus the
-					// call's inject event.
-					sh.ring.Emit(trace.Event{
-						Kind:   trace.KExec,
-						Shard:  sh.id,
-						Cycles: sh.k.Clk.Cycles(),
-						Key:    cp.key,
-						FuncID: pc.funcID,
-					})
-				}
-				v, errno := nc.Call(pc.funcID, pc.args...)
-				sh.finish(pc, Response{Val: v, Errno: errno})
-			}
-		}
+		c.nc = c.attach.Client
+		return parkCall, false, 0
+	case c.pc != nil:
+		sh.finish(c.pc, Response{Val: val, Errno: errno})
+		c.pc = nil
+	case cp.closing:
+		return kern.Syscall{}, true, 0
 	}
+	for len(cp.queue) > 0 {
+		// Pop in place, so a queue that drains and refills keeps its
+		// array.
+		pc := cp.queue[0]
+		n := copy(cp.queue, cp.queue[1:])
+		cp.queue[n] = nil
+		cp.queue = cp.queue[:n]
+		if pc.done {
+			// Stale entry answered by an errored stretch's abort fill;
+			// the finish guard would make serving it a no-op, skipping
+			// avoids the wasted call.
+			continue
+		}
+		if sh.ring != nil {
+			// The execute instant: queue wait is this minus the call's
+			// inject event.
+			sh.ring.Emit(trace.Event{
+				Kind:   trace.KExec,
+				Shard:  sh.id,
+				Cycles: sh.k.Clk.Cycles(),
+				Key:    cp.key,
+				FuncID: pc.funcID,
+			})
+		}
+		c.pc = pc
+		return c.nc.Prepare(pc.funcID, pc.args...), false, 0
+	}
+	return parkCall, false, 0
 }
 
 // next yields the shard's next inbox job, honoring a stashed control
@@ -610,7 +631,7 @@ func (sh *shard) inject(j *job, i int, at uint64) {
 	cp.queue = append(cp.queue, pc)
 	sh.pcs = append(sh.pcs, pc)
 	sh.submitted++
-	sh.k.Wakeup(parkToken{cp.proc.PID})
+	sh.k.Wakeup(cp)
 }
 
 // drainInbox admits further call jobs that arrived while the stretch
@@ -768,9 +789,13 @@ func (sh *shard) ensureClient(key string) *clientProc {
 	}
 	sh.spawned++
 	cp = &clientProc{key: key, born: sh.spawned, lastUse: sh.seq}
-	cp.proc = sh.k.SpawnNative("fleet-client:"+key,
+	cp.proc = sh.k.SpawnStepper("fleet-client:"+key,
 		kern.Cred{UID: sh.cfg.clientUID, Name: sh.cfg.clientName},
-		sh.clientMain(cp))
+		&clientSteps{sh: sh, cp: cp, attach: core.Handshake{
+			Module:     sh.cfg.module,
+			Version:    sh.cfg.version,
+			Credential: sh.cfg.credential,
+		}})
 	sh.clients[key] = cp
 	sh.byPID[cp.proc.PID] = cp
 	return cp
@@ -994,7 +1019,7 @@ func (sh *shard) shutdown() {
 	sort.Slice(cps, func(i, j int) bool { return cps[i].born < cps[j].born })
 	for _, cp := range cps {
 		cp.closing = true
-		sh.k.Wakeup(parkToken{cp.proc.PID})
+		sh.k.Wakeup(cp)
 	}
 	if err := sh.k.Run(0); err != nil && !errors.Is(err, kern.ErrDeadlock) {
 		sh.err = fmt.Errorf("fleet: shard %d shutdown: %w", sh.id, err)

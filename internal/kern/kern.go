@@ -11,12 +11,15 @@
 //   - SM32 processes execute interpreted machine code out of their
 //     address space. Everything where code-as-data matters (protected
 //     module bodies, call stubs, crt0) runs this way.
-//   - Native processes are Go functions driven cooperatively through a
-//     Sys handle. They make the same syscalls with the same cycle
-//     charges, and exactly one process (of either kind) runs at a time,
-//     so execution stays deterministic. They exist so that bulky but
-//     security-irrelevant userland (the RPC client/server, test
-//     drivers) does not have to be written in assembly.
+//   - Native processes are Go code the kernel drives as a Stepper,
+//     called inline from dispatch: each step gets the last syscall's
+//     result and returns the next syscall or an exit. Blocking Go
+//     functions run behind a goroutine adapter (SpawnNative). They make
+//     the same syscalls with the same cycle charges, and exactly one
+//     process (of either kind) runs at a time, so execution stays
+//     deterministic. They exist so that bulky but security-irrelevant
+//     userland (the RPC client/server, the fleet's session clients,
+//     test drivers) does not have to be written in assembly.
 package kern
 
 import (
@@ -162,9 +165,11 @@ type Proc struct {
 	// a native retry finds them still in args.
 	pending   bool
 	pendingNo uint32
-	// Native process machinery (nil for SM32 procs).
-	native *nativeRunner
+	// native is a native process's handle and body (nil for SM32
+	// procs).
+	native *Sys
 
+	// fds is allocated on the first socket and emptied at exit.
 	fds    map[int]*Socket
 	nextFD int
 
@@ -384,7 +389,6 @@ func (k *Kernel) newProc(name string, space *vm.Space) *Proc {
 		Name:   name,
 		Space:  space,
 		State:  StateRunnable,
-		fds:    map[int]*Socket{},
 		nextFD: 3,
 	}
 	k.procs[p.PID] = p
@@ -693,12 +697,14 @@ func (k *Kernel) doExit(p *Proc, status int) {
 	for _, s := range p.fds {
 		k.closeSocket(s)
 	}
-	p.fds = map[int]*Socket{}
+	clear(p.fds)
 	for _, h := range k.exitHooks {
 		h(k, p)
 	}
-	if p.native != nil {
-		p.native.kill()
+	if p.native != nil && p.native.g != nil {
+		// Release a goroutine waiting in a syscall; it ends via
+		// runtime.Goexit.
+		close(p.native.g.quit)
 	}
 	if p.Parent != nil && p.Parent.State != StateZombie && p.Parent.State != StateDead {
 		k.Wakeup(waitToken{p.Parent.PID})

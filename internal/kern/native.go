@@ -6,71 +6,96 @@ import (
 	"repro/internal/vm"
 )
 
-// Native processes run ordinary Go functions as simulated processes.
-// They exist so that bulky but security-irrelevant userland (the RPC
-// client/server for the Figure 8 baseline, test drivers) does not have
-// to be written in SM32 assembly. They obey the same rules as SM32
-// processes: they interact with the world only through syscalls, each
-// syscall charges the same trap/copy costs, and exactly one process of
-// either kind executes at a time.
+// Native processes run Go code as simulated processes. They exist so
+// that bulky but security-irrelevant userland (the RPC client/server
+// for the Figure 8 baseline, the fleet's session clients, test
+// drivers) does not have to be written in SM32 assembly. They obey the
+// same rules as SM32 processes: they interact with the world only
+// through syscalls, each syscall charges the same trap/copy costs, and
+// exactly one process of either kind executes at a time.
 //
-// The handoff protocol is strict alternation: the kernel parks while
-// the native goroutine runs, and the goroutine parks while the kernel
-// services its syscall. Native compute between syscalls costs zero
-// simulated cycles unless the code charges itself with Sys.Burn, which
-// the RPC baseline uses to account for XDR marshal work.
+// The kernel drives a native process as a Stepper, called inline from
+// dispatch: each Step is handed the last syscall's result and returns
+// the next syscall, or an exit. Blocking Go code (SpawnNative) runs on
+// a goroutine of its own behind a Stepper adapter that alternates with
+// the kernel. Native compute between syscalls costs zero simulated
+// cycles unless the code charges itself with Sys.Burn, which the RPC
+// baseline uses to account for XDR marshal work.
 
-// natRequest is one pending native syscall.
-type natRequest struct {
-	no   uint32
-	args [6]uint32
+// Syscall is one system call a native process asks the kernel for: its
+// number and up to six word arguments.
+type Syscall struct {
+	No   uint32
+	Args [6]uint32
 }
 
-// natReply is the kernel's answer to a native syscall.
+// Stepper is the body of a native process. The kernel calls Step first
+// with a zero result, then once after each syscall Step returned has
+// completed, with that syscall's value and errno. Step returns the next
+// syscall to make, or exit=true and the exit status. Step runs inside
+// the kernel's dispatch, so it must never block; a syscall that blocks
+// simply delays the next Step until the process is woken and the
+// syscall completes.
+type Stepper interface {
+	Step(s *Sys, val uint32, errno int) (sc Syscall, exit bool, status int)
+}
+
+// natReply is the kernel's answer to a goroutine's syscall.
 type natReply struct {
 	val   uint32
 	errno int
 }
 
-// nativeRunner drives one native process goroutine.
-type nativeRunner struct {
-	reqCh   chan natRequest // native -> kernel: service this syscall
-	replyCh chan natReply   // kernel -> native: result
-	resume  chan struct{}   // kernel -> native: start running
-	done    chan struct{}   // closed when the goroutine ends
-	quit    chan struct{}   // closed by kill(); unblocks the goroutine
+// goStepper is the Stepper that runs a blocking func(*Sys) int on a
+// goroutine of its own. The two alternate strictly: the kernel waits in
+// Step while the goroutine runs, and the goroutine waits in Sys.Call
+// while the kernel services its syscall. The goroutine starts on the
+// first Step, so a process killed before its first dispatch never
+// starts one.
+type goStepper struct {
+	fn    func(*Sys) int
+	req   chan Syscall  // goroutine -> kernel: service this syscall
+	reply chan natReply // kernel -> goroutine: its result
+	done  chan struct{} // closed when the goroutine ends
+	quit  chan struct{} // closed at exit; unblocks the goroutine
 
-	exitStatus int
-	started    bool
-	killedFlag bool
+	status  int
+	started bool
 }
 
-func newNativeRunner() *nativeRunner {
-	return &nativeRunner{
-		reqCh:   make(chan natRequest),
-		replyCh: make(chan natReply),
-		resume:  make(chan struct{}),
-		done:    make(chan struct{}),
-		quit:    make(chan struct{}),
+// Step hands the goroutine its last syscall's result (starting the
+// goroutine on the first call) and waits for its next syscall or its
+// end.
+func (g *goStepper) Step(s *Sys, val uint32, errno int) (Syscall, bool, int) {
+	if !g.started {
+		g.started = true
+		go func() {
+			defer close(g.done)
+			g.status = g.fn(s)
+		}()
+	} else {
+		select {
+		case g.reply <- natReply{val: val, errno: errno}:
+		case <-g.done:
+			return Syscall{}, true, g.status
+		}
+	}
+	select {
+	case sc := <-g.req:
+		return sc, false, 0
+	case <-g.done:
+		return Syscall{}, true, g.status
 	}
 }
 
-// kill releases the goroutine if it is parked in a syscall or waiting
-// to be resumed; the goroutine then terminates via runtime.Goexit.
-func (r *nativeRunner) kill() {
-	if r.killedFlag {
-		return
-	}
-	r.killedFlag = true
-	close(r.quit)
-}
-
-// Sys is the syscall interface handed to a native process function. All
-// methods must be called only from that process's own goroutine.
+// Sys is a native process's handle on the kernel. A Stepper uses it to
+// stage syscall buffers; blocking code run by SpawnNative also makes
+// its syscalls through it, from that process's own goroutine.
 type Sys struct {
-	k *Kernel
-	p *Proc
-	r *nativeRunner
+	k    *Kernel
+	p    *Proc
+	step Stepper
+	g    *goStepper // the goroutine adapter, nil for a SpawnStepper body
 
 	// scratch is a bump allocator over the process's data segment, used
 	// to stage byte buffers so that pointer-taking syscalls follow the
@@ -88,33 +113,39 @@ func (s *Sys) Kernel() *Kernel { return s.k }
 func (s *Sys) Proc() *Proc { return s.p }
 
 // Call performs raw syscall no with up to six word arguments and
-// returns the result value and errno (0 on success).
+// returns the result value and errno (0 on success). It blocks, so only
+// code run by SpawnNative may call it; a Stepper returns its syscalls
+// from Step instead, and calling this from one panics.
 func (s *Sys) Call(no uint32, args ...uint32) (uint32, int) {
+	g := s.g
+	if g == nil {
+		panic("kern: Sys.Call from a stepper; return the syscall from Step")
+	}
 	select {
-	case <-s.r.quit:
+	case <-g.quit:
 		runtime.Goexit()
 	default:
 	}
-	var a [6]uint32
-	copy(a[:], args)
+	sc := Syscall{No: no}
+	copy(sc.Args[:], args)
 	select {
-	case s.r.reqCh <- natRequest{no: no, args: a}:
-	case <-s.r.quit:
+	case g.req <- sc:
+	case <-g.quit:
 		runtime.Goexit()
 	}
 	select {
-	case rep := <-s.r.replyCh:
+	case rep := <-g.reply:
 		return rep.val, rep.errno
-	case <-s.r.quit:
+	case <-g.quit:
 		runtime.Goexit()
 	}
 	panic("unreachable")
 }
 
 // Burn charges n simulated cycles of native compute (e.g. XDR marshal
-// work in the RPC baseline). It is implemented as a syscall-free direct
-// clock charge: native code runs while the kernel is parked, and the
-// clock is not concurrently accessed.
+// work in the RPC baseline). It is a syscall-free direct clock charge:
+// native code runs while the kernel waits for it, so the clock is not
+// concurrently accessed.
 func (s *Sys) Burn(n uint64) { s.k.Clk.Advance(n) }
 
 // alloc stages n bytes in the scratch region and returns its address.
@@ -286,100 +317,80 @@ func (s *Sys) Recvfrom(fd int, maxSize int) ([]byte, uint16, int) {
 // nativeScratchSize is the data segment size for native processes.
 const nativeScratchSize = 256 * 1024
 
-// SpawnNative creates a native process running fn. fn's return value
-// becomes the exit status. The process is runnable immediately; it
-// starts executing on the next Run dispatch.
-func (k *Kernel) SpawnNative(name string, cred Cred, fn func(*Sys) int) *Proc {
+// SpawnStepper creates a native process whose body is st. The process
+// is runnable immediately; its first Step runs on the next Run
+// dispatch, and the status Step returns with exit becomes the exit
+// status.
+func (k *Kernel) SpawnStepper(name string, cred Cred, st Stepper) *Proc {
 	space := k.newSpace()
 	if _, err := space.Map(UserDataBase, nativeScratchSize, vm.ProtRW, "data"); err != nil {
-		panic("kern: SpawnNative map: " + err.Error())
+		panic("kern: SpawnStepper map: " + err.Error())
 	}
 	space.HeapStart = UserDataBase + nativeScratchSize
 	space.HeapEnd = space.HeapStart
 
 	p := k.newProc(name, space)
 	p.Cred = cred
-	r := newNativeRunner()
-	p.native = r
-	sys := &Sys{
-		k: k, p: p, r: r,
+	p.native = &Sys{
+		k: k, p: p, step: st,
 		scratchBase: UserDataBase,
 		scratchEnd:  UserDataBase + nativeScratchSize,
 		scratchCur:  UserDataBase,
 	}
-	go func() {
-		defer close(r.done)
-		select {
-		case <-r.resume:
-		case <-r.quit:
-			return
-		}
-		r.exitStatus = fn(sys)
-	}()
 	k.ready(p)
 	return p
 }
 
-// dispatchNative runs a native process until it blocks, exits, or a
-// preemption point is reached.
-func (k *Kernel) dispatchNative(p *Proc) error {
-	r := p.native
+// SpawnNative creates a native process running the blocking function
+// fn on a goroutine of its own, behind a Stepper adapter. fn's return
+// value becomes the exit status.
+func (k *Kernel) SpawnNative(name string, cred Cred, fn func(*Sys) int) *Proc {
+	g := &goStepper{
+		fn:    fn,
+		req:   make(chan Syscall),
+		reply: make(chan natReply),
+		done:  make(chan struct{}),
+		quit:  make(chan struct{}),
+	}
+	p := k.SpawnStepper(name, cred, g)
+	p.native.g = g
+	return p
+}
 
-	// A syscall that blocked earlier: retry it now that we were woken.
-	if p.pending {
+// dispatchNative runs a native process until it blocks, exits, or a
+// preemption point is reached: retry a syscall that blocked earlier,
+// then step, and service each syscall the step returns.
+func (k *Kernel) dispatchNative(p *Proc) error {
+	s := p.native
+	var val uint32
+	var errno int
+	retry := p.pending
+	for {
+		if !retry {
+			sc, exit, status := s.step.Step(s, val, errno)
+			if exit {
+				k.doExit(p, status)
+				return nil
+			}
+			p.args, p.pendingNo = sc.Args, sc.No
+			if k.preempt {
+				// Preemption point: hold the unserviced syscall until our
+				// next slice, which retries it.
+				p.pending = true
+				return nil
+			}
+		}
+		retry = false
 		done, rep := k.serviceNative(p, p.pendingNo)
 		if !done {
-			return nil // still blocked
+			p.pending = true
+			return nil // blocked; sleep state already set
 		}
 		p.pending = false
 		if p.State != StateRunning {
 			return nil // exited inside the syscall
 		}
-		select {
-		case r.replyCh <- rep:
-		case <-r.done:
-			return nil
-		}
-	}
-
-	if !r.started {
-		r.started = true
-		select {
-		case r.resume <- struct{}{}:
-		case <-r.done:
-			k.finishNative(p)
-			return nil
-		}
-	}
-
-	for {
-		select {
-		case req := <-r.reqCh:
-			p.args = req.args
-			if k.preempt {
-				// Preemption point: hold the unserviced syscall until our
-				// next slice; the pending path services it then.
-				p.pending, p.pendingNo = true, req.no
-				return nil
-			}
-			done, rep := k.serviceNative(p, req.no)
-			if !done {
-				p.pending, p.pendingNo = true, req.no
-				return nil // blocked; sleep state already set
-			}
-			if p.State != StateRunning {
-				return nil // exited
-			}
-			select {
-			case r.replyCh <- rep:
-			case <-r.done:
-				k.finishNative(p)
-				return nil
-			}
-		case <-r.done:
-			k.finishNative(p)
-			return nil
-		}
+		val, errno = rep.val, rep.errno
 	}
 }
 
@@ -401,14 +412,6 @@ func (k *Kernel) serviceNative(p *Proc, no uint32) (bool, natReply) {
 	}
 	k.Clk.Advance(k.Costs.Trap)
 	return true, natReply{val: res.Val, errno: res.Err}
-}
-
-// finishNative reaps a native goroutine that returned normally.
-func (k *Kernel) finishNative(p *Proc) {
-	if p.State == StateZombie || p.State == StateDead {
-		return
-	}
-	k.doExit(p, p.native.exitStatus)
 }
 
 func putLE32(b []byte, v uint32) {

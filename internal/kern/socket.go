@@ -56,6 +56,9 @@ func sysSocket(k *Kernel, p *Proc, args []uint32) Sysret {
 		return fail(EINVAL)
 	}
 	s := &Socket{owner: p, fd: p.nextFD, open: true}
+	if p.fds == nil {
+		p.fds = map[int]*Socket{}
+	}
 	p.fds[p.nextFD] = s
 	p.nextFD++
 	k.Clk.Advance(k.Costs.SyscallSimple)
