@@ -38,8 +38,10 @@ race:
 # access sequences with and without the TLB, asserting identical
 # results), and its frame reuse (the same sequences on a recycling
 # allocator and on never-freed pages, asserting identical results and
-# that the frames in use are exactly the frames mapped); long hunts
-# run nightly in CI (see
+# that the frames in use are exactly the frames mapped), and the SM32
+# interpreter (random programs run by Exec and by the one-instruction
+# reference interpreter, asserting identical state after every Exec
+# return); long hunts run nightly in CI (see
 # .github/workflows/fuzz-nightly.yml) or by hand:
 # go test -fuzz=<target> -fuzztime=10m ./internal/<pkg>
 fuzz-short:
@@ -62,6 +64,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzTenantAdmission -fuzztime=10s ./internal/tenant
 	$(GO) test -run=NONE -fuzz=FuzzSpaceTLB -fuzztime=10s ./internal/vm
 	$(GO) test -run=NONE -fuzz=FuzzFrameReuse -fuzztime=10s ./internal/vm
+	$(GO) test -run=NONE -fuzz=FuzzExec -fuzztime=10s ./internal/cpu
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -257,6 +258,25 @@ func TestScenarioFigure8Deterministic(t *testing.T) {
 	for _, row := range []string{"getpid()", "SMOD(SMOD-getpid)", "SMOD(test-incr)", "RPC(test-incr)"} {
 		if !strings.Contains(a, row) {
 			t.Errorf("table lacks row %q", row)
+		}
+	}
+}
+
+// TestFigure8Golden pins the four Figure 8 means at the default scale,
+// the values cmd/smodbench prints: simulated time must not move under a
+// change to how the simulator runs.
+func TestFigure8Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rows, err := measure.RunFigure8(measure.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0.694542", "7.988818", "7.359391", "59.798195"}
+	for i, r := range rows {
+		if got := fmt.Sprintf("%.6f", r.MeanMicros); got != want[i] {
+			t.Errorf("%s: %s us/call, want %s", r.Name, got, want[i])
 		}
 	}
 }

@@ -80,6 +80,15 @@ func (c *Clock) Advance(n uint64) {
 // Cycles returns the current cycle count.
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
+// UntilTick returns the number of cycles Advance can charge before the
+// next timer interrupt fires: a charge of UntilTick() or more fires it.
+func (c *Clock) UntilTick() uint64 {
+	if c.cycles >= c.nextTick {
+		return 0
+	}
+	return c.nextTick - c.cycles
+}
+
 // Ticks returns the number of timer interrupts fired so far.
 func (c *Clock) Ticks() uint64 { return c.ticks }
 

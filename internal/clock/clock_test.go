@@ -51,6 +51,35 @@ func TestTickFiresAtBoundary(t *testing.T) {
 	}
 }
 
+// TestUntilTick: a charge fires the next tick exactly when it reaches
+// UntilTick(). The zero-value clock's first tick is due at cycle zero.
+func TestUntilTick(t *testing.T) {
+	var zero Clock
+	if got := zero.UntilTick(); got != 0 {
+		t.Fatalf("zero clock UntilTick() = %d, want 0", got)
+	}
+	c := New()
+	c.OnTick(func() { c.Advance(7) })
+	if got := c.UntilTick(); got != CyclesPerTick {
+		t.Fatalf("new clock UntilTick() = %d, want %d", got, CyclesPerTick)
+	}
+	for _, n := range []uint64{1, 1000, 5, 12} {
+		for c.UntilTick() > n {
+			before := c.Ticks()
+			c.Advance(c.UntilTick() - n)
+			if c.Ticks() != before {
+				t.Fatalf("a charge short of UntilTick() fired a tick")
+			}
+		}
+		before, until := c.Ticks(), c.UntilTick()
+		c.Advance(until)
+		if c.Ticks() != before+1 || c.UntilTick() != CyclesPerTick-7 {
+			t.Fatalf("charging UntilTick() = %d: ticks %d -> %d, then UntilTick() = %d",
+				until, before, c.Ticks(), c.UntilTick())
+		}
+	}
+}
+
 func TestMultipleTicksInOneAdvance(t *testing.T) {
 	c := New()
 	fired := 0

@@ -21,8 +21,11 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/clock"
+	"repro/internal/mem"
 	"repro/internal/vm"
 )
 
@@ -190,29 +193,72 @@ const (
 	costBranch = 2
 )
 
-// Machine executes SM32 instructions against an address space. The
-// cycle charge of each executed instruction is accumulated by the
-// CycleFn (typically clock.Clock.Advance).
+// Machine executes SM32 instructions against an address space,
+// charging each instruction's cycles to Clock (nil charges nothing).
+//
+// Instructions run from TLB hits: the fetch and the word accesses first
+// try vm's hit-only probes, and each finished instruction adds its cost
+// to a pending charge. An access the probes cannot serve — a miss, a
+// byte access, a word or immediate straddling a page — flushes the
+// pending charge and then takes vm's full path, which may fault or
+// charge. The clock therefore sees the charges of one Advance per
+// instruction, in the same order, and Exec flushes at least once per
+// tick, so the tick fires after the same instruction.
 type Machine struct {
-	Space  *vm.Space
-	Cycles func(uint64)
+	Space *vm.Space
+	Clock *clock.Clock
+
+	pending uint64 // cycles of executed instructions not yet charged
+	full    bool   // the current instruction took vm's full path
 }
 
-func (m *Machine) charge(c uint64) {
-	if m.Cycles != nil {
-		m.Cycles(c)
+// flush charges the pending cycles.
+func (m *Machine) flush() {
+	if m.pending != 0 && m.Clock != nil {
+		m.Clock.Advance(m.pending)
 	}
+	m.pending = 0
+}
+
+// miss prepares an access for vm's full path: it flushes the pending
+// charge and ends Exec's run after the current instruction.
+func (m *Machine) miss() {
+	m.flush()
+	m.full = true
+}
+
+// read32 reads the word at addr from a TLB hit, or through vm.
+func (m *Machine) read32(addr uint32) (uint32, error) {
+	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
+		if pg, ok := m.Space.Cached(addr, vm.AccessRead); ok {
+			return binary.LittleEndian.Uint32(pg.Data[off:]), nil
+		}
+	}
+	m.miss()
+	return m.Space.Read32(addr)
+}
+
+// write32 writes the word at addr to a TLB hit, or through vm.
+func (m *Machine) write32(addr, v uint32) error {
+	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
+		if pg, ok := m.Space.Cached(addr, vm.AccessWrite); ok {
+			binary.LittleEndian.PutUint32(pg.Data[off:], v)
+			return nil
+		}
+	}
+	m.miss()
+	return m.Space.Write32(addr, v)
 }
 
 // Push pushes v onto the context's stack.
 func (m *Machine) Push(ctx *Context, v uint32) error {
 	ctx.SP -= 4
-	return m.Space.Write32(ctx.SP, v)
+	return m.write32(ctx.SP, v)
 }
 
 // Pop pops the top of stack.
 func (m *Machine) Pop(ctx *Context) (uint32, error) {
-	v, err := m.Space.Read32(ctx.SP)
+	v, err := m.read32(ctx.SP)
 	if err != nil {
 		return 0, err
 	}
@@ -222,28 +268,72 @@ func (m *Machine) Pop(ctx *Context) (uint32, error) {
 
 // Peek reads the stack word at SP + 4*idx without popping.
 func (m *Machine) Peek(ctx *Context, idx int) (uint32, error) {
-	return m.Space.Read32(ctx.SP + uint32(4*idx))
+	return m.read32(ctx.SP + uint32(4*idx))
 }
 
-// Step executes a single instruction. It returns a StopNone Stop for an
-// ordinary instruction, a StopTrap or StopHalt Stop for TRAP/HALT, or an
-// error (wrapped in *Fault) for memory violations, decode failures and
-// division by zero.
+// fetchFull is the fetch through vm, for an instruction whose page the
+// fetch TLB misses or whose immediate may straddle into the next page:
+// the opcode, then the immediate of an op that carries one, so a fault
+// names the first byte that fails.
+func (m *Machine) fetchFull(pc uint32) (op byte, imm uint32, err error) {
+	m.miss()
+	if op, err = m.Space.FetchExec(pc); err != nil || !HasOperand(op) {
+		return op, 0, err
+	}
+	imm, err = m.Space.FetchExec32(pc + 1)
+	return op, imm, err
+}
+
+// Step executes a single instruction and charges it. It returns a
+// StopNone Stop for an ordinary instruction, a StopTrap or StopHalt Stop
+// for TRAP/HALT, or an error (wrapped in *Fault) for memory violations,
+// decode failures and division by zero. A faulting instruction is not
+// charged.
 func (m *Machine) Step(ctx *Context) (Stop, error) {
+	stop, err := m.step(ctx)
+	m.flush()
+	return stop, err
+}
+
+// Exec steps ctx up to max times and returns the number of instructions
+// stepped, the last included. It returns early after an instruction
+// that trapped, halted or faulted, that took vm's full path, or whose
+// charge fires the clock's next tick: every point at which a caller
+// checking for preemption after each Step could have stopped. The
+// instructions' cycles are charged before it returns.
+func (m *Machine) Exec(ctx *Context, max int) (n int, stop Stop, err error) {
+	until := ^uint64(0)
+	if m.Clock != nil {
+		until = m.Clock.UntilTick()
+	}
+	for n < max {
+		n++
+		m.full = false
+		if stop, err = m.step(ctx); err != nil || stop.Kind != StopNone || m.full || m.pending >= until {
+			break
+		}
+	}
+	m.flush()
+	return n, stop, err
+}
+
+// step executes a single instruction, adding its cost to the pending
+// charge.
+func (m *Machine) step(ctx *Context) (Stop, error) {
 	pc := ctx.PC
-	op, err := m.Space.FetchExec(pc)
-	if err != nil {
-		return Stop{}, &Fault{PC: pc, Err: err}
+	var op byte
+	var imm uint32
+	if pg, ok := m.Space.CachedExec(pc); ok && pc&(mem.PageSize-1) <= mem.PageSize-5 {
+		b := pg.Data[pc&(mem.PageSize-1):]
+		op, imm = b[0], binary.LittleEndian.Uint32(b[1:])
+	} else {
+		var err error
+		if op, imm, err = m.fetchFull(pc); err != nil {
+			return Stop{}, &Fault{PC: pc, Err: err}
+		}
 	}
 	if op >= byte(opCount) {
 		return Stop{}, &Fault{PC: pc, Err: fmt.Errorf("illegal instruction %#02x", op)}
-	}
-	var imm uint32
-	if HasOperand(op) {
-		imm, err = m.Space.FetchExec32(pc + 1)
-		if err != nil {
-			return Stop{}, &Fault{PC: pc, Err: err}
-		}
 	}
 	next := pc + InstrLen(op)
 	cost := uint64(costBase)
@@ -254,11 +344,11 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 	case NOP:
 	case HALT:
 		ctx.PC = next
-		m.charge(cost)
+		m.pending += cost
 		return Stop{Kind: StopHalt}, nil
 	case TRAP:
 		ctx.PC = next
-		m.charge(cost)
+		m.pending += cost
 		return Stop{Kind: StopTrap, TrapNo: imm}, nil
 
 	case PUSHI:
@@ -309,7 +399,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 		if err != nil {
 			return fail(err)
 		}
-		v, err := m.Space.Read32(addr)
+		v, err := m.read32(addr)
 		if err != nil {
 			return fail(err)
 		}
@@ -326,7 +416,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if err := m.Space.Write32(addr, v); err != nil {
+		if err := m.write32(addr, v); err != nil {
 			return fail(err)
 		}
 	case LOADB:
@@ -335,6 +425,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 		if err != nil {
 			return fail(err)
 		}
+		m.miss()
 		b, err := m.Space.Read8(addr)
 		if err != nil {
 			return fail(err)
@@ -352,12 +443,13 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 		if err != nil {
 			return fail(err)
 		}
+		m.miss()
 		if err := m.Space.Write8(addr, byte(v)); err != nil {
 			return fail(err)
 		}
 	case LOADFP:
 		cost = costMem
-		v, err := m.Space.Read32(ctx.FP + imm)
+		v, err := m.read32(ctx.FP + imm)
 		if err != nil {
 			return fail(err)
 		}
@@ -370,7 +462,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if err := m.Space.Write32(ctx.FP+imm, v); err != nil {
+		if err := m.write32(ctx.FP+imm, v); err != nil {
 			return fail(err)
 		}
 
@@ -554,7 +646,7 @@ func (m *Machine) Step(ctx *Context) (Stop, error) {
 	}
 
 	ctx.PC = next
-	m.charge(cost)
+	m.pending += cost
 	return Stop{}, nil
 }
 
@@ -566,8 +658,9 @@ func boolWord(b bool) uint32 {
 }
 
 // Run steps the context until it traps, halts, faults, or maxSteps
-// instructions have executed (maxSteps 0 = unlimited). Used by unit
-// tests and by the kernel's non-preemptive fast path.
+// instructions have executed (maxSteps 0 = unlimited), ignoring clock
+// ticks. Unit tests use it; the kernel runs Exec under its own
+// preemption checks.
 func (m *Machine) Run(ctx *Context, maxSteps int) (*Stop, error) {
 	for i := 0; maxSteps == 0 || i < maxSteps; i++ {
 		stop, err := m.Step(ctx)

@@ -333,18 +333,18 @@ func TestStackSwitchViaSetSP(t *testing.T) {
 }
 
 func TestCyclesCharged(t *testing.T) {
-	var total uint64
 	var code []byte
 	code = EmitImm(code, PUSHI, 1)
 	code = EmitImm(code, PUSHI, 2)
 	code = Emit(code, MUL)
 	code = Emit(code, HALT)
 	m, ctx := harness(t, code)
-	m.Cycles = func(c uint64) { total += c }
+	// A clock of its own: the space's clock also takes fault charges.
+	m.Clock = clock.New()
 	run(t, m, ctx)
 	// 2 pushes (costMem each) + MUL (costMulDiv) + HALT (costBase).
 	want := uint64(2*costMem + costMulDiv + costBase)
-	if total != want {
+	if total := m.Clock.Cycles(); total != want {
 		t.Fatalf("cycles = %d, want %d", total, want)
 	}
 }

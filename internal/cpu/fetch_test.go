@@ -73,13 +73,21 @@ func TestOperandStraddlesPage(t *testing.T) {
 	}
 }
 
-// BenchmarkStep times one warm instruction of an endless SM32 loop that
+// stepLoop returns a machine running an endless SM32 loop that
 // increments a frame local: LOADFP, PUSHI, ADD, STOREFP, PUSHI, JNZ.
-func BenchmarkStep(b *testing.B) {
-	m, ctx := harness(b, code(ins{ENTER, 4},
+func stepLoop(tb testing.TB) (*Machine, *Context) {
+	tb.Helper()
+	m, ctx := harness(tb, code(ins{ENTER, 4},
 		ins{LOADFP, 0xFFFFFFFC}, ins{PUSHI, 1}, ins{ADD, 0}, ins{STOREFP, 0xFFFFFFFC},
 		ins{PUSHI, 1}, ins{JNZ, 0x1005}))
-	m.Cycles = clock.New().Advance
+	m.Clock = clock.New()
+	return m, ctx
+}
+
+// BenchmarkStep times one warm instruction of stepLoop, charged on its
+// own.
+func BenchmarkStep(b *testing.B) {
+	m, ctx := stepLoop(b)
 	step := func() {
 		if _, err := m.Step(ctx); err != nil {
 			b.Fatal(err)
@@ -92,5 +100,39 @@ func BenchmarkStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// BenchmarkExec times one warm instruction of stepLoop run by Exec, the
+// kernel's loop: b.N instructions in runs that end at clock ticks.
+func BenchmarkExec(b *testing.B) {
+	m, ctx := stepLoop(b)
+	if _, _, err := m.Exec(ctx, 100); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		n, _, err := m.Exec(ctx, left)
+		if err != nil {
+			b.Fatal(err)
+		}
+		left -= n
+	}
+}
+
+// TestExecAllocs: a warm Exec loop allocates nothing.
+func TestExecAllocs(t *testing.T) {
+	m, ctx := stepLoop(t)
+	if _, _, err := m.Exec(ctx, 100); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if n, _, err := m.Exec(ctx, 1000); err != nil || n != 1000 {
+			t.Fatalf("Exec = %d, %v; want 1000 instructions", n, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("warm Exec: %v allocs per 1000 instructions, want 0", n)
 	}
 }

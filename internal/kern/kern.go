@@ -574,7 +574,7 @@ func (k *Kernel) dispatch(p *Proc) error {
 }
 
 func (k *Kernel) dispatchSM32(p *Proc) error {
-	m := &cpu.Machine{Space: p.Space, Cycles: k.Clk.Advance}
+	m := &cpu.Machine{Space: p.Space, Clock: k.Clk}
 
 	// Retry a syscall that blocked earlier: arguments are still on the
 	// user stack, PC already past the TRAP.
@@ -589,8 +589,17 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 		m.Space = p.Space // execve may have replaced the address space
 	}
 
-	for steps := 0; steps < k.MaxStepsPerSlice; steps++ {
-		stop, err := m.Step(&p.CPU)
+	// Exec ends a run at every tick it fires, so the loop sees k.preempt
+	// after the same instruction as when it stepped one at a time. A
+	// tick the retried syscall fired has set k.preempt already: the
+	// process runs one more instruction, then yields.
+	for steps := 0; steps < k.MaxStepsPerSlice; {
+		max := k.MaxStepsPerSlice - steps
+		if k.preempt {
+			max = 1
+		}
+		n, stop, err := m.Exec(&p.CPU, max)
+		steps += n
 		if err != nil {
 			// Memory fault or illegal instruction: fatal signal.
 			sig := SIGSEGV

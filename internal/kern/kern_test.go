@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -696,6 +697,57 @@ loop:
 	}
 	if k.Clk.Ticks() == 0 {
 		t.Fatal("no timer ticks fired")
+	}
+}
+
+// TestRetriedSyscallTickPreempts: a tick fired by the syscall a blocked
+// SM32 process retries at the top of its dispatch preempts it after
+// exactly one more instruction, the same as a tick fired by any other
+// syscall.
+func TestRetriedSyscallTickPreempts(t *testing.T) {
+	k := New()
+	const tickNo = 398
+	open := false
+	k.RegisterSyscall(tickNo, "test_tick", func(k *Kernel, _ *Proc, _ []uint32) Sysret {
+		if !open {
+			return Sysret{BlockOn: blockToken{}}
+		}
+		k.Clk.Advance(k.Clk.UntilTick())
+		return Sysret{}
+	})
+	// PUSHI 0 faults the stack page in, so the instructions after the
+	// retried TRAP run from TLB hits: without the kernel's one-instruction
+	// rule, Exec would run on to the next TRAP.
+	p, err := k.Spawn("ticker", Cred{}, buildProg(t, `
+.text
+.global _start
+_start:
+	PUSHI 0
+	DROP
+loop:
+	TRAP 398
+	PUSHI 1
+	DROP
+	JMP loop
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(0); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("Run = %v, want deadlock with the process blocked", err)
+	}
+	pc, ticks := p.CPU.PC, k.Clk.Ticks()
+	open = true
+	k.Wakeup(blockToken{})
+	if err := k.dispatch(k.pickNext()); err != nil {
+		t.Fatal(err)
+	}
+	if k.Clk.Ticks() != ticks+1 {
+		t.Fatalf("ticks %d -> %d, want one from the retried syscall", ticks, k.Clk.Ticks())
+	}
+	if p.CPU.PC != pc+5 || p.State != StateRunnable {
+		t.Fatalf("preempted at PC %#x in state %v, want PC %#x (one PUSHI past the TRAP), runnable",
+			p.CPU.PC, p.State, pc+5)
 	}
 }
 

@@ -121,6 +121,8 @@ const (
 	opProtRaise
 	opUnmapAll
 	opSpawn
+	opCached
+	opCachedExec
 	opKinds
 )
 
@@ -164,9 +166,7 @@ func result(v any, err error) string {
 // apply runs o and renders its outcome.
 func (w *tlbWorld) apply(o tlbOp) string {
 	if w.uncached {
-		for _, s := range w.spaces {
-			s.tlb = [tlbSlots]tlbSlot{}
-		}
+		w.clearTLBs()
 	}
 	s := w.spaces[int(o.space)%len(w.spaces)]
 	other := w.spaces[int(o.val)%len(w.spaces)]
@@ -236,6 +236,63 @@ func (w *tlbWorld) apply(o tlbOp) string {
 		if len(w.spaces) < tlbMaxSpaces {
 			w.spaces = append(w.spaces, NewSpace(w.phys, w.clk))
 		}
+	case opCached, opCachedExec:
+		// The uncached world always misses; checkProbe checks a hit.
+		if !w.uncached {
+			return w.checkProbe(s, addr, [...]Access{AccessRead, AccessWrite}[o.val%2], o.kind%opKinds == opCachedExec)
+		}
+	}
+	return ""
+}
+
+func (w *tlbWorld) clearTLBs() {
+	for _, s := range w.spaces {
+		s.tlb = [tlbSlots]tlbSlot{}
+		s.itlb = [itlbSlots]tlbSlot{}
+	}
+}
+
+// checkProbe probes s's TLB for addr. The probe must change no counter,
+// cycle or slot, and a hit must return the page translate returns with
+// every TLB emptied, without faulting or charging. It returns "" when
+// all holds, so the uncached world's empty outcome matches it.
+func (w *tlbWorld) checkProbe(s *Space, addr uint32, access Access, exec bool) string {
+	type tlbs struct {
+		tlb  [tlbSlots]tlbSlot
+		itlb [itlbSlots]tlbSlot
+	}
+	saved := make([]tlbs, len(w.spaces))
+	for i, sp := range w.spaces {
+		saved[i] = tlbs{sp.tlb, sp.itlb}
+	}
+	before := w.state()
+	var pg *mem.Page
+	var hit bool
+	if exec {
+		access = AccessExec
+		pg, hit = s.CachedExec(addr)
+	} else {
+		pg, hit = s.Cached(addr, access)
+	}
+	for i, sp := range w.spaces {
+		if (tlbs{sp.tlb, sp.itlb}) != saved[i] {
+			return fmt.Sprintf("probe changed space %d's slots", i)
+		}
+	}
+	if after := w.state(); after != before {
+		return "probe changed the state:\n" + after
+	}
+	if !hit {
+		return ""
+	}
+	w.clearTLBs()
+	want, err := s.translate(addr, access)
+	if err != nil || want != pg || w.state() != before {
+		return fmt.Sprintf("probe hit; translate without TLBs: same page %v, error %v, state:\n%s",
+			want == pg, err, w.state())
+	}
+	for i, sp := range w.spaces {
+		sp.tlb, sp.itlb = saved[i].tlb, saved[i].itlb
 	}
 	return ""
 }
@@ -294,6 +351,15 @@ var tlbSeeds = [][]tlbOp{
 		{opWrite8, 0, at(0, 0), 3, 1}, {opReadBytes, 1, at(6, 0), 0xFD, 7},
 		{opForceShare, 0, 0, 0, 1}, {opRead32, 0, at(4, 0), 0, 0},
 	},
+	// Probes after fills, protection changes, COW forks and unmaps.
+	{
+		{opRead32, 1, at(2, 0), 1, 0}, {opCached, 1, at(2, 0), 1, 0}, {opCached, 1, at(2, 0), 1, 1},
+		{opFetchExec, 0, at(0, 0), 0, 0}, {opCachedExec, 0, at(0, 0), 0, 0}, {opCached, 0, at(0, 0), 0, 0},
+		{opProtRaise, 0, at(0, 0), 0, 0}, {opCachedExec, 0, at(0, 0), 0, 0},
+		{opMap, 1, at(5, 0), 0, 0}, {opWrite32, 1, at(5, 0), 0, 3}, {opFork, 1, 0, 0, 0},
+		{opCached, 1, at(5, 0), 0, 1}, {opRead32, 1, at(5, 0), 0, 0}, {opCached, 1, at(5, 0), 0, 1},
+		{opCached, 1, at(5, 0), 0, 0}, {opUnmap, 1, at(5, 0), 0, 0}, {opCached, 1, at(5, 0), 0, 0},
+	},
 	// A fresh space linked by MapSharedInternal.
 	{
 		{opSpawn, 0, 0, 0, 0}, {opMapShared, 1, at(5, 0), 0, 2}, {opWrite32, 2, at(5, 0), 0, 6},
@@ -311,6 +377,16 @@ var tlbSeeds = [][]tlbOp{
 		{opUnmap, 0, at(5, 3), 0, 0}, {opRead32, 2, at(5, 1), 0, 0},
 		{opUnmap, 0, at(5, 3), 0, 0}, {opRead32, 2, at(5, 1), 0, 0},
 		{opUnmap, 0, at(5, 3), 0, 0}, {opRead32, 2, at(5, 1), 0, 0},
+	},
+	// The same for a slot of the fetch TLB.
+	{
+		{opSpawn, 0, 0, 0, 0}, {opMap, 2, at(5, 1), 1, 0},
+		{opUnmap, 2, at(5, 3), 0, 0}, {opUnmap, 2, at(5, 3), 0, 0}, {opUnmap, 2, at(5, 3), 0, 0},
+		{opUnmap, 2, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
+		{opMapShared, 0, at(5, 0), 0, 2}, {opUnmap, 2, at(5, 1), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
+		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
+		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
+		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
 	},
 }
 
@@ -404,6 +480,35 @@ func TestJoinRetiresOldEpoch(t *testing.T) {
 	shrinkDrops(t, b, relative)
 	relative.Unmap(0x600000, 0x601000)
 	shrinkDrops(t, b, relative)
+}
+
+// TestFetchKeepsDataSlot: module text at 0xA0000000 and the page at
+// 0x0043F000, where a native client writes the call frame the module
+// reads, share a data-TLB slot. Fetches fill the fetch TLB instead, so
+// the two pages stay cached together.
+func TestFetchKeepsDataSlot(t *testing.T) {
+	const text, frame = 0xA0000000, 0x0043F000
+	s := NewSpace(mem.NewPhys(0), clock.New())
+	for _, m := range []struct {
+		start uint32
+		prot  Prot
+	}{{text, ProtRX}, {frame, ProtRW}} {
+		if _, err := s.Map(m.start, mem.PageSize, m.prot, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.FetchExec(text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read32(frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.CachedExec(text); !ok {
+		t.Error("text page evicted from the fetch TLB")
+	}
+	if _, ok := s.Cached(frame, AccessRead); !ok {
+		t.Error("frame page not cached")
+	}
 }
 
 // BenchmarkRead32 times a warm Read32: a TLB hit on a resident page.

@@ -173,20 +173,27 @@ type Space struct {
 	COWCopies   uint64
 	ShareFaults uint64 // faults resolved from the partner space
 
-	// epoch is the mapping generation the TLB's slots are checked
+	// epoch is the mapping generation the TLBs' slots are checked
 	// against, shared by every space whose pages this one may share
 	// (see NewSpace and join).
 	epoch *uint64
-	tlb   [tlbSlots]tlbSlot
+	tlb   [tlbSlots]tlbSlot  // reads and writes
+	itlb  [itlbSlots]tlbSlot // instruction fetches
 }
 
-// The TLB caches a space's successful translations: fault's
+// The TLBs cache a space's successful translations: fault's
 // side-effect-free return, for a page that is already resident and
 // needs no copy-on-write break for the access. A miss runs fault and
-// fills the slot; a failed fault is never cached.
+// fills the slot; a failed fault is never cached. Fetches have a TLB of
+// their own, so code never evicts the data it works on: in a handle's
+// space the module text page (0xA0000000) and the top page of the
+// native client's scratch area (0x0043F000), where the call frame is
+// written, share a data slot.
 const (
-	tlbBits  = 3
-	tlbSlots = 1 << tlbBits
+	tlbBits   = 3
+	tlbSlots  = 1 << tlbBits
+	itlbBits  = 2
+	itlbSlots = 1 << itlbBits
 	// tlbHash spreads page numbers over the slots by multiplicative
 	// hashing: the layout puts module text at 0xA0000000 and the secret
 	// stack at 0x90000000, which collide on their low 16 bits.
@@ -251,6 +258,7 @@ func (s *Space) join(o *Space) {
 	*s.epoch = retired
 	s.epoch = o.epoch
 	s.tlb = [tlbSlots]tlbSlot{}
+	s.itlb = [itlbSlots]tlbSlot{}
 }
 
 // baseCosts is the fallback charge table for spaces whose owner never
@@ -557,14 +565,49 @@ func (s *Space) fault(addr uint32, access Access) (*Entry, *Anon, error) {
 	return e, an, nil
 }
 
-// translate is fault behind the TLB: a hit returns what fault's
+// slot returns the TLB slot for addr's page and the access kind.
+func (s *Space) slot(addr uint32, access Access) *tlbSlot {
+	vpn := addr >> mem.PageShift
+	if access == AccessExec {
+		return &s.itlb[vpn*tlbHash>>(32-itlbBits)]
+	}
+	return &s.tlb[vpn*tlbHash>>(32-tlbBits)]
+}
+
+// hit reports whether t holds a live translation of addr's page for the
+// access.
+func (s *Space) hit(t *tlbSlot, addr uint32, access Access) bool {
+	return t.vpn == addr>>mem.PageShift && t.epoch == *s.epoch &&
+		t.entry.Prot&access.prot() != 0 && (t.writable || access != AccessWrite)
+}
+
+// Cached returns addr's page for a read or write access when the TLB
+// holds it, and false otherwise. It never faults, charges or fills a
+// slot: an interpreter tries it first and takes the full path (Read32,
+// Write32, ...) on a miss.
+func (s *Space) Cached(addr uint32, access Access) (*mem.Page, bool) {
+	t := &s.tlb[(addr>>mem.PageShift)*tlbHash>>(32-tlbBits)]
+	if s.hit(t, addr, access) {
+		return t.page, true
+	}
+	return nil, false
+}
+
+// CachedExec is Cached for an instruction fetch, from the fetch TLB.
+func (s *Space) CachedExec(addr uint32) (*mem.Page, bool) {
+	t := &s.itlb[(addr>>mem.PageShift)*tlbHash>>(32-itlbBits)]
+	if s.hit(t, addr, AccessExec) {
+		return t.page, true
+	}
+	return nil, false
+}
+
+// translate is fault behind the TLBs: a hit returns what fault's
 // side-effect-free return would, and a miss runs fault and caches what
 // it returns.
 func (s *Space) translate(addr uint32, access Access) (*mem.Page, error) {
-	vpn := addr >> mem.PageShift
-	t := &s.tlb[vpn*tlbHash>>(32-tlbBits)]
-	if t.vpn == vpn && t.epoch == *s.epoch && t.entry.Prot&access.prot() != 0 &&
-		(t.writable || access != AccessWrite) {
+	t := s.slot(addr, access)
+	if s.hit(t, addr, access) {
 		return t.page, nil
 	}
 	e, an, err := s.fault(addr, access)
@@ -572,7 +615,8 @@ func (s *Space) translate(addr uint32, access Access) (*mem.Page, error) {
 		return nil, err
 	}
 	if *s.epoch != retired {
-		*t = tlbSlot{vpn: vpn, writable: !(e.COW && an.Refs > 1), epoch: *s.epoch, entry: e, page: an.Page}
+		*t = tlbSlot{vpn: addr >> mem.PageShift, writable: !(e.COW && an.Refs > 1),
+			epoch: *s.epoch, entry: e, page: an.Page}
 	}
 	return an.Page, nil
 }
