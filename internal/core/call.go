@@ -29,26 +29,27 @@ func (sm *SMod) sysCall(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret
 	if s.inCall {
 		// Returning path: the blocked call was woken by the handle's
 		// msgsnd on the return queue.
-		msg, ok := k.MsgRecvKernel(s.RetQ, mtypeRet)
+		var ret [4]byte
+		n, ok := k.MsgRecvKernel(s.RetQ, mtypeRet, ret[:])
 		if !ok {
 			return kern.Sysret{BlockOn: k.MsgRToken(s.RetQ)}
 		}
-		if len(msg.Data) < 4 {
+		if n < 4 {
 			return kern.Sysret{Err: kern.EINVAL}
 		}
 		s.inCall = false
 		s.Calls++
 		sm.Calls++
 		if sm.TraceCalls {
-			sm.tracef("(8) smod_call return to client pid %d: RV=%#x", p.PID, le32at(msg.Data, 0))
+			sm.tracef("(8) smod_call return to client pid %d: RV=%#x", p.PID, le32at(ret[:], 0))
 		}
-		return kern.Sysret{Val: le32at(msg.Data, 0)}
+		return kern.Sysret{Val: le32at(ret[:], 0)}
 	}
 
 	// Initial path. A client racing its own handshake (possible after
 	// fork gave it a fresh handle) waits for the handle first.
 	if !s.handleReady {
-		return kern.Sysret{BlockOn: hiToken{s.ID}}
+		return kern.Sysret{BlockOn: &s.handleWait}
 	}
 
 	k.Clk.Advance(k.Costs.SMODValidate + k.Costs.SMODCallOverhead)

@@ -29,8 +29,10 @@ type Session struct {
 	CallQ, RetQ int
 
 	// handleReady flips when the handle completes handshake phase 1
-	// (smod_session_info); smod_handle_info and smod_call block on it.
+	// (smod_session_info); smod_handle_info and smod_call block on it,
+	// asleep on handleWait.
 	handleReady bool
+	handleWait  kern.WaitQ
 	// inCall marks a dispatch in flight: the client is blocked inside
 	// smod_call waiting for the return message.
 	inCall bool
@@ -43,10 +45,6 @@ type Session struct {
 	// resource-metering hook from the paper's second motivating case).
 	Calls uint64
 }
-
-// hiToken is the sleep token for smod_handle_info (and first-call)
-// waiters of one session.
-type hiToken struct{ sid int }
 
 // descriptor is the in-client-memory smod_session_descriptor:
 // {m_id, cred_ptr, cred_len, flags}, 16 bytes.
@@ -343,7 +341,7 @@ func (sm *SMod) sysSessionInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern
 		return kern.Sysret{Err: kern.ENOMEM}
 	}
 	s.handleReady = true
-	k.Wakeup(hiToken{s.ID})
+	k.Wakeup(&s.handleWait)
 	sm.tracef("(3) smod_session_info by handle pid %d: data/heap/stack [%#x,%#x) force-shared from client pid %d",
 		p.PID, uint32(kern.ShareStart), uint32(kern.ShareEnd), s.Client.PID)
 	return kern.Sysret{Val: 0}
@@ -358,7 +356,7 @@ func (sm *SMod) sysHandleInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern.
 		return kern.Sysret{Err: kern.EINVAL}
 	}
 	if !s.handleReady {
-		return kern.Sysret{BlockOn: hiToken{s.ID}}
+		return kern.Sysret{BlockOn: &s.handleWait}
 	}
 	sm.tracef("(4) smod_handle_info by client pid %d: handshake with handle pid %d complete; entering smod_client_main",
 		p.PID, s.Handle.PID)

@@ -345,7 +345,7 @@ func TestElasticResizeDeterministicNoLostCalls(t *testing.T) {
 func TestAutoscalerScalesUpOnBreach(t *testing.T) {
 	f := newTestFleet(t, append(testOpts(1),
 		WithProvision(libcProvisionIdem),
-		WithAutoscaler(0.5, 1, 3))...) // 0.5 us: unmeetable
+		WithAutoscalerConfig(autoscale.Config{SLOMicros: 0.5, Min: 1, Max: 3}))...) // 0.5 us: unmeetable
 	incr := incrID(t, f)
 
 	for round := 0; round < 5; round++ {
@@ -371,7 +371,7 @@ func TestAutoscalerScalesUpOnBreach(t *testing.T) {
 func TestAutoscalerScalesDownWhenComfortable(t *testing.T) {
 	f := newTestFleet(t, append(testOpts(3),
 		WithProvision(libcProvisionIdem),
-		WithAutoscaler(1e6, 1, 3))...) // 1 s: everything is comfortable
+		WithAutoscalerConfig(autoscale.Config{SLOMicros: 1e6, Min: 1, Max: 3}))...) // 1 s: everything is comfortable
 	incr := incrID(t, f)
 
 	for round := 0; round < 10; round++ {
@@ -453,7 +453,7 @@ func TestAutoscalerRunsDeterministically(t *testing.T) {
 
 // TestAutoscalerRequiresPositiveSLO pins the option validation.
 func TestAutoscalerRequiresPositiveSLO(t *testing.T) {
-	_, err := Open(append(testOpts(1), WithAutoscaler(0, 1, 2))...)
+	_, err := Open(append(testOpts(1), WithAutoscalerConfig(autoscale.Config{SLOMicros: 0, Min: 1, Max: 2}))...)
 	if err == nil {
 		t.Fatal("Open with a zero SLO succeeded, want error")
 	}

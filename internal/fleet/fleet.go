@@ -134,7 +134,7 @@ type Fleet struct {
 	chaosEng *chaos.Engine
 
 	// auto, when non-nil, is the SLO autoscaler stepped at every
-	// Rebalance barrier (see WithAutoscaler).
+	// Rebalance barrier (see WithAutoscalerConfig).
 	auto *autoscale.Controller
 
 	// tr, when non-nil, is the flight recorder (WithTrace); met, when

@@ -97,23 +97,16 @@ func WithPlacement(p placement.Placement) Option {
 // drill, one engine. Omitted means no faults.
 func WithChaos(e *chaos.Engine) Option { return func(c *config) { c.chaosEng = e } }
 
-// WithAutoscaler installs the deterministic SLO autoscaler (see
-// internal/autoscale) with its default policy knobs: at every rebalance
-// barrier the fleet feeds the controller the window's merged p99
-// latency estimate and the controller steers the live shard count
-// between min and max — adding a shard on an SLO breach, draining the
-// priciest one after sustained comfort — to hold p99 at or under
-// sloMicros (simulated microseconds) at minimum fleet cost. Added
-// shards take the profile of shard 0 unless WithAutoscalerConfig says
-// otherwise. Resizes land at barriers only, so an autoscaled run
-// replays bit for bit.
-func WithAutoscaler(sloMicros float64, min, max int) Option {
-	return WithAutoscalerConfig(autoscale.Config{SLOMicros: sloMicros, Min: min, Max: max})
-}
-
-// WithAutoscalerConfig installs the SLO autoscaler with full control
-// over its policy knobs (scale-down fraction, hold hysteresis, the
-// profile of added shards). A zero-value Profile defaults to shard 0's.
+// WithAutoscalerConfig installs the deterministic SLO autoscaler (see
+// internal/autoscale): at every rebalance barrier the fleet feeds the
+// controller the window's merged p99 latency estimate and the
+// controller steers the live shard count between cfg.Min and cfg.Max —
+// adding a shard on an SLO breach, draining the priciest one after
+// sustained comfort — to hold p99 at or under cfg.SLOMicros (simulated
+// microseconds) at minimum fleet cost. Zero policy knobs (scale-down
+// fraction, hold hysteresis) take the controller's defaults, and a
+// zero-value Profile makes added shards take shard 0's. Resizes land
+// at barriers only, so an autoscaled run replays bit for bit.
 func WithAutoscalerConfig(cfg autoscale.Config) Option {
 	return func(c *config) { c.auto = &cfg }
 }

@@ -41,11 +41,12 @@ type pendingCall struct {
 // Exactly one exists per (shard, client key); it is spawned on the
 // key's first request and lives — session, handle process and all —
 // until evicted, released, or fleet shutdown. A parked client sleeps
-// on its own *clientProc.
+// on its park queue.
 type clientProc struct {
 	key     string
 	proc    *kern.Proc
 	queue   []*pendingCall
+	park    kern.WaitQ
 	closing bool
 	born    uint64 // spawn sequence, LRU tie-break
 	lastUse uint64 // admission sequence of last routed job
@@ -301,7 +302,7 @@ func (sh *shard) sysPark(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysre
 	if cp.closing || len(cp.queue) > 0 {
 		return kern.Sysret{Val: 0}
 	}
-	return kern.Sysret{BlockOn: cp}
+	return kern.Sysret{BlockOn: &cp.park}
 }
 
 // finish completes one injected call: record the response (with its
@@ -631,7 +632,7 @@ func (sh *shard) inject(j *job, i int, at uint64) {
 	cp.queue = append(cp.queue, pc)
 	sh.pcs = append(sh.pcs, pc)
 	sh.submitted++
-	sh.k.Wakeup(cp)
+	sh.k.Wakeup(&cp.park)
 }
 
 // drainInbox admits further call jobs that arrived while the stretch
@@ -1019,7 +1020,7 @@ func (sh *shard) shutdown() {
 	sort.Slice(cps, func(i, j int) bool { return cps[i].born < cps[j].born })
 	for _, cp := range cps {
 		cp.closing = true
-		sh.k.Wakeup(cp)
+		sh.k.Wakeup(&cp.park)
 	}
 	if err := sh.k.Run(0); err != nil && !errors.Is(err, kern.ErrDeadlock) {
 		sh.err = fmt.Errorf("fleet: shard %d shutdown: %w", sh.id, err)

@@ -71,11 +71,10 @@ func TestWarmSessionsStartNoGoroutines(t *testing.T) {
 }
 
 // warmCallAllocsMax is the allocation ratchet on a warm fleet call.
-// What remains per call: the pendingCall, the three msgq payload
-// copies (the kernel's dispatch record, the handle's msgsnd copyin and
-// its msgrcv copyout buffer), and the plan's job bookkeeping (request
-// and response slices, routing groups, the done channel).
-const warmCallAllocsMax = 4.13
+// What remains per call: the pendingCall, and the plan's job
+// bookkeeping (request and response slices, routing groups, the done
+// channel) spread over its calls.
+const warmCallAllocsMax = 1.07
 
 // TestWarmCallAllocs ratchets the allocations of a warm call through
 // RunPlan: 1 shard, 16 warm keys, no result cache.

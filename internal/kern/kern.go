@@ -25,6 +25,7 @@ package kern
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/clock"
@@ -150,8 +151,11 @@ type Proc struct {
 	NoTrace    bool
 	Pair       *Proc
 
-	// sleepOn is the wait channel token while StateSleeping.
-	sleepOn any
+	// sleepOn is the wait queue the process sleeps on while
+	// StateSleeping.
+	sleepOn *WaitQ
+	// waitq is where the process sleeps in wait4 until a child exits.
+	waitq WaitQ
 	// nextRun/onRunq link the process into the kernel's intrusive FIFO
 	// run queue; onRunq makes the duplicate check in ready O(1) where
 	// the old slice scan was O(queue length) per wakeup.
@@ -206,16 +210,6 @@ type Kernel struct {
 	nextPID  int
 	preempt  bool
 
-	// sleepers indexes sleeping processes by wait token so Wakeup is
-	// O(waiters on that token) rather than O(all processes). With a
-	// fleet shard holding hundreds of parked client/handle pairs, the
-	// per-syscall wakeup scan dominates otherwise.
-	sleepers map[any][]*Proc
-	// spareWaiters is the waiter slice Wakeup last emptied, reused by
-	// the next sleep on a token nobody waits on, so a call that parks
-	// and wakes its client and handle allocates no waiter lists.
-	spareWaiters []*Proc
-
 	// nlive counts processes that are neither zombie nor dead,
 	// maintained at the two transitions that matter (newProc, doExit).
 	// Run/RunUntil consult it on every empty run-queue pick for
@@ -269,7 +263,6 @@ func New() *Kernel {
 		Phys:      mem.NewPhys(536_440_832),
 		Costs:     clock.Base(),
 		procs:     map[int]*Proc{},
-		sleepers:  map[any][]*Proc{},
 		syscalls:  map[uint32]SyscallFn{},
 		sysNames:  map[uint32]string{},
 		msgqs:     map[int]*MsgQueue{},
@@ -417,43 +410,39 @@ func (k *Kernel) ready(p *Proc) {
 	k.runqTail = p
 }
 
-// Wakeup makes every process sleeping on token runnable (BSD wakeup()).
-func (k *Kernel) Wakeup(token any) {
-	waiters := k.sleepers[token]
-	if len(waiters) == 0 {
-		return
-	}
-	delete(k.sleepers, token)
-	for _, p := range waiters {
-		// Entries can be stale (the proc was killed or readied through
-		// another path); only a proc still sleeping on this token wakes.
-		if p.State == StateSleeping && p.sleepOn == token {
+// WaitQ is a wait channel (BSD tsleep/wakeup): the processes asleep on
+// one object, in the order they slept. Each queue is embedded in the
+// object waited for (a message queue, a socket, a wait4 parent, a
+// SecModule session, a parked fleet client), so sleeping and waking
+// touch only that object, and once the queue's slice has grown neither
+// allocates. The zero value is an empty queue.
+type WaitQ struct{ waiters []*Proc }
+
+// Wakeup makes every process sleeping on q runnable, in the order they
+// slept (BSD wakeup()).
+func (k *Kernel) Wakeup(q *WaitQ) {
+	for _, p := range q.waiters {
+		// Entries can be stale (the proc was readied through another
+		// path and may sleep elsewhere now); only a proc still sleeping
+		// on q wakes.
+		if p.State == StateSleeping && p.sleepOn == q {
 			p.sleepOn = nil
 			k.ready(p)
 		}
 	}
-	clear(waiters)
-	k.spareWaiters = waiters[:0]
+	clear(q.waiters)
+	q.waiters = q.waiters[:0]
 }
 
-// unsleep removes p from the sleeper index (on exit while sleeping).
+// unsleep takes p off the queue it sleeps on (on exit while sleeping).
 func (k *Kernel) unsleep(p *Proc) {
-	token := p.sleepOn
-	if token == nil {
+	q := p.sleepOn
+	if q == nil {
 		return
 	}
 	p.sleepOn = nil
-	waiters := k.sleepers[token]
-	for i, q := range waiters {
-		if q == p {
-			waiters = append(waiters[:i], waiters[i+1:]...)
-			break
-		}
-	}
-	if len(waiters) == 0 {
-		delete(k.sleepers, token)
-	} else {
-		k.sleepers[token] = waiters
+	if i := slices.Index(q.waiters, p); i >= 0 {
+		q.waiters = slices.Delete(q.waiters, i, i+1)
 	}
 }
 
@@ -666,14 +655,10 @@ func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 	return true
 }
 
-func (k *Kernel) sleep(p *Proc, token any) {
+func (k *Kernel) sleep(p *Proc, q *WaitQ) {
 	p.State = StateSleeping
-	p.sleepOn = token
-	waiters, ok := k.sleepers[token]
-	if !ok {
-		waiters, k.spareWaiters = k.spareWaiters, nil
-	}
-	k.sleepers[token] = append(waiters, p)
+	p.sleepOn = q
+	q.waiters = append(q.waiters, p)
 }
 
 // fatalSignal kills p with sig, dumping core unless forbidden. Paper
@@ -716,7 +701,7 @@ func (k *Kernel) doExit(p *Proc, status int) {
 		close(p.native.g.quit)
 	}
 	if p.Parent != nil && p.Parent.State != StateZombie && p.Parent.State != StateDead {
-		k.Wakeup(waitToken{p.Parent.PID})
+		k.Wakeup(&p.Parent.waitq)
 	} else {
 		// No parent to reap: discard immediately.
 		k.reap(p)
@@ -763,5 +748,3 @@ func (k *Kernel) Kill(p *Proc, sig int) {
 	p.KilledBy = sig
 	k.doExit(p, 128+sig)
 }
-
-type waitToken struct{ pid int }

@@ -105,12 +105,20 @@ func TestKernelMsgqHelpers(t *testing.T) {
 	if err := k.MsgSendKernel(id, 7, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	m, got := k.MsgRecvKernel(id, 7)
-	if !got || m.Type != 7 || string(m.Data) != "abc" {
-		t.Fatalf("m = %+v got=%v", m, got)
+	var dst [8]byte
+	n, got := k.MsgRecvKernel(id, 7, dst[:])
+	if !got || n != 3 || string(dst[:n]) != "abc" {
+		t.Fatalf("n = %d, payload %q, got=%v", n, dst[:n], got)
 	}
-	if _, got := k.MsgRecvKernel(id, 0); got {
+	if _, got := k.MsgRecvKernel(id, 0, dst[:]); got {
 		t.Fatal("empty queue returned a message")
+	}
+	// A payload longer than dst fills dst and reports its full length.
+	if err := k.MsgSendKernel(id, 2, []byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	if n, got := k.MsgRecvKernel(id, 2, dst[:2]); !got || n != 6 || string(dst[:2]) != "ab" {
+		t.Fatalf("short dst: n = %d, dst %q, got=%v, want 6 and \"ab\"", n, dst[:2], got)
 	}
 	k.FreeMsgq(id)
 	if err := k.MsgSendKernel(id, 1, nil); err == nil {

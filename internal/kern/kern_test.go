@@ -708,9 +708,10 @@ func TestRetriedSyscallTickPreempts(t *testing.T) {
 	k := New()
 	const tickNo = 398
 	open := false
+	var q WaitQ
 	k.RegisterSyscall(tickNo, "test_tick", func(k *Kernel, _ *Proc, _ []uint32) Sysret {
 		if !open {
-			return Sysret{BlockOn: blockToken{}}
+			return Sysret{BlockOn: &q}
 		}
 		k.Clk.Advance(k.Clk.UntilTick())
 		return Sysret{}
@@ -738,7 +739,7 @@ loop:
 	}
 	pc, ticks := p.CPU.PC, k.Clk.Ticks()
 	open = true
-	k.Wakeup(blockToken{})
+	k.Wakeup(&q)
 	if err := k.dispatch(k.pickNext()); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 )
 
 // SysV message queues, the client/handle synchronization primitive from
@@ -13,10 +14,11 @@ import (
 // The user-space message layout is {mtype int32, payload...}; msgsz in
 // the syscall counts only payload bytes, as in SysV.
 
-// Msg is one queued message.
-type Msg struct {
-	Type int32
-	Data []byte
+// message is one queued message. buf holds it exactly as msgrcv
+// copies it out, {mtype int32, payload...}.
+type message struct {
+	mtype int32
+	buf   []byte
 }
 
 // MsgQueue is one SysV message queue.
@@ -27,8 +29,14 @@ type MsgQueue struct {
 	// when full.
 	MaxBytes int
 
-	msgs  []Msg
+	msgs  []message
 	bytes int
+	// readers and writers hold the processes blocked in msgrcv and
+	// msgsnd.
+	readers, writers WaitQ
+	// spare holds the buffers of delivered messages, which later sends
+	// fill instead of allocating.
+	spare [][]byte
 }
 
 // Len reports the number of queued messages.
@@ -37,9 +45,43 @@ func (q *MsgQueue) Len() int { return len(q.msgs) }
 // msgqDefaultBytes mirrors the OpenBSD MSGMNB default.
 const msgqDefaultBytes = 16384
 
-// msgRToken/msgWToken are the sleep tokens for blocked readers/writers.
-type msgRToken struct{ id int }
-type msgWToken struct{ id int }
+// msgqSpareBufs bounds a queue's spare buffers.
+const msgqSpareBufs = 4
+
+// newBuf returns an n-byte buffer for a message, a spare one if the
+// last spare is large enough.
+func (q *MsgQueue) newBuf(n int) []byte {
+	if i := len(q.spare) - 1; i >= 0 && cap(q.spare[i]) >= n {
+		b := q.spare[i][:n]
+		q.spare = q.spare[:i]
+		return b
+	}
+	return make([]byte, n)
+}
+
+// find returns the index of the first message of type mtype (0 = any),
+// or -1.
+func (q *MsgQueue) find(mtype int32) int {
+	for i, m := range q.msgs {
+		if mtype == 0 || m.mtype == mtype {
+			return i
+		}
+	}
+	return -1
+}
+
+// deliver dequeues message i, whose bytes have been copied to their
+// receiver, and keeps its buffer as a spare. It returns the payload
+// length.
+func (q *MsgQueue) deliver(i int) int {
+	m := q.msgs[i]
+	q.msgs = slices.Delete(q.msgs, i, i+1)
+	q.bytes -= len(m.buf) - 4
+	if len(q.spare) < msgqSpareBufs {
+		q.spare = append(q.spare, m.buf)
+	}
+	return len(m.buf) - 4
+}
 
 // MsgqByKey returns the queue for key, or nil (inspection helper).
 func (k *Kernel) MsgqByKey(key int32) *MsgQueue {
@@ -62,12 +104,13 @@ func (k *Kernel) AllocMsgq() int {
 
 // FreeMsgq destroys a queue, waking anyone blocked on it.
 func (k *Kernel) FreeMsgq(id int) {
-	if _, ok := k.msgqs[id]; !ok {
+	q := k.msgqs[id]
+	if q == nil {
 		return
 	}
 	delete(k.msgqs, id)
-	k.Wakeup(msgRToken{id})
-	k.Wakeup(msgWToken{id})
+	k.Wakeup(&q.readers)
+	k.Wakeup(&q.writers)
 }
 
 // MsgSendKernel enqueues a message from kernel context (no user copy),
@@ -78,35 +121,44 @@ func (k *Kernel) MsgSendKernel(id int, mtype int32, payload []byte) error {
 	if q == nil {
 		return fmt.Errorf("kern: no msgq %d", id)
 	}
-	q.msgs = append(q.msgs, Msg{Type: mtype, Data: append([]byte(nil), payload...)})
+	buf := q.newBuf(4 + len(payload))
+	putLE32(buf, uint32(mtype))
+	copy(buf[4:], payload)
+	q.msgs = append(q.msgs, message{mtype: mtype, buf: buf})
 	q.bytes += len(payload)
 	k.Clk.Advance(k.Costs.MsgQOp + uint64(len(payload))*k.Costs.CopyPerByte)
-	k.Wakeup(msgRToken{id})
+	k.Wakeup(&q.readers)
 	return nil
 }
 
 // MsgRecvKernel dequeues the first message of type mtype (0 = any) from
-// kernel context. ok is false when no message is queued.
-func (k *Kernel) MsgRecvKernel(id int, mtype int32) (Msg, bool) {
+// kernel context, copies as much of its payload as fits into dst, and
+// returns the payload's length. ok is false when no message is queued.
+func (k *Kernel) MsgRecvKernel(id int, mtype int32, dst []byte) (n int, ok bool) {
 	q := k.msgqs[id]
 	if q == nil {
-		return Msg{}, false
+		return 0, false
 	}
-	for i, m := range q.msgs {
-		if mtype == 0 || m.Type == mtype {
-			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-			q.bytes -= len(m.Data)
-			k.Clk.Advance(k.Costs.MsgQOp + uint64(len(m.Data))*k.Costs.CopyPerByte)
-			k.Wakeup(msgWToken{id})
-			return m, true
-		}
+	i := q.find(mtype)
+	if i < 0 {
+		return 0, false
 	}
-	return Msg{}, false
+	copy(dst, q.msgs[i].buf[4:])
+	n = q.deliver(i)
+	k.Clk.Advance(k.Costs.MsgQOp + uint64(n)*k.Costs.CopyPerByte)
+	k.Wakeup(&q.writers)
+	return n, true
 }
 
-// MsgRToken returns the sleep token a kernel-context consumer of queue
-// id should block on; sysMsgsnd and MsgSendKernel wake it.
-func (k *Kernel) MsgRToken(id int) any { return msgRToken{id} }
+// MsgRToken returns the wait queue a kernel-context consumer of queue
+// id should block on; sysMsgsnd and MsgSendKernel wake it. For a queue
+// that no longer exists it returns a fresh queue nothing wakes.
+func (k *Kernel) MsgRToken(id int) *WaitQ {
+	if q := k.msgqs[id]; q != nil {
+		return &q.readers
+	}
+	return new(WaitQ)
+}
 
 // sysMsgget implements msgget(key, flags): find or create the queue for
 // key and return its identifier. IPC_PRIVATE (key 0) always creates.
@@ -139,20 +191,20 @@ func sysMsgsnd(k *Kernel, p *Proc, args []uint32) Sysret {
 		return fail(EINVAL)
 	}
 	if q.bytes+msgsz > q.MaxBytes {
-		return block(msgWToken{id})
+		return block(&q.writers)
 	}
-	buf, err := k.CopyIn(p, msgp, 4+msgsz)
-	if err != nil {
+	buf := q.newBuf(4 + msgsz)
+	if err := k.copyInto(p, msgp, buf); err != nil {
 		return fail(EFAULT)
 	}
 	mtype := int32(getLE32(buf))
 	if mtype <= 0 {
 		return fail(EINVAL)
 	}
-	q.msgs = append(q.msgs, Msg{Type: mtype, Data: buf[4:]})
+	q.msgs = append(q.msgs, message{mtype: mtype, buf: buf})
 	q.bytes += msgsz
 	k.Clk.Advance(k.Costs.MsgQOp)
-	k.Wakeup(msgRToken{id})
+	k.Wakeup(&q.readers)
 	return ok(0)
 }
 
@@ -165,30 +217,19 @@ func sysMsgrcv(k *Kernel, p *Proc, args []uint32) Sysret {
 	if q == nil {
 		return fail(EINVAL)
 	}
-	idx := -1
-	for i, m := range q.msgs {
-		if mtype == 0 || m.Type == mtype {
-			idx = i
-			break
-		}
+	i := q.find(mtype)
+	if i < 0 {
+		return block(&q.readers)
 	}
-	if idx < 0 {
-		return block(msgRToken{id})
-	}
-	m := q.msgs[idx]
-	if len(m.Data) > maxsz {
+	if len(q.msgs[i].buf)-4 > maxsz {
 		// No MSG_NOERROR in the simulator: reject rather than truncate.
 		return fail(EINVAL)
 	}
-	out := make([]byte, 4+len(m.Data))
-	putLE32(out, uint32(m.Type))
-	copy(out[4:], m.Data)
-	if err := k.CopyOut(p, msgp, out); err != nil {
+	if err := k.CopyOut(p, msgp, q.msgs[i].buf); err != nil {
 		return fail(EFAULT)
 	}
-	q.msgs = append(q.msgs[:idx], q.msgs[idx+1:]...)
-	q.bytes -= len(m.Data)
+	n := q.deliver(i)
 	k.Clk.Advance(k.Costs.MsgQOp)
-	k.Wakeup(msgWToken{id})
-	return ok(uint32(len(m.Data)))
+	k.Wakeup(&q.writers)
+	return ok(uint32(n))
 }

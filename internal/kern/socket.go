@@ -26,6 +26,8 @@ type Socket struct {
 	port  uint16 // 0 while unbound
 	queue []dgram
 	open  bool
+	// readers holds the processes blocked in recvfrom.
+	readers WaitQ
 }
 
 // Port returns the bound port (0 if unbound).
@@ -33,9 +35,6 @@ func (s *Socket) Port() uint16 { return s.port }
 
 // Pending reports the number of queued datagrams.
 func (s *Socket) Pending() int { return len(s.queue) }
-
-// sockToken is the sleep token for a blocked reader of one socket.
-type sockToken struct{ s *Socket }
 
 func (k *Kernel) closeSocket(s *Socket) {
 	if s == nil || !s.open {
@@ -46,7 +45,7 @@ func (k *Kernel) closeSocket(s *Socket) {
 		delete(k.ports, s.port)
 	}
 	s.queue = nil
-	k.Wakeup(sockToken{s})
+	k.Wakeup(&s.readers)
 }
 
 // sysSocket implements socket(af, type, proto); only local datagram
@@ -111,7 +110,7 @@ func sysSendto(k *Kernel, p *Proc, args []uint32) Sysret {
 		k.Clk.Advance(uint64(n) * k.Costs.CopyPerByte)
 		dstSock.queue = append(dstSock.queue, dgram{from: s.port, data: b})
 		k.Clk.Advance(k.Costs.SocketWakeup)
-		k.Wakeup(sockToken{dstSock})
+		k.Wakeup(&dstSock.readers)
 	}
 	return ok(uint32(n))
 }
@@ -126,7 +125,7 @@ func sysRecvfrom(k *Kernel, p *Proc, args []uint32) Sysret {
 		return fail(EBADF)
 	}
 	if len(s.queue) == 0 {
-		return block(sockToken{s})
+		return block(&s.readers)
 	}
 	d := s.queue[0]
 	if len(d.data) > maxn {

@@ -12,23 +12,22 @@ type stepFunc func(s *Sys, val uint32, errno int) (Syscall, bool, int)
 
 func (f stepFunc) Step(s *Sys, val uint32, errno int) (Syscall, bool, int) { return f(s, val, errno) }
 
-// testBlockNo is a test-only syscall that blocks on blockToken until
+// testBlockNo is a test-only syscall that blocks on a wait queue until
 // the release function registerBlock returns is called.
 const testBlockNo = 397
 
-type blockToken struct{}
-
 func registerBlock(k *Kernel) (release func()) {
 	open := false
+	var q WaitQ
 	k.RegisterSyscall(testBlockNo, "test_block", func(*Kernel, *Proc, []uint32) Sysret {
 		if !open {
-			return Sysret{BlockOn: blockToken{}}
+			return Sysret{BlockOn: &q}
 		}
 		return Sysret{}
 	})
 	return func() {
 		open = true
-		k.Wakeup(blockToken{})
+		k.Wakeup(&q)
 	}
 }
 

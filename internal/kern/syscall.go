@@ -31,12 +31,13 @@ const (
 )
 
 // Sysret is the result of a syscall handler: a value, an errno, or a
-// request to block on a wait token (the syscall is retried after
-// Wakeup(token), BSD tsleep/wakeup style).
+// request to block on a wait queue (the syscall is retried after
+// Wakeup of that queue, BSD tsleep/wakeup style). A nil BlockOn means
+// the syscall completed.
 type Sysret struct {
 	Val     uint32
 	Err     int
-	BlockOn any
+	BlockOn *WaitQ
 }
 
 // SyscallFn is a syscall handler. args holds up to six words read from
@@ -45,19 +46,28 @@ type Sysret struct {
 // kernel's buffer, valid only until the handler returns.
 type SyscallFn func(k *Kernel, p *Proc, args []uint32) Sysret
 
-func ok(v uint32) Sysret     { return Sysret{Val: v} }
-func fail(errno int) Sysret  { return Sysret{Err: errno} }
-func block(token any) Sysret { return Sysret{BlockOn: token} }
+func ok(v uint32) Sysret    { return Sysret{Val: v} }
+func fail(errno int) Sysret { return Sysret{Err: errno} }
+func block(q *WaitQ) Sysret { return Sysret{BlockOn: q} }
 
 // CopyIn copies n bytes from the process's address space, charging the
 // copyin cost.
 func (k *Kernel) CopyIn(p *Proc, addr uint32, n int) ([]byte, error) {
-	b, err := p.Space.ReadBytes(addr, n)
-	if err != nil {
+	b := make([]byte, n)
+	if err := k.copyInto(p, addr, b); err != nil {
 		return nil, err
 	}
-	k.Clk.Advance(uint64(n) * k.Costs.CopyPerByte)
 	return b, nil
+}
+
+// copyInto fills buf from the process's address space, charging what
+// CopyIn charges for len(buf) bytes.
+func (k *Kernel) copyInto(p *Proc, addr uint32, buf []byte) error {
+	if err := p.Space.ReadInto(addr, buf); err != nil {
+		return err
+	}
+	k.Clk.Advance(uint64(len(buf)) * k.Costs.CopyPerByte)
+	return nil
 }
 
 // CopyOut copies buf into the process's address space, charging the
@@ -206,7 +216,7 @@ func sysWait4(k *Kernel, p *Proc, args []uint32) Sysret {
 	if len(p.children) == 0 {
 		return fail(ECHILD)
 	}
-	return block(waitToken{p.PID})
+	return block(&p.waitq)
 }
 
 func sysKill(k *Kernel, p *Proc, args []uint32) Sysret {

@@ -103,25 +103,27 @@ func (c *ResultCache) Get(module int, fn uint32, args []uint32) (val uint32, ok 
 
 // Put memoizes a successful response, evicting the least recently used
 // entry when full. Only errno-0 responses belong in the cache; errors
-// are environmental, not functions of the arguments.
+// are environmental, not functions of the arguments. A put into a full
+// cache reuses the evicted entry, so it allocates nothing once the
+// entry's args buffer has grown.
 func (c *ResultCache) Put(module int, fn uint32, args []uint32, val uint32) {
 	key := cacheKey{module, fn, HashArgs(args)}
-	if el, found := c.entries[key]; found {
+	el, found := c.entries[key]
+	switch {
+	case found:
 		// Overwrite (hash collision slot reuse keeps the map bounded).
-		ent := el.Value.(*cacheEntry)
-		ent.args = append([]uint32(nil), args...)
-		ent.val = val
-		c.lru.MoveToFront(el)
-		return
-	}
-	if c.lru.Len() >= c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	case c.lru.Len() >= c.max:
+		el = c.lru.Back()
+		delete(c.entries, el.Value.(*cacheEntry).key)
 		c.evictions++
+		c.entries[key] = el
+	default:
+		el = c.lru.PushFront(&cacheEntry{})
+		c.entries[key] = el
 	}
-	ent := &cacheEntry{key: key, args: append([]uint32(nil), args...), val: val}
-	c.entries[key] = c.lru.PushFront(ent)
+	ent := el.Value.(*cacheEntry)
+	ent.key, ent.args, ent.val = key, append(ent.args[:0], args...), val
+	c.lru.MoveToFront(el)
 }
 
 // Len returns the live entry count.

@@ -97,3 +97,44 @@ func TestCacheMinCapacity(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 }
+
+// fillCache puts n fresh keys into c, advancing args[0] for each.
+func fillCache(c *ResultCache, args []uint32, n int) {
+	for i := 0; i < n; i++ {
+		args[0]++
+		c.Put(1, 2, args, args[0])
+	}
+}
+
+// TestCachePutFullAllocs: a put into a full cache reuses the entry it
+// evicts, list element and args buffer included, so it allocates
+// nothing.
+func TestCachePutFullAllocs(t *testing.T) {
+	const size = 64
+	c := NewResultCache(size)
+	args := []uint32{0, 7}
+	fillCache(c, args, size)
+	if n := testing.AllocsPerRun(1000, func() { fillCache(c, args, 1) }); n != 0 {
+		t.Fatalf("Put into a full cache: %v allocs, want 0", n)
+	}
+	if _, _, evictions := c.Stats(); evictions != 1001 || c.Len() != size {
+		t.Fatalf("evictions = %d, Len = %d, want 1001 and %d", evictions, c.Len(), size)
+	}
+	if v, ok := c.Get(1, 2, args); !ok || v != args[0] {
+		t.Fatalf("newest entry: Get = (%d, %v), want (%d, true)", v, ok, args[0])
+	}
+}
+
+// BenchmarkResultCachePut times steady-state puts into a full cache,
+// each evicting the least recently used entry.
+func BenchmarkResultCachePut(b *testing.B) {
+	const size = 1024
+	c := NewResultCache(size)
+	args := []uint32{0, 7}
+	fillCache(c, args, size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillCache(c, args, 1)
+	}
+}

@@ -308,17 +308,18 @@ func (p *Pool) Replicas(key string) []int {
 }
 
 // GetReplicas is Get plus the replica set under one lock — the
-// replicating strategy's hot path. reps is nil unless the key holds
-// more than one binding, so the common singly-bound case allocates
-// nothing.
-func (p *Pool) GetReplicas(key string) (primary int, reps []int) {
+// replicating strategy's hot path. It appends the replica set, primary
+// first, to buf and returns it, and appends nothing unless the key
+// holds more than one binding, so a caller passing a large enough
+// buffer allocates nothing.
+func (p *Pool) GetReplicas(key string, buf []int) (primary int, reps []int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	primary = p.getLocked(key)
 	if set := p.assign[key]; len(set) > 1 {
-		reps = append([]int(nil), set...)
+		buf = append(buf, set...)
 	}
-	return primary, reps
+	return primary, buf
 }
 
 // Put reclaims every binding of key — primary and replicas. It is a

@@ -139,7 +139,8 @@ func (r *Replicated) Route(c Call) int {
 	if !c.Idempotent {
 		return r.route(c)
 	}
-	sid, reps := r.pool.GetReplicas(c.Key)
+	var buf [8]int // a set of up to 8 replicas is read without allocating
+	sid, reps := r.pool.GetReplicas(c.Key, buf[:0])
 	r.mu.Lock()
 	r.idemWin[c.Key]++
 	if len(reps) > 1 {

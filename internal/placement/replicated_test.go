@@ -9,7 +9,7 @@ import (
 
 // grow routes a dominant-key round and applies the rebalance, until
 // the key holds at least want replicas.
-func grow(t *testing.T, r *Replicated, key string, want int) {
+func grow(t testing.TB, r *Replicated, key string, want int) {
 	t.Helper()
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 24; i++ {
@@ -123,5 +123,43 @@ func TestReplicatedMigrateKnob(t *testing.T) {
 	}
 	if mig != 0 {
 		t.Fatalf("Migrate:false still planned %d migrations", mig)
+	}
+}
+
+// replicatedPair binds a replicating strategy to two shards and grows
+// "hot" a replica on each.
+func replicatedPair(tb testing.TB) *Replicated {
+	r := NewReplicated(ReplicatedConfig{
+		Options: loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 1}, MaxReplicas: 2})
+	if err := r.Bind(2, nil); err != nil {
+		tb.Fatal(err)
+	}
+	grow(tb, r, "hot", 2)
+	if got := r.Replicas("hot"); len(got) != 2 {
+		tb.Fatalf("Replicas(hot) = %v, want two", got)
+	}
+	return r
+}
+
+// TestReplicatedRouteAllocs: an idempotent call of a replicated key
+// reads the replica set into the route's own buffer, so routing it
+// allocates nothing.
+func TestReplicatedRouteAllocs(t *testing.T) {
+	r := replicatedPair(t)
+	c := Call{Key: "hot", Idempotent: true}
+	if n := testing.AllocsPerRun(1000, func() { r.Route(c) }); n != 0 {
+		t.Fatalf("replicated idempotent Route: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkReplicatedRoute times idempotent routes of a key replicated
+// on two shards.
+func BenchmarkReplicatedRoute(b *testing.B) {
+	r := replicatedPair(b)
+	c := Call{Key: "hot", Idempotent: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Route(c)
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +157,58 @@ func TestRecordMarkingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fragHeader is the record-marking header of an n-byte fragment.
+func fragHeader(n int, last bool) []byte {
+	h := uint32(n)
+	if last {
+		h |= 0x80000000
+	}
+	return []byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
+}
+
+// TestReadRecordAllocatesAsBytesArrive: a header claiming the full
+// record limit, followed by EOF, costs memory for at most one read
+// chunk, not for the size the header claims.
+func TestReadRecordAllocatesAsBytesArrive(t *testing.T) {
+	r := bytes.NewReader(fragHeader(maxRecord, true))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRecord(r)
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("err = %v, want EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Fatalf("ReadRecord allocated %d bytes before any body arrived, want < %d", got, 128<<10)
+	}
+}
+
+// TestReadRecordChunkedFragments: fragments longer than one read chunk
+// reassemble exactly, and a body cut off at a chunk boundary is an
+// unexpected EOF, as it is anywhere else in the body.
+func TestReadRecordChunkedFragments(t *testing.T) {
+	body := make([]byte, 3*readChunk+5)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	split := readChunk + 1
+	var buf bytes.Buffer
+	buf.Write(fragHeader(split, false))
+	buf.Write(body[:split])
+	buf.Write(fragHeader(len(body)-split, true))
+	buf.Write(body[split:])
+	got, err := ReadRecord(&buf)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("reassembled %d bytes (err %v), want the %d-byte body", len(got), err, len(body))
+	}
+
+	buf.Reset()
+	buf.Write(fragHeader(2*readChunk, true))
+	buf.Write(body[:readChunk])
+	if _, err := ReadRecord(&buf); err != io.ErrUnexpectedEOF {
+		t.Fatalf("body cut at a chunk boundary: err = %v, want unexpected EOF", err)
 	}
 }

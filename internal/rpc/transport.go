@@ -18,6 +18,12 @@ import (
 // maxRecord bounds a single record/datagram.
 const maxRecord = 1 << 20
 
+// readChunk bounds how far ReadRecord allocates ahead of the bytes that
+// have arrived: a fragment body larger than this is read in pieces of
+// this size, so a header claiming up to maxRecord bytes costs memory
+// only as its body is received.
+const readChunk = 64 << 10
+
 // WriteRecord writes one record-marked message to a stream transport:
 // fragments carry a 4-byte header whose top bit marks the last
 // fragment. We always emit a single fragment (messages are small).
@@ -47,11 +53,20 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 		if n > maxRecord || len(msg)+n > maxRecord {
 			return nil, fmt.Errorf("rpc: fragment %d bytes exceeds limit", n)
 		}
-		frag := make([]byte, n)
-		if _, err := io.ReadFull(r, frag); err != nil {
-			return nil, err
+		for got := 0; got < n; {
+			c := min(n-got, readChunk)
+			if len(msg)+c > cap(msg) {
+				msg = append(make([]byte, 0, 2*len(msg)+c), msg...)
+			}
+			if _, err := io.ReadFull(r, msg[len(msg):len(msg)+c]); err != nil {
+				if err == io.EOF && got > 0 {
+					err = io.ErrUnexpectedEOF // the fragment ended early
+				}
+				return nil, err
+			}
+			msg = msg[:len(msg)+c]
+			got += c
 		}
-		msg = append(msg, frag...)
 		if last {
 			return msg, nil
 		}
