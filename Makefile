@@ -34,7 +34,9 @@ race:
 # (random fault schedules against the same fleet, asserting zero lost
 # calls and replay determinism), and the kernel-free placement
 # conformance fuzzer (random op interleavings against all four
-# strategies), the VM's TLB coherence (random map, fork, share and
+# strategies), the fleet RPC service (arbitrary byte streams through
+# rpc.ServeTCP into a real fleet, every reply byte-identical to
+# Server.Dispatch's), the VM's TLB coherence (random map, fork, share and
 # access sequences with and without the TLB, asserting identical
 # results), and its frame reuse (the same sequences on a recycling
 # allocator and on never-freed pages, asserting identical results and
@@ -58,6 +60,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzSessionDispatch -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzFleetRoute -fuzztime=10s ./internal/fleet
 	$(GO) test -run=NONE -fuzz=FuzzChaosRoute -fuzztime=10s ./internal/fleet
+	$(GO) test -run=NONE -fuzz=FuzzFleetService -fuzztime=10s ./internal/fleet
 	$(GO) test -run=NONE -fuzz=FuzzPlacementOps -fuzztime=10s ./internal/placement
 	$(GO) test -run=NONE -fuzz=FuzzTraceEvents -fuzztime=10s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzSpecParse -fuzztime=10s ./internal/spec

@@ -30,15 +30,14 @@ func main() {
 	flag.Parse()
 
 	srv := rpc.NewServer()
-	srv.Register(rpc.TestIncrProg, rpc.TestIncrVers, rpc.ProcIncr, func(args []byte) ([]byte, error) {
+	srv.Register(rpc.TestIncrProg, rpc.TestIncrVers, rpc.ProcIncr, func(args []byte, res *xdr.Encoder) error {
 		d := xdr.NewDecoder(args)
 		v, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e := xdr.NewEncoder()
-		e.PutUint32(v + 1)
-		return e.Bytes(), nil
+		res.PutUint32(v + 1)
+		return nil
 	})
 
 	fmt.Printf("host ONC RPC loopback, test-incr, %d calls/trial x %d trials\n\n", *calls, *trials)

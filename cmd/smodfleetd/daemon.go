@@ -320,19 +320,31 @@ func sizingLabel(fs *spec.FleetSpec) string {
 func (d *Daemon) Loop() *reconcile.Loop { return d.loop }
 
 // Run serves until ctx is done, then shuts down gracefully: stop
-// accepting, drain in-flight calls, close listeners and the fleet. The
-// hup channel delivers spec-reload requests (SIGHUP in main; tests may
-// send on it directly).
+// accepting, drain in-flight calls, close listeners and every served
+// connection, then the fleet. The hup channel delivers spec-reload
+// requests (SIGHUP in main; tests may send on it directly).
 func (d *Daemon) Run(ctx context.Context, hup <-chan os.Signal) error {
 	srv := rpc.NewServer()
 	rpc.RegisterFleetService(srv, d.gate)
 
+	// served counts the RPC transports still serving: each returns
+	// once its listener is closed and none of its connections or
+	// workers is left.
+	var served sync.WaitGroup
 	if d.tcpLn != nil {
-		go rpc.ServeTCP(d.tcpLn, srv)
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			rpc.ServeTCP(d.tcpLn, srv)
+		}()
 		d.cfg.Logf("serving rpc/tcp on %s", d.TCPAddr())
 	}
 	if d.udpConn != nil {
-		go rpc.ServeUDP(d.udpConn, srv)
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			rpc.ServeUDP(d.udpConn, srv)
+		}()
 		d.cfg.Logf("serving rpc/udp on %s", d.UDPAddr())
 	}
 	if d.httpSrv != nil {
@@ -375,6 +387,9 @@ func (d *Daemon) Run(ctx context.Context, hup <-chan os.Signal) error {
 			if d.udpConn != nil {
 				d.udpConn.Close()
 			}
+			// No served connection outlives Run: the transports close
+			// theirs and return before the fleet closes.
+			served.Wait()
 			stopLoop()
 			<-loopDone
 			if d.httpSrv != nil {

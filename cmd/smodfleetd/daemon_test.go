@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -243,5 +245,50 @@ func TestDaemonServesReplicatedCostAware(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after cancel")
+	}
+}
+
+// TestDaemonShutdownClosesConnections: once Run has returned, a client
+// still connected over TCP is no longer served; its next call fails on
+// the connection the daemon closed.
+func TestDaemonShutdownClosesConnections(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(specPath, []byte(`{"schema":"smod-fleet-spec/v1","shards":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{SpecPath: specPath, TCPAddr: "127.0.0.1:0", Barrier: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx, nil) }()
+
+	cl, err := rpc.DialTCP(d.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fc := &rpc.FleetClient{C: cl}
+	if _, err := fc.FuncID("incr"); err != nil {
+		t.Fatalf("FuncID while serving: %v", err)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+	_, err = fc.FuncID("incr")
+	if err == nil {
+		t.Fatal("a connected client was answered after Run returned")
+	}
+	if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) && !errors.Is(err, syscall.EPIPE) {
+		t.Fatalf("call after Run returned: %v, want a closed connection", err)
 	}
 }

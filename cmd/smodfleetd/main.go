@@ -7,11 +7,11 @@
 // -barrier interval.
 //
 // The two clocks never mix: client calls run in wall-clock open-loop
-// mode (SubmitAsync between barriers), while everything the simulated
-// clock owns — per-shard cycle counts, migration decisions, autoscaler
-// windows — stays on the deterministic barrier path, so the same call
-// sequence still produces bit-for-bit identical simulated-time
-// metrics.
+// mode (live single-call jobs between barriers), while everything the
+// simulated clock owns — per-shard cycle counts, migration decisions,
+// autoscaler windows — stays on the deterministic barrier path, so
+// the same call sequence still produces bit-for-bit identical
+// simulated-time metrics.
 //
 // Editing the spec file reconfigures the fleet live: the daemon
 // re-reads it on SIGHUP and every -poll interval, and the reconcile
@@ -27,7 +27,8 @@
 // Prometheus scrapes, /debug/pprof) plus /spec (the canonical current
 // target spec), /reconcile (live reconcile status as JSON), and
 // /healthz. SIGINT/SIGTERM shut down gracefully: stop admitting, let
-// in-flight calls finish, retire the listeners, close the fleet.
+// in-flight calls finish, retire the listeners and the connections
+// they accepted, close the fleet.
 //
 // Usage:
 //

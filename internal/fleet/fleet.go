@@ -397,13 +397,8 @@ func (fu *Future) Response() Response {
 // SubmitAsync submits one request without waiting, returning a Future.
 // Safe for concurrent use.
 func (f *Fleet) SubmitAsync(req Request) (*Future, error) {
-	j := &job{
-		kind:    jobCalls,
-		reqs:    []Request{req},
-		results: make([]Response, 1),
-		done:    make(chan struct{}),
-	}
-	if _, err := f.route(&req, j); err != nil {
+	j := newCallJob(req)
+	if _, err := f.route(&j.reqs[0], j); err != nil {
 		return nil, err
 	}
 	return &Future{j: j}, nil
@@ -413,14 +408,8 @@ func (f *Fleet) SubmitAsync(req Request) (*Future, error) {
 // concurrent use; concurrent callers hitting the same shard are
 // coalesced into shared kernel batches.
 func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) {
-	req := Request{Key: key, FuncID: funcID, Args: args}
-	j := &job{
-		kind:    jobCalls,
-		reqs:    []Request{req},
-		results: make([]Response, 1),
-		done:    make(chan struct{}),
-	}
-	if _, err := f.route(&req, j); err != nil {
+	j := newCallJob(Request{Key: key, FuncID: funcID, Args: args})
+	if _, err := f.route(&j.reqs[0], j); err != nil {
 		return 0, err
 	}
 	<-j.done

@@ -9,11 +9,11 @@ import (
 // Network-serving adapter: the three methods that structurally satisfy
 // rpc.FleetBackend, so smodfleetd can front a fleet with
 // rpc.RegisterFleetService without the rpc package ever importing this
-// one. These are thin shims over the live submission path (SubmitAsync
-// — no implicit barrier), which is exactly the wall-clock open-loop
-// mode a daemon serves in: calls land between barriers, and barrier
-// work (rebalance, reconcile actions, autoscaler windows) happens only
-// when the reconcile loop calls Rebalance.
+// one. A served call is a live single-call job — no implicit barrier —
+// which is exactly the wall-clock open-loop mode a daemon serves in:
+// calls land between barriers, and barrier work (rebalance, reconcile
+// actions, autoscaler windows) happens only when the reconcile loop
+// calls Rebalance.
 
 // FleetCall submits one call under the sticky session key and waits
 // for its response, returning the value, the simulated kernel errno
@@ -30,11 +30,12 @@ func (f *Fleet) FleetCall(key string, funcID uint32, args []uint32) (uint32, int
 // FleetCallTenant is FleetCall with an explicit QoS tenant class (""
 // joins the default class).
 func (f *Fleet) FleetCallTenant(tenantName, key string, funcID uint32, args []uint32) (uint32, int32, int32, error) {
-	fu, err := f.SubmitAsync(Request{Key: key, FuncID: funcID, Args: args, Tenant: tenantName})
-	if err != nil {
+	j := newCallJob(Request{Key: key, FuncID: funcID, Args: args, Tenant: tenantName})
+	if _, err := f.route(&j.reqs[0], j); err != nil {
 		return 0, 0, -1, err
 	}
-	r := fu.Response()
+	<-j.done
+	r := &j.results[0]
 	if r.Err != nil {
 		if errors.Is(r.Err, ErrOverload) {
 			return 0, rpc.ErrnoOverload, int32(r.Shard), nil

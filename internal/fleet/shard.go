@@ -147,6 +147,19 @@ type job struct {
 	tset    *tenant.Set
 	tshards int
 	done    chan struct{}
+	// oneReq and oneRes back reqs and results of a single-call job
+	// (newCallJob), so it needs no slices of its own.
+	oneReq [1]Request
+	oneRes [1]Response
+}
+
+// newCallJob returns a job of the one call req, holding its own
+// request and response.
+func newCallJob(req Request) *job {
+	j := &job{kind: jobCalls, done: make(chan struct{})}
+	j.oneReq[0] = req
+	j.reqs, j.results = j.oneReq[:], j.oneRes[:]
+	return j
 }
 
 // timedCursor walks one admitted jobTimed's arrival schedule.

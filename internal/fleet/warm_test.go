@@ -102,3 +102,24 @@ func BenchmarkShardWarmCalls(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/call")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/calls, "allocs/call")
 }
+
+// fleetCallAllocs bounds a warm FleetCall, the served path: the
+// single-call job (newCallJob), its done channel, and the pendingCall
+// the shard queues for the key's client (shard.inject).
+const fleetCallAllocs = 3
+
+// TestFleetCallAllocs gates the allocations of a warm FleetCall on
+// the TestWarmCallAllocs fleet.
+func TestFleetCallAllocs(t *testing.T) {
+	f, plan := warmCallFleet(t)
+	args := []uint32{41}
+	call := func() {
+		if val, errno, _, err := f.FleetCall(plan[0].Key, plan[0].FuncID, args); err != nil || errno != 0 || val != 42 {
+			t.Fatalf("FleetCall = (%d, errno %d, %v), want (42, 0, nil)", val, errno, err)
+		}
+	}
+	call()
+	if got := testing.AllocsPerRun(200, call); got > fleetCallAllocs {
+		t.Fatalf("warm FleetCall: %.2f allocs, want <= %d", got, fleetCallAllocs)
+	}
+}

@@ -23,14 +23,14 @@ func TestAuthBodyLimitEnforced(t *testing.T) {
 	e.PutOpaque(make([]byte, 401))
 	e.PutUint32(AuthNone)
 	e.PutOpaque(nil)
-	if _, err := DecodeCall(e.Bytes()); err == nil {
+	if _, err := decodeCall(e.Bytes()); err == nil {
 		t.Fatal("401-byte auth body accepted")
 	}
 }
 
 func TestWriteRecordRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRecord(&buf, make([]byte, maxRecord+1)); err == nil {
+	if err := writeRecord(&buf, make([]byte, maxRecord+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 }
@@ -38,7 +38,7 @@ func TestWriteRecordRejectsOversize(t *testing.T) {
 func TestReadRecordRejectsOversizeFragment(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0x80, 0xFF, 0xFF, 0xFF}) // last fragment, huge length
-	if _, err := ReadRecord(&buf); err == nil {
+	if _, err := ReadRecord(&buf, nil); err == nil {
 		t.Fatal("oversized fragment accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestReadRecordTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0x80, 0, 0, 10})
 	buf.WriteString("abc") // 3 of 10 bytes
-	if _, err := ReadRecord(&buf); err != io.ErrUnexpectedEOF {
+	if _, err := ReadRecord(&buf, nil); err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want unexpected EOF", err)
 	}
 }
@@ -57,21 +57,21 @@ func TestDecodeReplyBadStatus(t *testing.T) {
 	e.PutUint32(1)
 	e.PutUint32(MsgReply)
 	e.PutUint32(99)
-	if _, err := DecodeReply(e.Bytes()); err == nil {
+	if _, err := decodeReply(e.Bytes()); err == nil {
 		t.Fatal("reply status 99 accepted")
 	}
 }
 
 func TestDecodeCallOnReplyFails(t *testing.T) {
-	r := EncodeReply(&ReplyMsg{XID: 1, Status: ReplyAccepted, AcceptStat: AcceptSuccess})
-	if _, err := DecodeCall(r); err == nil {
+	r := encodeReply(&ReplyMsg{XID: 1, Status: ReplyAccepted, AcceptStat: AcceptSuccess})
+	if _, err := decodeCall(r); err == nil {
 		t.Fatal("reply decoded as call")
 	}
 }
 
 func TestDecodeReplyOnCallFails(t *testing.T) {
-	c := EncodeCall(&CallMsg{XID: 1, Prog: 1, Vers: 1, Proc: 1})
-	if _, err := DecodeReply(c); err == nil {
+	c := encodeCall(&CallMsg{XID: 1, Prog: 1, Vers: 1, Proc: 1})
+	if _, err := decodeReply(c); err == nil {
 		t.Fatal("call decoded as reply")
 	}
 }
@@ -82,14 +82,15 @@ func TestClientSkipsStaleXIDs(t *testing.T) {
 	var queued [][]byte
 	c := &Client{
 		send: func(m []byte) error {
-			call, err := DecodeCall(m)
+			m = m[markLen:]
+			call, err := decodeCall(m)
 			if err != nil {
 				return err
 			}
 			// Queue a stale reply first.
-			stale := EncodeReply(&ReplyMsg{XID: call.XID + 1000, Status: ReplyAccepted,
+			stale := encodeReply(&ReplyMsg{XID: call.XID + 1000, Status: ReplyAccepted,
 				AcceptStat: AcceptSuccess, Results: encodeUint32(0xBAD)})
-			real, err := srv.Dispatch(m)
+			real, err := dispatch(srv, m)
 			if err != nil {
 				return err
 			}
@@ -133,7 +134,7 @@ func containsSub(s, sub string) bool {
 func TestReplyCodecProperty(t *testing.T) {
 	f := func(xid uint32, results []byte) bool {
 		in := &ReplyMsg{XID: xid, Status: ReplyAccepted, AcceptStat: AcceptSuccess, Results: results}
-		out, err := DecodeReply(EncodeReply(in))
+		out, err := decodeReply(encodeReply(in))
 		if err != nil {
 			return false
 		}
@@ -149,10 +150,10 @@ func TestReplyCodecProperty(t *testing.T) {
 func TestRecordMarkingProperty(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		if err := WriteRecord(&buf, payload); err != nil {
+		if err := writeRecord(&buf, payload); err != nil {
 			return len(payload) > maxRecord
 		}
-		got, err := ReadRecord(&buf)
+		got, err := ReadRecord(&buf, nil)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -176,7 +177,7 @@ func TestReadRecordAllocatesAsBytesArrive(t *testing.T) {
 	r := bytes.NewReader(fragHeader(maxRecord, true))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadRecord(r)
+	_, err := ReadRecord(r, nil)
 	runtime.ReadMemStats(&after)
 	if err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
@@ -200,7 +201,7 @@ func TestReadRecordChunkedFragments(t *testing.T) {
 	buf.Write(body[:split])
 	buf.Write(fragHeader(len(body)-split, true))
 	buf.Write(body[split:])
-	got, err := ReadRecord(&buf)
+	got, err := ReadRecord(&buf, nil)
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("reassembled %d bytes (err %v), want the %d-byte body", len(got), err, len(body))
 	}
@@ -208,7 +209,7 @@ func TestReadRecordChunkedFragments(t *testing.T) {
 	buf.Reset()
 	buf.Write(fragHeader(2*readChunk, true))
 	buf.Write(body[:readChunk])
-	if _, err := ReadRecord(&buf); err != io.ErrUnexpectedEOF {
+	if _, err := ReadRecord(&buf, nil); err != io.ErrUnexpectedEOF {
 		t.Fatalf("body cut at a chunk boundary: err = %v, want unexpected EOF", err)
 	}
 }

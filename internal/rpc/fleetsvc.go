@@ -48,61 +48,60 @@ type FleetBackend interface {
 	FleetFuncID(name string) (uint32, bool)
 }
 
-// RegisterFleetService wires the fleet program onto s.
+// RegisterFleetService wires the fleet program onto s. The handlers
+// decode into fresh values (the key string and the argument slice), so
+// the backend may keep them after the call.
 func RegisterFleetService(s *Server, b FleetBackend) {
-	s.Register(FleetProg, FleetVers, ProcFleetCall, func(args []byte) ([]byte, error) {
+	s.Register(FleetProg, FleetVers, ProcFleetCall, func(args []byte, res *xdr.Encoder) error {
 		d := xdr.NewDecoder(args)
 		key, err := d.String()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		funcID, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fnArgs, err := d.Uint32s()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		val, errno, shard, err := b.FleetCall(key, funcID, fnArgs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e := xdr.NewEncoder()
-		e.PutUint32(val)
-		e.PutInt32(errno)
-		e.PutInt32(shard)
-		return e.Bytes(), nil
+		res.PutUint32(val)
+		res.PutInt32(errno)
+		res.PutInt32(shard)
+		return nil
 	})
-	s.Register(FleetProg, FleetVers, ProcFleetRelease, func(args []byte) ([]byte, error) {
+	s.Register(FleetProg, FleetVers, ProcFleetRelease, func(args []byte, _ *xdr.Encoder) error {
 		d := xdr.NewDecoder(args)
 		key, err := d.String()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := b.FleetRelease(key); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return b.FleetRelease(key)
 	})
-	s.Register(FleetProg, FleetVers, ProcFleetFuncID, func(args []byte) ([]byte, error) {
+	s.Register(FleetProg, FleetVers, ProcFleetFuncID, func(args []byte, res *xdr.Encoder) error {
 		d := xdr.NewDecoder(args)
 		name, err := d.String()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		id, ok := b.FleetFuncID(name)
-		e := xdr.NewEncoder()
-		e.PutBool(ok)
-		e.PutUint32(id)
-		return e.Bytes(), nil
+		res.PutBool(ok)
+		res.PutUint32(id)
+		return nil
 	})
 }
 
 // FleetClient is a typed client for the fleet program over any Client
 // transport (TCP, UDP, or in-process pipe). Safe for concurrent use
 // exactly when the underlying Client is (TCP and pipe clients are;
-// UDP clients are single-flight).
+// UDP clients are single-flight). Each method encodes its call into
+// the client's encoder and decodes the reply in place, under the
+// client's lock.
 type FleetClient struct {
 	C *Client
 }
@@ -111,15 +110,18 @@ type FleetClient struct {
 // value, the simulated kernel errno (0 = success), and the serving
 // shard.
 func (fc *FleetClient) Call(key string, funcID uint32, args ...uint32) (val uint32, errno int32, shard int32, err error) {
-	e := xdr.NewEncoder()
+	c := fc.C
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.begin(FleetProg, FleetVers, ProcFleetCall)
 	e.PutString(key)
 	e.PutUint32(funcID)
 	e.PutUint32s(args)
-	reply, err := fc.C.Call(FleetProg, FleetVers, ProcFleetCall, e.Bytes())
+	res, err := c.finish()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	d := xdr.NewDecoder(reply)
+	d := xdr.NewDecoder(res)
 	if val, err = d.Uint32(); err != nil {
 		return 0, 0, 0, err
 	}
@@ -134,21 +136,25 @@ func (fc *FleetClient) Call(key string, funcID uint32, args ...uint32) (val uint
 
 // Release evicts the key's warm sessions fleet-wide.
 func (fc *FleetClient) Release(key string) error {
-	e := xdr.NewEncoder()
-	e.PutString(key)
-	_, err := fc.C.Call(FleetProg, FleetVers, ProcFleetRelease, e.Bytes())
+	c := fc.C
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.begin(FleetProg, FleetVers, ProcFleetRelease).PutString(key)
+	_, err := c.finish()
 	return err
 }
 
 // FuncID resolves a registered function name on the server.
 func (fc *FleetClient) FuncID(name string) (uint32, error) {
-	e := xdr.NewEncoder()
-	e.PutString(name)
-	reply, err := fc.C.Call(FleetProg, FleetVers, ProcFleetFuncID, e.Bytes())
+	c := fc.C
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.begin(FleetProg, FleetVers, ProcFleetFuncID).PutString(name)
+	res, err := c.finish()
 	if err != nil {
 		return 0, err
 	}
-	d := xdr.NewDecoder(reply)
+	d := xdr.NewDecoder(res)
 	ok, err := d.Bool()
 	if err != nil {
 		return 0, err

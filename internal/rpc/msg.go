@@ -80,6 +80,12 @@ func decodeAuth(d *xdr.Decoder) (OpaqueAuth, error) {
 	return a, nil
 }
 
+// The codec works in place. Encode appends a message to the caller's
+// encoder, so one encoder per connection serves every message; Decode
+// fills the caller's struct, and the byte fields it sets (Args,
+// Results, the auth bodies) point into the decoded buffer instead of
+// copying it. They are valid only as long as that buffer is.
+
 // CallMsg is an RPC call: header plus procedure arguments (already
 // XDR-encoded by the caller).
 type CallMsg struct {
@@ -107,9 +113,10 @@ type ReplyMsg struct {
 	Results                   []byte
 }
 
-// EncodeCall serializes a call message.
-func EncodeCall(c *CallMsg) []byte {
-	e := xdr.NewEncoder()
+// Encode appends the call message to e: the header, then Args
+// verbatim. A caller that encodes its arguments itself leaves Args nil
+// and appends them to e after the header.
+func (c *CallMsg) Encode(e *xdr.Encoder) {
 	e.PutUint32(c.XID)
 	e.PutUint32(MsgCall)
 	e.PutUint32(Version)
@@ -118,56 +125,58 @@ func EncodeCall(c *CallMsg) []byte {
 	e.PutUint32(c.Proc)
 	c.Cred.encode(e)
 	c.Verf.encode(e)
-	return append(e.Bytes(), c.Args...)
+	e.PutRaw(c.Args)
 }
 
-// DecodeCall parses a call message.
-func DecodeCall(b []byte) (*CallMsg, error) {
+// Decode parses a call message from b into c. Args and the auth bodies
+// point into b.
+func (c *CallMsg) Decode(b []byte) error {
+	*c = CallMsg{}
 	d := xdr.NewDecoder(b)
-	var c CallMsg
 	var err error
 	if c.XID, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	mt, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if mt != MsgCall {
-		return nil, fmt.Errorf("rpc: message type %d is not a call", mt)
+		return fmt.Errorf("rpc: message type %d is not a call", mt)
 	}
 	rpcvers, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rpcvers != Version {
-		return nil, ErrRPCMismatch
+		return ErrRPCMismatch
 	}
 	if c.Prog, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Vers, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Proc, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Cred, err = decodeAuth(d); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Verf, err = decodeAuth(d); err != nil {
-		return nil, err
+		return err
 	}
-	c.Args = append([]byte(nil), b[len(b)-d.Remaining():]...)
-	return &c, nil
+	c.Args = b[len(b)-d.Remaining():]
+	return nil
 }
 
 // ErrRPCMismatch marks a call with an unsupported RPC version.
 var ErrRPCMismatch = errors.New("rpc: version mismatch")
 
-// EncodeReply serializes a reply message.
-func EncodeReply(r *ReplyMsg) []byte {
-	e := xdr.NewEncoder()
+// Encode appends the reply message to e, with Results verbatim after
+// an accepted-success header. A server that encodes results itself
+// leaves Results nil and appends them to e after the header.
+func (r *ReplyMsg) Encode(e *xdr.Encoder) {
 	e.PutUint32(r.XID)
 	e.PutUint32(MsgReply)
 	e.PutUint32(r.Status)
@@ -180,7 +189,7 @@ func EncodeReply(r *ReplyMsg) []byte {
 			e.PutUint32(r.MismatchLow)
 			e.PutUint32(r.MismatchHigh)
 		case AcceptSuccess:
-			return append(e.Bytes(), r.Results...)
+			e.PutRaw(r.Results)
 		}
 	case ReplyDenied:
 		e.PutUint32(r.RejectStat)
@@ -192,65 +201,65 @@ func EncodeReply(r *ReplyMsg) []byte {
 			e.PutUint32(r.AuthStat)
 		}
 	}
-	return e.Bytes()
 }
 
-// DecodeReply parses a reply message.
-func DecodeReply(b []byte) (*ReplyMsg, error) {
+// Decode parses a reply message from b into r. Results and the
+// verifier body point into b.
+func (r *ReplyMsg) Decode(b []byte) error {
+	*r = ReplyMsg{}
 	d := xdr.NewDecoder(b)
-	var r ReplyMsg
 	var err error
 	if r.XID, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	mt, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if mt != MsgReply {
-		return nil, fmt.Errorf("rpc: message type %d is not a reply", mt)
+		return fmt.Errorf("rpc: message type %d is not a reply", mt)
 	}
 	if r.Status, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	switch r.Status {
 	case ReplyAccepted:
 		if r.Verf, err = decodeAuth(d); err != nil {
-			return nil, err
+			return err
 		}
 		if r.AcceptStat, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		switch r.AcceptStat {
 		case AcceptProgMismatch:
 			if r.MismatchLow, err = d.Uint32(); err != nil {
-				return nil, err
+				return err
 			}
 			if r.MismatchHigh, err = d.Uint32(); err != nil {
-				return nil, err
+				return err
 			}
 		case AcceptSuccess:
-			r.Results = append([]byte(nil), b[len(b)-d.Remaining():]...)
+			r.Results = b[len(b)-d.Remaining():]
 		}
 	case ReplyDenied:
 		if r.RejectStat, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		switch r.RejectStat {
 		case RejectRPCMismatch:
 			if r.MismatchLow, err = d.Uint32(); err != nil {
-				return nil, err
+				return err
 			}
 			if r.MismatchHigh, err = d.Uint32(); err != nil {
-				return nil, err
+				return err
 			}
 		case RejectAuthError:
 			if r.AuthStat, err = d.Uint32(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	default:
-		return nil, fmt.Errorf("rpc: bad reply status %d", r.Status)
+		return fmt.Errorf("rpc: bad reply status %d", r.Status)
 	}
-	return &r, nil
+	return nil
 }

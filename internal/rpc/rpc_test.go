@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
@@ -10,21 +11,61 @@ import (
 	"repro/internal/xdr"
 )
 
-func incrHandler(args []byte) ([]byte, error) {
-	d := xdr.NewDecoder(args)
-	v, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	e := xdr.NewEncoder()
-	e.PutUint32(v + 1)
-	return e.Bytes(), nil
-}
-
 func newIncrServer() *Server {
 	s := NewServer()
-	s.Register(TestIncrProg, TestIncrVers, ProcIncr, incrHandler)
+	s.Register(TestIncrProg, TestIncrVers, ProcIncr, incr)
 	return s
+}
+
+// encodeCall, decodeCall, encodeReply and decodeReply run the in-place
+// codec on a fresh encoder or struct each.
+func encodeCall(c *CallMsg) []byte {
+	var e xdr.Encoder
+	c.Encode(&e)
+	return e.Bytes()
+}
+
+func decodeCall(b []byte) (*CallMsg, error) {
+	var c CallMsg
+	if err := c.Decode(b); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+func encodeReply(r *ReplyMsg) []byte {
+	var e xdr.Encoder
+	r.Encode(&e)
+	return e.Bytes()
+}
+
+func decodeReply(b []byte) (*ReplyMsg, error) {
+	var r ReplyMsg
+	if err := r.Decode(b); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// dispatch returns the reply s.Dispatch appends to an empty encoder.
+func dispatch(s *Server, call []byte) ([]byte, error) {
+	var e xdr.Encoder
+	err := s.Dispatch(call, &e)
+	return e.Bytes(), err
+}
+
+// writeRecord writes msg to w as one record, the way a connection
+// writes a message.
+func writeRecord(w io.Writer, msg []byte) error {
+	var e xdr.Encoder
+	beginRecord(&e)
+	e.PutRaw(msg)
+	rec := e.Bytes()
+	if err := markRecord(rec); err != nil {
+		return err
+	}
+	_, err := w.Write(rec)
+	return err
 }
 
 func encodeUint32(v uint32) []byte {
@@ -49,7 +90,7 @@ func TestCallMessageRoundTrip(t *testing.T) {
 		Cred: OpaqueAuth{Flavor: AuthSys, Body: []byte("cred")},
 		Args: encodeUint32(41),
 	}
-	out, err := DecodeCall(EncodeCall(in))
+	out, err := decodeCall(encodeCall(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +108,7 @@ func TestCallMessageRoundTrip(t *testing.T) {
 func TestReplyMessageRoundTrip(t *testing.T) {
 	in := &ReplyMsg{XID: 9, Status: ReplyAccepted, AcceptStat: AcceptSuccess,
 		Results: encodeUint32(42)}
-	out, err := DecodeReply(EncodeReply(in))
+	out, err := decodeReply(encodeReply(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +123,7 @@ func TestReplyMessageRoundTrip(t *testing.T) {
 func TestDeniedReplyRoundTrip(t *testing.T) {
 	in := &ReplyMsg{XID: 3, Status: ReplyDenied, RejectStat: RejectRPCMismatch,
 		MismatchLow: 2, MismatchHigh: 2}
-	out, err := DecodeReply(EncodeReply(in))
+	out, err := decodeReply(encodeReply(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +135,13 @@ func TestDeniedReplyRoundTrip(t *testing.T) {
 
 func TestDispatchSuccess(t *testing.T) {
 	s := newIncrServer()
-	call := EncodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers,
+	call := encodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers,
 		Proc: ProcIncr, Args: encodeUint32(5)})
-	replyBytes, err := s.Dispatch(call)
+	replyBytes, err := dispatch(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := DecodeReply(replyBytes)
+	reply, err := decodeReply(replyBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +155,12 @@ func TestDispatchSuccess(t *testing.T) {
 
 func TestDispatchProgUnavail(t *testing.T) {
 	s := newIncrServer()
-	call := EncodeCall(&CallMsg{XID: 1, Prog: 999, Vers: 1, Proc: 1})
-	rb, err := s.Dispatch(call)
+	call := encodeCall(&CallMsg{XID: 1, Prog: 999, Vers: 1, Proc: 1})
+	rb, err := dispatch(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := DecodeReply(rb)
+	r, _ := decodeReply(rb)
 	if r.AcceptStat != AcceptProgUnavail {
 		t.Fatalf("accept stat = %d, want PROG_UNAVAIL", r.AcceptStat)
 	}
@@ -127,12 +168,12 @@ func TestDispatchProgUnavail(t *testing.T) {
 
 func TestDispatchProgMismatch(t *testing.T) {
 	s := newIncrServer()
-	call := EncodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: 99, Proc: 1})
-	rb, err := s.Dispatch(call)
+	call := encodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: 99, Proc: 1})
+	rb, err := dispatch(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := DecodeReply(rb)
+	r, _ := decodeReply(rb)
 	if r.AcceptStat != AcceptProgMismatch {
 		t.Fatalf("accept stat = %d, want PROG_MISMATCH", r.AcceptStat)
 	}
@@ -143,12 +184,12 @@ func TestDispatchProgMismatch(t *testing.T) {
 
 func TestDispatchProcUnavail(t *testing.T) {
 	s := newIncrServer()
-	call := EncodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers, Proc: 42})
-	rb, err := s.Dispatch(call)
+	call := encodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers, Proc: 42})
+	rb, err := dispatch(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := DecodeReply(rb)
+	r, _ := decodeReply(rb)
 	if r.AcceptStat != AcceptProcUnavail {
 		t.Fatalf("accept stat = %d, want PROC_UNAVAIL", r.AcceptStat)
 	}
@@ -156,12 +197,12 @@ func TestDispatchProcUnavail(t *testing.T) {
 
 func TestDispatchNullProcedure(t *testing.T) {
 	s := newIncrServer()
-	call := EncodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers, Proc: 0})
-	rb, err := s.Dispatch(call)
+	call := encodeCall(&CallMsg{XID: 1, Prog: TestIncrProg, Vers: TestIncrVers, Proc: 0})
+	rb, err := dispatch(s, call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := DecodeReply(rb)
+	r, _ := decodeReply(rb)
 	if r.AcceptStat != AcceptSuccess || len(r.Results) != 0 {
 		t.Fatalf("null proc: stat=%d results=%v", r.AcceptStat, r.Results)
 	}
@@ -181,11 +222,11 @@ func TestDispatchVersionMismatchDenied(t *testing.T) {
 	e.PutOpaque(nil)
 	e.PutUint32(AuthNone)
 	e.PutOpaque(nil)
-	rb, err := s.Dispatch(e.Bytes())
+	rb, err := dispatch(s, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := DecodeReply(rb)
+	r, err := decodeReply(rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,28 +237,37 @@ func TestDispatchVersionMismatchDenied(t *testing.T) {
 
 func TestDispatchGarbageDropped(t *testing.T) {
 	s := newIncrServer()
-	if _, err := s.Dispatch([]byte{1, 2}); err == nil {
+	if _, err := dispatch(s, []byte{1, 2}); err == nil {
 		t.Fatal("2-byte datagram produced a reply")
 	}
 }
 
 func TestHandlerErrorBecomesSystemErr(t *testing.T) {
 	s := NewServer()
-	s.Register(1, 1, 1, func([]byte) ([]byte, error) { return nil, xdr.ErrShort })
-	rb, err := s.Dispatch(EncodeCall(&CallMsg{XID: 1, Prog: 1, Vers: 1, Proc: 1}))
+	s.Register(1, 1, 1, func(_ []byte, res *xdr.Encoder) error {
+		res.PutUint32(0xBAD) // partial results are discarded
+		return xdr.ErrShort
+	})
+	rb, err := dispatch(s, encodeCall(&CallMsg{XID: 1, Prog: 1, Vers: 1, Proc: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := DecodeReply(rb)
+	r, err := decodeReply(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.AcceptStat != AcceptSystemErr {
 		t.Fatalf("accept stat = %d, want SYSTEM_ERR", r.AcceptStat)
+	}
+	if want := encodeReply(&ReplyMsg{XID: 1, AcceptStat: AcceptSystemErr}); !bytes.Equal(rb, want) {
+		t.Fatalf("reply = %x, want %x", rb, want)
 	}
 }
 
 func TestRecordMarking(t *testing.T) {
 	var buf bytes.Buffer
 	msg := []byte("0123456789")
-	if err := WriteRecord(&buf, msg); err != nil {
+	if err := writeRecord(&buf, msg); err != nil {
 		t.Fatal(err)
 	}
 	// Header: last-fragment bit plus length 10.
@@ -225,7 +275,7 @@ func TestRecordMarking(t *testing.T) {
 	if hdr[0] != 0x80 || hdr[3] != 10 {
 		t.Fatalf("header = %v", hdr)
 	}
-	got, err := ReadRecord(&buf)
+	got, err := ReadRecord(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +291,7 @@ func TestRecordFragmentReassembly(t *testing.T) {
 	buf.WriteString("abc")
 	buf.Write([]byte{0x80, 0, 0, 3})
 	buf.WriteString("def")
-	got, err := ReadRecord(&buf)
+	got, err := ReadRecord(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +359,7 @@ func TestUDPClientServer(t *testing.T) {
 func TestCallCodecProperty(t *testing.T) {
 	f := func(xid, prog, vers, proc uint32, args []byte) bool {
 		in := &CallMsg{XID: xid, Prog: prog, Vers: vers, Proc: proc, Args: args}
-		out, err := DecodeCall(EncodeCall(in))
+		out, err := decodeCall(encodeCall(in))
 		if err != nil {
 			return false
 		}

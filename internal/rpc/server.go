@@ -4,12 +4,18 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/xdr"
 )
 
-// Handler is one RPC procedure implementation: XDR-encoded arguments
-// in, XDR-encoded results out. A non-nil error becomes a SYSTEM_ERR
-// accepted reply.
-type Handler func(args []byte) ([]byte, error)
+// Handler is one RPC procedure implementation: it decodes its
+// XDR-encoded arguments and appends its XDR-encoded results to res,
+// which already holds the reply header. args points into the
+// transport's record buffer and is valid only during the call, so a
+// handler that keeps any of it must copy it. A non-nil error becomes a
+// SYSTEM_ERR accepted reply, and whatever the handler appended is
+// discarded.
+type Handler func(args []byte, res *xdr.Encoder) error
 
 // procKey identifies one registered procedure.
 type procKey struct {
@@ -18,7 +24,7 @@ type procKey struct {
 
 // Server dispatches RPC calls to registered programs. It is transport
 // independent: transports deliver raw call bytes to Dispatch and send
-// back whatever it returns.
+// back the reply it appends to their encoder.
 type Server struct {
 	mu    sync.RWMutex
 	procs map[procKey]Handler
@@ -49,27 +55,26 @@ func (s *Server) Register(prog, vers, proc uint32, h Handler) {
 	sort.Slice(s.versions[prog], func(i, j int) bool { return s.versions[prog][i] < s.versions[prog][j] })
 }
 
-// Dispatch decodes one call message and produces the reply bytes. It
-// never returns an empty reply: malformed calls that still carry an
+// Dispatch decodes one call message and appends the reply to reply.
+// It never appends an empty reply: malformed calls that still carry an
 // XID get GARBAGE_ARGS or the appropriate mismatch; calls too broken
-// to decode an XID from return an error and no reply (a datagram
+// to decode an XID from return an error and append nothing (a datagram
 // transport drops them, matching real servers).
-func (s *Server) Dispatch(callBytes []byte) ([]byte, error) {
-	call, err := DecodeCall(callBytes)
+func (s *Server) Dispatch(callBytes []byte, reply *xdr.Encoder) error {
+	var call CallMsg
+	err := call.Decode(callBytes)
 	if err == ErrRPCMismatch {
-		// We can still salvage the XID: it is the first word.
-		if len(callBytes) >= 4 {
-			xid := uint32(callBytes[0])<<24 | uint32(callBytes[1])<<16 |
-				uint32(callBytes[2])<<8 | uint32(callBytes[3])
-			return EncodeReply(&ReplyMsg{
-				XID: xid, Status: ReplyDenied, RejectStat: RejectRPCMismatch,
-				MismatchLow: Version, MismatchHigh: Version,
-			}), nil
-		}
-		return nil, err
+		// We can still salvage the XID: it is the first of the three
+		// words decoded before the version check failed.
+		xid := uint32(callBytes[0])<<24 | uint32(callBytes[1])<<16 |
+			uint32(callBytes[2])<<8 | uint32(callBytes[3])
+		r := ReplyMsg{XID: xid, Status: ReplyDenied, RejectStat: RejectRPCMismatch,
+			MismatchLow: Version, MismatchHigh: Version}
+		r.Encode(reply)
+		return nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("rpc: undecodable call: %w", err)
+		return fmt.Errorf("rpc: undecodable call: %w", err)
 	}
 
 	s.mu.RLock()
@@ -77,29 +82,32 @@ func (s *Server) Dispatch(callBytes []byte) ([]byte, error) {
 	versions := s.versions[call.Prog]
 	s.mu.RUnlock()
 
-	reply := &ReplyMsg{XID: call.XID, Status: ReplyAccepted}
+	r := ReplyMsg{XID: call.XID, Status: ReplyAccepted}
 	switch {
 	case ok:
-		res, herr := h(call.Args)
-		if herr != nil {
-			reply.AcceptStat = AcceptSystemErr
-		} else {
-			reply.AcceptStat = AcceptSuccess
-			reply.Results = res
+		start := reply.Len()
+		r.AcceptStat = AcceptSuccess
+		r.Encode(reply)
+		if h(call.Args, reply) != nil {
+			reply.Truncate(start)
+			r.AcceptStat = AcceptSystemErr
+			r.Encode(reply)
 		}
+		return nil
 	case call.Proc == 0 && len(versions) > 0 && hasVersion(versions, call.Vers):
 		// Null procedure: succeed with empty results.
-		reply.AcceptStat = AcceptSuccess
+		r.AcceptStat = AcceptSuccess
 	case len(versions) == 0:
-		reply.AcceptStat = AcceptProgUnavail
+		r.AcceptStat = AcceptProgUnavail
 	case !hasVersion(versions, call.Vers):
-		reply.AcceptStat = AcceptProgMismatch
-		reply.MismatchLow = versions[0]
-		reply.MismatchHigh = versions[len(versions)-1]
+		r.AcceptStat = AcceptProgMismatch
+		r.MismatchLow = versions[0]
+		r.MismatchHigh = versions[len(versions)-1]
 	default:
-		reply.AcceptStat = AcceptProcUnavail
+		r.AcceptStat = AcceptProcUnavail
 	}
-	return EncodeReply(reply), nil
+	r.Encode(reply)
+	return nil
 }
 
 func hasVersion(vs []uint32, v uint32) bool {

@@ -35,20 +35,23 @@ func chargeMsg(s *kern.Sys, n int) {
 	s.Burn(c.RPCLayer + uint64(n)*c.XDRPerByte)
 }
 
+// incr is the test-incr procedure: it returns its argument plus one.
+func incr(args []byte, res *xdr.Encoder) error {
+	d := xdr.NewDecoder(args)
+	v, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	res.PutUint32(v + 1)
+	return nil
+}
+
 // StartSimServer spawns the simulated RPC server process. It serves
 // forever; callers kill it (or just stop running the kernel) when done.
+// Every reply is encoded into one encoder the process reuses.
 func StartSimServer(k *kern.Kernel, port uint16) *kern.Proc {
 	srv := NewServer()
-	srv.Register(TestIncrProg, TestIncrVers, ProcIncr, func(args []byte) ([]byte, error) {
-		d := xdr.NewDecoder(args)
-		v, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		e := xdr.NewEncoder()
-		e.PutUint32(v + 1)
-		return e.Bytes(), nil
-	})
+	srv.Register(TestIncrProg, TestIncrVers, ProcIncr, incr)
 	return k.SpawnNative("rpc.testincrd", kern.Cred{Name: "rpc-server"}, func(s *kern.Sys) int {
 		fd, errno := s.Socket()
 		if errno != 0 {
@@ -57,30 +60,30 @@ func StartSimServer(k *kern.Kernel, port uint16) *kern.Proc {
 		if errno := s.Bind(fd, port); errno != 0 {
 			return 1
 		}
+		var reply xdr.Encoder
 		for {
 			call, src, errno := s.Recvfrom(fd, 64*1024)
 			if errno != 0 {
 				return 1
 			}
 			chargeMsg(s, len(call)) // unmarshal call
-			reply, err := srv.Dispatch(call)
-			if err != nil {
+			reply.Reset()
+			if srv.Dispatch(call, &reply) != nil {
 				continue // undecodable datagram: drop
 			}
-			chargeMsg(s, len(reply)) // marshal reply
-			if errno := s.Sendto(fd, src, reply); errno != 0 {
+			chargeMsg(s, reply.Len()) // marshal reply
+			if errno := s.Sendto(fd, src, reply.Bytes()); errno != 0 {
 				return 1
 			}
 		}
 	})
 }
 
-// SimClient is a simulated-process RPC client endpoint.
+// SimClient is a simulated-process RPC client endpoint: a Client
+// whose transport is the simulated loopback, charging the marshal and
+// unmarshal cost of every message it sends and receives.
 type SimClient struct {
-	sys  *kern.Sys
-	fd   int
-	port uint16 // server port
-	xid  uint32
+	*Client
 }
 
 // NewSimClient creates the client socket inside the calling simulated
@@ -93,41 +96,33 @@ func NewSimClient(s *kern.Sys, clientPort, serverPort uint16) (*SimClient, error
 	if errno := s.Bind(fd, clientPort); errno != 0 {
 		return nil, fmt.Errorf("rpc: sim bind(%d): errno %d", clientPort, errno)
 	}
-	return &SimClient{sys: s, fd: fd, port: serverPort}, nil
-}
-
-// Call issues one RPC over the simulated loopback and returns the
-// XDR-encoded results.
-func (c *SimClient) Call(prog, vers, proc uint32, args []byte) ([]byte, error) {
-	c.xid++
-	msg := EncodeCall(&CallMsg{XID: c.xid, Prog: prog, Vers: vers, Proc: proc, Args: args})
-	chargeMsg(c.sys, len(msg)) // marshal call
-	if errno := c.sys.Sendto(c.fd, c.port, msg); errno != 0 {
-		return nil, fmt.Errorf("rpc: sim sendto: errno %d", errno)
-	}
-	for {
-		raw, _, errno := c.sys.Recvfrom(c.fd, 64*1024)
-		if errno != 0 {
-			return nil, fmt.Errorf("rpc: sim recvfrom: errno %d", errno)
-		}
-		chargeMsg(c.sys, len(raw)) // unmarshal reply
-		reply, err := DecodeReply(raw)
-		if err != nil {
-			return nil, err
-		}
-		if reply.XID != c.xid {
-			continue
-		}
-		return checkReply(reply)
-	}
+	return &SimClient{&Client{
+		send: func(m []byte) error {
+			m = m[markLen:]
+			chargeMsg(s, len(m)) // marshal call
+			if errno := s.Sendto(fd, serverPort, m); errno != 0 {
+				return fmt.Errorf("rpc: sim sendto: errno %d", errno)
+			}
+			return nil
+		},
+		recv: func() ([]byte, error) {
+			raw, _, errno := s.Recvfrom(fd, 64*1024)
+			if errno != 0 {
+				return nil, fmt.Errorf("rpc: sim recvfrom: errno %d", errno)
+			}
+			chargeMsg(s, len(raw)) // unmarshal reply
+			return raw, nil
+		},
+	}}, nil
 }
 
 // Incr calls the test-incr procedure: it returns x+1 as computed by
 // the server.
 func (c *SimClient) Incr(x uint32) (uint32, error) {
-	e := xdr.NewEncoder()
-	e.PutUint32(x)
-	res, err := c.Call(TestIncrProg, TestIncrVers, ProcIncr, e.Bytes())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.begin(TestIncrProg, TestIncrVers, ProcIncr).PutUint32(x)
+	res, err := c.finish()
 	if err != nil {
 		return 0, err
 	}

@@ -34,6 +34,10 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the buffer for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Truncate discards everything after the first n encoded bytes, so a
+// caller can take back a partly encoded value.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // PutUint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -60,11 +64,20 @@ func (e *Encoder) PutBool(b bool) {
 	}
 }
 
+// PutRaw appends b verbatim, with no length and no padding: bytes that
+// are already XDR-encoded.
+func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
+
 // PutFixedOpaque encodes fixed-length opaque data (length implicit),
 // padded to a 4-byte boundary.
 func (e *Encoder) PutFixedOpaque(b []byte) {
 	e.buf = append(e.buf, b...)
-	for pad := (4 - len(b)%4) % 4; pad > 0; pad-- {
+	e.pad(len(b))
+}
+
+// pad appends the zero bytes that align n bytes of opaque data.
+func (e *Encoder) pad(n int) {
+	for pad := (4 - n%4) % 4; pad > 0; pad-- {
 		e.buf = append(e.buf, 0)
 	}
 }
@@ -75,8 +88,12 @@ func (e *Encoder) PutOpaque(b []byte) {
 	e.PutFixedOpaque(b)
 }
 
-// PutString encodes a string.
-func (e *Encoder) PutString(s string) { e.PutOpaque([]byte(s)) }
+// PutString encodes a string, with the same bytes as PutOpaque.
+func (e *Encoder) PutString(s string) {
+	e.PutUint32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+	e.pad(len(s))
+}
 
 // PutUint32s encodes a variable-length array of uint32.
 func (e *Encoder) PutUint32s(vs []uint32) {
@@ -86,7 +103,9 @@ func (e *Encoder) PutUint32s(vs []uint32) {
 	}
 }
 
-// Decoder consumes XDR-encoded values from a byte buffer.
+// Decoder consumes XDR-encoded values from a byte buffer. It decodes
+// in place: opaque data it returns points into the buffer rather than
+// being copied, so it is valid only as long as the buffer is.
 type Decoder struct {
 	buf []byte
 	pos int
@@ -146,18 +165,21 @@ func (d *Decoder) Bool() (bool, error) {
 	return false, fmt.Errorf("xdr: bad bool %d", v)
 }
 
-// FixedOpaque decodes n bytes of fixed-length opaque data.
+// FixedOpaque decodes n bytes of fixed-length opaque data. The result
+// points into the decoder's buffer; its capacity ends with it, so an
+// append to it cannot overwrite what follows.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	padded := n + (4-n%4)%4
 	if n < 0 || d.pos+padded > len(d.buf) {
 		return nil, ErrShort
 	}
-	out := append([]byte(nil), d.buf[d.pos:d.pos+n]...)
+	out := d.buf[d.pos : d.pos+n : d.pos+n]
 	d.pos += padded
 	return out, nil
 }
 
-// Opaque decodes variable-length opaque data.
+// Opaque decodes variable-length opaque data, in place like
+// FixedOpaque.
 func (d *Decoder) Opaque() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
@@ -169,7 +191,7 @@ func (d *Decoder) Opaque() ([]byte, error) {
 	return d.FixedOpaque(int(n))
 }
 
-// String decodes a string.
+// String decodes a string: a copy, unlike Opaque.
 func (d *Decoder) String() (string, error) {
 	b, err := d.Opaque()
 	return string(b), err
