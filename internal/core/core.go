@@ -27,7 +27,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"repro/internal/kern"
 	"repro/internal/modcrypt"
@@ -101,10 +101,17 @@ type SMod struct {
 	modules   map[int]*Module
 	byNameVer map[nameVer]int
 	nextMID   int
+	// mids lists the registered module IDs in increasing order: a
+	// client's sessions are found by looking each up in sessions.
+	mids []int
 
 	sessions      map[sessKey]*Session
 	byHandlePID   map[int]*Session
 	nextSessionID int
+
+	// policy is checkPolicy's scratch memory, reused by every check on
+	// this kernel.
+	policy policyScratch
 
 	// Stats for benchmarks and tests.
 	Calls          uint64 // completed smod_call dispatches
@@ -133,6 +140,14 @@ type nameVer struct {
 type sessKey struct {
 	clientPID int
 	mid       int
+}
+
+// policyScratch is what checkPolicy reuses from one check to the next:
+// the attribute map, the assertion list and the query's scratch.
+type policyScratch struct {
+	querier policy.Querier
+	attrs   policy.Attributes
+	all     []*policy.Assertion
 }
 
 // Attach creates the SecModule layer on k and registers the Figure 4
@@ -178,15 +193,26 @@ func (sm *SMod) SessionFor(clientPID, mid int) *Session {
 	return sm.sessions[sessKey{clientPID, mid}]
 }
 
-// SessionsOf returns all active sessions whose client is pid.
+// SessionsOf returns all active sessions whose client is pid, in
+// module-ID order.
 func (sm *SMod) SessionsOf(pid int) []*Session {
 	var out []*Session
-	for k, s := range sm.sessions {
-		if k.clientPID == pid {
+	for _, mid := range sm.mids {
+		if s := sm.sessions[sessKey{pid, mid}]; s != nil {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// teardownClient tears down every session of client pid, in module-ID
+// order.
+func (sm *SMod) teardownClient(pid int) {
+	for _, mid := range sm.mids {
+		if s := sm.sessions[sessKey{pid, mid}]; s != nil {
+			sm.teardown(s, false)
+		}
+	}
 }
 
 func (sm *SMod) allocMID() int {
@@ -203,18 +229,14 @@ func (sm *SMod) onExit(k *kern.Kernel, p *kern.Proc) {
 		sm.teardown(s, true)
 		return
 	}
-	for _, s := range sm.SessionsOf(p.PID) {
-		sm.teardown(s, false)
-	}
+	sm.teardownClient(p.PID)
 }
 
 // onExec implements the section 4.3 execve behaviour: "first detach the
 // requesting client process from the SecModule system, kill the
 // associated handle process, and then run sys_execve as per normal."
 func (sm *SMod) onExec(k *kern.Kernel, p *kern.Proc) {
-	for _, s := range sm.SessionsOf(p.PID) {
-		sm.teardown(s, false)
-	}
+	sm.teardownClient(p.PID)
 }
 
 // onFork implements the section 4.3 fork behaviour: the child gets its
@@ -222,7 +244,11 @@ func (sm *SMod) onExec(k *kern.Kernel, p *kern.Proc) {
 // clients should not share the handle, because a many-to-one mapping of
 // clients to a single handle introduces a performance bottleneck").
 func (sm *SMod) onFork(k *kern.Kernel, parent, child *kern.Proc) {
-	for _, s := range sm.SessionsOf(parent.PID) {
+	for _, mid := range sm.mids {
+		s := sm.sessions[sessKey{parent.PID, mid}]
+		if s == nil {
+			continue
+		}
 		if _, err := sm.openSession(child, s.Module); err != nil {
 			// A child that cannot get its handle is killed rather than
 			// left with dangling stubs.
@@ -266,7 +292,8 @@ func errnoFromErr(err error) int {
 	}
 }
 
-// fmtSessionName names a handle process after its client and module.
-func fmtSessionName(client *kern.Proc, m *Module) string {
-	return fmt.Sprintf("%s-handle[%s.%d]", client.Name, m.Name, m.Version)
+// handleName names a handle process after its client and module:
+// "<client>-handle[<module>.<version>]".
+func handleName(client *kern.Proc, m *Module) string {
+	return client.Name + "-handle[" + m.Name + "." + strconv.Itoa(m.Version) + "]"
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/asm"
@@ -104,6 +105,10 @@ type Module struct {
 
 	// Encrypted reports whether any member is encrypted at rest.
 	Encrypted bool
+	// plaintext is the decrypted text of an encrypted module, kept
+	// from the first session's decrypt for the sessions after it. It
+	// goes with the Module when Remove drops it.
+	plaintext []byte
 }
 
 // FuncID returns the function id for an exported name.
@@ -221,6 +226,7 @@ func (sm *SMod) Register(spec *ModuleSpec) (*Module, error) {
 
 	sm.modules[m.ID] = m
 	sm.byNameVer[nameVer{m.Name, m.Version}] = m.ID
+	sm.mids = append(sm.mids, m.ID) // IDs only grow: mids stays sorted
 	return m, nil
 }
 
@@ -234,6 +240,9 @@ func (sm *SMod) Remove(m *Module) {
 	}
 	delete(sm.modules, m.ID)
 	delete(sm.byNameVer, nameVer{m.Name, m.Version})
+	if i := slices.Index(sm.mids, m.ID); i >= 0 {
+		sm.mids = slices.Delete(sm.mids, i, i+1)
+	}
 }
 
 // receiveStubSource generates the handle-side SM32 assembly: the
@@ -343,9 +352,24 @@ recv_loop:
 // charged to the clock (section 4.1: "the unencrypted form will be
 // available only to the handle process, after the kernel decrypts the
 // relevant memory locations in the handle's text portion").
+//
+// The first session's decrypt is kept on the Module. Every later
+// session still looks up each encrypted placement's key, failing as a
+// real decrypt would without it, and is charged the same AES work.
 func (sm *SMod) decryptForHandle(m *Module) ([]byte, error) {
 	if !m.Encrypted {
 		return m.Image.Text, nil
+	}
+	if m.plaintext != nil {
+		for _, pl := range m.Image.Placements {
+			if pl.Encrypted && pl.Section == "text" {
+				if _, err := sm.ModKeys.Key(pl.KeyID); err != nil {
+					return nil, err
+				}
+			}
+		}
+		sm.kern.Clk.Advance(uint64(modcrypt.DecryptedBlocks(m.Image)) * sm.kern.Costs.AESPerBlock)
+		return m.plaintext, nil
 	}
 	clone := &obj.Image{
 		TextBase:   m.Image.TextBase,
@@ -357,5 +381,6 @@ func (sm *SMod) decryptForHandle(m *Module) ([]byte, error) {
 	}
 	sm.kern.Clk.Advance(uint64(modcrypt.DecryptedBlocks(m.Image)) * sm.kern.Costs.AESPerBlock)
 	modcrypt.MarkDecrypted(clone)
+	m.plaintext = clone.Text
 	return clone.Text, nil
 }

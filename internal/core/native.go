@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/kern"
@@ -28,6 +29,15 @@ type NativeClient struct {
 // nativeStackSize is the simulated-stack reservation for native clients.
 const nativeStackSize = 16 * 1024
 
+// MaxNativeArgs is the most argument words a native client's call frame
+// holds: its stack reservation less the return-address, funcID and
+// moduleID words.
+const MaxNativeArgs = nativeStackSize/4 - 3
+
+// ErrTooManyArgs reports a call with more than MaxNativeArgs argument
+// words.
+var ErrTooManyArgs = errors.New("core: too many call arguments")
+
 // Handshake is the Figure 1 client handshake in step form: a
 // kern.Stepper that finds the module, starts the session presenting the
 // credential text, and waits for the handle, then exits. It leaves the
@@ -40,8 +50,9 @@ type Handshake struct {
 	Client *NativeClient
 	Err    error
 
-	sent int    // syscalls returned so far
-	mid  uint32 // smod_find's m_id
+	sent   int          // syscalls returned so far
+	mid    uint32       // smod_find's m_id
+	client NativeClient // what Client points to once attached
 }
 
 // Step returns the handshake's next syscall, given the last one's result.
@@ -75,11 +86,12 @@ func (h *Handshake) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool
 		if errno != 0 {
 			return h.fail(fmt.Errorf("core: smod_handle_info(%s): errno %d", h.Module, errno))
 		}
-		h.Client = &NativeClient{
+		h.client = NativeClient{
 			sys:      s,
 			mid:      int(h.mid),
 			stackTop: s.ReserveTop(nativeStackSize),
 		}
+		h.Client = &h.client
 		return kern.Syscall{}, true, 0
 	}
 }
@@ -112,30 +124,49 @@ func (c *NativeClient) ModuleID() int { return c.mid }
 // returns the smod_call syscall that makes it. The words are laid out
 // exactly like an SM32 client stub would leave them: arguments, then
 // the return address, funcID and moduleID on top, with the process SP
-// pointing at the moduleID word (Figure 3 step 2).
-func (c *NativeClient) Prepare(funcID uint32, args ...uint32) kern.Syscall {
+// pointing at the moduleID word (Figure 3 step 2). A call of more than
+// MaxNativeArgs words fails with ErrTooManyArgs, before any word is
+// written.
+func (c *NativeClient) Prepare(funcID uint32, args ...uint32) (kern.Syscall, error) {
+	if len(args) > MaxNativeArgs {
+		return kern.Syscall{}, fmt.Errorf("core: call of %d words, at most %d: %w", len(args), MaxNativeArgs, ErrTooManyArgs)
+	}
 	p := c.sys.Proc()
 	sp := c.stackTop
-	write := func(v uint32) {
+	write := func(v uint32) error {
 		sp -= 4
 		if err := p.Space.Write32(sp, v); err != nil {
-			panic("core: native client stack write: " + err.Error())
+			return fmt.Errorf("core: native client stack write: %w", err)
 		}
+		return nil
 	}
 	for i := len(args) - 1; i >= 0; i-- {
-		write(args[i])
+		if err := write(args[i]); err != nil {
+			return kern.Syscall{}, err
+		}
 	}
-	write(0) // return address (unused by a native client)
-	write(funcID)
-	write(uint32(c.mid))
+	// Return address (unused by a native client), funcID, moduleID.
+	for _, v := range [3]uint32{0, funcID, uint32(c.mid)} {
+		if err := write(v); err != nil {
+			return kern.Syscall{}, err
+		}
+	}
 	p.CPU.SP = sp
-	return kern.Syscall{No: SysCallNo, Args: [6]uint32{uint32(c.mid), funcID}}
+	return kern.Syscall{No: SysCallNo, Args: [6]uint32{uint32(c.mid), funcID}}, nil
 }
 
 // Call invokes funcID with the given word arguments through smod_call,
-// from a native process run by kern.SpawnNative.
+// from a native process run by kern.SpawnNative. A call Prepare
+// refuses returns EINVAL, or E2BIG for too many words, without
+// trapping.
 func (c *NativeClient) Call(funcID uint32, args ...uint32) (uint32, int) {
-	sc := c.Prepare(funcID, args...)
+	sc, err := c.Prepare(funcID, args...)
+	switch {
+	case errors.Is(err, ErrTooManyArgs):
+		return 0, kern.E2BIG
+	case err != nil:
+		return 0, kern.EINVAL
+	}
 	return c.sys.Call(sc.No, sc.Args[:]...)
 }
 

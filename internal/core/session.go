@@ -62,7 +62,9 @@ func (sm *SMod) sysFind(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret
 		return kern.Sysret{Err: kern.ENOENT}
 	}
 	k.Clk.Advance(k.Costs.SyscallSimple)
-	sm.tracef("(1) smod_find(%q, %d) by pid %d -> m_id %d", name, int32(args[1]), p.PID, id)
+	if sm.Tracef != nil {
+		sm.Tracef("(1) smod_find(%q, %d) by pid %d -> m_id %d", name, int32(args[1]), p.PID, id)
+	}
 	return kern.Sysret{Val: uint32(id)}
 }
 
@@ -139,10 +141,11 @@ func (sm *SMod) sysRemove(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysr
 // handle, and executes the function smod_std_handle(), using the secret
 // stack" (Figure 1 step 2).
 func (sm *SMod) sysStartSession(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret {
-	desc, err := k.CopyIn(p, args[0], descSize)
-	if err != nil {
+	var descBuf [descSize]byte
+	if err := k.CopyInto(p, args[0], descBuf[:]); err != nil {
 		return kern.Sysret{Err: kern.EFAULT}
 	}
+	desc := descBuf[:]
 	mid := int(le32at(desc, 0))
 	credPtr := le32at(desc, 4)
 	credLen := int(le32at(desc, 8))
@@ -177,8 +180,10 @@ func (sm *SMod) sysStartSession(k *kern.Kernel, p *kern.Proc, args []uint32) ker
 		return kern.Sysret{Err: kern.ENOMEM}
 	}
 	s.creds = creds
-	sm.tracef("(2) smod_start_session(%s) by pid %d: credentials pass; forcibly forked handle pid %d on secret stack %#x",
-		m.Name, p.PID, s.Handle.PID, uint32(secretStack))
+	if sm.Tracef != nil {
+		sm.Tracef("(2) smod_start_session(%s) by pid %d: credentials pass; forcibly forked handle pid %d on secret stack %#x",
+			m.Name, p.PID, s.Handle.PID, uint32(secretStack))
+	}
 	return kern.Sysret{Val: uint32(s.ID)}
 }
 
@@ -212,21 +217,29 @@ func (sm *SMod) verifyCredentials(blob string) ([]*policy.Assertion, error) {
 // uid/client plus "now" (simulated seconds since boot, for licensing
 // expiry conditions); extra adds per-operation attributes such as the
 // session call count for metering policies.
+//
+// The attribute map, the assertion list and the query's own scratch
+// are the SMod's, reused from one check to the next.
 func (sm *SMod) checkPolicy(m *Module, p *kern.Proc, creds []*policy.Assertion, op string, extra policy.Attributes) error {
-	attrs := policy.Attributes{
-		"app_domain": "secmodule",
-		"operation":  op,
-		"module":     m.Name,
-		"version":    strconv.Itoa(m.Version),
-		"uid":        strconv.Itoa(p.Cred.UID),
-		"client":     p.Cred.Name,
-		"now":        strconv.FormatUint(sm.kern.Clk.Cycles()/(clock.CyclesPerMicrosecond*1_000_000), 10),
+	ps := &sm.policy
+	if ps.attrs == nil {
+		ps.attrs = policy.Attributes{}
 	}
+	attrs := ps.attrs
+	clear(attrs)
+	attrs["app_domain"] = "secmodule"
+	attrs["operation"] = op
+	attrs["module"] = m.Name
+	attrs["version"] = strconv.Itoa(m.Version)
+	attrs["uid"] = strconv.Itoa(p.Cred.UID)
+	attrs["client"] = p.Cred.Name
+	attrs["now"] = strconv.FormatUint(sm.kern.Clk.Cycles()/(clock.CyclesPerMicrosecond*1_000_000), 10)
 	for k, v := range extra {
 		attrs[k] = v
 	}
-	all := append(append([]*policy.Assertion{}, m.policyAsserts...), creds...)
-	res, err := policy.Query(all, p.Cred.Name, attrs, m.valueSet)
+	ps.all = append(append(ps.all[:0], m.policyAsserts...), creds...)
+	res, err := ps.querier.Query(ps.all, p.Cred.Name, attrs, m.valueSet)
+	clear(ps.all)
 	sm.chargePolicy(res)
 	sm.PolicyChecks++
 	if err != nil {
@@ -250,7 +263,7 @@ func (sm *SMod) chargePolicy(res policy.Result) {
 // stack. The Figure 2 layout comes to exist here.
 func (sm *SMod) openSession(client *kern.Proc, m *Module) (*Session, error) {
 	k := sm.kern
-	handle := k.ForkInto(client, fmtSessionName(client, m))
+	handle := k.ForkInto(client, handleName(client, m))
 	handle.IsHandle = true
 	handle.NoCoreDump = true
 	handle.NoTrace = true
@@ -342,8 +355,10 @@ func (sm *SMod) sysSessionInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern
 	}
 	s.handleReady = true
 	k.Wakeup(&s.handleWait)
-	sm.tracef("(3) smod_session_info by handle pid %d: data/heap/stack [%#x,%#x) force-shared from client pid %d",
-		p.PID, uint32(kern.ShareStart), uint32(kern.ShareEnd), s.Client.PID)
+	if sm.Tracef != nil {
+		sm.Tracef("(3) smod_session_info by handle pid %d: data/heap/stack [%#x,%#x) force-shared from client pid %d",
+			p.PID, uint32(kern.ShareStart), uint32(kern.ShareEnd), s.Client.PID)
+	}
 	return kern.Sysret{Val: 0}
 }
 
@@ -358,8 +373,10 @@ func (sm *SMod) sysHandleInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern.
 	if !s.handleReady {
 		return kern.Sysret{BlockOn: &s.handleWait}
 	}
-	sm.tracef("(4) smod_handle_info by client pid %d: handshake with handle pid %d complete; entering smod_client_main",
-		p.PID, s.Handle.PID)
+	if sm.Tracef != nil {
+		sm.Tracef("(4) smod_handle_info by client pid %d: handshake with handle pid %d complete; entering smod_client_main",
+			p.PID, s.Handle.PID)
+	}
 	return kern.Sysret{Val: 0}
 }
 

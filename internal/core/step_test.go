@@ -86,7 +86,11 @@ func (d *stepSession) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bo
 	if i == d.sc.burnAt {
 		burnToTick(s)
 	}
-	return d.c.Prepare(d.sc.calls[i][0], d.sc.calls[i][1]), false, 0
+	sc, err := d.c.Prepare(d.sc.calls[i][0], d.sc.calls[i][1])
+	if err != nil {
+		panic(err)
+	}
+	return sc, false, 0
 }
 
 // kernelCounts are the simulated totals both drivers must agree on.

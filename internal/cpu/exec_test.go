@@ -129,8 +129,12 @@ func (w *execWorld) diff(o *execWorld) string {
 		}
 		for _, e := range s.Entries() {
 			oe := o.spaces[i].FindEntry(e.Start)
-			for idx, an := range e.Amap {
-				if oan := oe.Amap[idx]; oan == nil || an.Page.Data != oan.Page.Data {
+			for idx := uint32(0); idx < (e.End-e.Start)>>mem.PageShift; idx++ {
+				an := e.Anon(idx)
+				if an == nil {
+					continue
+				}
+				if oan := oe.Anon(idx); oan == nil || an.Page.Data != oan.Page.Data {
 					return fmt.Sprintf("space %d: page %#x differs", i, e.Start+idx<<mem.PageShift)
 				}
 			}
@@ -145,7 +149,7 @@ func spaceState(s *vm.Space) string {
 	fmt.Fprintf(&b, "faults=%d zero=%d cow=%d share=%d\n", s.Faults, s.ZeroFills, s.COWCopies, s.ShareFaults)
 	for _, e := range s.Entries() {
 		fmt.Fprintf(&b, "  %#x-%#x %s %s shared=%v cow=%v pages=%d\n",
-			e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, len(e.Amap))
+			e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, e.Resident())
 	}
 	return b.String()
 }

@@ -62,6 +62,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/loadmgr"
 	"repro/internal/placement"
 	"repro/internal/tenant"
@@ -364,7 +365,7 @@ func (f *Fleet) route(req *Request, j *job) (int, error) {
 	if f.closed {
 		return -1, ErrFleetClosed
 	}
-	if err := f.checkTenant(req.Tenant); err != nil {
+	if err := f.checkRequest(req); err != nil {
 		return -1, err
 	}
 	sid := f.placement().Route(placement.Call{Key: req.Key, Idempotent: f.idemp[req.FuncID], Tenant: req.Tenant})
@@ -373,6 +374,18 @@ func (f *Fleet) route(req *Request, j *job) (int, error) {
 	}
 	f.shards[sid].inbox <- j
 	return sid, nil
+}
+
+// checkRequest is the admission check route and submitGrouped make on
+// every request before placing it: no more arguments than a native
+// call frame holds (core.MaxNativeArgs; a longer request fails with
+// core.ErrTooManyArgs), and a known tenant.
+func (f *Fleet) checkRequest(req *Request) error {
+	if len(req.Args) > core.MaxNativeArgs {
+		return fmt.Errorf("fleet: key %q: %d call arguments, at most %d: %w",
+			req.Key, len(req.Args), core.MaxNativeArgs, core.ErrTooManyArgs)
+	}
+	return f.checkTenant(req.Tenant)
 }
 
 // Future is the handle to one asynchronously submitted request. With
@@ -446,7 +459,7 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
 	perShard := make([][]int, len(f.shards))
 	for i := 0; i < n; i++ {
 		req := reqOf(i)
-		if err := f.checkTenant(req.Tenant); err != nil {
+		if err := f.checkRequest(req); err != nil {
 			f.mu.RUnlock()
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/rpc"
 )
 
@@ -22,7 +23,9 @@ import (
 // normal reply. A QoS shed (ErrOverload) is also a normal reply — the
 // transport stays up — carrying the distinct rpc.ErrnoOverload so
 // clients (smodfleetctl burst) can count sheds apart from module
-// errnos.
+// errnos. So is a call with more arguments than a native call frame
+// holds (core.ErrTooManyArgs), refused before any shard sees it: it
+// carries rpc.ErrnoTooManyArgs and shard -1.
 func (f *Fleet) FleetCall(key string, funcID uint32, args []uint32) (uint32, int32, int32, error) {
 	return f.FleetCallTenant("", key, funcID, args)
 }
@@ -32,6 +35,9 @@ func (f *Fleet) FleetCall(key string, funcID uint32, args []uint32) (uint32, int
 func (f *Fleet) FleetCallTenant(tenantName, key string, funcID uint32, args []uint32) (uint32, int32, int32, error) {
 	j := newCallJob(Request{Key: key, FuncID: funcID, Args: args, Tenant: tenantName})
 	if _, err := f.route(&j.reqs[0], j); err != nil {
+		if errors.Is(err, core.ErrTooManyArgs) {
+			return 0, rpc.ErrnoTooManyArgs, -1, nil
+		}
 		return 0, 0, -1, err
 	}
 	<-j.done

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -57,6 +57,10 @@ type clientProc struct {
 	// tenancy) — the signal the tenant-aware LRU uses to evict an
 	// over-share class's sessions before an under-share class's.
 	tenant string
+	// steps is the process body.
+	steps clientSteps
+	// queue1 backs queue until a second call queues up.
+	queue1 [1]*pendingCall
 }
 
 // jobKind discriminates the shard inbox messages.
@@ -192,6 +196,9 @@ type shard struct {
 	onEvict func(key string)
 
 	clients map[string]*clientProc
+	// live holds clients' values in spawn (born) order, the order the
+	// LRU walk and shutdown visit them in.
+	live    []*clientProc
 	byPID   map[int]*clientProc
 	spawned uint64
 	seq     uint64 // job admission sequence for LRU accounting
@@ -440,8 +447,13 @@ func (c *clientSteps) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bo
 				FuncID: pc.funcID,
 			})
 		}
+		sc, err := c.nc.Prepare(pc.funcID, pc.args...)
+		if err != nil {
+			sh.finish(pc, Response{Err: err})
+			continue
+		}
 		c.pc = pc
-		return c.nc.Prepare(pc.funcID, pc.args...), false, 0
+		return sc, false, 0
 	}
 	return parkCall, false, 0
 }
@@ -796,6 +808,8 @@ func (sh *shard) ensureClient(key string) *clientProc {
 	if cp != nil {
 		// Respawning over a dead client: drop its PID index entry.
 		delete(sh.byPID, cp.proc.PID)
+		sh.dropLive(cp)
+		sh.k.Release(cp.proc)
 	}
 	if cp == nil && sh.cfg.maxSessions > 0 &&
 		len(sh.clients) >= sh.cfg.maxSessions {
@@ -803,20 +817,29 @@ func (sh *shard) ensureClient(key string) *clientProc {
 	}
 	sh.spawned++
 	cp = &clientProc{key: key, born: sh.spawned, lastUse: sh.seq}
+	cp.queue = cp.queue1[:0]
+	cp.steps = clientSteps{sh: sh, cp: cp, attach: core.Handshake{
+		Module:     sh.cfg.module,
+		Version:    sh.cfg.version,
+		Credential: sh.cfg.credential,
+	}}
 	cp.proc = sh.k.SpawnStepper("fleet-client:"+key,
-		kern.Cred{UID: sh.cfg.clientUID, Name: sh.cfg.clientName},
-		&clientSteps{sh: sh, cp: cp, attach: core.Handshake{
-			Module:     sh.cfg.module,
-			Version:    sh.cfg.version,
-			Credential: sh.cfg.credential,
-		}})
+		kern.Cred{UID: sh.cfg.clientUID, Name: sh.cfg.clientName}, &cp.steps)
 	sh.clients[key] = cp
+	sh.live = append(sh.live, cp)
 	sh.byPID[cp.proc.PID] = cp
 	return cp
 }
 
-// evictLRU reclaims the least-recently-used idle session (deterministic
-// tie-break on spawn order). Clients with calls in flight, or touched
+// dropLive removes cp from the spawn-ordered client list.
+func (sh *shard) dropLive(cp *clientProc) {
+	if i := slices.Index(sh.live, cp); i >= 0 {
+		sh.live = slices.Delete(sh.live, i, i+1)
+	}
+}
+
+// evictLRU reclaims the least-recently-used idle session, the first
+// spawned among equals. Clients with calls in flight, or touched
 // by the job currently being admitted, are never evicted; if every
 // session is busy the cap is soft. With QoS on, the victim comes from
 // the class furthest over its weighted session share first — so an
@@ -828,12 +851,12 @@ func (sh *shard) evictLRU() {
 		return
 	}
 	var victim *clientProc
-	for _, cp := range sh.clients {
+	for _, cp := range sh.live {
 		if cp.inflight > 0 || cp.lastUse == sh.seq {
 			continue
 		}
-		if victim == nil || cp.lastUse < victim.lastUse ||
-			(cp.lastUse == victim.lastUse && cp.born < victim.born) {
+		// sh.live is in spawn order: the first of equal lastUse wins.
+		if victim == nil || cp.lastUse < victim.lastUse {
 			victim = cp
 		}
 	}
@@ -848,18 +871,18 @@ func (sh *shard) evictLRU() {
 // (overShare = classSessions*totalWeight - classWeight*totalSessions,
 // positive means over-share), then LRU, then spawn order. The ordering
 // is a strict total order on integers with a unique final tie-break
-// (born), so the choice is independent of map iteration order.
+// (born).
 func (sh *shard) evictLRUTenant() {
 	q := sh.qos
 	counts := make([]int, len(q.names))
 	total := 0
-	for _, cp := range sh.clients {
+	for _, cp := range sh.live {
 		counts[q.classOf(cp.tenant)]++
 		total++
 	}
 	var victim *clientProc
 	var vOver int
-	for _, cp := range sh.clients {
+	for _, cp := range sh.live {
 		if cp.inflight > 0 || cp.lastUse == sh.seq {
 			continue
 		}
@@ -908,8 +931,10 @@ func (sh *shard) teardown(key string) bool {
 		})
 	}
 	delete(sh.clients, key)
+	sh.dropLive(cp)
 	delete(sh.byPID, cp.proc.PID)
 	sh.k.Kill(cp.proc, kern.SIGKILL)
+	sh.k.Release(cp.proc)
 	return true
 }
 
@@ -968,7 +993,7 @@ func (sh *shard) warmChecked(j *job) bool {
 // snapshot merges the shard's counters.
 func (sh *shard) snapshot() ShardStats {
 	live := 0
-	for _, cp := range sh.clients {
+	for _, cp := range sh.live {
 		if cp.proc.State != kern.StateZombie && cp.proc.State != kern.StateDead {
 			live++
 		}
@@ -1003,7 +1028,7 @@ func (sh *shard) snapshot() ShardStats {
 	}
 	if q := sh.qos; q != nil {
 		sessions := make([]int, len(q.names))
-		for _, cp := range sh.clients {
+		for _, cp := range sh.live {
 			if cp.proc.State != kern.StateZombie && cp.proc.State != kern.StateDead {
 				sessions[q.classOf(cp.tenant)]++
 			}
@@ -1023,15 +1048,10 @@ func (sh *shard) snapshot() ShardStats {
 
 // shutdown unparks every client with the closing flag set and drains
 // the kernel until all processes (clients and their handles) exited.
-// Clients are woken in spawn order, not map order, so the final cycle
-// counts stay deterministic.
+// Clients are woken in spawn order, so the final cycle counts stay
+// deterministic.
 func (sh *shard) shutdown() {
-	cps := make([]*clientProc, 0, len(sh.clients))
-	for _, cp := range sh.clients {
-		cps = append(cps, cp)
-	}
-	sort.Slice(cps, func(i, j int) bool { return cps[i].born < cps[j].born })
-	for _, cp := range cps {
+	for _, cp := range sh.live {
 		cp.closing = true
 		sh.k.Wakeup(&cp.park)
 	}

@@ -123,3 +123,75 @@ func TestFleetCallAllocs(t *testing.T) {
 		t.Fatalf("warm FleetCall: %.2f allocs, want <= %d", got, fleetCallAllocs)
 	}
 }
+
+// churnFleet opens a 1-shard fleet capped at one warm session and
+// returns a function that runs a one-call plan of the next of keys
+// fresh keys: each evicts the last key's session and opens its own.
+func churnFleet(tb testing.TB, keys int) func() {
+	f, err := Open(append(testOpts(1), WithSessionCap(1))...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			tb.Errorf("Close: %v", err)
+		}
+	})
+	incr, ok := f.FuncID("incr")
+	if !ok {
+		tb.Fatal("libc module has no incr")
+	}
+	plans := make([][]Request, keys)
+	for i := range plans {
+		plans[i] = []Request{{Key: fmt.Sprintf("churn%06d", i), FuncID: incr, Args: []uint32{uint32(i)}}}
+	}
+	next := 0
+	return func() {
+		runWarmPlan(tb, f, plans[next%keys])
+		next++
+	}
+}
+
+// sessionChurnAllocs bounds a one-call plan that opens a session and
+// tears another down. What remains, by call site:
+//   - RunPlan's job for the plan: the job, its request and response
+//     slices and its done channel (4);
+//   - submitGrouped: the per-shard groups, the job and index lists and
+//     the response slice (4, and a tiny index slice);
+//   - placement's binding of the new key (1);
+//   - shard.ensureClient: the clientProc and its process name (2);
+//   - shard.inject: the pendingCall (1);
+//   - kern.CopyInStr: smod_find's module name (1);
+//   - core.openSession: the Session, the handle's name, its Proc and
+//     its forked Space (4);
+//   - kern.SpawnStepper: the client's Space (1).
+//
+// Entries, anons, amaps, message queues, the client's Proc and Sys,
+// and the policy query's memory are recycled.
+const sessionChurnAllocs = 20
+
+// TestSessionChurnAllocs ratchets the allocations of a call that opens
+// a session and evicts another.
+func TestSessionChurnAllocs(t *testing.T) {
+	churn := churnFleet(t, 1000)
+	for i := 0; i < 10; i++ {
+		churn() // warm: frames, spare objects, queues, tables
+	}
+	if got := testing.AllocsPerRun(200, churn); got > sessionChurnAllocs {
+		t.Fatalf("session churn: %.2f allocs per call, want <= %d", got, sessionChurnAllocs)
+	}
+}
+
+// BenchmarkSessionChurn times calls that each open a session and evict
+// another, on the TestSessionChurnAllocs fleet.
+func BenchmarkSessionChurn(b *testing.B) {
+	churn := churnFleet(b, 1<<14)
+	for i := 0; i < 10; i++ {
+		churn()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn()
+	}
+}

@@ -69,6 +69,7 @@ const (
 	ENOENT = 2
 	ESRCH  = 3
 	EINTR  = 4
+	E2BIG  = 7
 	EBADF  = 9
 	ECHILD = 10
 	ENOMEM = 12
@@ -133,7 +134,10 @@ type Proc struct {
 	Parent *Proc
 	// children are the procs forked from this one, so exit-time orphan
 	// reaping is O(own children) rather than a process-table scan.
+	// child1 backs the slice until a second child, so a SecModule
+	// client's one handle costs no allocation.
 	children []*Proc
+	child1   [1]*Proc
 	Space    *vm.Space
 	CPU      cpu.Context
 	State    ProcState
@@ -179,6 +183,10 @@ type Proc struct {
 
 	// Heap bookkeeping mirrors Space but survives exec.
 	started bool
+	// released marks a descriptor its creator handed back (Release):
+	// once the process is reaped and nothing in the kernel points at
+	// it, it is reused.
+	released bool
 }
 
 // IsNative reports whether the process is a native-Go process.
@@ -218,12 +226,23 @@ type Kernel struct {
 	// BenchmarkLiveCount).
 	nlive int
 
-	syscalls map[uint32]SyscallFn
+	// syscalls holds the handlers by syscall number; a nil entry or a
+	// number past the end is ENOSYS.
+	syscalls []SyscallFn
 	sysNames map[uint32]string
+
+	// spareProcs and spareSys hold released descriptors, most recently
+	// released last, for newProc and SpawnStepper to reuse (at most
+	// maxSpareProcs each).
+	spareProcs []*Proc
+	spareSys   []*Sys
 
 	msgqs     map[int]*MsgQueue
 	msgqKeys  map[int32]int
 	nextMsqID int
+	// spareMsgqs holds freed anonymous queues, most recently freed
+	// last, for AllocMsgq to reuse (at most maxSpareMsgqs).
+	spareMsgqs []*MsgQueue
 
 	ports map[uint16]*Socket
 
@@ -263,7 +282,7 @@ func New() *Kernel {
 		Phys:      mem.NewPhys(536_440_832),
 		Costs:     clock.Base(),
 		procs:     map[int]*Proc{},
-		syscalls:  map[uint32]SyscallFn{},
+		syscalls:  make([]SyscallFn, syscallTableSize),
 		sysNames:  map[uint32]string{},
 		msgqs:     map[int]*MsgQueue{},
 		msgqKeys:  map[int32]int{},
@@ -296,12 +315,27 @@ func (k *Kernel) newSpace() *vm.Space {
 	return s
 }
 
-// RegisterSyscall installs handler as syscall number no. The SecModule
-// layer uses this to add the Figure 4 syscalls (301-320) without kern
-// importing core.
+// syscallTableSize bounds syscall numbers: handlers sit in a table
+// indexed by number, and every number in this tree is below it.
+const syscallTableSize = 512
+
+// RegisterSyscall installs handler as syscall number no, which must be
+// below syscallTableSize. The SecModule layer uses this to add the
+// Figure 4 syscalls (301-320) without kern importing core.
 func (k *Kernel) RegisterSyscall(no uint32, name string, fn SyscallFn) {
+	if no >= syscallTableSize {
+		panic(fmt.Sprintf("kern: syscall number %d, the table holds %d", no, syscallTableSize))
+	}
 	k.syscalls[no] = fn
 	k.sysNames[no] = name
+}
+
+// syscall returns the handler of syscall no, or nil.
+func (k *Kernel) syscall(no uint32) SyscallFn {
+	if uint64(no) < uint64(len(k.syscalls)) {
+		return k.syscalls[no]
+	}
+	return nil
 }
 
 // SyscallName returns the registered name of syscall no, or "".
@@ -377,7 +411,8 @@ func (k *Kernel) allocPID() int {
 }
 
 func (k *Kernel) newProc(name string, space *vm.Space) *Proc {
-	p := &Proc{
+	p := popSpare(&k.spareProcs)
+	*p = Proc{
 		PID:    k.allocPID(),
 		Name:   name,
 		Space:  space,
@@ -387,6 +422,63 @@ func (k *Kernel) newProc(name string, space *vm.Space) *Proc {
 	k.procs[p.PID] = p
 	k.nlive++
 	return p
+}
+
+// maxSpareProcs bounds the released process descriptors, and native
+// Sys handles, a kernel keeps for reuse.
+const maxSpareProcs = 64
+
+// popSpare takes the most recently released object off list, or
+// returns a new one.
+func popSpare[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return x
+}
+
+// pushSpare puts x on list unless it already holds limit.
+func pushSpare[T any](list *[]*T, x *T, limit int) {
+	if len(*list) < limit {
+		*list = append(*list, x)
+	}
+}
+
+// Release hands back the descriptor of p, a process its creator will
+// not look at again: no reference to p, nor to its Sys, outlives the
+// call on the creator's side. Once p has exited and been reaped, and
+// the kernel itself no longer points at it, the next process spawned
+// may reuse it, and a stepper's Sys with it. The fleet releases its
+// session clients. A descriptor never released is never reused: the
+// *Proc of an exited process still reads as that process, so callers
+// may inspect it after the fact, as core's callers do a session's
+// handle.
+func (k *Kernel) Release(p *Proc) {
+	p.released = true
+	k.recycle(p)
+}
+
+// recycle reuses a released, reaped descriptor, unless the run queue
+// still links it or it is being dispatched: pickNext and dispatch try
+// again once they let go of it. The last process run drops its mark,
+// so the next dispatch pays a context switch whichever process it runs.
+func (k *Kernel) recycle(p *Proc) {
+	if !p.released || p.State != StateDead || p.onRunq || p == k.cur {
+		return
+	}
+	if k.lastRun == p {
+		k.lastRun = nil
+	}
+	if s := p.native; s != nil && s.g == nil {
+		*s = Sys{}
+		pushSpare(&k.spareSys, s, maxSpareProcs)
+	}
+	*p = Proc{}
+	pushSpare(&k.spareProcs, p, maxSpareProcs)
 }
 
 // ready puts p on the run queue (appending in FIFO order, exactly like
@@ -414,9 +506,14 @@ func (k *Kernel) ready(p *Proc) {
 // one object, in the order they slept. Each queue is embedded in the
 // object waited for (a message queue, a socket, a wait4 parent, a
 // SecModule session, a parked fleet client), so sleeping and waking
-// touch only that object, and once the queue's slice has grown neither
-// allocates. The zero value is an empty queue.
-type WaitQ struct{ waiters []*Proc }
+// touch only that object, and neither allocates: the first sleeper is
+// held inline, and the slice that takes more keeps its capacity. The
+// zero value is an empty queue. A WaitQ must not be copied.
+type WaitQ struct {
+	waiters []*Proc
+	// one backs waiters until a second process sleeps here.
+	one [1]*Proc
+}
 
 // Wakeup makes every process sleeping on q runnable, in the order they
 // slept (BSD wakeup()).
@@ -460,6 +557,7 @@ func (k *Kernel) pickNext() *Proc {
 		if p.State == StateRunnable {
 			return p
 		}
+		k.recycle(p)
 	}
 	return nil
 }
@@ -554,6 +652,7 @@ func (k *Kernel) dispatch(p *Proc) error {
 			// Fell off the slice: back to the queue.
 			k.ready(p)
 		}
+		k.recycle(p)
 	}()
 
 	if p.IsNative() {
@@ -624,7 +723,7 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
-	fn := k.syscalls[no]
+	fn := k.syscall(no)
 	if fn == nil {
 		nosys := int32(ENOSYS)
 		p.CPU.RV = uint32(-nosys)
@@ -658,6 +757,9 @@ func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 func (k *Kernel) sleep(p *Proc, q *WaitQ) {
 	p.State = StateSleeping
 	p.sleepOn = q
+	if q.waiters == nil {
+		q.waiters = q.one[:0]
+	}
 	q.waiters = append(q.waiters, p)
 }
 
@@ -709,12 +811,15 @@ func (k *Kernel) doExit(p *Proc, status int) {
 	// p's zombie children are orphans no wait4 can reach any more;
 	// discard them too so a long-lived kernel's process table stays
 	// bounded under session churn. The list is detached first because
-	// reap unlinks each child from it.
+	// reap unlinks each child from it. A live child forgets p, which
+	// may be reused, and is discarded when it exits.
 	kids := p.children
 	p.children = nil
 	for _, c := range kids {
 		if c.State == StateZombie {
 			k.reap(c)
+		} else {
+			c.Parent = nil
 		}
 	}
 }
@@ -727,16 +832,16 @@ func (k *Kernel) doExit(p *Proc, status int) {
 func (k *Kernel) reap(p *Proc) {
 	p.State = StateDead
 	delete(k.procs, p.PID)
-	if p.Parent == nil {
-		return
-	}
-	kids := p.Parent.children
-	for i, c := range kids {
-		if c == p {
-			p.Parent.children = append(kids[:i], kids[i+1:]...)
-			break
+	if p.Parent != nil {
+		kids := p.Parent.children
+		for i, c := range kids {
+			if c == p {
+				p.Parent.children = append(kids[:i], kids[i+1:]...)
+				break
+			}
 		}
 	}
+	k.recycle(p)
 }
 
 // Kill delivers a fatal signal to pid from the kernel side (used by the

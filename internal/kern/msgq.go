@@ -36,7 +36,7 @@ type MsgQueue struct {
 	readers, writers WaitQ
 	// spare holds the buffers of delivered messages, which later sends
 	// fill instead of allocating.
-	spare [][]byte
+	spare spareBufs
 }
 
 // Len reports the number of queued messages.
@@ -45,18 +45,34 @@ func (q *MsgQueue) Len() int { return len(q.msgs) }
 // msgqDefaultBytes mirrors the OpenBSD MSGMNB default.
 const msgqDefaultBytes = 16384
 
-// msgqSpareBufs bounds a queue's spare buffers.
-const msgqSpareBufs = 4
+// maxSpareMsgqs bounds a kernel's freed queues kept for reuse.
+const maxSpareMsgqs = 64
 
-// newBuf returns an n-byte buffer for a message, a spare one if the
-// last spare is large enough.
-func (q *MsgQueue) newBuf(n int) []byte {
-	if i := len(q.spare) - 1; i >= 0 && cap(q.spare[i]) >= n {
-		b := q.spare[i][:n]
-		q.spare = q.spare[:i]
+// spareBufs holds the buffers of delivered messages or datagrams, most
+// recently delivered last, for later sends to fill instead of
+// allocating (at most maxSpareBufs).
+type spareBufs [][]byte
+
+// maxSpareBufs bounds a queue's or a socket's spare buffers.
+const maxSpareBufs = 4
+
+// get returns an n-byte buffer, the last spare if it is large enough.
+func (sb *spareBufs) get(n int) []byte {
+	if i := len(*sb) - 1; i >= 0 && cap((*sb)[i]) >= n {
+		b := (*sb)[i][:n]
+		(*sb)[i] = nil
+		*sb = (*sb)[:i]
 		return b
 	}
 	return make([]byte, n)
+}
+
+// put keeps b, whose bytes nothing reads any more, unless the list is
+// full.
+func (sb *spareBufs) put(b []byte) {
+	if len(*sb) < maxSpareBufs {
+		*sb = append(*sb, b)
+	}
 }
 
 // find returns the index of the first message of type mtype (0 = any),
@@ -77,9 +93,7 @@ func (q *MsgQueue) deliver(i int) int {
 	m := q.msgs[i]
 	q.msgs = slices.Delete(q.msgs, i, i+1)
 	q.bytes -= len(m.buf) - 4
-	if len(q.spare) < msgqSpareBufs {
-		q.spare = append(q.spare, m.buf)
-	}
+	q.spare.put(m.buf)
 	return len(m.buf) - 4
 }
 
@@ -94,15 +108,21 @@ func (k *Kernel) MsgqByKey(key int32) *MsgQueue {
 
 // AllocMsgq creates an anonymous kernel-side message queue (no key) and
 // returns its id. The SecModule layer allocates the client/handle call
-// and return queues this way at session start.
+// and return queues this way at session start. The queue is the most
+// recently freed one, if any, with its spare buffers.
 func (k *Kernel) AllocMsgq() int {
 	id := k.nextMsqID
 	k.nextMsqID++
-	k.msgqs[id] = &MsgQueue{ID: id, MaxBytes: msgqDefaultBytes}
+	q := popSpare(&k.spareMsgqs)
+	q.ID, q.MaxBytes = id, msgqDefaultBytes
+	k.msgqs[id] = q
 	return id
 }
 
-// FreeMsgq destroys a queue, waking anyone blocked on it.
+// FreeMsgq destroys a queue, waking anyone blocked on it. Its id is
+// never reused, so a woken process retrying on it finds no queue; the
+// queue itself, emptied to what AllocMsgq builds, goes to the next
+// AllocMsgq with its spare buffers.
 func (k *Kernel) FreeMsgq(id int) {
 	q := k.msgqs[id]
 	if q == nil {
@@ -111,6 +131,9 @@ func (k *Kernel) FreeMsgq(id int) {
 	delete(k.msgqs, id)
 	k.Wakeup(&q.readers)
 	k.Wakeup(&q.writers)
+	clear(q.msgs)
+	*q = MsgQueue{msgs: q.msgs[:0], spare: q.spare}
+	pushSpare(&k.spareMsgqs, q, maxSpareMsgqs)
 }
 
 // MsgSendKernel enqueues a message from kernel context (no user copy),
@@ -121,7 +144,7 @@ func (k *Kernel) MsgSendKernel(id int, mtype int32, payload []byte) error {
 	if q == nil {
 		return fmt.Errorf("kern: no msgq %d", id)
 	}
-	buf := q.newBuf(4 + len(payload))
+	buf := q.spare.get(4 + len(payload))
 	putLE32(buf, uint32(mtype))
 	copy(buf[4:], payload)
 	q.msgs = append(q.msgs, message{mtype: mtype, buf: buf})
@@ -193,8 +216,8 @@ func sysMsgsnd(k *Kernel, p *Proc, args []uint32) Sysret {
 	if q.bytes+msgsz > q.MaxBytes {
 		return block(&q.writers)
 	}
-	buf := q.newBuf(4 + msgsz)
-	if err := k.copyInto(p, msgp, buf); err != nil {
+	buf := q.spare.get(4 + msgsz)
+	if err := k.CopyInto(p, msgp, buf); err != nil {
 		return fail(EFAULT)
 	}
 	mtype := int32(getLE32(buf))

@@ -331,7 +331,8 @@ func (k *Kernel) SpawnStepper(name string, cred Cred, st Stepper) *Proc {
 
 	p := k.newProc(name, space)
 	p.Cred = cred
-	p.native = &Sys{
+	p.native = popSpare(&k.spareSys)
+	*p.native = Sys{
 		k: k, p: p, step: st,
 		scratchBase: UserDataBase,
 		scratchEnd:  UserDataBase + nativeScratchSize,
@@ -400,7 +401,7 @@ func (k *Kernel) dispatchNative(p *Proc) error {
 func (k *Kernel) serviceNative(p *Proc, no uint32) (bool, natReply) {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
-	fn := k.syscalls[no]
+	fn := k.syscall(no)
 	if fn == nil {
 		k.Clk.Advance(k.Costs.Trap)
 		return true, natReply{errno: ENOSYS}

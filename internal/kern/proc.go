@@ -110,6 +110,9 @@ func (k *Kernel) ForkInto(p *Proc, name string) *Proc {
 func (k *Kernel) newChild(p *Proc, name string) *Proc {
 	child := k.newProc(name, p.Space.Fork())
 	child.Parent = p
+	if p.children == nil {
+		p.children = p.child1[:0]
+	}
 	p.children = append(p.children, child)
 	child.Cred = p.Cred
 	child.CPU = p.CPU

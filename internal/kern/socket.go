@@ -28,6 +28,9 @@ type Socket struct {
 	open  bool
 	// readers holds the processes blocked in recvfrom.
 	readers WaitQ
+	// spare holds the buffers of datagrams this socket delivered, and
+	// of its sends that found no receiver, for its next sends to fill.
+	spare spareBufs
 }
 
 // Port returns the bound port (0 if unbound).
@@ -99,19 +102,23 @@ func sysSendto(k *Kernel, p *Proc, args []uint32) Sysret {
 	if n < 0 || n > 64*1024 {
 		return fail(EINVAL)
 	}
-	b, err := k.CopyIn(p, buf, n)
-	if err != nil {
+	b := s.spare.get(n)
+	if err := k.CopyInto(p, buf, b); err != nil {
+		s.spare.put(b)
 		return fail(EFAULT)
 	}
 	k.Clk.Advance(k.Costs.SocketOp)
-	if dstSock, found := k.ports[dst]; found && dstSock.open {
-		// Loopback delivery: a second copy into the receive buffer, as
-		// the loopback driver re-enqueues the mbuf chain.
-		k.Clk.Advance(uint64(n) * k.Costs.CopyPerByte)
-		dstSock.queue = append(dstSock.queue, dgram{from: s.port, data: b})
-		k.Clk.Advance(k.Costs.SocketWakeup)
-		k.Wakeup(&dstSock.readers)
+	dstSock, found := k.ports[dst]
+	if !found || !dstSock.open {
+		s.spare.put(b)
+		return ok(uint32(n))
 	}
+	// Loopback delivery: a second copy into the receive buffer, as the
+	// loopback interface re-enqueues the mbuf chain.
+	k.Clk.Advance(uint64(n) * k.Costs.CopyPerByte)
+	dstSock.queue = append(dstSock.queue, dgram{from: s.port, data: b})
+	k.Clk.Advance(k.Costs.SocketWakeup)
+	k.Wakeup(&dstSock.readers)
 	return ok(uint32(n))
 }
 
@@ -131,13 +138,19 @@ func sysRecvfrom(k *Kernel, p *Proc, args []uint32) Sysret {
 	if len(d.data) > maxn {
 		return fail(EINVAL)
 	}
-	s.queue = s.queue[1:]
+	// Pop in place, so the queue keeps its backing array.
+	n := copy(s.queue, s.queue[1:])
+	s.queue[n] = dgram{}
+	s.queue = s.queue[:n]
 	k.Clk.Advance(k.Costs.SocketOp)
-	if err := k.CopyOut(p, buf, d.data); err != nil {
+	err := k.CopyOut(p, buf, d.data)
+	s.spare.put(d.data)
+	if err != nil {
 		return fail(EFAULT)
 	}
 	if srcp != 0 {
-		if err := k.CopyOut(p, srcp, le32(uint32(d.from))); err != nil {
+		from := [4]byte{byte(d.from), byte(d.from >> 8)}
+		if err := k.CopyOut(p, srcp, from[:]); err != nil {
 			return fail(EFAULT)
 		}
 	}

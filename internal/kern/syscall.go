@@ -54,15 +54,15 @@ func block(q *WaitQ) Sysret { return Sysret{BlockOn: q} }
 // copyin cost.
 func (k *Kernel) CopyIn(p *Proc, addr uint32, n int) ([]byte, error) {
 	b := make([]byte, n)
-	if err := k.copyInto(p, addr, b); err != nil {
+	if err := k.CopyInto(p, addr, b); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// copyInto fills buf from the process's address space, charging what
+// CopyInto fills buf from the process's address space, charging what
 // CopyIn charges for len(buf) bytes.
-func (k *Kernel) copyInto(p *Proc, addr uint32, buf []byte) error {
+func (k *Kernel) CopyInto(p *Proc, addr uint32, buf []byte) error {
 	if err := p.Space.ReadInto(addr, buf); err != nil {
 		return err
 	}

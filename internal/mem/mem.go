@@ -46,6 +46,11 @@ type Phys struct {
 	// it and advances it whenever one of them may have gone stale. It
 	// starts at 1, so an empty cache slot (epoch 0) never matches.
 	Epoch uint64
+	// Spares is where the virtual memory layer keeps what this
+	// machine's address spaces released for reuse (internal/vm's map
+	// entries, anons and amaps), beside the frames they held. mem
+	// itself never reads it.
+	Spares any
 }
 
 // NewPhys returns an allocator that will hand out at most limitBytes of

@@ -7,6 +7,7 @@ package policy
 // `go test -fuzz=FuzzParseAssertion ./internal/policy`.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -90,7 +91,9 @@ func FuzzParseAssertion(f *testing.F) {
 
 // FuzzQuery drives the compliance checker with a fixed well-formed
 // policy and fuzzed requester/attribute strings: resolution and
-// condition evaluation must never panic and must stay deterministic.
+// condition evaluation must never panic and must stay deterministic,
+// and a long-lived Querier, fresh from an unrelated query, must return
+// exactly the Result and error Query does.
 func FuzzQuery(f *testing.F) {
 	f.Add("bench", "secmodule", "libc", "3")
 	f.Add("", "", "", "")
@@ -101,6 +104,23 @@ func FuzzQuery(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The unrelated query delegates through a chain and a cycle, over a
+	// longer value set, so it leaves the Querier's memo, value order and
+	// condition count full.
+	var other []*Assertion
+	for _, src := range []string{
+		"authorizer: \"POLICY\"\nlicensees: \"root\"\nconditions: module == \"m\" -> \"high\";\n",
+		"authorizer: \"root\"\nlicensees: \"mid\" || \"bench\"\nconditions: calls < 9 -> \"low\"; true -> \"high\";\n",
+		"authorizer: \"mid\"\nlicensees: \"root\"\n",
+	} {
+		oa, err := ParseAssertion(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		other = append(other, oa)
+	}
+	otherAttrs := Attributes{"module": "m", "calls": "3", "extra": "x"}
+	var qr Querier
 	f.Fuzz(func(t *testing.T, requester, domain, module, calls string) {
 		attrs := Attributes{"app_domain": domain, "module": module, "calls": calls}
 		r1, err1 := Query([]*Assertion{a}, requester, attrs, []string{MinTrust, "allow"})
@@ -108,5 +128,37 @@ func FuzzQuery(f *testing.F) {
 		if (err1 == nil) != (err2 == nil) || r1.Value != r2.Value || r1.Index != r2.Index {
 			t.Fatalf("non-deterministic query: (%+v,%v) vs (%+v,%v)", r1, err1, r2, err2)
 		}
+		if _, err := qr.Query(other, "bench", otherAttrs, []string{MinTrust, "low", "high"}); err != nil {
+			t.Fatal(err)
+		}
+		r3, err3 := qr.Query([]*Assertion{a}, requester, attrs, []string{MinTrust, "allow"})
+		if r3 != r1 || fmt.Sprint(err3) != fmt.Sprint(err1) {
+			t.Fatalf("Querier after another query: (%+v,%v), Query: (%+v,%v)", r3, err3, r1, err1)
+		}
 	})
+}
+
+// BenchmarkQuery times the session check a SecModule kernel makes with
+// its long-lived Querier: the benchmark fleet's module policy, the
+// attribute set checkPolicy builds, and no credentials.
+func BenchmarkQuery(b *testing.B) {
+	a, err := ParseAssertion("authorizer: \"POLICY\"\nlicensees: \"bench\"\n" +
+		"conditions: app_domain == \"secmodule\" -> \"allow\";\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	assertions := []*Assertion{a}
+	attrs := Attributes{
+		"app_domain": "secmodule", "operation": "session", "module": "libc", "version": "1",
+		"uid": "1", "client": "bench", "now": "0",
+	}
+	values := []string{MinTrust, "allow"}
+	var qr Querier
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err := qr.Query(assertions, "bench", attrs, values); err != nil || r.Value != "allow" {
+			b.Fatalf("query = %+v, %v", r, err)
+		}
+	}
 }

@@ -149,22 +149,43 @@ type Result struct {
 // have Authorizer == POLICY; the rest are credentials, which the caller
 // must have verified). values is the ordered compliance-value set; it
 // must contain at least MinTrust. A requester reachable by no
-// delegation chain gets MinTrust.
+// delegation chain gets MinTrust. Query is a Querier used once.
 func Query(assertions []*Assertion, requester string, attrs Attributes, values []string) (Result, error) {
-	ord := map[string]int{}
-	for i, v := range values {
-		ord[v] = i
+	var qr Querier
+	return qr.Query(assertions, requester, attrs, values)
+}
+
+// Querier runs compliance queries one after another and keeps its
+// scratch memory (the value order, the per-principal memo and the
+// delegation-cycle guard) for the next query, so a long-lived Querier
+// answers without allocating. The zero value is ready to use. A
+// Querier is not safe for concurrent use.
+type Querier struct{ q query }
+
+// Query is the package-level Query, run on qr's scratch memory.
+func (qr *Querier) Query(assertions []*Assertion, requester string, attrs Attributes, values []string) (Result, error) {
+	q := &qr.q
+	if q.ord == nil {
+		q.ord, q.memo, q.active = map[string]int{}, map[string]int{}, map[string]bool{}
 	}
-	if _, ok := ord[MinTrust]; !ok {
+	clear(q.ord)
+	clear(q.memo)
+	clear(q.active)
+	for i, v := range values {
+		q.ord[v] = i
+	}
+	if _, ok := q.ord[MinTrust]; !ok {
 		return Result{}, fmt.Errorf("policy: value set %v lacks %s", values, MinTrust)
 	}
 	// MaxTrust is implicitly the top of every ordered set.
-	if _, ok := ord[MaxTrust]; !ok {
-		ord[MaxTrust] = len(values)
+	if _, ok := q.ord[MaxTrust]; !ok {
+		q.ord[MaxTrust] = len(values)
 	}
 
-	q := &query{assertions: assertions, attrs: attrs, ord: ord, memo: map[string]int{}, active: map[string]bool{}}
+	q.assertions, q.attrs, q.conds = assertions, attrs, 0
 	idx := q.principalValue(requester)
+	// Keep no reference to the caller's assertions or attributes.
+	q.assertions, q.attrs = nil, nil
 	// Clamp the implicit MaxTrust to the top declared value.
 	if idx >= len(values) {
 		idx = len(values) - 1

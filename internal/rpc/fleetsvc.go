@@ -39,6 +39,12 @@ const (
 // kernel's errno range, so it can never collide with a module errno.
 const ErrnoOverload int32 = 75
 
+// ErrnoTooManyArgs is the errno a FleetCall reply carries when the call
+// had more argument words than a native call frame holds
+// (core.MaxNativeArgs): the fleet refused it before any shard saw it.
+// It is E2BIG, as in OpenBSD.
+const ErrnoTooManyArgs int32 = 7
+
 // FleetBackend is the slice of the fleet the service needs. Errors
 // returned here become RPC system errors on the wire (the transport
 // stays up); a nonzero errno is a normal reply.

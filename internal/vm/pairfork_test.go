@@ -95,8 +95,8 @@ func TestForkOfPairUnmaterializedPagesStayLazy(t *testing.T) {
 	if ce == nil {
 		t.Fatal("child lacks the entry")
 	}
-	if len(ce.Amap) != 1 {
-		t.Fatalf("child amap has %d anons, want 1 (only the touched page)", len(ce.Amap))
+	if ce.Resident() != 1 {
+		t.Fatalf("child amap has %d anons, want 1 (only the touched page)", ce.Resident())
 	}
 	v, err := child.Read32(base + mem.PageSize)
 	if err != nil || v != 0 {

@@ -62,7 +62,7 @@ func (w *probeWorld) state() string {
 			s.Faults, s.ZeroFills, s.COWCopies, s.ShareFaults)
 		for _, e := range s.Entries() {
 			fmt.Fprintf(&b, "%#x-%#x %s %s shared=%v cow=%v pages=%d last=%v\n",
-				e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, len(e.Amap), e.lastAlias())
+				e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, e.Resident(), e.lastAlias())
 		}
 	}
 	fmt.Fprintf(&b, "cycles=%d\n", w.clk.Cycles())

@@ -95,7 +95,7 @@ func (w *tlbWorld) state() string {
 			s.HeapStart, s.HeapEnd, s.ShareStart, s.ShareEnd, s.Partner != nil)
 		for _, e := range s.Entries() {
 			fmt.Fprintf(&b, "  %#x-%#x %s %s shared=%v cow=%v pages=%d last=%v\n",
-				e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, len(e.Amap), e.lastAlias())
+				e.Start, e.End, e.Prot, e.Name, e.Shared, e.COW, e.Resident(), e.lastAlias())
 		}
 	}
 	fmt.Fprintf(&b, "cycles=%d\n", w.clk.Cycles())

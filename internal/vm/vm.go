@@ -99,28 +99,43 @@ type Anon struct {
 	Refs int
 }
 
+// amap is a mapping's anonymous memory: its resident pages, sorted by
+// page index within the entry. Entries aliasing one amap share it by
+// pointer, so a page materialized by either side is immediately
+// visible to the other; refs counts them, and the anons go with the
+// last (see release).
+type amap struct {
+	pages []anonRef
+	refs  int
+}
+
+// anonRef is one resident page of an amap.
+type anonRef struct {
+	idx uint32 // page index within the entry
+	an  *Anon
+}
+
+// lookup returns where page idx is or belongs in a.pages, and whether
+// it is resident.
+func (a *amap) lookup(idx uint32) (int, bool) {
+	return slices.BinarySearchFunc(a.pages, idx, func(r anonRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
+}
+
 // Entry is one contiguous mapping [Start,End) in an address space.
-// Anonymous memory lives in Amap, keyed by page index relative to
-// Start. When Shared is set the amap is aliased between spaces (writes
-// are mutually visible); otherwise fork marks both sides copy-on-write.
+// Anonymous memory lives in its amap, by page index relative to Start.
+// When Shared is set the amap is aliased between spaces (writes are
+// mutually visible); otherwise fork marks both sides copy-on-write.
 type Entry struct {
 	Start, End uint32
 	Prot       Prot
 	Name       string
-	// Amap maps page-index-within-entry to anon. Shared entries alias
-	// the same map object across spaces, so a page materialized by
-	// either side is immediately visible to the other.
-	Amap map[uint32]*Anon
 	// Shared marks the entry as write-shared (SecModule force-share or
 	// explicitly shared mappings). Non-shared entries become COW on fork.
 	Shared bool
 	// COW marks the entry copy-on-write: anons with Refs>1 must be
 	// copied before the first write.
-	COW bool
-	// aliases counts the entries, across all spaces, that alias Amap;
-	// nil means this entry is the amap's only one. The anons go with
-	// the last alias (see release).
-	aliases *int
+	COW  bool
+	amap *amap
 }
 
 func (e *Entry) contains(addr uint32) bool { return addr >= e.Start && addr < e.End }
@@ -129,33 +144,152 @@ func (e *Entry) pageIndex(addr uint32) uint32 {
 	return (mem.PageAlign(addr) - e.Start) >> mem.PageShift
 }
 
-// alias returns a new entry over e's amap: both become write-shared and
-// the amap counts one more alias. The caller maps the result.
-func (e *Entry) alias() *Entry {
-	if e.aliases == nil {
-		e.aliases = new(int)
-		*e.aliases = 1
+// Resident returns the number of e's pages that are materialized.
+func (e *Entry) Resident() int { return len(e.amap.pages) }
+
+// Anon returns the anon holding page idx of e (counted from Start), or
+// nil when that page is not materialized.
+func (e *Entry) Anon(idx uint32) *Anon {
+	if i, ok := e.amap.lookup(idx); ok {
+		return e.amap.pages[i].an
 	}
-	*e.aliases++
-	e.Shared = true
-	return &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
-		Amap: e.Amap, Shared: true, aliases: e.aliases}
+	return nil
 }
 
 // lastAlias reports whether no other entry aliases e's amap, so the
 // amap (and its anon references) goes when e does.
-func (e *Entry) lastAlias() bool { return e.aliases == nil || *e.aliases <= 1 }
+func (e *Entry) lastAlias() bool { return e.amap.refs <= 1 }
+
+// spares holds the map entries, anons and amaps a machine's spaces
+// released, for the machine's next ones: each list is LIFO and holds
+// at most maxSpares. An object goes on a list only when nothing refers
+// to it any more, and an entry only after the epoch bump that retires
+// every TLB slot that could hold it. Taking one off resets it to
+// exactly what building it fresh makes. Spaces without a mem.Phys have
+// no spares: like their pages, their objects are always fresh.
+type spares struct {
+	entries []*Entry
+	anons   []*Anon
+	amaps   []*amap
+}
+
+// maxSpares bounds each of a machine's spare lists.
+const maxSpares = 1024
+
+// sparesOf returns phys's spares, creating them on first use.
+func sparesOf(phys *mem.Phys) *spares {
+	if phys.Spares == nil {
+		phys.Spares = new(spares)
+	}
+	return phys.Spares.(*spares)
+}
+
+// pop takes the most recently released object off list, or returns nil.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return x
+}
+
+// push puts x on list unless the list is full.
+func push[T any](list *[]*T, x *T) {
+	if len(*list) < maxSpares {
+		*list = append(*list, x)
+	}
+}
+
+// entry returns an entry holding e.
+func (sp *spares) entry(e Entry) *Entry {
+	var x *Entry
+	if sp != nil {
+		x = pop(&sp.entries)
+	}
+	if x == nil {
+		x = new(Entry)
+	}
+	*x = e
+	return x
+}
+
+// anon returns an anon of pg with one reference.
+func (sp *spares) anon(pg *mem.Page) *Anon {
+	var x *Anon
+	if sp != nil {
+		x = pop(&sp.anons)
+	}
+	if x == nil {
+		x = new(Anon)
+	}
+	*x = Anon{Page: pg, Refs: 1}
+	return x
+}
+
+// amap returns an empty amap with one alias. A spare keeps the
+// capacity of its page list.
+func (sp *spares) amap() *amap {
+	var x *amap
+	if sp != nil {
+		x = pop(&sp.amaps)
+	}
+	if x == nil {
+		x = new(amap)
+	}
+	x.refs = 1
+	return x
+}
+
+func (sp *spares) putEntry(e *Entry) {
+	*e = Entry{}
+	if sp != nil {
+		push(&sp.entries, e)
+	}
+}
+
+func (sp *spares) putAnon(an *Anon) {
+	*an = Anon{}
+	if sp != nil {
+		push(&sp.anons, an)
+	}
+}
+
+func (sp *spares) putAmap(a *amap) {
+	clear(a.pages)
+	a.pages, a.refs = a.pages[:0], 0
+	if sp != nil {
+		push(&sp.amaps, a)
+	}
+}
+
+// alias returns a new entry of s over e's amap: both become
+// write-shared and the amap counts one more alias. The caller maps the
+// result.
+func (s *Space) alias(e *Entry) *Entry {
+	e.amap.refs++
+	e.Shared = true
+	return s.spares.entry(Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
+		Shared: true, amap: e.amap})
+}
 
 // Space is one process's address space.
 type Space struct {
 	phys *mem.Phys
 	clk  *clock.Clock
+	// spares are the machine's recycled objects (nil without phys).
+	spares *spares
 	// costs is the machine's cost table for fault-service charges
 	// (SetCosts); nil falls back to the baseline table, so unit tests
 	// building bare spaces keep the historical charges.
 	costs *clock.Costs
 
 	entries []*Entry // sorted by Start, non-overlapping
+	// entryBuf backs entries until a space maps more than it holds,
+	// which most never do.
+	entryBuf [8]*Entry
 
 	// Partner is the other half of a SecModule pair. When a fault finds
 	// no local mapping inside [ShareStart,ShareEnd), the modified fault
@@ -226,8 +360,10 @@ type tlbSlot struct {
 // (ForceShare, MapSharedInternal, Fork) put them on one epoch.
 func NewSpace(phys *mem.Phys, clk *clock.Clock) *Space {
 	s := &Space{phys: phys, clk: clk}
+	s.entries = s.entryBuf[:0]
 	if phys != nil {
 		s.epoch = &phys.Epoch
+		s.spares = sparesOf(phys)
 	} else {
 		s.epoch = new(uint64)
 		*s.epoch = 1
@@ -323,7 +459,7 @@ func (s *Space) Map(start, size uint32, prot Prot, name string) (*Entry, error) 
 	if start%mem.PageSize != 0 || size == 0 || size%mem.PageSize != 0 {
 		return nil, fmt.Errorf("vm: Map(%#x,%#x): unaligned", start, size)
 	}
-	e := &Entry{Start: start, End: start + size, Prot: prot, Name: name, Amap: make(map[uint32]*Anon)}
+	e := s.spares.entry(Entry{Start: start, End: start + size, Prot: prot, Name: name, amap: s.spares.amap()})
 	if err := s.insert(e); err != nil {
 		return nil, err
 	}
@@ -340,7 +476,7 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 	if err != nil {
 		return nil, nil, err
 	}
-	e2 := e1.alias()
+	e2 := s2.alias(e1)
 	if err := s2.insert(e2); err != nil {
 		s1.Unmap(start, start+size)
 		return nil, nil, err
@@ -354,79 +490,80 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 // them: its remainders then take their own anon references.
 func (s *Space) Unmap(start, end uint32) {
 	s.bump()
-	var keep []*Entry
-	for _, e := range s.entries {
-		if e.End <= start || e.Start >= end {
-			keep = append(keep, e)
-			continue
-		}
-		// Overlap: possibly split into a left and/or right remainder.
-		last := e.lastAlias()
-		lo, hi := start, end
-		if lo < e.Start {
-			lo = e.Start
-		}
-		if hi > e.End {
-			hi = e.End
-		}
-		if e.Start < lo {
-			left := &Entry{Start: e.Start, End: lo, Prot: e.Prot, Name: e.Name,
-				Amap: make(map[uint32]*Anon), Shared: e.Shared, COW: e.COW}
-			for idx, an := range e.Amap {
-				a := e.Start + idx<<mem.PageShift
-				if a < lo {
-					left.Amap[idx] = an
-					if !last {
-						an.Refs++
-					}
-				}
-			}
-			// Rebase is unnecessary: left.Start == e.Start.
-			keep = append(keep, left)
-		}
-		if e.End > hi {
-			right := &Entry{Start: hi, End: e.End, Prot: e.Prot, Name: e.Name,
-				Amap: make(map[uint32]*Anon), Shared: e.Shared, COW: e.COW}
-			base := (hi - e.Start) >> mem.PageShift
-			for idx, an := range e.Amap {
-				a := e.Start + idx<<mem.PageShift
-				if a >= hi {
-					right.Amap[idx-base] = an
-					if !last {
-						an.Refs++
-					}
-				}
-			}
-			keep = append(keep, right)
-		}
-		// Drop references covered by [lo,hi) with the amap's last alias;
-		// otherwise the other aliases keep the amap, anons and all.
-		if !last {
-			*e.aliases--
-		} else {
-			for idx, an := range e.Amap {
-				a := e.Start + idx<<mem.PageShift
-				if a >= lo && a < hi {
-					s.dropAnon(an)
-					delete(e.Amap, idx)
-				}
-			}
-		}
+	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].End > start })
+	j := i
+	for j < len(s.entries) && s.entries[j].Start < end {
+		j++
 	}
-	s.entries = keep
-	slices.SortFunc(s.entries, byStart)
-}
-
-// dropAnon drops one amap reference to an and frees its frame with the
-// last. The allocator hands freed frames out again, so every caller
-// bumps the epoch first: no TLB slot may keep the page.
-func (s *Space) dropAnon(an *Anon) {
-	if an == nil {
+	if i == j {
 		return
 	}
+	// Only the first overlapping entry can keep a left part, and only
+	// the last a right part.
+	var rest [2]*Entry
+	n := 0
+	if e := s.entries[i]; e.Start < start {
+		rest[n] = s.remainder(e, e.Start, start)
+		n++
+	}
+	if e := s.entries[j-1]; e.End > end {
+		rest[n] = s.remainder(e, end, e.End)
+		n++
+	}
+	for _, e := range s.entries[i:j] {
+		s.release(e, max(start, e.Start), min(end, e.End))
+	}
+	s.entries = slices.Replace(s.entries, i, j, rest[:n]...)
+}
+
+// remainder returns a new entry over [lo,hi), the part of e an Unmap
+// keeps, holding e's pages in that range. When e's amap stays with
+// other aliases, the remainder takes its own reference to each page;
+// otherwise it inherits e's.
+func (s *Space) remainder(e *Entry, lo, hi uint32) *Entry {
+	r := s.spares.entry(Entry{Start: lo, End: hi, Prot: e.Prot, Name: e.Name,
+		Shared: e.Shared, COW: e.COW, amap: s.spares.amap()})
+	base, limit := (lo-e.Start)>>mem.PageShift, (hi-e.Start)>>mem.PageShift
+	last := e.lastAlias()
+	for _, p := range e.amap.pages {
+		if p.idx >= base && p.idx < limit {
+			r.amap.pages = append(r.amap.pages, anonRef{p.idx - base, p.an})
+			if !last {
+				p.an.Refs++
+			}
+		}
+	}
+	return r
+}
+
+// release takes e out of its space. The amap's last alias drops the
+// pages in [lo,hi) (the pages outside it, if any, have passed to an
+// Unmap's remainders) and the amap goes with it; any other alias just
+// leaves the amap to the rest. The caller has bumped the epoch, so no
+// TLB slot holds e any more and it can be reused.
+func (s *Space) release(e *Entry, lo, hi uint32) {
+	if e.lastAlias() {
+		base, limit := (lo-e.Start)>>mem.PageShift, (hi-e.Start)>>mem.PageShift
+		for _, p := range e.amap.pages {
+			if p.idx >= base && p.idx < limit {
+				s.dropAnon(p.an)
+			}
+		}
+		s.spares.putAmap(e.amap)
+	} else {
+		e.amap.refs--
+	}
+	s.spares.putEntry(e)
+}
+
+// dropAnon drops one amap reference to an and frees its frame and the
+// anon with the last. The allocator hands freed frames out again, so
+// every caller bumps the epoch first: no TLB slot may keep the page.
+func (s *Space) dropAnon(an *Anon) {
 	an.Refs--
 	if an.Refs <= 0 && s.phys != nil {
 		s.phys.Free(an.Page)
+		s.spares.putAnon(an)
 	}
 }
 
@@ -434,21 +571,10 @@ func (s *Space) dropAnon(an *Anon) {
 func (s *Space) UnmapAll() {
 	s.bump()
 	for _, e := range s.entries {
-		s.release(e)
+		s.release(e, e.Start, e.End)
 	}
-	s.entries = nil
-}
-
-// release drops e's hold on its amap: the last alias drops the anons,
-// any other just leaves the amap to the rest.
-func (s *Space) release(e *Entry) {
-	if !e.lastAlias() {
-		*e.aliases--
-		return
-	}
-	for _, an := range e.Amap {
-		s.dropAnon(an)
-	}
+	clear(s.entries)
+	s.entries = s.entries[:0]
 }
 
 // Fault resolves a page fault at addr for the given access kind,
@@ -517,9 +643,9 @@ func (s *Space) fault(addr uint32, access Access) (*Entry, *Anon, error) {
 		if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
 			return nil, nil, ErrNoMapping
 		}
-		alias := pe.alias()
+		alias := s.alias(pe)
 		if err := s.insert(alias); err != nil {
-			*alias.aliases--
+			pe.amap.refs--
 			return nil, nil, err
 		}
 		s.ShareFaults++
@@ -531,20 +657,21 @@ func (s *Space) fault(addr uint32, access Access) (*Entry, *Anon, error) {
 		return nil, nil, ErrProtection
 	}
 	idx := e.pageIndex(addr)
-	an := e.Amap[idx]
-	if an == nil {
+	i, resident := e.amap.lookup(idx)
+	if !resident {
 		// Demand zero-fill.
 		pg, err := s.alloc()
 		if err != nil {
 			return nil, nil, err
 		}
-		an = &Anon{Page: pg, Refs: 1}
-		e.Amap[idx] = an
+		an := s.spares.anon(pg)
+		e.amap.pages = slices.Insert(e.amap.pages, i, anonRef{idx, an})
 		s.Faults++
 		s.ZeroFills++
 		s.charge(s.Costs().PageFault + s.Costs().PageZeroFill)
 		return e, an, nil
 	}
+	an := e.amap.pages[i].an
 	if access == AccessWrite && e.COW && an.Refs > 1 {
 		// Copy-on-write break. The amap may be aliased by other
 		// spaces, whose slots still hold the old page.
@@ -554,8 +681,8 @@ func (s *Space) fault(addr uint32, access Access) (*Entry, *Anon, error) {
 		}
 		pg.Data = an.Page.Data
 		an.Refs--
-		an = &Anon{Page: pg, Refs: 1}
-		e.Amap[idx] = an
+		an = s.spares.anon(pg)
+		e.amap.pages[i].an = an
 		s.bump()
 		s.Faults++
 		s.COWCopies++
@@ -808,38 +935,38 @@ func (s *Space) FetchExec32(addr uint32) (uint32, error) {
 // presupposes exactly this copy.
 func (s *Space) Fork() *Space {
 	s.bump()
-	child := &Space{phys: s.phys, clk: s.clk, costs: s.costs, epoch: s.epoch}
+	child := &Space{phys: s.phys, clk: s.clk, spares: s.spares, costs: s.costs, epoch: s.epoch}
+	child.entries = child.entryBuf[:0]
 	child.HeapStart, child.HeapEnd = s.HeapStart, s.HeapEnd
 	for _, e := range s.entries {
 		if e.Shared {
 			if s.Partner != nil && e.Start >= s.ShareStart && e.End <= s.ShareEnd {
-				ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
-					Amap: make(map[uint32]*Anon, len(e.Amap))}
-				for idx, an := range e.Amap {
+				ce := s.spares.entry(Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
+					amap: s.spares.amap()})
+				for _, p := range e.amap.pages {
 					pg, err := s.alloc()
 					if err != nil {
 						panic("vm: fork: " + err.Error())
 					}
-					pg.Data = an.Page.Data
-					ce.Amap[idx] = &Anon{Page: pg, Refs: 1}
+					pg.Data = p.an.Page.Data
+					ce.amap.pages = append(ce.amap.pages, anonRef{p.idx, s.spares.anon(pg)})
 					s.charge(s.Costs().PageCopy)
 				}
 				child.entries = append(child.entries, ce)
 				continue
 			}
-			child.entries = append(child.entries, e.alias())
+			child.entries = append(child.entries, child.alias(e))
 			continue
 		}
 		e.COW = true
-		ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
-			Amap: make(map[uint32]*Anon, len(e.Amap)), COW: true}
-		for idx, an := range e.Amap {
-			an.Refs++
-			ce.Amap[idx] = an
+		ce := s.spares.entry(Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
+			COW: true, amap: s.spares.amap()})
+		for _, p := range e.amap.pages {
+			p.an.Refs++
 		}
+		ce.amap.pages = append(ce.amap.pages, e.amap.pages...)
 		child.entries = append(child.entries, ce)
 	}
-	slices.SortFunc(child.entries, byStart)
 	return child
 }
 
@@ -878,9 +1005,9 @@ func ForceShare(map1, map2 *Space, start, end uint32) error {
 				e.Name, e.Start, e.End)
 		}
 		e.COW = false
-		alias := e.alias()
+		alias := map1.alias(e)
 		if err := map1.insert(alias); err != nil {
-			*alias.aliases--
+			e.amap.refs--
 			return err
 		}
 	}
@@ -924,8 +1051,7 @@ func (s *Space) Obreak(newEnd uint32) error {
 			heap.Shared = true
 			// Keep the partner's aliased heap entry in sync so both
 			// sides agree on the break without taking a fault.
-			if pe := s.Partner.find(s.HeapStart); pe != nil && pe.Amap != nil &&
-				sameAmap(pe.Amap, heap.Amap) {
+			if pe := s.Partner.find(s.HeapStart); pe != nil && pe.amap == heap.amap {
 				pe.End = newEnd
 			}
 			s.Partner.HeapEnd = newEnd
@@ -934,16 +1060,15 @@ func (s *Space) Obreak(newEnd uint32) error {
 		// Shrink: drop pages past the new break (from every alias of a
 		// shared heap at once, since they share the amap).
 		s.bump()
-		base := (newEnd - heap.Start) >> mem.PageShift
-		for idx, an := range heap.Amap {
-			if idx >= base {
-				s.dropAnon(an)
-				delete(heap.Amap, idx)
-			}
+		i, _ := heap.amap.lookup((newEnd - heap.Start) >> mem.PageShift)
+		for _, p := range heap.amap.pages[i:] {
+			s.dropAnon(p.an)
 		}
+		clear(heap.amap.pages[i:])
+		heap.amap.pages = heap.amap.pages[:i]
 		heap.End = newEnd
 		if shared {
-			if pe := s.Partner.find(s.HeapStart); pe != nil && sameAmap(pe.Amap, heap.Amap) {
+			if pe := s.Partner.find(s.HeapStart); pe != nil && pe.amap == heap.amap {
 				pe.End = newEnd
 			}
 			s.Partner.HeapEnd = newEnd
@@ -951,20 +1076,6 @@ func (s *Space) Obreak(newEnd uint32) error {
 	}
 	s.HeapEnd = newEnd
 	return nil
-}
-
-// sameAmap reports whether two amaps are the same map object (aliased).
-func sameAmap(a, b map[uint32]*Anon) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	// Maps are reference types; compare by writing through one and
-	// observing the other is overkill — compare a sentinel insertion.
-	const sentinel = ^uint32(0)
-	a[sentinel] = nil
-	_, ok := b[sentinel]
-	delete(a, sentinel)
-	return ok
 }
 
 // SharesPageWith reports whether addr resolves to the same physical
@@ -981,11 +1092,10 @@ func (s *Space) residentPage(addr uint32) *mem.Page {
 	if e == nil {
 		return nil
 	}
-	an := e.Amap[e.pageIndex(addr)]
-	if an == nil {
-		return nil
+	if an := e.Anon(e.pageIndex(addr)); an != nil {
+		return an.Page
 	}
-	return an.Page
+	return nil
 }
 
 // Describe renders the address-space layout in the style of the paper's
