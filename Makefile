@@ -156,9 +156,16 @@ observe:
 # on https://ui.perfetto.dev or chrome://tracing), and the raw event
 # log to TRACE_fleet.jsonl. Tracing moves zero simulated cycles, so the
 # curve matches an untraced run bit for bit.
+#
+# TRACE_FLAGS are the drill's load curve. TestTraceMatchesBaseline
+# (cmd/smodfleet/main_test.go) repeats them and requires both committed
+# exports byte for byte, so change both together; refresh the exports
+# with `make trace` only for an intended change.
+TRACE_FLAGS = -loadcurve -lcshards 2 -clients 8 -lccalls 120 \
+	-skew 1.5 -epochs 6 -replicas 2 -chaos kill:0@4
+
 trace:
-	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 \
-		-skew 1.5 -epochs 6 -replicas 2 -chaos kill:0@4 \
+	$(GO) run ./cmd/smodfleet $(TRACE_FLAGS) \
 		-json /tmp/BENCH_trace_drill.json \
 		-trace TRACE_fleet.json -events TRACE_fleet.jsonl
 

@@ -74,9 +74,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -144,15 +146,23 @@ func invariantRow(name string, applicable bool, fails []string) verdictRow {
 	return verdictRow{name, "pass", "invariant holds"}
 }
 
-// readBench loads and validates one document.
+// readBench loads and validates one document. Decoding is strict: a
+// field the document type does not have — a legacy single-curve
+// "loadcurve" section, say — fails the read instead of decoding as a
+// curve-less baseline that any candidate would pass.
 func readBench(path string) (*measure.BenchFleet, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var doc measure.BenchFleet
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: data after the document", path)
 	}
 	if doc.Schema != "smod-bench-fleet/v1" {
 		return nil, fmt.Errorf("%s: unexpected schema %q", path, doc.Schema)
@@ -176,7 +186,7 @@ func compare(oldDoc, newDoc *measure.BenchFleet, p95Tol, availFloor, isoTol floa
 func compareVerdicts(oldDoc, newDoc *measure.BenchFleet, p95Tol, availFloor, isoTol float64) ([]string, []verdictRow) {
 	var fails []string
 	var rows []verdictRow
-	oldCurves, newCurves := oldDoc.AllCurves(), newDoc.AllCurves()
+	oldCurves, newCurves := oldDoc.Curves, newDoc.Curves
 	switch {
 	case len(oldCurves) == 0 && len(newCurves) == 0:
 		fails = append(fails, "neither document has a load curve; nothing to gate")

@@ -1,21 +1,25 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/measure"
 )
 
-// doc builds a BENCH document with the given per-point (p95, saturated)
-// pairs under one fixed workload shape.
+// doc builds a single-curve BENCH document, as -loadcurve writes one,
+// with the given per-point (p95, saturated) pairs under one fixed
+// workload shape.
 func doc(points ...measure.LoadPoint) *measure.BenchFleet {
 	return &measure.BenchFleet{
 		Schema: "smod-bench-fleet/v1",
-		LoadCurve: &measure.BenchLoadCurve{
+		Curves: []*measure.BenchLoadCurve{{
+			Name:   "uniform",
 			Shards: 2, Clients: 8, CallsPerPoint: 200, Process: "poisson", Seed: 1,
 			Points: points,
-		},
+		}},
 	}
 }
 
@@ -81,7 +85,7 @@ func TestCompareP95Shift(t *testing.T) {
 func TestCompareShapeMismatch(t *testing.T) {
 	base := doc(pt(100, 10, false))
 	cand := doc(pt(100, 10, false))
-	cand.LoadCurve.Shards = 4
+	cand.Curves[0].Shards = 4
 	if fails := compare(base, cand, 0.15, 0.5, 0.10); len(fails) == 0 {
 		t.Fatal("shard-count mismatch passed")
 	}
@@ -156,17 +160,13 @@ func TestCompareMultiCurve(t *testing.T) {
 	if fails := compare(base, lost, 0.15, 0.5, 0.10); len(fails) < 2 {
 		t.Fatalf("lost mixed curves not flagged: %v", fails)
 	}
-	// A legacy single-curve baseline gates against the suite's
-	// same-shape "uniform" curve by default name.
-	legacy := &measure.BenchFleet{
-		Schema: "smod-bench-fleet/v1",
-		LoadCurve: &measure.BenchLoadCurve{
-			Shards: 4, Clients: 16, CallsPerPoint: 200, Process: "poisson", Seed: 1,
-			Points: []measure.LoadPoint{pt(100, 10, false), pt(300, 90, true)},
-		},
-	}
-	if fails := compare(legacy, clean, 0.15, 0.5, 0.10); len(fails) != 0 {
-		t.Fatalf("legacy baseline vs suite candidate failed: %v", fails)
+	// A single -loadcurve baseline gates against the suite's
+	// same-shape "uniform" curve by name.
+	single := multiDoc(map[string][]measure.LoadPoint{
+		"uniform": {pt(100, 10, false), pt(300, 90, true)},
+	})
+	if fails := compare(single, clean, 0.15, 0.5, 0.10); len(fails) != 0 {
+		t.Fatalf("single-curve baseline vs suite candidate failed: %v", fails)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestReplicationInvariant(t *testing.T) {
 		[]measure.LoadPoint{pt(100, 11, false), pt(200, 80, true), pt(300, 120, true)},
 		[]measure.LoadPoint{pt(100, 9, false), pt(200, 70, true), pt(300, 100, true)},
 	)
-	if fails := replicationInvariant(clean.AllCurves()); len(fails) != 0 {
+	if fails := replicationInvariant(clean.Curves); len(fails) != 0 {
 		t.Fatalf("clean replication pair flagged: %v", fails)
 	}
 	// Tie: replicated saturating at the same index as migration-only
@@ -232,7 +232,7 @@ func TestReplicationInvariant(t *testing.T) {
 		[]measure.LoadPoint{pt(100, 11, false), pt(200, 80, true), pt(300, 120, true)},
 		nil,
 	)
-	if fails := replicationInvariant(tie.AllCurves()); len(fails) == 0 {
+	if fails := replicationInvariant(tie.Curves); len(fails) == 0 {
 		t.Fatal("replicated == migration-only knee passed")
 	}
 	// Replicated never saturating always passes.
@@ -241,7 +241,7 @@ func TestReplicationInvariant(t *testing.T) {
 		[]measure.LoadPoint{pt(100, 11, false), pt(200, 80, true), pt(300, 120, true)},
 		nil,
 	)
-	if fails := replicationInvariant(open.AllCurves()); len(fails) != 0 {
+	if fails := replicationInvariant(open.Curves); len(fails) != 0 {
 		t.Fatalf("unsaturated replicated curve flagged: %v", fails)
 	}
 	// Below the skew-rebalance knee's offered rate: fail (the dominant
@@ -251,7 +251,7 @@ func TestReplicationInvariant(t *testing.T) {
 		[]measure.LoadPoint{pt(100, 11, false), pt(200, 80, true), pt(300, 120, true)},
 		[]measure.LoadPoint{pt(200, 9, false), pt(400, 95, true), pt(600, 200, true)},
 	)
-	fails := replicationInvariant(below.AllCurves())
+	fails := replicationInvariant(below.Curves)
 	if len(fails) == 0 {
 		t.Fatal("replicated knee below skew-rebalance knee passed")
 	}
@@ -265,12 +265,12 @@ func TestReplicationInvariant(t *testing.T) {
 		[]measure.LoadPoint{pt(100, 11, false), pt(150, 80, true), pt(300, 120, true)},
 		nil,
 	)
-	fails = replicationInvariant(grids.AllCurves())
+	fails = replicationInvariant(grids.Curves)
 	if len(fails) != 1 || !strings.Contains(fails[0], "incomparable") {
 		t.Fatalf("diverged rate grids not rejected as incomparable: %v", fails)
 	}
 	// Documents without the replicated curve are untouched.
-	if fails := replicationInvariant(repDoc(nil, nil, nil).AllCurves()); len(fails) != 0 {
+	if fails := replicationInvariant(repDoc(nil, nil, nil).Curves); len(fails) != 0 {
 		t.Fatalf("document without replication pair flagged: %v", fails)
 	}
 }
@@ -280,8 +280,8 @@ func TestReplicationInvariant(t *testing.T) {
 func TestCompareReplicasShape(t *testing.T) {
 	base := doc(pt(100, 10, false))
 	cand := doc(pt(100, 10, false))
-	base.LoadCurve.Replicas = 4
-	cand.LoadCurve.Replicas = 2
+	base.Curves[0].Replicas = 4
+	cand.Curves[0].Replicas = 2
 	if fails := compare(base, cand, 0.15, 0.5, 0.10); len(fails) == 0 {
 		t.Fatal("replica-count shape change passed")
 	}
@@ -332,7 +332,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 	clean := chaosDoc(
 		[]measure.LoadPoint{killPt(100, false, 30000), killPt(200, true, 30000), killPt(300, true, 30000)},
 		healthy, 250000)
-	if fails := availabilityInvariant(clean.AllCurves(), 0.5); len(fails) != 0 {
+	if fails := availabilityInvariant(clean.Curves, 0.5); len(fails) != 0 {
 		t.Fatalf("clean kill drill flagged: %v", fails)
 	}
 
@@ -340,7 +340,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 	low := chaosDoc(
 		[]measure.LoadPoint{killPt(100, true, 30000), killPt(200, true, 30000), killPt(300, true, 30000)},
 		healthy, 250000)
-	fails := availabilityInvariant(low.AllCurves(), 0.5)
+	fails := availabilityInvariant(low.Curves, 0.5)
 	if len(fails) == 0 {
 		t.Fatal("kill knee below the availability floor passed")
 	}
@@ -348,7 +348,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 		t.Fatalf("failure not attributed to the floor: %v", fails)
 	}
 	// A lower floor admits the same document.
-	if fails := availabilityInvariant(low.AllCurves(), 0.3); len(fails) != 0 {
+	if fails := availabilityInvariant(low.Curves, 0.3); len(fails) != 0 {
 		t.Fatalf("floor flag not honored: %v", fails)
 	}
 
@@ -356,7 +356,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 	slow := chaosDoc(
 		[]measure.LoadPoint{killPt(100, false, 30000), killPt(200, false, 400000), killPt(300, true, 30000)},
 		healthy, 250000)
-	fails = availabilityInvariant(slow.AllCurves(), 0.5)
+	fails = availabilityInvariant(slow.Curves, 0.5)
 	if len(fails) == 0 {
 		t.Fatal("re-warm past the declared budget passed")
 	}
@@ -369,7 +369,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 	dud := chaosDoc(
 		[]measure.LoadPoint{killPt(100, false, 30000), pt(200, 12, false), killPt(300, true, 30000)},
 		healthy, 250000)
-	fails = availabilityInvariant(dud.AllCurves(), 0.5)
+	fails = availabilityInvariant(dud.Curves, 0.5)
 	if len(fails) == 0 {
 		t.Fatal("kill drill that never fired passed")
 	}
@@ -381,7 +381,7 @@ func TestAvailabilityInvariant(t *testing.T) {
 	open := chaosDoc(
 		[]measure.LoadPoint{killPt(100, false, 30000), killPt(200, false, 30000), killPt(300, false, 30000)},
 		healthy, 250000)
-	if fails := availabilityInvariant(open.AllCurves(), 0.5); len(fails) != 0 {
+	if fails := availabilityInvariant(open.Curves, 0.5); len(fails) != 0 {
 		t.Fatalf("unsaturated kill drill flagged: %v", fails)
 	}
 
@@ -389,13 +389,13 @@ func TestAvailabilityInvariant(t *testing.T) {
 	grids := chaosDoc(
 		[]measure.LoadPoint{killPt(100, false, 30000), killPt(150, true, 30000), killPt(300, true, 30000)},
 		healthy, 250000)
-	fails = availabilityInvariant(grids.AllCurves(), 0.5)
+	fails = availabilityInvariant(grids.Curves, 0.5)
 	if len(fails) != 1 || !strings.Contains(fails[0], "incomparable") {
 		t.Fatalf("diverged rate grids not rejected: %v", fails)
 	}
 
 	// Documents without chaos curves are untouched.
-	if fails := availabilityInvariant(repDoc(nil, nil, nil).AllCurves(), 0.5); len(fails) != 0 {
+	if fails := availabilityInvariant(repDoc(nil, nil, nil).Curves, 0.5); len(fails) != 0 {
 		t.Fatalf("chaos-free document flagged: %v", fails)
 	}
 }
@@ -405,15 +405,15 @@ func TestAvailabilityInvariant(t *testing.T) {
 func TestCompareChaosShape(t *testing.T) {
 	base := doc(pt(100, 10, false))
 	cand := doc(pt(100, 10, false))
-	base.LoadCurve.Chaos = "kill:0@5"
-	base.LoadCurve.RewarmBudgetCycles = 250000
-	cand.LoadCurve.Chaos = "kill:1@5"
-	cand.LoadCurve.RewarmBudgetCycles = 250000
+	base.Curves[0].Chaos = "kill:0@5"
+	base.Curves[0].RewarmBudgetCycles = 250000
+	cand.Curves[0].Chaos = "kill:1@5"
+	cand.Curves[0].RewarmBudgetCycles = 250000
 	if fails := compare(base, cand, 0.15, 0.5, 0.10); len(fails) == 0 {
 		t.Fatal("chaos drill change passed")
 	}
-	cand.LoadCurve.Chaos = "kill:0@5"
-	cand.LoadCurve.RewarmBudgetCycles = 100000
+	cand.Curves[0].Chaos = "kill:0@5"
+	cand.Curves[0].RewarmBudgetCycles = 100000
 	if fails := compare(base, cand, 0.15, 0.5, 0.10); len(fails) == 0 {
 		t.Fatal("re-warm budget change passed")
 	}
@@ -504,12 +504,12 @@ func TestIsolationInvariant(t *testing.T) {
 	// Clean: gated indices 2,3 hold 1.05x/1.07x; low-rate inflation at
 	// indices 0,1 sits outside the overload regime and is not gated.
 	clean := qosDoc([]float64{10, 20, 40, 60}, []float64{15, 30, 42, 64}, []int{0, 0, 50, 80})
-	if fails := isolationInvariant(clean.AllCurves(), 0.10); len(fails) != 0 {
+	if fails := isolationInvariant(clean.Curves, 0.10); len(fails) != 0 {
 		t.Fatalf("clean qos pair failed: %v", fails)
 	}
 	// A victim p99 breach in the top half fails.
 	breach := qosDoc([]float64{10, 20, 40, 60}, []float64{10, 20, 60, 64}, []int{0, 0, 50, 80})
-	fails := isolationInvariant(breach.AllCurves(), 0.10)
+	fails := isolationInvariant(breach.Curves, 0.10)
 	if len(fails) == 0 {
 		t.Fatal("victim p99 breach passed")
 	}
@@ -519,17 +519,17 @@ func TestIsolationInvariant(t *testing.T) {
 	// No sheds at the overloaded rates: the drill never pushed past the
 	// knee and proves nothing.
 	noshed := qosDoc([]float64{10, 20, 40, 60}, []float64{10, 21, 42, 63}, []int{0, 0, 0, 0})
-	if fails := isolationInvariant(noshed.AllCurves(), 0.10); len(fails) == 0 {
+	if fails := isolationInvariant(noshed.Curves, 0.10); len(fails) == 0 {
 		t.Fatal("shed-free drill passed")
 	}
 	// Divergent rate grids are incomparable, not silently skipped.
 	skewed := qosDoc([]float64{10, 20, 40, 60}, []float64{10, 21, 42, 63}, []int{0, 0, 50, 80})
 	skewed.Curves[1].Points[3].OfferedPerSec = 999
-	if fails := isolationInvariant(skewed.AllCurves(), 0.10); len(fails) == 0 {
+	if fails := isolationInvariant(skewed.Curves, 0.10); len(fails) == 0 {
 		t.Fatal("divergent rate grids passed")
 	}
 	// Documents without the pair pass untouched.
-	if fails := isolationInvariant(doc(pt(100, 10, false)).AllCurves(), 0.10); len(fails) != 0 {
+	if fails := isolationInvariant(doc(pt(100, 10, false)).Curves, 0.10); len(fails) != 0 {
 		t.Fatalf("pairless document failed: %v", fails)
 	}
 }
@@ -558,5 +558,36 @@ func TestCompareVerdictRowsFailAndLost(t *testing.T) {
 	}
 	if status["skew-rebalance"] != "FAIL" {
 		t.Fatalf("lost curve status = %q, want FAIL", status["skew-rebalance"])
+	}
+}
+
+// TestReadBenchStrict: readBench accepts the committed suite baseline
+// and refuses a document in the legacy single-curve layout, naming the
+// field, rather than reading it as a baseline without curves (which
+// would pass any candidate as the first). Like json.Unmarshal, it also
+// refuses data after the document.
+func TestReadBenchStrict(t *testing.T) {
+	base, err := readBench(filepath.Join("..", "..", "BENCH_fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Curves) != 11 {
+		t.Errorf("committed baseline has %d curves, want 11", len(base.Curves))
+	}
+	legacy := filepath.Join(t.TempDir(), "legacy.json")
+	raw := `{"schema": "smod-bench-fleet/v1", "loadcurve": {"shards": 2, "points": []}}`
+	if err := os.WriteFile(legacy, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = readBench(legacy)
+	if err == nil || !strings.Contains(err.Error(), `"loadcurve"`) {
+		t.Fatalf("legacy layout: readBench err = %v, want one naming \"loadcurve\"", err)
+	}
+	trailing := filepath.Join(t.TempDir(), "trailing.json")
+	if err := os.WriteFile(trailing, []byte(`{"schema": "smod-bench-fleet/v1"} {}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readBench(trailing); err == nil {
+		t.Fatal("readBench accepted data after the document")
 	}
 }

@@ -230,7 +230,9 @@ func main() {
 			}
 		}
 		obs.apply(&lcCfg)
-		runLoadCurve(lcCfg, *rateList, *utilList, *jsonPath)
+		if err := runLoadCurve(lcCfg, *rateList, *utilList, *jsonPath); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -255,8 +257,7 @@ func main() {
 	fmt.Println("\nspeedup is aggregate calls/sec relative to each workload's first row;")
 	fmt.Println("open-loop pays per-call session setup (find + policy + forced fork), closed-loop reuses warm sessions.")
 	if *jsonPath != "" {
-		doc := measure.NewBenchFleet(measure.LoadCurveConfig{}, nil, rows)
-		if err := writeJSON(*jsonPath, doc); err != nil {
+		if err := writeJSON(*jsonPath, measure.NewBenchFleetCurves(nil, rows)); err != nil {
 			fatal(err)
 		}
 	}
@@ -563,36 +564,33 @@ func reportCurve(cfg measure.LoadCurveConfig, points []measure.LoadPoint) {
 	}
 }
 
-// runLoadCurve drives the single latency-vs-offered-load mode.
-func runLoadCurve(cfg measure.LoadCurveConfig, rateList, utilList, jsonPath string) {
+// runLoadCurve drives the single latency-vs-offered-load mode and
+// writes its BENCH document: one curve, named "uniform".
+func runLoadCurve(cfg measure.LoadCurveConfig, rateList, utilList, jsonPath string) error {
 	fmt.Println(clock.MachineInfo())
 
+	var err error
 	if rateList != "" {
-		var err error
-		if cfg.Rates, err = parseFloats(rateList); err != nil {
-			fatal(err)
-		}
+		cfg.Rates, err = parseFloats(rateList)
 	} else {
-		rates, err := autoRates(cfg, utilList)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Rates = rates
+		cfg.Rates, err = autoRates(cfg, utilList)
+	}
+	if err != nil {
+		return err
 	}
 
 	describeCurve(cfg)
 	points, err := measure.RunFleetLoadCurve(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	reportCurve(cfg, points)
 
 	if jsonPath == "" {
 		jsonPath = "BENCH_fleet.json"
 	}
-	if err := writeJSON(jsonPath, measure.NewBenchFleet(cfg, points, nil)); err != nil {
-		fatal(err)
-	}
+	curves := []measure.NamedCurve{{Name: "uniform", Config: cfg, Points: points}}
+	return writeJSON(jsonPath, measure.NewBenchFleetCurves(curves, nil))
 }
 
 // suiteParams parameterize the CI gate suite.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"repro/internal/chaos"
+	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -50,15 +51,13 @@ func (f *Fleet) applyChaos() error {
 	return nil
 }
 
-// corruptWarm consumes a pending CorruptWarm fault for key, reporting
-// whether the warm job being built should be poisoned. Caller holds
-// f.mu (write).
-func (f *Fleet) corruptWarm(key string) bool {
-	if !f.corrupt[key] {
-		return false
-	}
+// warmJob builds the jobWarm that re-attaches key's session, recorded
+// as span. It consumes a pending CorruptWarm fault for key, which
+// poisons the warm. Caller holds f.mu (write).
+func (f *Fleet) warmJob(span trace.Kind, key string) *job {
+	j := &job{kind: jobWarm, span: span, key: key, corrupt: f.corrupt[key]}
 	delete(f.corrupt, key)
-	return true
+	return j
 }
 
 // killShard permanently removes shard sid: reclaim its bindings (the
@@ -92,29 +91,30 @@ func (f *Fleet) killShard(sid int) error {
 	close(f.shards[sid].inbox)
 	f.mu.Unlock()
 	<-f.shards[sid].stopped
+	return f.rewarm(rehomes)
+}
 
-	// Re-warm the orphans on their new homes (sorted key order, from the
-	// reclaim): non-replicated keys pay a bounded-cycle session re-attach
-	// on the failover shard; replicated keys never appear here — their
-	// surviving replicas are already warm.
+// rewarm re-warms orphaned keys on their new homes, in reclaim order
+// (sorted by key), and waits for every warm: a non-replicated key pays
+// a bounded-cycle session re-attach on its failover shard; replicated
+// keys never appear here — their surviving replicas are already warm.
+// A home that is gone by now is skipped. Shard kills and drains both
+// end with it.
+func (f *Fleet) rewarm(rehomes []placement.Rehome) error {
+	var jobs []*job
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return ErrFleetClosed
 	}
-	var jobs []*job
 	for _, rh := range rehomes {
 		if rh.To < 0 || rh.To >= len(f.shards) || f.down[rh.To] {
 			continue
 		}
-		j := &job{kind: jobRewarm, key: rh.Key, corrupt: f.corruptWarm(rh.Key), done: make(chan struct{})}
-		f.shards[rh.To].inbox <- j
-		jobs = append(jobs, j)
+		jobs = append(jobs, f.enqueue(rh.To, f.warmJob(trace.KRewarm, rh.Key)))
 	}
 	f.mu.Unlock()
-	for _, j := range jobs {
-		<-j.done
-	}
+	awaitAll(jobs)
 	return nil
 }
 
@@ -137,7 +137,7 @@ func (f *Fleet) stallShard(sid int, cycles uint64) {
 	if sid < 0 || sid >= len(f.shards) {
 		return
 	}
-	j := &job{kind: jobStall, cycles: cycles, done: make(chan struct{})}
+	j := &job{kind: jobStall, cycles: cycles}
 	if err := f.send(sid, j); err != nil {
 		return // down or closed: a dead shard cannot stall
 	}
@@ -152,7 +152,7 @@ func (f *Fleet) dropSession(key string) {
 	if !ok {
 		return
 	}
-	j := &job{kind: jobDrop, key: key, done: make(chan struct{})}
+	j := &job{kind: jobDrop, key: key}
 	if err := f.send(sid, j); err != nil {
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/clock"
-	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -188,39 +187,8 @@ func (f *Fleet) retireShard(sid int) error {
 	if f.tr != nil {
 		f.tr.EmitControl(trace.Event{Kind: trace.KShardDrain, Val: int64(sid)})
 	}
-	moves := f.placement().PlanDrain(sid)
-	var jobs []*job
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFleetClosed
-	}
-	for _, mv := range moves {
-		if f.down[mv.From] || (mv.To >= 0 && mv.To < len(f.down) && f.down[mv.To]) {
-			continue
-		}
-		if !f.placement().Commit(mv) {
-			continue // released or re-homed since the plan: skip
-		}
-		switch mv.Kind {
-		case placement.MoveMigrate:
-			out := &job{kind: jobMigrateOut, key: mv.Key, done: make(chan struct{})}
-			in := &job{kind: jobWarmIn, key: mv.Key, corrupt: f.corruptWarm(mv.Key), done: make(chan struct{})}
-			f.shards[mv.From].inbox <- out
-			f.shards[mv.To].inbox <- in
-			jobs = append(jobs, out, in)
-		case placement.MovePromote, placement.MoveDrain:
-			// Both tear down the retiring shard's copy; the key keeps
-			// serving from its surviving replicas (for a promote, the new
-			// primary), already warm.
-			out := &job{kind: jobReplicaOut, key: mv.Key, done: make(chan struct{})}
-			f.shards[mv.From].inbox <- out
-			jobs = append(jobs, out)
-		}
-	}
-	f.mu.Unlock()
-	for _, j := range jobs {
-		<-j.done
+	if _, err := f.applyMoves(f.placement().PlanDrain(sid)); err != nil {
+		return err
 	}
 
 	// Final fence: reclaim whatever the plan missed (a concurrent
@@ -239,26 +207,7 @@ func (f *Fleet) retireShard(sid int) error {
 	close(f.shards[sid].inbox)
 	f.mu.Unlock()
 	<-f.shards[sid].stopped
-
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFleetClosed
-	}
-	jobs = jobs[:0]
-	for _, rh := range rehomes {
-		if rh.To < 0 || rh.To >= len(f.shards) || f.down[rh.To] {
-			continue
-		}
-		j := &job{kind: jobRewarm, key: rh.Key, corrupt: f.corruptWarm(rh.Key), done: make(chan struct{})}
-		f.shards[rh.To].inbox <- j
-		jobs = append(jobs, j)
-	}
-	f.mu.Unlock()
-	for _, j := range jobs {
-		<-j.done
-	}
-	return nil
+	return f.rewarm(rehomes)
 }
 
 // autoStep feeds the autoscaler one barrier window — the merged
@@ -341,18 +290,15 @@ func (f *Fleet) collectWindow() (p99us float64, calls uint64) {
 		f.mu.RUnlock()
 		return 0, 0
 	}
-	for sid, sh := range f.shards {
-		if f.down[sid] {
-			continue
+	for sid := range f.shards {
+		if !f.down[sid] {
+			jobs = append(jobs, f.enqueue(sid, &job{kind: jobWindow}))
 		}
-		j := &job{kind: jobWindow, done: make(chan struct{})}
-		sh.inbox <- j
-		jobs = append(jobs, j)
 	}
 	f.mu.RUnlock()
+	awaitAll(jobs)
 	var hist [latBuckets]uint64
 	for _, j := range jobs {
-		<-j.done
 		for i, n := range j.hist {
 			hist[i] += n
 		}

@@ -10,6 +10,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/autoscale"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/loadmgr"
 	"repro/internal/placement"
+	"repro/internal/trace"
 )
 
 // TestAddShardJoinsAtBarrier pins the grow half: a queued add does
@@ -456,5 +458,105 @@ func TestAutoscalerRequiresPositiveSLO(t *testing.T) {
 	_, err := Open(append(testOpts(1), WithAutoscalerConfig(autoscale.Config{SLOMicros: 0, Min: 1, Max: 2}))...)
 	if err == nil {
 		t.Fatal("Open with a zero SLO succeeded, want error")
+	}
+}
+
+// TestLookupsDuringGrowth drives FuncID, Release and Stats — what
+// smodfleetd serves while its reconcile loop runs barriers — each from
+// its own goroutine while three barriers grow the fleet. Under -race it
+// fails if any of them reads the shard list or the down marks without
+// the fleet lock that growShard appends under.
+func TestLookupsDuringGrowth(t *testing.T) {
+	f := newTestFleet(t, testOpts(1)...)
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	loop := func(call func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := call(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	loop(func() error {
+		if _, ok := f.FuncID("incr"); !ok {
+			return errors.New("FuncID(incr) not found")
+		}
+		return nil
+	})
+	loop(func() error { return f.Release("k") })
+	loop(func() error { f.Stats(); return nil })
+	for i := 0; i < 3; i++ {
+		if _, err := f.AddShard(backend.Default()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := f.LiveShards(); n != 4 {
+		t.Fatalf("LiveShards = %d after three adds, want 4", n)
+	}
+}
+
+// TestDrainDropsReplicaWhileShardZeroDown is the regression test for a
+// drain that skipped its replica drops while shard 0 was down: a drain
+// plans a replica drop with no target (To left at 0), and the move
+// applier once skipped every move whose To was down. The drop must
+// tear the retiring copy down itself, with its replica_out span,
+// rather than leave it to the OnShardDown fence.
+func TestDrainDropsReplicaWhileShardZeroDown(t *testing.T) {
+	opts, _ := repOpts(4, 4)
+	rec := trace.New(trace.Config{})
+	f := newTestFleet(t, append(opts, WithTrace(rec))...)
+	incr := incrID(t, f)
+	for round := 0; len(f.placement().Replicas("hot")) < 4; round++ {
+		if round == 12 {
+			t.Fatalf("hot key holds %v after %d dominant rounds, want all 4 shards",
+				f.placement().Replicas("hot"), round)
+		}
+		if err := respErr(f.RunPlan(hotPlan(incr, 4, 24))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sid := range []int{0, 3} {
+		if err := f.DrainShard(sid); err != nil {
+			t.Fatal(err)
+		}
+		before := f.Stats()
+		if _, err := f.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Stats().Delta(before).ReplicasDropped; got != 1 {
+			t.Errorf("drain of shard %d dropped %d replicas, want 1 (the hot key's copy)", sid, got)
+		}
+	}
+	if got := f.placement().Replicas("hot"); len(got) != 2 {
+		t.Fatalf("hot key bindings after both drains = %v, want 2", got)
+	}
+	drops := map[int]int{}
+	for _, e := range rec.Snapshot() {
+		if e.Kind == trace.KReplicaOut && e.Key == "hot" {
+			drops[e.Shard]++
+		}
+	}
+	if drops[3] != 1 {
+		t.Errorf("replica_out spans for hot by shard = %v, want one on shard 3", drops)
 	}
 }

@@ -30,13 +30,14 @@
 //
 // Dispatch inside a shard is pipelined: a running kernel stretch admits
 // call jobs as they arrive (instead of strictly batch-park-resume), and
-// every job resolves the moment its own calls complete, so one client
-// goroutine can keep several calls in flight within a single stretch.
+// every job resolves the moment its own calls complete, so concurrent
+// callers keep several calls in flight within a single stretch.
 //
 // Three submission modes exist:
 //
-//   - Call/SubmitAsync: live traffic from any number of goroutines,
-//     coalesced and pipelined opportunistically (open-loop friendly);
+//   - Do: one live call from any number of goroutines, coalesced and
+//     pipelined opportunistically (open-loop friendly); Call and the
+//     served FleetCall are Do with their own error mapping;
 //   - RunPlan: a fixed request sequence routed and executed
 //     deterministically — same plan, same config, same per-shard cycle
 //     counts, regardless of goroutine interleaving (the property the
@@ -93,7 +94,8 @@ type Response struct {
 	// killed mid-batch, shutdown.
 	Err error
 	// Shard is the shard that served (or failed) the request, or -1
-	// when the request was never routed (fleet already closed).
+	// when it was refused before routing: a closed fleet, an unknown
+	// tenant, or more arguments than a native call frame holds.
 	Shard int
 	// LatencyCycles is the simulated time between the request's arrival
 	// on its shard (its scheduled instant for RunSchedule, the moment it
@@ -330,7 +332,9 @@ func (f *Fleet) start(sh *shard) {
 // FuncID resolves an exported function name of the fleet's module.
 // Provisioning is identical across shards, so shard 0 is authoritative.
 func (f *Fleet) FuncID(name string) (uint32, bool) {
+	f.mu.RLock()
 	sm := f.shards[0].sm
+	f.mu.RUnlock()
 	m := sm.Module(sm.Find(f.cfg.module, f.cfg.version))
 	if m == nil {
 		return 0, false
@@ -339,8 +343,24 @@ func (f *Fleet) FuncID(name string) (uint32, bool) {
 	return uint32(id), ok
 }
 
-// send routes a job to shard sid, failing cleanly on a closed fleet or
-// a chaos-killed shard.
+// enqueue gives j its done channel and puts it on shard sid's inbox,
+// returning j. The caller holds f.mu (either side) and has checked that
+// the fleet is open and sid is live.
+func (f *Fleet) enqueue(sid int, j *job) *job {
+	j.done = make(chan struct{})
+	f.shards[sid].inbox <- j
+	return j
+}
+
+// awaitAll waits until every job in jobs is done.
+func awaitAll(jobs []*job) {
+	for _, j := range jobs {
+		<-j.done
+	}
+}
+
+// send enqueues j on shard sid, failing cleanly on a closed fleet or a
+// dead shard.
 func (f *Fleet) send(sid int, j *job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -350,7 +370,7 @@ func (f *Fleet) send(sid int, j *job) error {
 	if f.down[sid] {
 		return ErrShardDown
 	}
-	f.shards[sid].inbox <- j
+	f.enqueue(sid, j)
 	return nil
 }
 
@@ -359,21 +379,21 @@ func (f *Fleet) send(sid int, j *job) error {
 // allocation (both under the same reader lock as the send), so calls
 // against a closed fleet never leave phantom assignments behind in the
 // strategy's load accounting.
-func (f *Fleet) route(req *Request, j *job) (int, error) {
+func (f *Fleet) route(req *Request, j *job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
-		return -1, ErrFleetClosed
+		return ErrFleetClosed
 	}
 	if err := f.checkRequest(req); err != nil {
-		return -1, err
+		return err
 	}
 	sid := f.placement().Route(placement.Call{Key: req.Key, Idempotent: f.idemp[req.FuncID], Tenant: req.Tenant})
 	if f.tr != nil {
 		f.tr.EmitRoute(trace.Event{Key: req.Key, FuncID: req.FuncID, Val: int64(sid)})
 	}
-	f.shards[sid].inbox <- j
-	return sid, nil
+	f.enqueue(sid, j)
+	return nil
 }
 
 // checkRequest is the admission check route and submitGrouped make on
@@ -388,45 +408,25 @@ func (f *Fleet) checkRequest(req *Request) error {
 	return f.checkTenant(req.Tenant)
 }
 
-// Future is the handle to one asynchronously submitted request. With
-// pipelined shard dispatch it resolves as soon as its own call
-// completes — mid-stretch — not when the whole batch drains, so a
-// single goroutine holding several futures has several calls genuinely
-// in flight inside one kernel stretch.
-type Future struct {
-	j   *job
-	idx int
-}
-
-// Done returns a channel closed when the response is ready.
-func (fu *Future) Done() <-chan struct{} { return fu.j.done }
-
-// Response blocks until the request completed and returns its outcome.
-func (fu *Future) Response() Response {
-	<-fu.j.done
-	return fu.j.results[fu.idx]
-}
-
-// SubmitAsync submits one request without waiting, returning a Future.
-// Safe for concurrent use.
-func (f *Fleet) SubmitAsync(req Request) (*Future, error) {
-	j := newCallJob(req)
-	if _, err := f.route(&j.reqs[0], j); err != nil {
-		return nil, err
-	}
-	return &Future{j: j}, nil
-}
-
-// Call submits one request and waits for its response. Safe for
+// Do submits one live request and waits for its response. Safe for
 // concurrent use; concurrent callers hitting the same shard are
-// coalesced into shared kernel batches.
-func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) {
-	j := newCallJob(Request{Key: key, FuncID: funcID, Args: args})
-	if _, err := f.route(&j.reqs[0], j); err != nil {
-		return 0, err
+// coalesced into shared kernel batches, and each returns as soon as
+// its own call completes. A request refused before routing — a closed
+// fleet, an unknown tenant, or more arguments than a native call frame
+// holds — returns Response{Err: err, Shard: -1}.
+func (f *Fleet) Do(req Request) Response {
+	j := newCallJob(req)
+	if err := f.route(&j.reqs[0], j); err != nil {
+		return Response{Err: err, Shard: -1}
 	}
 	<-j.done
-	r := j.results[0]
+	return j.results[0]
+}
+
+// Call is Do for an untenanted request, with a nonzero errno returned
+// as an error.
+func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) {
+	r := f.Do(Request{Key: key, FuncID: funcID, Args: args})
 	switch {
 	case r.Err != nil:
 		return 0, r.Err
@@ -437,13 +437,13 @@ func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) 
 }
 
 // submitGrouped is the shared scaffolding of RunPlan and RunSchedule:
-// group n items per shard through the placement strategy, build one
-// barrier job per involved shard via makeJob (given that shard's item
-// indexes), submit, and gather results back into item order. Routing
-// and submission happen under one reader lock so a closed fleet
-// rejects the whole sequence before any placement allocation happens.
-func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
-	makeJob func(idxs []int) *job) ([]Response, error) {
+// group n items per shard through the placement strategy, send each
+// involved shard one barrier job of its items (reqOf gives item i's
+// request; atOf, when non-nil, its arrival offset, which makes the job
+// a schedule), and gather results back into item order. Routing and
+// submission happen under one reader lock so a closed fleet rejects the
+// whole sequence before any placement allocation happens.
+func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request, atOf func(int) uint64) ([]Response, error) {
 	// Every grouped submission is a barrier point: the placement
 	// strategy may migrate or re-replicate hot keys here, before this
 	// sequence is routed, so the new routing below already sees the
@@ -475,9 +475,25 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
 		if len(idxs) == 0 {
 			continue
 		}
-		j := makeJob(idxs)
-		f.shards[sid].inbox <- j
-		jobs = append(jobs, j)
+		// A barrier job starts its own stretch: that keeps plan cycle
+		// counts deterministic and bases a schedule's arrivals at the
+		// stretch start.
+		j := &job{
+			kind:    jobCalls,
+			barrier: true,
+			reqs:    make([]Request, len(idxs)),
+			results: make([]Response, len(idxs)),
+		}
+		if atOf != nil {
+			j.arrivals = make([]uint64, len(idxs))
+		}
+		for i, gi := range idxs {
+			j.reqs[i] = *reqOf(gi)
+			if atOf != nil {
+				j.arrivals[i] = atOf(gi)
+			}
+		}
+		jobs = append(jobs, f.enqueue(sid, j))
 		jobIdx = append(jobIdx, idxs)
 	}
 	f.mu.RUnlock()
@@ -498,21 +514,7 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
 // every shard's cycle count) is fully deterministic. Responses align
 // with reqs by index.
 func (f *Fleet) RunPlan(reqs []Request) ([]Response, error) {
-	return f.submitGrouped(len(reqs),
-		func(i int) *Request { return &reqs[i] },
-		func(idxs []int) *job {
-			j := &job{
-				kind:    jobCalls,
-				barrier: true, // own stretch: keeps plan cycle counts deterministic
-				reqs:    make([]Request, len(idxs)),
-				results: make([]Response, len(idxs)),
-				done:    make(chan struct{}),
-			}
-			for i, gi := range idxs {
-				j.reqs[i] = reqs[gi]
-			}
-			return j
-		})
+	return f.submitGrouped(len(reqs), func(i int) *Request { return &reqs[i] }, nil)
 }
 
 // RunSchedule routes and executes a fixed timed arrival schedule:
@@ -533,21 +535,7 @@ func (f *Fleet) RunSchedule(treqs []TimedRequest) ([]Response, error) {
 	}
 	return f.submitGrouped(len(treqs),
 		func(i int) *Request { return &treqs[i].Req },
-		func(idxs []int) *job {
-			j := &job{
-				kind:     jobTimed,
-				barrier:  true, // own stretch: arrival bases at stretch start
-				reqs:     make([]Request, len(idxs)),
-				arrivals: make([]uint64, len(idxs)),
-				results:  make([]Response, len(idxs)),
-				done:     make(chan struct{}),
-			}
-			for i, gi := range idxs {
-				j.reqs[i] = treqs[gi].Req
-				j.arrivals[i] = treqs[gi].At
-			}
-			return j
-		})
+		func(i int) uint64 { return treqs[i].At })
 }
 
 // Release reclaims a client key: every placement binding — the primary
@@ -563,28 +551,27 @@ func (f *Fleet) RunSchedule(treqs []TimedRequest) ([]Response, error) {
 func (f *Fleet) Release(key string) error {
 	f.placement().Release(key)
 	var jobs []*job
+	f.mu.RLock()
+	if f.closed {
+		f.mu.RUnlock()
+		return ErrFleetClosed
+	}
 	for sid := range f.shards {
-		j := &job{kind: jobRelease, key: key, done: make(chan struct{})}
-		switch err := f.send(sid, j); err {
-		case nil:
-			jobs = append(jobs, j)
-		case ErrShardDown:
-			// A dead shard's sessions died with it; nothing to sweep.
-		default:
-			return err
+		// A dead shard's sessions died with it; nothing to sweep.
+		if !f.down[sid] {
+			jobs = append(jobs, f.enqueue(sid, &job{kind: jobRelease, key: key}))
 		}
 	}
-	for _, j := range jobs {
-		<-j.done
-	}
+	f.mu.RUnlock()
+	awaitAll(jobs)
 	return nil
 }
 
 // Rebalance runs one placement rebalance round at a barrier point and
 // returns how many session moves were applied. RunPlan and RunSchedule
-// call it implicitly before routing; live (Call/SubmitAsync) traffic
-// never triggers rebalancing on its own, so a caller mixing live
-// traffic with periodic Rebalance calls chooses its own cadence.
+// call it implicitly before routing; live (Do) traffic never triggers
+// rebalancing on its own, so a caller mixing live traffic with periodic
+// Rebalance calls chooses its own cadence.
 //
 // For every planned move the routing change is committed first
 // (atomically, via the strategy), then the affected shards receive
@@ -662,6 +649,23 @@ func (f *Fleet) rebalance() (int, error) {
 	if len(moves) == 0 {
 		return 0, nil
 	}
+	return f.applyMoves(moves)
+}
+
+// applyMoves commits planned moves and runs their kernel halves — the
+// one applier for Rebalance and shard drains. Moves commit and enqueue
+// in plan order: a migration tears down on From, then warms on To; a
+// replica add warms on To; a replica drop or a promote tears down the
+// copy on From (a promoted replica is already warm). It returns how
+// many moves were applied once every job has run.
+//
+// A move is skipped when From is down or, for a move that warms, when
+// To is down: it is stale (planned from heat that predates a kill), and
+// skipping keeps the dead inbox untouched. Only warms read To; a drop
+// planned for a draining shard leaves it 0. A move whose binding
+// changed underneath the plan (a concurrent Release) fails its commit
+// and is skipped too.
+func (f *Fleet) applyMoves(moves []placement.Move) (int, error) {
 	var jobs []*job
 	applied := 0
 	f.mu.Lock()
@@ -670,37 +674,27 @@ func (f *Fleet) rebalance() (int, error) {
 		return 0, ErrFleetClosed
 	}
 	for _, mv := range moves {
-		// A move touching a dead shard is stale (planned from heat that
-		// predates the kill); the pool would refuse the commit anyway,
-		// but skipping here also keeps the dead inbox untouched.
-		if f.down[mv.From] || f.down[mv.To] {
+		warms := mv.Kind == placement.MoveMigrate || mv.Kind == placement.MoveReplicate
+		if f.down[mv.From] || (warms && f.down[mv.To]) {
 			continue
 		}
 		if !f.placement().Commit(mv) {
-			continue // released or re-homed since the plan: skip
+			continue
 		}
 		applied++
 		switch mv.Kind {
 		case placement.MoveMigrate:
-			out := &job{kind: jobMigrateOut, key: mv.Key, done: make(chan struct{})}
-			in := &job{kind: jobWarmIn, key: mv.Key, corrupt: f.corruptWarm(mv.Key), done: make(chan struct{})}
-			f.shards[mv.From].inbox <- out
-			f.shards[mv.To].inbox <- in
-			jobs = append(jobs, out, in)
+			jobs = append(jobs,
+				f.enqueue(mv.From, &job{kind: jobTeardown, span: trace.KMigrateOut, key: mv.Key}),
+				f.enqueue(mv.To, f.warmJob(trace.KWarmIn, mv.Key)))
 		case placement.MoveReplicate:
-			in := &job{kind: jobReplicaIn, key: mv.Key, corrupt: f.corruptWarm(mv.Key), done: make(chan struct{})}
-			f.shards[mv.To].inbox <- in
-			jobs = append(jobs, in)
-		case placement.MoveDrain:
-			out := &job{kind: jobReplicaOut, key: mv.Key, done: make(chan struct{})}
-			f.shards[mv.From].inbox <- out
-			jobs = append(jobs, out)
+			jobs = append(jobs, f.enqueue(mv.To, f.warmJob(trace.KReplicaIn, mv.Key)))
+		case placement.MoveDrain, placement.MovePromote:
+			jobs = append(jobs, f.enqueue(mv.From, &job{kind: jobTeardown, span: trace.KReplicaOut, key: mv.Key}))
 		}
 	}
 	f.mu.Unlock()
-	for _, j := range jobs {
-		<-j.done
-	}
+	awaitAll(jobs)
 	return applied, nil
 }
 
@@ -709,30 +703,35 @@ func (f *Fleet) rebalance() (int, error) {
 // are consistent per shard. A chaos-killed shard contributes its final
 // (time-of-death) snapshot. After Close it returns the final stats.
 func (f *Fleet) Stats() Stats {
-	var jobs []*job
-	var jobSid []int
-	per := make([]ShardStats, len(f.shards))
-	downCount := 0
-	for sid := range f.shards {
-		j := &job{kind: jobStats, done: make(chan struct{})}
-		switch err := f.send(sid, j); err {
-		case nil:
-			jobs = append(jobs, j)
-			jobSid = append(jobSid, sid)
-		case ErrShardDown:
-			<-f.shards[sid].stopped
-			per[sid] = f.shards[sid].final
-			downCount++
-		default:
-			// Closed (or closing): wait for shutdown to finish and
-			// return the final snapshot instead.
-			f.Close()
-			return f.final
+	f.mu.RLock()
+	if f.closed {
+		f.mu.RUnlock()
+		// Closed (or closing): wait for shutdown to finish and return
+		// the final snapshot instead.
+		f.Close()
+		return f.final
+	}
+	shards := f.shards
+	jobs := make([]*job, len(shards)) // nil for a dead shard
+	for sid := range shards {
+		if !f.down[sid] {
+			jobs[sid] = f.enqueue(sid, &job{kind: jobStats})
 		}
 	}
-	for i, j := range jobs {
+	f.mu.RUnlock()
+	// A dead shard's goroutine is awaited outside the lock: a kill
+	// closes its inbox under the write side.
+	per := make([]ShardStats, len(shards))
+	downCount := 0
+	for sid, j := range jobs {
+		if j == nil {
+			<-shards[sid].stopped
+			per[sid] = shards[sid].final
+			downCount++
+			continue
+		}
 		<-j.done
-		per[jobSid[i]] = j.stats
+		per[sid] = j.stats
 	}
 	return f.fleetStats(per, downCount)
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -99,12 +100,7 @@ func TestStickyRouting(t *testing.T) {
 	f := newTestFleet(t, testOpts(4)...)
 	incr := incrID(t, f)
 	submit := func(key string) Response {
-		t.Helper()
-		fu, err := f.SubmitAsync(Request{Key: key, FuncID: incr, Args: []uint32{1}})
-		if err != nil {
-			t.Fatalf("SubmitAsync(%s): %v", key, err)
-		}
-		return fu.Response()
+		return f.Do(Request{Key: key, FuncID: incr, Args: []uint32{1}})
 	}
 	for _, key := range []string{"a", "b", "c"} {
 		first := submit(key)
@@ -345,35 +341,36 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
-// TestSubmitAsyncFutures keeps several calls in flight from one
-// goroutine — the pipelined-dispatch API — and checks every future
-// resolves with the right value.
-func TestSubmitAsyncFutures(t *testing.T) {
+// TestConcurrentDo keeps several calls in flight from concurrent
+// goroutines over three keys — the pipelined dispatch path — and
+// checks every call resolves with the right value.
+func TestConcurrentDo(t *testing.T) {
 	f := newTestFleet(t, testOpts(2)...)
 	incr := incrID(t, f)
 	const inflight = 24
-	futs := make([]*Future, inflight)
-	for i := range futs {
-		fu, err := f.SubmitAsync(Request{
-			Key:    fmt.Sprintf("async-%d", i%3),
-			FuncID: incr,
-			Args:   []uint32{uint32(100 + i)},
-		})
-		if err != nil {
-			t.Fatalf("SubmitAsync %d: %v", i, err)
-		}
-		futs[i] = fu
+	resps := make([]Response, inflight)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i] = f.Do(Request{
+				Key:    fmt.Sprintf("async-%d", i%3),
+				FuncID: incr,
+				Args:   []uint32{uint32(100 + i)},
+			})
+		}(i)
 	}
-	for i, fu := range futs {
-		r := fu.Response()
+	wg.Wait()
+	for i, r := range resps {
 		if r.Err != nil || r.Errno != 0 {
-			t.Fatalf("future %d failed: %+v", i, r)
+			t.Fatalf("call %d failed: %+v", i, r)
 		}
 		if want := uint32(100 + i + 1); r.Val != want {
-			t.Errorf("future %d: got %d, want %d", i, r.Val, want)
+			t.Errorf("call %d: got %d, want %d", i, r.Val, want)
 		}
 		if r.LatencyCycles == 0 {
-			t.Errorf("future %d: zero latency", i)
+			t.Errorf("call %d: zero latency", i)
 		}
 	}
 	st := f.Stats()
@@ -382,8 +379,9 @@ func TestSubmitAsyncFutures(t *testing.T) {
 	}
 }
 
-// TestSubmitAsyncAfterClose verifies clean failure on a closed fleet.
-func TestSubmitAsyncAfterClose(t *testing.T) {
+// TestDoAfterClose verifies clean failure on a closed fleet: the call
+// is refused before routing.
+func TestDoAfterClose(t *testing.T) {
 	f, err := Open(testOpts(1)...)
 	if err != nil {
 		t.Fatal(err)
@@ -392,8 +390,9 @@ func TestSubmitAsyncAfterClose(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SubmitAsync(Request{Key: "k", FuncID: incr, Args: []uint32{1}}); err == nil {
-		t.Error("SubmitAsync after Close succeeded, want error")
+	r := f.Do(Request{Key: "k", FuncID: incr, Args: []uint32{1}})
+	if !errors.Is(r.Err, ErrFleetClosed) || r.Shard != -1 {
+		t.Errorf("Do after Close = %+v, want ErrFleetClosed on shard -1", r)
 	}
 }
 

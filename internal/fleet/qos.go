@@ -292,18 +292,13 @@ func (f *Fleet) applyTenants() error {
 	f.tenantShards = live
 	f.tenants.Store(set)
 	var jobs []*job
-	for sid, sh := range f.shards {
-		if f.down[sid] {
-			continue
+	for sid := range f.shards {
+		if !f.down[sid] {
+			jobs = append(jobs, f.enqueue(sid, &job{kind: jobTenants, tset: set, tshards: live}))
 		}
-		j := &job{kind: jobTenants, tset: set, tshards: live, done: make(chan struct{})}
-		sh.inbox <- j
-		jobs = append(jobs, j)
 	}
 	f.mu.Unlock()
-	for _, j := range jobs {
-		<-j.done
-	}
+	awaitAll(jobs)
 	f.applyTenantWeights(f.placement(), set)
 	if f.tr != nil {
 		note := "tenants off"

@@ -54,8 +54,8 @@ func TestSentinelErrorsMatchable(t *testing.T) {
 func TestTenantUnknownRejected(t *testing.T) {
 	f := newTestFleet(t, append(testOpts(2), WithTenants(qosSet(0, 0)))...)
 	incr := incrID(t, f)
-	if _, err := f.SubmitAsync(Request{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "nobody"}); !errors.Is(err, ErrTenantUnknown) {
-		t.Fatalf("SubmitAsync(unknown tenant) err = %v, want ErrTenantUnknown", err)
+	if r := f.Do(Request{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "nobody"}); !errors.Is(r.Err, ErrTenantUnknown) || r.Shard != -1 {
+		t.Fatalf("Do(unknown tenant) = %+v, want ErrTenantUnknown on shard -1", r)
 	}
 	if _, err := f.RunPlan([]Request{{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "nobody"}}); !errors.Is(err, ErrTenantUnknown) {
 		t.Fatalf("RunPlan(unknown tenant) err = %v, want ErrTenantUnknown", err)
@@ -274,8 +274,8 @@ func TestSetTenantsLive(t *testing.T) {
 	if _, err := f.RunPlan([]Request{{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "victim"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SubmitAsync(Request{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "anything"}); !errors.Is(err, ErrTenantUnknown) {
-		t.Fatalf("after SetTenants, unknown name err = %v, want ErrTenantUnknown", err)
+	if r := f.Do(Request{Key: "k", FuncID: incr, Args: []uint32{1}, Tenant: "anything"}); !errors.Is(r.Err, ErrTenantUnknown) {
+		t.Fatalf("after SetTenants, unknown name err = %v, want ErrTenantUnknown", r.Err)
 	}
 	st := f.Stats()
 	if st.Tenants == nil || st.Tenants["victim"].Admitted == 0 {

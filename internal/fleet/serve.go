@@ -16,39 +16,27 @@ import (
 // actions, autoscaler windows) happens only when the reconcile loop
 // calls Rebalance.
 
-// FleetCall submits one call under the sticky session key and waits
-// for its response, returning the value, the simulated kernel errno
-// (0 = success), and the serving shard. Fleet-level failures (closed
-// fleet, dead shard) come back as the error; a nonzero errno is a
-// normal reply. A QoS shed (ErrOverload) is also a normal reply — the
+// FleetCall submits one call under the sticky session key through Do
+// and waits for its response, returning the value, the simulated kernel
+// errno (0 = success), and the serving shard. Fleet-level failures
+// (closed fleet, dead shard) come back as the error; a nonzero errno is
+// a normal reply. A QoS shed (ErrOverload) is also a normal reply — the
 // transport stays up — carrying the distinct rpc.ErrnoOverload so
 // clients (smodfleetctl burst) can count sheds apart from module
 // errnos. So is a call with more arguments than a native call frame
 // holds (core.ErrTooManyArgs), refused before any shard sees it: it
 // carries rpc.ErrnoTooManyArgs and shard -1.
 func (f *Fleet) FleetCall(key string, funcID uint32, args []uint32) (uint32, int32, int32, error) {
-	return f.FleetCallTenant("", key, funcID, args)
-}
-
-// FleetCallTenant is FleetCall with an explicit QoS tenant class (""
-// joins the default class).
-func (f *Fleet) FleetCallTenant(tenantName, key string, funcID uint32, args []uint32) (uint32, int32, int32, error) {
-	j := newCallJob(Request{Key: key, FuncID: funcID, Args: args, Tenant: tenantName})
-	if _, err := f.route(&j.reqs[0], j); err != nil {
-		if errors.Is(err, core.ErrTooManyArgs) {
-			return 0, rpc.ErrnoTooManyArgs, -1, nil
-		}
-		return 0, 0, -1, err
+	r := f.Do(Request{Key: key, FuncID: funcID, Args: args})
+	switch {
+	case r.Err == nil:
+		return r.Val, int32(r.Errno), int32(r.Shard), nil
+	case errors.Is(r.Err, core.ErrTooManyArgs):
+		return 0, rpc.ErrnoTooManyArgs, -1, nil
+	case errors.Is(r.Err, ErrOverload):
+		return 0, rpc.ErrnoOverload, int32(r.Shard), nil
 	}
-	<-j.done
-	r := &j.results[0]
-	if r.Err != nil {
-		if errors.Is(r.Err, ErrOverload) {
-			return 0, rpc.ErrnoOverload, int32(r.Shard), nil
-		}
-		return 0, 0, int32(r.Shard), r.Err
-	}
-	return r.Val, int32(r.Errno), int32(r.Shard), nil
+	return 0, 0, int32(r.Shard), r.Err
 }
 
 // FleetRelease evicts the key's warm sessions fleet-wide.

@@ -67,31 +67,25 @@ type clientProc struct {
 type jobKind int
 
 const (
+	// jobCalls is a batch of calls: immediate, or a schedule when the
+	// job carries arrivals.
 	jobCalls jobKind = iota
-	jobTimed
 	jobStats
 	jobRelease
-	// jobMigrateOut tears down a migrating key's session on its old
-	// shard; jobWarmIn pre-attaches it on the new one. Both are control
-	// jobs: they run between kernel stretches, so every call already in
-	// the shard's inbox ahead of them drains on the old assignment
-	// first — the "in-flight futures drain before new calls route"
-	// half of a live migration.
-	jobMigrateOut
-	jobWarmIn
-	// jobReplicaIn warms a replica of an idempotent hot key onto this
-	// shard; jobReplicaOut drains one replica again. Mechanically they
-	// are warm/evict like a migration's two halves, but each acts
-	// alone (a replica add drains nothing, a replica drop warms
-	// nothing) and they count separately.
-	jobReplicaIn
-	jobReplicaOut
+	// jobTeardown and jobWarm are the two halves of every session move:
+	// jobTeardown kills a key's session on the shard it leaves (a
+	// migration's old copy, a dropped or promoted-away replica), and
+	// jobWarm pre-attaches it where it arrives (a migration's new home,
+	// a replica add, an orphan re-warm after a shard death). The job's
+	// span names which, and picks the counter it bumps. Both are
+	// control jobs: they run between kernel stretches, so every call
+	// already in the shard's inbox ahead of them drains on the old
+	// assignment first.
+	jobTeardown
+	jobWarm
 	// Chaos control jobs (see internal/chaos and fleet chaos.go):
-	// jobRewarm re-warms a key orphaned by a shard death onto its
-	// failover shard, recording the recovery's cycle cost; jobStall
-	// advances the shard clock (a straggler drill); jobDrop tears down
-	// one live session (the key recovers by re-attaching).
-	jobRewarm
+	// jobStall advances the shard clock (a straggler drill); jobDrop
+	// tears down one live session (the key recovers by re-attaching).
 	jobStall
 	jobDrop
 	// jobWindow snapshots and resets the shard's latency-window
@@ -110,18 +104,18 @@ const (
 const latBuckets = 65
 
 // job is one unit of work sent to a shard: a batch of calls (immediate
-// or on a timed arrival schedule), a stats snapshot request, or a
-// session release.
+// or on a timed arrival schedule), or a control job between stretches.
 type job struct {
 	kind jobKind
 	reqs []Request
-	// arrivals holds, for jobTimed, the non-decreasing cycle offsets
-	// (parallel to reqs) at which each request enters the shard,
-	// measured from the job's admission into a kernel stretch.
+	// arrivals, when non-nil, makes a jobCalls a schedule: the
+	// non-decreasing cycle offsets (parallel to reqs) at which each
+	// request enters the shard, measured from the job's admission into
+	// a kernel stretch.
 	arrivals []uint64
 	results  []Response
 	// pending counts unfinished requests; done closes when it reaches
-	// zero, so single-call jobs (futures) resolve as soon as their call
+	// zero, so a single-call job (Do) resolves as soon as its call
 	// completes, mid-stretch, not at the batch barrier.
 	pending int
 	// barrier marks a job that must start its own kernel stretch rather
@@ -131,16 +125,18 @@ type job struct {
 	// host timing into their cycle counts. The guarantee is scoped to
 	// plan/schedule-only traffic (what the property tests pin down) —
 	// live jobs arriving DURING a barrier stretch are still pipelined
-	// into it, so mixing RunPlan with concurrent Call/SubmitAsync
-	// traffic is not deterministic (nor could it be: pool routing
-	// already races).
+	// into it, so mixing RunPlan with concurrent Do traffic is not
+	// deterministic (nor could it be: pool routing already races).
 	barrier bool
-	key     string // jobRelease / migration / chaos target
+	key     string // jobRelease / session move / chaos target
+	// span is a session move's trace kind: KMigrateOut or KReplicaOut
+	// for a jobTeardown, KWarmIn, KReplicaIn or KRewarm for a jobWarm.
+	span trace.Kind
 	// cycles is the jobStall clock advance.
 	cycles uint64
-	// corrupt poisons a warm job (jobWarmIn/jobReplicaIn/jobRewarm): the
-	// freshly warmed session is discarded on arrival, as if the handoff
-	// payload failed verification, and the key re-allocates cold.
+	// corrupt poisons a jobWarm: the freshly warmed session is
+	// discarded on arrival, as if the handoff payload failed
+	// verification, and the key re-allocates cold.
 	corrupt bool
 	stats   ShardStats
 	// hist carries a jobWindow's histogram snapshot back to the fleet.
@@ -150,7 +146,8 @@ type job struct {
 	// over.
 	tset    *tenant.Set
 	tshards int
-	done    chan struct{}
+	// done closes when the job has run; enqueue makes it.
+	done chan struct{}
 	// oneReq and oneRes back reqs and results of a single-call job
 	// (newCallJob), so it needs no slices of its own.
 	oneReq [1]Request
@@ -160,13 +157,13 @@ type job struct {
 // newCallJob returns a job of the one call req, holding its own
 // request and response.
 func newCallJob(req Request) *job {
-	j := &job{kind: jobCalls, done: make(chan struct{})}
+	j := &job{kind: jobCalls}
 	j.oneReq[0] = req
 	j.reqs, j.results = j.oneReq[:], j.oneRes[:]
 	return j
 }
 
-// timedCursor walks one admitted jobTimed's arrival schedule.
+// timedCursor walks one admitted schedule's arrivals.
 type timedCursor struct {
 	j    *job
 	base uint64 // shard clock at admission; arrivals are offsets from it
@@ -478,9 +475,9 @@ func (sh *shard) next() (*job, bool) {
 
 // loop is the shard goroutine: call jobs open a pipelined kernel
 // stretch (which admits further arriving call jobs while it runs);
-// control jobs (stats, release) execute between stretches, so their
-// answers reflect every job submitted before them. It exits when the
-// inbox closes.
+// control jobs (stats, release, session moves, ...) execute between
+// stretches, so their answers reflect every job submitted before them,
+// and are done once they ran. It exits when the inbox closes.
 func (sh *shard) loop() {
 	for {
 		j, ok := sh.next()
@@ -489,65 +486,46 @@ func (sh *shard) loop() {
 			return
 		}
 		switch j.kind {
-		case jobCalls, jobTimed:
+		case jobCalls:
+			// Its calls close done as they finish.
 			sh.runStretch(j)
+			continue
 		case jobStats:
 			j.stats = sh.snapshot()
-			close(j.done)
 		case jobRelease:
 			sh.evict(j.key)
-			close(j.done)
-		case jobMigrateOut:
+		case jobTeardown:
 			before := sh.k.Clk.Cycles()
 			sh.teardown(j.key)
-			sh.migratedOut++
-			sh.emitSpan(trace.KMigrateOut, before, j.key, "")
-			close(j.done)
-		case jobWarmIn:
-			before := sh.k.Clk.Cycles()
-			if sh.warmChecked(j) {
-				sh.migratedIn++
-				sh.noteWarm(before)
-				sh.emitSpan(trace.KWarmIn, before, j.key, "")
+			if j.span == trace.KMigrateOut {
+				sh.migratedOut++
 			} else {
-				sh.emitSpan(trace.KWarmIn, before, j.key, "corrupt")
+				sh.replicasOut++
 			}
-			close(j.done)
-		case jobReplicaIn:
+			sh.emitSpan(j.span, before, j.key, "")
+		case jobWarm:
 			before := sh.k.Clk.Cycles()
+			note := "corrupt"
 			if sh.warmChecked(j) {
-				sh.replicasIn++
-				sh.noteWarm(before)
-				sh.emitSpan(trace.KReplicaIn, before, j.key, "")
-			} else {
-				sh.emitSpan(trace.KReplicaIn, before, j.key, "corrupt")
-			}
-			close(j.done)
-		case jobReplicaOut:
-			before := sh.k.Clk.Cycles()
-			sh.teardown(j.key)
-			sh.replicasOut++
-			sh.emitSpan(trace.KReplicaOut, before, j.key, "")
-			close(j.done)
-		case jobRewarm:
-			before := sh.k.Clk.Cycles()
-			if sh.warmChecked(j) {
-				sh.rewarms++
-				if d := sh.k.Clk.Cycles() - before; d > sh.rewarmMax {
-					sh.rewarmMax = d
+				note = ""
+				d := sh.k.Clk.Cycles() - before
+				switch j.span {
+				case trace.KWarmIn:
+					sh.migratedIn++
+				case trace.KReplicaIn:
+					sh.replicasIn++
+				case trace.KRewarm:
+					sh.rewarms++
+					sh.rewarmMax = max(sh.rewarmMax, d)
 				}
-				sh.noteWarm(before)
-				sh.emitSpan(trace.KRewarm, before, j.key, "")
-			} else {
-				sh.emitSpan(trace.KRewarm, before, j.key, "corrupt")
+				sh.warmMax = max(sh.warmMax, d)
 			}
-			close(j.done)
+			sh.emitSpan(j.span, before, j.key, note)
 		case jobStall:
 			before := sh.k.Clk.Cycles()
 			sh.k.Clk.Advance(j.cycles)
 			sh.stallCycles += j.cycles
 			sh.emitSpan(trace.KStall, before, "", "")
-			close(j.done)
 		case jobDrop:
 			if sh.clients[j.key] != nil {
 				sh.evict(j.key)
@@ -561,15 +539,13 @@ func (sh *shard) loop() {
 					})
 				}
 			}
-			close(j.done)
 		case jobWindow:
 			j.hist = append(j.hist[:0], sh.winHist[:]...)
 			sh.winHist = [latBuckets]uint64{}
-			close(j.done)
 		case jobTenants:
 			sh.installQOS(j.tset, j.tshards)
-			close(j.done)
 		}
+		close(j.done)
 	}
 }
 
@@ -590,7 +566,7 @@ func (sh *shard) admit(j *job) {
 			Val:    int64(len(j.reqs)),
 		})
 	}
-	if j.kind == jobTimed {
+	if j.arrivals != nil {
 		cur := &timedCursor{j: j, base: sh.k.Clk.Cycles()}
 		sh.cursors = append(sh.cursors, cur)
 		return
@@ -672,7 +648,7 @@ func (sh *shard) drainInbox() {
 				sh.inboxClosed = true
 				return
 			}
-			if (j.kind == jobCalls || j.kind == jobTimed) && !j.barrier {
+			if j.kind == jobCalls && !j.barrier {
 				sh.admit(j)
 			} else {
 				sh.stash = j
@@ -952,14 +928,6 @@ func (sh *shard) emitSpan(kind trace.Kind, before uint64, key, note string) {
 		Key:    key,
 		Note:   note,
 	})
-}
-
-// noteWarm folds one completed warm-in's cycle cost (from `before` to
-// now, on the shard clock) into the warm-max counter.
-func (sh *shard) noteWarm(before uint64) {
-	if d := sh.k.Clk.Cycles() - before; d > sh.warmMax {
-		sh.warmMax = d
-	}
 }
 
 // warm pre-attaches key's session so a migrated-in key serves its

@@ -771,35 +771,16 @@ type BenchLoadCurve struct {
 }
 
 // BenchFleet is the machine-readable BENCH_fleet.json document the CI
-// bench job records per commit: the load curve and/or the closed/open
+// bench job records per commit: named load curves (one for a single
+// -loadcurve run, the gate suite's eleven) and/or the closed/open
 // throughput scaling rows, all in simulated time. Sections that were
 // not run are omitted, so consumers can distinguish "not measured"
 // from a degenerate measurement.
 type BenchFleet struct {
-	Schema  string       `json:"schema"`
-	Machine BenchMachine `json:"machine"`
-	// LoadCurve holds a single-curve run (the historical layout);
-	// multi-curve suites use Curves instead. Consumers should read
-	// Curves when present and fall back to LoadCurve.
-	LoadCurve  *BenchLoadCurve   `json:"loadcurve,omitempty"`
+	Schema     string            `json:"schema"`
+	Machine    BenchMachine      `json:"machine"`
 	Curves     []*BenchLoadCurve `json:"curves,omitempty"`
 	Throughput []ThroughputStats `json:"throughput,omitempty"`
-}
-
-// AllCurves returns the document's curves uniformly: Curves when
-// present, else the legacy single LoadCurve (default-named "uniform").
-func (d *BenchFleet) AllCurves() []*BenchLoadCurve {
-	if len(d.Curves) > 0 {
-		return d.Curves
-	}
-	if d.LoadCurve != nil {
-		lc := *d.LoadCurve
-		if lc.Name == "" {
-			lc.Name = "uniform"
-		}
-		return []*BenchLoadCurve{&lc}
-	}
-	return nil
 }
 
 // NamedCurve pairs one measured curve with its configuration, for
@@ -808,18 +789,6 @@ type NamedCurve struct {
 	Name   string
 	Config LoadCurveConfig
 	Points []LoadPoint
-}
-
-// newBenchDoc builds the document shell.
-func newBenchDoc(rows []ThroughputStats) *BenchFleet {
-	return &BenchFleet{
-		Schema: "smod-bench-fleet/v1",
-		Machine: BenchMachine{
-			CyclesPerMicrosecond: clock.CyclesPerMicrosecond,
-			TicksPerSecond:       clock.HzTicksPerSecond,
-		},
-		Throughput: rows,
-	}
 }
 
 // buildCurve assembles one named curve section, recording the fleet
@@ -866,21 +835,18 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 	return lc
 }
 
-// NewBenchFleet assembles a single-curve BENCH document; points may be
-// nil when only throughput rows were measured.
-func NewBenchFleet(cfg LoadCurveConfig, points []LoadPoint, rows []ThroughputStats) *BenchFleet {
-	doc := newBenchDoc(rows)
-	if len(points) > 0 {
-		doc.LoadCurve = buildCurve("", cfg, points)
-		doc.LoadCurve.Name = "" // legacy layout: unnamed single curve
-	}
-	return doc
-}
-
-// NewBenchFleetCurves assembles a multi-curve BENCH document (the CI
-// gate suite: uniform + skewed + mixed-fleet curves, each named).
+// NewBenchFleetCurves assembles a BENCH document from named curves (a
+// curve without points is left out) and throughput rows; either may be
+// nil.
 func NewBenchFleetCurves(curves []NamedCurve, rows []ThroughputStats) *BenchFleet {
-	doc := newBenchDoc(rows)
+	doc := &BenchFleet{
+		Schema: "smod-bench-fleet/v1",
+		Machine: BenchMachine{
+			CyclesPerMicrosecond: clock.CyclesPerMicrosecond,
+			TicksPerSecond:       clock.HzTicksPerSecond,
+		},
+		Throughput: rows,
+	}
 	for _, c := range curves {
 		if len(c.Points) == 0 {
 			continue

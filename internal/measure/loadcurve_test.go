@@ -103,7 +103,7 @@ func TestLoadCurveTableAndJSON(t *testing.T) {
 		t.Errorf("table does not mark the knee:\n%s", table)
 	}
 
-	doc := NewBenchFleet(cfg, points, nil)
+	doc := NewBenchFleetCurves([]NamedCurve{{Name: "uniform", Config: cfg, Points: points}}, nil)
 	raw, err := doc.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
@@ -115,31 +115,32 @@ func TestLoadCurveTableAndJSON(t *testing.T) {
 	if back.Schema != "smod-bench-fleet/v1" {
 		t.Errorf("schema = %q", back.Schema)
 	}
-	if back.LoadCurve == nil {
-		t.Fatal("loadcurve section missing")
+	if len(back.Curves) != 1 || back.Curves[0].Name != "uniform" {
+		t.Fatalf("curves = %+v, want the one curve named uniform", back.Curves)
 	}
-	if len(back.LoadCurve.Points) != 2 {
-		t.Errorf("points = %d, want 2", len(back.LoadCurve.Points))
+	lc := back.Curves[0]
+	if len(lc.Points) != 2 {
+		t.Errorf("points = %d, want 2", len(lc.Points))
 	}
-	if back.LoadCurve.KneeOfferedCPS != 270_000 {
-		t.Errorf("knee = %v, want 270000", back.LoadCurve.KneeOfferedCPS)
+	if lc.KneeOfferedCPS != 270_000 {
+		t.Errorf("knee = %v, want 270000", lc.KneeOfferedCPS)
 	}
-	if back.LoadCurve.Process != "poisson" {
-		t.Errorf("process = %q", back.LoadCurve.Process)
+	if lc.Process != "poisson" {
+		t.Errorf("process = %q", lc.Process)
 	}
 
-	// A throughput-only document omits the loadcurve section entirely,
-	// so consumers can tell "not measured" from a degenerate run.
-	rowsOnly := NewBenchFleet(LoadCurveConfig{}, nil, []ThroughputStats{{Name: "closed-loop"}})
-	if rowsOnly.LoadCurve != nil {
-		t.Error("throughput-only document fabricated a loadcurve section")
+	// A throughput-only document omits the curves section entirely, so
+	// consumers can tell "not measured" from a degenerate run.
+	rowsOnly := NewBenchFleetCurves(nil, []ThroughputStats{{Name: "closed-loop"}})
+	if rowsOnly.Curves != nil {
+		t.Error("throughput-only document fabricated a curves section")
 	}
 	raw, err = rowsOnly.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "loadcurve") {
-		t.Errorf("throughput-only JSON still contains loadcurve key:\n%s", raw)
+	if strings.Contains(string(raw), "curves") {
+		t.Errorf("throughput-only JSON still contains curves key:\n%s", raw)
 	}
 }
 
@@ -271,9 +272,9 @@ func TestCurveCacheHitsOnIdempotentWorkload(t *testing.T) {
 			p.CacheHits, p.CacheMisses, cfg.Calls)
 	}
 	// The BENCH document records the cache configuration.
-	doc := NewBenchFleet(cfg, points, nil)
-	if doc.LoadCurve.CacheSize != 64 || doc.LoadCurve.ArgsCard != 6 {
-		t.Errorf("BENCH loadcurve config not recorded: %+v", doc.LoadCurve)
+	lc := NewBenchFleetCurves([]NamedCurve{{Name: "cache", Config: cfg, Points: points}}, nil).Curves[0]
+	if lc.CacheSize != 64 || lc.ArgsCard != 6 {
+		t.Errorf("BENCH curve config not recorded: %+v", lc)
 	}
 }
 
@@ -320,7 +321,7 @@ func TestChaosCurveKillDrill(t *testing.T) {
 		t.Errorf("chaos drill curve differs across runs:\n%s\nvs\n%s", ja, jb)
 	}
 
-	lc := NewBenchFleet(cfg, a, nil).LoadCurve
+	lc := NewBenchFleetCurves([]NamedCurve{{Name: "chaos-kill", Config: cfg, Points: a}}, nil).Curves[0]
 	if lc.Chaos != cfg.Chaos {
 		t.Errorf("BENCH curve chaos = %q, want %q", lc.Chaos, cfg.Chaos)
 	}
