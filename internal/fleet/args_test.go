@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/loadmgr"
+	"repro/internal/placement"
 	"repro/internal/rpc"
 )
 
@@ -49,6 +51,45 @@ func TestCallArgumentBound(t *testing.T) {
 	}
 	if v, err := f.Call("k", incr, 41); err != nil || v != 42 {
 		t.Fatalf("next call = (%d, %v), want 42", v, err)
+	}
+}
+
+// TestRefusedPlanLeavesNoPlacement: a plan or schedule refused for one
+// of its requests is refused whole, before routing any: no key is
+// bound, no heat is recorded and no session opens for the requests
+// ahead of the refused one.
+func TestRefusedPlanLeavesNoPlacement(t *testing.T) {
+	ca := placement.NewCostAware(loadmgr.Options{})
+	f := newTestFleet(t, append(testOpts(2), WithPlacement(ca))...)
+	incr := incrID(t, f)
+	plan := []Request{
+		{Key: "a", FuncID: incr, Args: []uint32{1}},
+		{Key: "b", FuncID: incr, Args: []uint32{2}},
+		{Key: "c", FuncID: incr, Args: bigArgs(core.MaxNativeArgs + 1)},
+	}
+	if _, err := f.RunPlan(plan); !errors.Is(err, core.ErrTooManyArgs) {
+		t.Fatalf("RunPlan: %v, want ErrTooManyArgs", err)
+	}
+	sched := []TimedRequest{{At: 0, Req: plan[0]}, {At: 1, Req: plan[2]}}
+	if _, err := f.RunSchedule(sched); !errors.Is(err, core.ErrTooManyArgs) {
+		t.Fatalf("RunSchedule: %v, want ErrTooManyArgs", err)
+	}
+	if load := f.PoolLoad(); load[0] != 0 || load[1] != 0 {
+		t.Fatalf("PoolLoad = %v after refused sequences, want [0 0]", load)
+	}
+	if n := f.placement().Assigned(); n != 0 {
+		t.Fatalf("%d keys bound after refused sequences, want 0", n)
+	}
+	// A round over recorded heat would read an imbalance of at least 1.
+	if _, err := f.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if s := ca.Imbalance(); s != 0 {
+		t.Fatalf("imbalance %v after refused sequences, want 0 (no heat recorded)", s)
+	}
+	if st := f.Stats(); st.SessionsOpened != 0 || st.TotalCalls != 0 {
+		t.Fatalf("%d sessions opened and %d calls made for refused sequences, want none",
+			st.SessionsOpened, st.TotalCalls)
 	}
 }
 

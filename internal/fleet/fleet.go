@@ -397,7 +397,7 @@ func (f *Fleet) route(req *Request, j *job) error {
 }
 
 // checkRequest is the admission check route and submitGrouped make on
-// every request before placing it: no more arguments than a native
+// every request before placing any: no more arguments than a native
 // call frame holds (core.MaxNativeArgs; a longer request fails with
 // core.ErrTooManyArgs), and a known tenant.
 func (f *Fleet) checkRequest(req *Request) error {
@@ -415,12 +415,19 @@ func (f *Fleet) checkRequest(req *Request) error {
 // fleet, an unknown tenant, or more arguments than a native call frame
 // holds — returns Response{Err: err, Shard: -1}.
 func (f *Fleet) Do(req Request) Response {
-	j := newCallJob(req)
-	if err := f.route(&j.reqs[0], j); err != nil {
+	// A one-request plan, allocated together with its request and
+	// response.
+	c := &struct {
+		job
+		req  [1]Request
+		resp [1]Response
+	}{req: [1]Request{req}}
+	c.kind, c.plan, c.out = jobCalls, c.req[:], c.resp[:]
+	if err := f.route(&c.req[0], &c.job); err != nil {
 		return Response{Err: err, Shard: -1}
 	}
-	<-j.done
-	return j.results[0]
+	<-c.done
+	return c.resp[0]
 }
 
 // Call is Do for an untenanted request, with a nonzero errno returned
@@ -437,74 +444,93 @@ func (f *Fleet) Call(key string, funcID uint32, args ...uint32) (uint32, error) 
 }
 
 // submitGrouped is the shared scaffolding of RunPlan and RunSchedule:
-// group n items per shard through the placement strategy, send each
-// involved shard one barrier job of its items (reqOf gives item i's
-// request; atOf, when non-nil, its arrival offset, which makes the job
-// a schedule), and gather results back into item order. Routing and
-// submission happen under one reader lock so a closed fleet rejects the
-// whole sequence before any placement allocation happens.
-func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request, atOf func(int) uint64) ([]Response, error) {
+// after the barrier, check every request of the caller's sequence (plan,
+// or sched for a schedule), route them in order through the placement
+// strategy, and send each involved shard one barrier job holding the
+// sequence and the positions of its requests. Shards write every
+// response straight into the slice returned. Checking, routing and
+// submission happen under one reader lock, so a closed fleet or a
+// refused request rejects the whole sequence before any placement
+// state changes.
+func (f *Fleet) submitGrouped(plan []Request, sched []TimedRequest) ([]Response, error) {
 	// Every grouped submission is a barrier point: the placement
 	// strategy may migrate or re-replicate hot keys here, before this
 	// sequence is routed, so the new routing below already sees the
-	// rebalanced assignment.
+	// rebalanced assignment. The barrier may also install the tenant set
+	// the requests name, so they are checked after it.
 	if _, err := f.Rebalance(); err != nil {
 		return nil, err
 	}
+	// A barrier job starts its own stretch: that keeps plan cycle counts
+	// deterministic and bases a schedule's arrivals at the stretch start.
+	all := job{kind: jobCalls, barrier: true, plan: plan, sched: sched}
+	n := all.calls()
+	all.out = make([]Response, n)
 	f.mu.RLock()
 	if f.closed {
 		f.mu.RUnlock()
 		return nil, ErrFleetClosed
 	}
-	perShard := make([][]int, len(f.shards))
 	for i := 0; i < n; i++ {
-		req := reqOf(i)
-		if err := f.checkRequest(req); err != nil {
+		if err := f.checkRequest(all.req(i)); err != nil {
 			f.mu.RUnlock()
 			return nil, err
 		}
-		sid := f.placement().Route(placement.Call{Key: req.Key, Idempotent: f.idemp[req.FuncID], Tenant: req.Tenant})
+	}
+	// Route in sequence order. out[i].Shard holds request i's shard
+	// until that shard answers it with the same value.
+	place := f.placement()
+	shards := len(f.shards)
+	counts := make([]int, 2*shards)
+	counts, next := counts[:shards], counts[shards:]
+	for i := 0; i < n; i++ {
+		req := all.req(i)
+		sid := place.Route(placement.Call{Key: req.Key, Idempotent: f.idemp[req.FuncID], Tenant: req.Tenant})
 		if f.tr != nil {
 			f.tr.EmitRoute(trace.Event{Key: req.Key, FuncID: req.FuncID, Val: int64(sid)})
 		}
-		perShard[sid] = append(perShard[sid], i)
+		all.out[i].Shard = sid
+		counts[sid]++
 	}
-	var jobs []*job
-	var jobIdx [][]int
-	for sid, idxs := range perShard {
-		if len(idxs) == 0 {
+	involved := 0
+	for _, c := range counts {
+		if c > 0 {
+			involved++
+		}
+	}
+	// With more than one shard involved, one array holds every shard's
+	// positions, grouped by shard in shard order and in sequence order
+	// within a group; next[sid] is where group sid's next one goes.
+	if involved > 1 {
+		all.idx = make([]int, n)
+		for sid := 1; sid < shards; sid++ {
+			next[sid] = next[sid-1] + counts[sid-1]
+		}
+		for i := range all.out {
+			sid := all.out[i].Shard
+			all.idx[next[sid]] = i
+			next[sid]++
+		}
+	}
+	jobs := make([]job, 0, involved)
+	start := 0
+	for sid, c := range counts {
+		if c == 0 {
 			continue
 		}
-		// A barrier job starts its own stretch: that keeps plan cycle
-		// counts deterministic and bases a schedule's arrivals at the
-		// stretch start.
-		j := &job{
-			kind:    jobCalls,
-			barrier: true,
-			reqs:    make([]Request, len(idxs)),
-			results: make([]Response, len(idxs)),
+		j := all
+		if all.idx != nil {
+			j.idx = all.idx[start : start+c : start+c]
+			start += c
 		}
-		if atOf != nil {
-			j.arrivals = make([]uint64, len(idxs))
-		}
-		for i, gi := range idxs {
-			j.reqs[i] = *reqOf(gi)
-			if atOf != nil {
-				j.arrivals[i] = atOf(gi)
-			}
-		}
-		jobs = append(jobs, f.enqueue(sid, j))
-		jobIdx = append(jobIdx, idxs)
+		jobs = append(jobs, j)
+		f.enqueue(sid, &jobs[len(jobs)-1])
 	}
 	f.mu.RUnlock()
-	out := make([]Response, n)
-	for ji, j := range jobs {
-		<-j.done
-		for i, gi := range jobIdx[ji] {
-			out[gi] = j.results[i]
-		}
+	for k := range jobs {
+		<-jobs[k].done
 	}
-	return out, nil
+	return all.out, nil
 }
 
 // RunPlan routes and executes a fixed request sequence: requests are
@@ -512,9 +538,10 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request, atOf func(int) ui
 // delivered to every shard as a single batch, so per-client call order
 // follows plan order and, on a fresh fleet, the execution (including
 // every shard's cycle count) is fully deterministic. Responses align
-// with reqs by index.
+// with reqs by index. The shards read reqs until RunPlan returns, so
+// the caller must not modify it meanwhile.
 func (f *Fleet) RunPlan(reqs []Request) ([]Response, error) {
-	return f.submitGrouped(len(reqs), func(i int) *Request { return &reqs[i] }, nil)
+	return f.submitGrouped(reqs, nil)
 }
 
 // RunSchedule routes and executes a fixed timed arrival schedule:
@@ -526,16 +553,15 @@ func (f *Fleet) RunPlan(reqs []Request) ([]Response, error) {
 // shard with no work advances its clock over the idle gap to the next
 // arrival. Offsets must be non-decreasing. On a fresh fleet the
 // execution is fully deterministic, like RunPlan. Responses align with
-// treqs by index.
+// treqs by index; like RunPlan's plan, treqs must not change until
+// RunSchedule returns.
 func (f *Fleet) RunSchedule(treqs []TimedRequest) ([]Response, error) {
 	for i := 1; i < len(treqs); i++ {
 		if treqs[i].At < treqs[i-1].At {
 			return nil, fmt.Errorf("fleet: RunSchedule: arrival offsets not sorted at %d", i)
 		}
 	}
-	return f.submitGrouped(len(treqs),
-		func(i int) *Request { return &treqs[i].Req },
-		func(i int) uint64 { return treqs[i].At })
+	return f.submitGrouped(nil, treqs)
 }
 
 // Release reclaims a client key: every placement binding — the primary

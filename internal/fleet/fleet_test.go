@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -473,5 +474,66 @@ func TestRunScheduleRejectsUnsorted(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("unsorted schedule accepted")
+	}
+}
+
+// TestAbortAnswersStrandedCalls: strlen(0) faults in the handle, so the
+// session dies and takes its client with it while that client holds
+// the call in flight and another queued. A later arrival for the same
+// key respawns the client mid-stretch, stranding the dead one's calls;
+// once the rest of the stretch has run, its abort answers both with an
+// error, so the schedule still resolves, and the key serves again.
+func TestAbortAnswersStrandedCalls(t *testing.T) {
+	f := newTestFleet(t, testOpts(1)...)
+	incr := incrID(t, f)
+	strlen, ok := f.FuncID("strlen")
+	if !ok {
+		t.Fatal("libc module has no strlen")
+	}
+	runWarmPlan(t, f, []Request{
+		{Key: "k", FuncID: incr, Args: []uint32{0}},
+		{Key: "busy", FuncID: incr, Args: []uint32{1}},
+	})
+	sched := []TimedRequest{
+		{At: 0, Req: Request{Key: "k", FuncID: strlen, Args: []uint32{0}}},
+		{At: 0, Req: Request{Key: "k", FuncID: incr, Args: []uint32{1}}},
+	}
+	// Calls on another key keep the shard busy past the respawn.
+	const busy = 100
+	for i := 0; i < busy; i++ {
+		sched = append(sched, TimedRequest{At: 0, Req: Request{Key: "busy", FuncID: incr, Args: []uint32{uint32(i)}}})
+	}
+	sched = append(sched, TimedRequest{At: 100_000, Req: Request{Key: "k", FuncID: incr, Args: []uint32{2}}})
+	type result struct {
+		resps []Response
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resps, err := f.RunSchedule(sched)
+		done <- result{resps, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunSchedule did not resolve: stranded calls left unanswered")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	resps := res.resps
+	for i := 0; i < 2; i++ {
+		if resps[i].Err == nil || resps[i].Shard != 0 {
+			t.Fatalf("stranded call %d = %+v, want an error from shard 0", i, resps[i])
+		}
+	}
+	for i := 2; i < len(sched); i++ {
+		if r := resps[i]; r.Err != nil || r.Errno != 0 || r.Val != sched[i].Req.Args[0]+1 {
+			t.Fatalf("call %d = %+v, want %d", i, r, sched[i].Req.Args[0]+1)
+		}
+	}
+	if v, err := f.Call("k", incr, 41); err != nil || v != 42 {
+		t.Fatalf("next call on the key = (%d, %v), want 42", v, err)
 	}
 }

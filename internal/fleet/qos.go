@@ -28,13 +28,6 @@ import (
 // skipped and the dispatch path is byte-identical to an untenanted
 // fleet (the zero-perturbation discipline the bench gate relies on).
 
-// qItem is one admitted-but-not-yet-injected request in a tenant queue.
-type qItem struct {
-	j  *job
-	i  int
-	at uint64
-}
-
 // shardQOS is one shard's QoS state: the per-class token buckets and
 // DRR queues plus counters. Owned by the shard goroutine, like
 // everything else on shard.
@@ -131,14 +124,14 @@ func (sh *shard) installQOS(set *tenant.Set, shards int) {
 	sh.qos = q
 }
 
-// qosArrive is the tenanted admit path for request i of job j arriving
-// at cycle `at`: shed check, token bucket, then the class's DRR queue.
-// A refused call resolves immediately with ErrOverload (Errno 0, no
-// latency sample — winHist and the autoscaler window only see served
-// calls).
+// qosArrive is the tenanted admit path for request i of job j (its
+// position in the caller's sequence) arriving at cycle `at`: shed
+// check, token bucket, then the class's DRR queue. A refused call
+// resolves immediately with ErrOverload (Errno 0, no latency sample —
+// winHist and the autoscaler window only see served calls).
 func (sh *shard) qosArrive(j *job, i int, at uint64) {
 	q := sh.qos
-	r := &j.reqs[i]
+	r := j.req(i)
 	class := q.classOf(r.Tenant)
 	shed := tenant.Shed(q.drr.ClassLen(class), q.weight[class], q.drr.Len(), q.totalW, q.knee)
 	if !shed && q.bucket[class] != nil && !q.bucket[class].Take(at) {
@@ -160,7 +153,7 @@ func (sh *shard) qosArrive(j *job, i int, at uint64) {
 		return
 	}
 	q.admitted[class]++
-	q.drr.Enqueue(class, qItem{j: j, i: i, at: at})
+	q.drr.Enqueue(class, pendingCall{j: j, i: i, at: at})
 	if l := q.drr.ClassLen(class); l > q.queueMax[class] {
 		q.queueMax[class] = l
 	}
@@ -180,9 +173,9 @@ func (sh *shard) qosPump() {
 		if !ok {
 			return
 		}
-		it := v.(qItem)
+		pc := v.(pendingCall)
 		before := sh.submitted
-		sh.inject(it.j, it.i, it.at)
+		sh.inject(pc.j, pc.i, pc.at)
 		if sh.submitted > before {
 			q.inflight++
 		}
@@ -190,7 +183,7 @@ func (sh *shard) qosPump() {
 }
 
 // qosFail resolves every still-queued request with resp — the abort
-// path of an errored stretch, mirroring the pcs/cursors fill in
+// path of an errored stretch, mirroring the client and cursor fill in
 // runStretch.
 func (sh *shard) qosFail(resp Response) {
 	for {
@@ -198,8 +191,8 @@ func (sh *shard) qosFail(resp Response) {
 		if !ok {
 			return
 		}
-		it := v.(qItem)
-		sh.finishSlot(it.j, it.i, resp)
+		pc := v.(pendingCall)
+		sh.finishSlot(pc.j, pc.i, resp)
 	}
 }
 

@@ -23,18 +23,16 @@ const SysParkNo = 392
 // stretch, and sizes the inbox.
 const maxBatch = 256
 
-// pendingCall is one routed request while it traverses a shard.
+// pendingCall is one routed request while it waits in, or runs from,
+// its client's queue. It is held by value and names its request by the
+// job and the request's position in the caller's sequence.
 type pendingCall struct {
-	funcID uint32
-	args   []uint32
-	job    *job
-	idx    int         // index into job.results
-	cp     *clientProc // owning client, for in-flight accounting
+	j *job
+	i int
 	// at is the request's arrival cycle on the shard clock: its
 	// scheduled time for timed jobs, the injection instant otherwise.
 	// Completion minus at is the per-call latency (queueing + service).
-	at   uint64
-	done bool
+	at uint64
 }
 
 // clientProc is one simulated client process holding a warm session.
@@ -43,9 +41,12 @@ type pendingCall struct {
 // until evicted, released, or fleet shutdown. A parked client sleeps
 // on its park queue.
 type clientProc struct {
-	key     string
-	proc    *kern.Proc
-	queue   []*pendingCall
+	key  string
+	proc *kern.Proc
+	// queue[head:] holds the calls waiting for the client, oldest
+	// first.
+	queue   []pendingCall
+	head    int
 	park    kern.WaitQ
 	closing bool
 	born    uint64 // spawn sequence, LRU tie-break
@@ -60,7 +61,32 @@ type clientProc struct {
 	// steps is the process body.
 	steps clientSteps
 	// queue1 backs queue until a second call queues up.
-	queue1 [1]*pendingCall
+	queue1 [1]pendingCall
+}
+
+// waiting reports whether calls are queued for the client.
+func (cp *clientProc) waiting() bool { return cp.head < len(cp.queue) }
+
+// push queues pc behind the waiting calls. Once the served front of
+// the queue fills its array, the waiting calls move down first, so a
+// client that never drains its queue keeps a bounded array.
+func (cp *clientProc) push(pc pendingCall) {
+	if cp.head > 0 && len(cp.queue) == cap(cp.queue) {
+		n := copy(cp.queue, cp.queue[cp.head:])
+		clear(cp.queue[n:])
+		cp.queue, cp.head = cp.queue[:n], 0
+	}
+	cp.queue = append(cp.queue, pc)
+}
+
+// pop takes the oldest waiting call.
+func (cp *clientProc) pop() pendingCall {
+	pc := cp.queue[cp.head]
+	cp.queue[cp.head] = pendingCall{}
+	if cp.head++; cp.head == len(cp.queue) {
+		cp.queue, cp.head = cp.queue[:0], 0
+	}
+	return pc
 }
 
 // jobKind discriminates the shard inbox messages.
@@ -68,7 +94,7 @@ type jobKind int
 
 const (
 	// jobCalls is a batch of calls: immediate, or a schedule when the
-	// job carries arrivals.
+	// job reads a timed sequence (sched).
 	jobCalls jobKind = iota
 	jobStats
 	jobRelease
@@ -107,13 +133,17 @@ const latBuckets = 65
 // or on a timed arrival schedule), or a control job between stretches.
 type job struct {
 	kind jobKind
-	reqs []Request
-	// arrivals, when non-nil, makes a jobCalls a schedule: the
-	// non-decreasing cycle offsets (parallel to reqs) at which each
-	// request enters the shard, measured from the job's admission into
-	// a kernel stretch.
-	arrivals []uint64
-	results  []Response
+	// A batch of calls reads the caller's request sequence, plan or
+	// sched (sched makes the job a schedule: each request enters the
+	// shard at its At offset from the job's admission into a kernel
+	// stretch), and writes each response into the caller's out at the
+	// request's position. idx lists the positions of the job's own
+	// requests, in order; nil means all of them. The job touches these
+	// slices only until done closes.
+	plan  []Request
+	sched []TimedRequest
+	idx   []int
+	out   []Response
 	// pending counts unfinished requests; done closes when it reaches
 	// zero, so a single-call job (Do) resolves as soon as its call
 	// completes, mid-stretch, not at the batch barrier.
@@ -148,27 +178,45 @@ type job struct {
 	tshards int
 	// done closes when the job has run; enqueue makes it.
 	done chan struct{}
-	// oneReq and oneRes back reqs and results of a single-call job
-	// (newCallJob), so it needs no slices of its own.
-	oneReq [1]Request
-	oneRes [1]Response
 }
 
-// newCallJob returns a job of the one call req, holding its own
-// request and response.
-func newCallJob(req Request) *job {
-	j := &job{kind: jobCalls}
-	j.oneReq[0] = req
-	j.reqs, j.results = j.oneReq[:], j.oneRes[:]
-	return j
+// calls returns how many requests the job carries.
+func (j *job) calls() int {
+	switch {
+	case j.idx != nil:
+		return len(j.idx)
+	case j.sched != nil:
+		return len(j.sched)
+	}
+	return len(j.plan)
+}
+
+// pos returns the position in the caller's sequence of the job's k-th
+// request.
+func (j *job) pos(k int) int {
+	if j.idx != nil {
+		return j.idx[k]
+	}
+	return k
+}
+
+// req returns the request at position i of the caller's sequence.
+func (j *job) req(i int) *Request {
+	if j.sched != nil {
+		return &j.sched[i].Req
+	}
+	return &j.plan[i]
 }
 
 // timedCursor walks one admitted schedule's arrivals.
 type timedCursor struct {
 	j    *job
 	base uint64 // shard clock at admission; arrivals are offsets from it
-	pos  int
+	k    int    // the job's next request to arrive
 }
+
+// next returns the arrival cycle of the cursor's next request.
+func (c *timedCursor) next() uint64 { return c.base + c.j.sched[c.j.pos(c.k)].At }
 
 // shard is one independent simulated kernel plus its routing state.
 // All fields are owned by the shard goroutine. The client processes are
@@ -203,10 +251,13 @@ type shard struct {
 	// Stretch state: pipelined dispatch admits jobs into the running
 	// kernel stretch from the RunUntil predicate, so one stretch serves
 	// every call that arrives while it runs (up to maxBatch jobs).
-	submitted     int            // pendingCalls injected this stretch
-	completed     int            // pendingCalls finished this stretch
-	pcs           []*pendingCall // all calls injected this stretch
-	cursors       []*timedCursor // live arrival schedules
+	submitted int           // pendingCalls injected this stretch
+	completed int           // pendingCalls finished this stretch
+	cursors   []timedCursor // live arrival schedules
+	// stranded holds clients that died this stretch with calls still
+	// queued or in flight and were then replaced by a respawn: only an
+	// errored stretch's abort answers those calls.
+	stranded      []*clientProc
 	jobsInStretch int
 	stash         *job // first control job seen mid-stretch (barrier)
 	inboxClosed   bool
@@ -316,22 +367,17 @@ func (sh *shard) sysPark(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysre
 	if cp == nil {
 		return kern.Sysret{Err: kern.EINVAL}
 	}
-	if cp.closing || len(cp.queue) > 0 {
+	if cp.closing || cp.waiting() {
 		return kern.Sysret{Val: 0}
 	}
 	return kern.Sysret{BlockOn: &cp.park}
 }
 
-// finish completes one injected call: record the response (with its
+// finish completes cp's call pc: record the response (with its
 // latency on the shard clock), count it against the stretch, and close
-// the owning job as soon as its last call lands. Idempotent, so stale
-// entries left in a dead client's queue are never double-counted.
-func (sh *shard) finish(pc *pendingCall, resp Response) {
-	if pc.done {
-		return
-	}
-	pc.done = true
-	pc.cp.inflight--
+// the owning job as soon as its last call lands.
+func (sh *shard) finish(cp *clientProc, pc pendingCall, resp Response) {
+	cp.inflight--
 	if sh.qos != nil {
 		// Frees one window slot; the pump refills it from the tenant
 		// queues at the next stretchDone check, never from here: finish
@@ -342,14 +388,15 @@ func (sh *shard) finish(pc *pendingCall, resp Response) {
 	resp.Shard = sh.id
 	resp.LatencyCycles = sh.k.Clk.Cycles() - pc.at
 	sh.completed++
+	r := pc.j.req(pc.i)
 	if sh.ring != nil {
 		e := trace.Event{
 			Kind:   trace.KCall,
 			Shard:  sh.id,
 			Cycles: pc.at,
 			Dur:    resp.LatencyCycles,
-			Key:    pc.cp.key,
-			FuncID: pc.funcID,
+			Key:    cp.key,
+			FuncID: r.FuncID,
 		}
 		if resp.Err != nil {
 			e.Note = "error"
@@ -358,24 +405,38 @@ func (sh *shard) finish(pc *pendingCall, resp Response) {
 		}
 		sh.ring.Emit(e)
 	}
-	if sh.cache != nil && resp.Err == nil && resp.Errno == 0 && sh.idemp[pc.funcID] {
-		sh.cache.Put(sh.mid, pc.funcID, pc.args, resp.Val)
+	if sh.cache != nil && resp.Err == nil && resp.Errno == 0 && sh.idemp[r.FuncID] {
+		sh.cache.Put(sh.mid, r.FuncID, r.Args, resp.Val)
 	}
-	sh.finishSlot(pc.job, pc.idx, resp)
+	sh.finishSlot(pc.j, pc.i, resp)
 }
 
-// finishSlot writes one result slot and closes the job when it was the
-// last. Used by finish and by the abort path for never-injected
-// arrivals (which have no pendingCall and count nothing against the
-// stretch).
-func (sh *shard) finishSlot(j *job, idx int, resp Response) {
+// finishSlot writes the response of the request at position i of j's
+// caller sequence and closes the job when it was the last. Used by
+// finish and by the paths that answer a request without a pendingCall
+// (a cache hit, a shed, an abort of arrivals never injected), which
+// count nothing against the stretch.
+func (sh *shard) finishSlot(j *job, i int, resp Response) {
 	if resp.Err == nil {
 		sh.winHist[bits.Len64(resp.LatencyCycles)]++
 	}
-	j.results[idx] = resp
+	j.out[i] = resp
 	j.pending--
 	if j.pending == 0 {
 		close(j.done)
+	}
+}
+
+// failCalls answers every call cp holds, the one in flight and those
+// queued, with resp: an errored stretch's abort. The in-flight call's
+// smod_call may still return later; its result is then dropped.
+func (sh *shard) failCalls(cp *clientProc, resp Response) {
+	if c := &cp.steps; c.calling && c.pc.j != nil {
+		sh.finish(cp, c.pc, resp)
+		c.pc = pendingCall{}
+	}
+	for cp.waiting() {
+		sh.finish(cp, cp.pop(), resp)
 	}
 }
 
@@ -394,7 +455,11 @@ type clientSteps struct {
 	cp     *clientProc
 	attach core.Handshake
 	nc     *core.NativeClient // nil until attached
-	pc     *pendingCall       // the call in flight, nil while parked
+	// calling is set while the client's smod_call is outstanding, and
+	// pc is that call; an errored stretch's abort answers it and leaves
+	// pc with a nil job.
+	calling bool
+	pc      pendingCall
 }
 
 func (c *clientSteps) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
@@ -406,33 +471,24 @@ func (c *clientSteps) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bo
 			return sc, false, 0
 		}
 		if err := c.attach.Err; err != nil {
-			for _, pc := range cp.queue {
-				sh.finish(pc, Response{Err: err})
+			for cp.waiting() {
+				sh.finish(cp, cp.pop(), Response{Err: err})
 			}
-			cp.queue = nil
 			return kern.Syscall{}, true, 1
 		}
 		c.nc = c.attach.Client
 		return parkCall, false, 0
-	case c.pc != nil:
-		sh.finish(c.pc, Response{Val: val, Errno: errno})
-		c.pc = nil
+	case c.calling:
+		if c.pc.j != nil {
+			sh.finish(cp, c.pc, Response{Val: val, Errno: errno})
+		}
+		c.calling, c.pc = false, pendingCall{}
 	case cp.closing:
 		return kern.Syscall{}, true, 0
 	}
-	for len(cp.queue) > 0 {
-		// Pop in place, so a queue that drains and refills keeps its
-		// array.
-		pc := cp.queue[0]
-		n := copy(cp.queue, cp.queue[1:])
-		cp.queue[n] = nil
-		cp.queue = cp.queue[:n]
-		if pc.done {
-			// Stale entry answered by an errored stretch's abort fill;
-			// the finish guard would make serving it a no-op, skipping
-			// avoids the wasted call.
-			continue
-		}
+	for cp.waiting() {
+		pc := cp.pop()
+		r := pc.j.req(pc.i)
 		if sh.ring != nil {
 			// The execute instant: queue wait is this minus the call's
 			// inject event.
@@ -441,15 +497,15 @@ func (c *clientSteps) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bo
 				Shard:  sh.id,
 				Cycles: sh.k.Clk.Cycles(),
 				Key:    cp.key,
-				FuncID: pc.funcID,
+				FuncID: r.FuncID,
 			})
 		}
-		sc, err := c.nc.Prepare(pc.funcID, pc.args...)
+		sc, err := c.nc.Prepare(r.FuncID, r.Args...)
 		if err != nil {
-			sh.finish(pc, Response{Err: err})
+			sh.finish(cp, pc, Response{Err: err})
 			continue
 		}
-		c.pc = pc
+		c.calling, c.pc = true, pc
 		return sc, false, 0
 	}
 	return parkCall, false, 0
@@ -557,28 +613,29 @@ func (sh *shard) loop() {
 func (sh *shard) admit(j *job) {
 	sh.seq++
 	sh.jobsInStretch++
-	j.pending = len(j.reqs)
+	n := j.calls()
+	j.pending = n
 	if sh.ring != nil {
 		sh.ring.Emit(trace.Event{
 			Kind:   trace.KAdmit,
 			Shard:  sh.id,
 			Cycles: sh.k.Clk.Cycles(),
-			Val:    int64(len(j.reqs)),
+			Val:    int64(n),
 		})
 	}
-	if j.arrivals != nil {
-		cur := &timedCursor{j: j, base: sh.k.Clk.Cycles()}
-		sh.cursors = append(sh.cursors, cur)
+	if j.sched != nil {
+		sh.cursors = append(sh.cursors, timedCursor{j: j, base: sh.k.Clk.Cycles()})
 		return
 	}
 	now := sh.k.Clk.Cycles()
-	for i := range j.reqs {
-		sh.arrive(j, i, now)
+	for k := 0; k < n; k++ {
+		sh.arrive(j, j.pos(k), now)
 	}
 }
 
-// arrive is the admission dispatch: the tenanted pipeline when QoS is
-// on, the historical direct inject otherwise.
+// arrive is the admission dispatch of the request at position i of
+// j's caller sequence: the tenanted pipeline when QoS is on, the
+// historical direct inject otherwise.
 func (sh *shard) arrive(j *job, i int, at uint64) {
 	if sh.qos != nil {
 		sh.qosArrive(j, i, at)
@@ -587,13 +644,14 @@ func (sh *shard) arrive(j *job, i int, at uint64) {
 	sh.inject(j, i, at)
 }
 
-// inject routes request i of job j into its client's queue, waking the
-// client if parked. at is the request's arrival cycle for latency
-// accounting. Idempotent functions consult the shard's result cache
-// first: a hit answers immediately — no client wake, no handle
-// dispatch — for the cost of one memo-table probe.
+// inject routes request i of job j (its position in the caller's
+// sequence) into its client's queue, waking the client if parked. at
+// is the request's arrival cycle for latency accounting. Idempotent
+// functions consult the shard's result cache first: a hit answers
+// immediately — no client wake, no handle dispatch — for the cost of
+// one memo-table probe.
 func (sh *shard) inject(j *job, i int, at uint64) {
-	r := &j.reqs[i]
+	r := j.req(i)
 	if sh.ring != nil {
 		sh.ring.Emit(trace.Event{
 			Kind:   trace.KInject,
@@ -628,10 +686,8 @@ func (sh *shard) inject(j *job, i int, at uint64) {
 	if sh.qos != nil {
 		cp.tenant = r.Tenant
 	}
-	pc := &pendingCall{funcID: r.FuncID, args: r.Args, job: j, idx: i, cp: cp, at: at}
 	cp.inflight++
-	cp.queue = append(cp.queue, pc)
-	sh.pcs = append(sh.pcs, pc)
+	cp.push(pendingCall{j: j, i: i, at: at})
 	sh.submitted++
 	sh.k.Wakeup(&cp.park)
 }
@@ -666,14 +722,16 @@ func (sh *shard) injectDue() {
 	now := sh.k.Clk.Cycles()
 	live := sh.cursors[:0]
 	for _, cur := range sh.cursors {
-		for cur.pos < len(cur.j.reqs) && cur.base+cur.j.arrivals[cur.pos] <= now {
-			sh.arrive(cur.j, cur.pos, cur.base+cur.j.arrivals[cur.pos])
-			cur.pos++
-		}
-		if cur.pos < len(cur.j.reqs) {
-			live = append(live, cur)
+		for n := cur.j.calls(); cur.k < n; cur.k++ {
+			at := cur.next()
+			if at > now {
+				live = append(live, cur)
+				break
+			}
+			sh.arrive(cur.j, cur.j.pos(cur.k), at)
 		}
 	}
+	clear(sh.cursors[len(live):])
 	sh.cursors = live
 }
 
@@ -681,8 +739,8 @@ func (sh *shard) injectDue() {
 func (sh *shard) nextArrival() (uint64, bool) {
 	var min uint64
 	ok := false
-	for _, cur := range sh.cursors {
-		at := cur.base + cur.j.arrivals[cur.pos]
+	for i := range sh.cursors {
+		at := sh.cursors[i].next()
 		if !ok || at < min {
 			min = at
 			ok = true
@@ -743,7 +801,6 @@ func (sh *shard) stretchDone() bool {
 func (sh *shard) runStretch(first *job) {
 	sh.submitted, sh.completed = 0, 0
 	sh.jobsInStretch = 0
-	sh.pcs = sh.pcs[:0]
 	sh.admit(first)
 	runErr := sh.k.RunUntil(sh.stretchDone, 0)
 
@@ -754,14 +811,18 @@ func (sh *shard) runStretch(first *job) {
 			err = errors.New("request not served")
 		}
 		resp := Response{Err: fmt.Errorf("fleet: shard %d: %w", sh.id, err), Shard: sh.id}
-		for _, pc := range sh.pcs {
-			sh.finish(pc, resp)
+		for _, cp := range sh.live {
+			sh.failCalls(cp, resp)
+		}
+		for _, cp := range sh.stranded {
+			sh.failCalls(cp, resp)
 		}
 		for _, cur := range sh.cursors {
-			for ; cur.pos < len(cur.j.reqs); cur.pos++ {
-				sh.finishSlot(cur.j, cur.pos, resp)
+			for n := cur.j.calls(); cur.k < n; cur.k++ {
+				sh.finishSlot(cur.j, cur.j.pos(cur.k), resp)
 			}
 		}
+		clear(sh.cursors)
 		sh.cursors = sh.cursors[:0]
 		if sh.qos != nil {
 			// Never-injected arrivals still queued by tenant resolve
@@ -770,7 +831,8 @@ func (sh *shard) runStretch(first *job) {
 			sh.qosFail(resp)
 		}
 	}
-	sh.pcs = sh.pcs[:0]
+	clear(sh.stranded)
+	sh.stranded = sh.stranded[:0]
 }
 
 // ensureClient returns the live client process for key, spawning (and
@@ -786,6 +848,9 @@ func (sh *shard) ensureClient(key string) *clientProc {
 		delete(sh.byPID, cp.proc.PID)
 		sh.dropLive(cp)
 		sh.k.Release(cp.proc)
+		if cp.inflight > 0 {
+			sh.stranded = append(sh.stranded, cp)
+		}
 	}
 	if cp == nil && sh.cfg.maxSessions > 0 &&
 		len(sh.clients) >= sh.cfg.maxSessions {

@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/loadmgr"
+	"repro/internal/placement"
 )
 
 // warmPlan builds a plan of calls of incr spread round-robin over keys
@@ -71,10 +75,10 @@ func TestWarmSessionsStartNoGoroutines(t *testing.T) {
 }
 
 // warmCallAllocsMax is the allocation ratchet on a warm fleet call.
-// What remains per call: the pendingCall, and the plan's job
-// bookkeeping (request and response slices, routing groups, the done
-// channel) spread over its calls.
-const warmCallAllocsMax = 1.07
+// A call allocates nothing; what remains is the plan's own four (its
+// response slice, its routing counts, its job and the job's done
+// channel) spread over its 256 calls.
+const warmCallAllocsMax = 0.02
 
 // TestWarmCallAllocs ratchets the allocations of a warm call through
 // RunPlan: 1 shard, 16 warm keys, no result cache.
@@ -103,10 +107,10 @@ func BenchmarkShardWarmCalls(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/calls, "allocs/call")
 }
 
-// fleetCallAllocs bounds a warm FleetCall, the served path: the
-// single-call job (newCallJob), its done channel, and the pendingCall
-// the shard queues for the key's client (shard.inject).
-const fleetCallAllocs = 3
+// fleetCallAllocs bounds a warm FleetCall, the served path: Do's
+// single-call job, which holds its request and response, and the job's
+// done channel. The shard queues the call by value.
+const fleetCallAllocs = 2
 
 // TestFleetCallAllocs gates the allocations of a warm FleetCall on
 // the TestWarmCallAllocs fleet.
@@ -154,21 +158,21 @@ func churnFleet(tb testing.TB, keys int) func() {
 
 // sessionChurnAllocs bounds a one-call plan that opens a session and
 // tears another down. What remains, by call site:
-//   - RunPlan's job for the plan: the job, its request and response
-//     slices and its done channel (4);
-//   - submitGrouped: the per-shard groups, the job and index lists and
-//     the response slice (4, and a tiny index slice);
-//   - placement's binding of the new key (1);
+//   - submitGrouped: the plan's response slice, its routing counts and
+//     its job (3);
+//   - Fleet.enqueue: the job's done channel (1);
 //   - shard.ensureClient: the clientProc and its process name (2);
-//   - shard.inject: the pendingCall (1);
 //   - kern.CopyInStr: smod_find's module name (1);
 //   - core.openSession: the Session, the handle's name, its Proc and
 //     its forked Space (4);
-//   - kern.SpawnStepper: the client's Space (1).
+//   - kern.SpawnStepper: the client's Space (1);
+//   - one more that the Go runtime counts in MemStats.Mallocs but no
+//     heap-profile record names (1).
 //
 // Entries, anons, amaps, message queues, the client's Proc and Sys,
-// and the policy query's memory are recycled.
-const sessionChurnAllocs = 20
+// the policy query's memory and the new key's placement binding
+// allocate nothing; the call waits in its client's queue by value.
+const sessionChurnAllocs = 13
 
 // TestSessionChurnAllocs ratchets the allocations of a call that opens
 // a session and evicts another.
@@ -194,4 +198,107 @@ func BenchmarkSessionChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		churn()
 	}
+}
+
+// skewFleet opens the benchmark's fleet-skew fleet (2 shards, a 64-entry
+// result cache, replication of up to 2 with migration, incr idempotent)
+// and warms one session for each of its 64 keys.
+func skewFleet(tb testing.TB) (*Fleet, uint32) {
+	f, err := Open(idemOpts(2,
+		WithResultCache(64),
+		WithPlacement(placement.NewReplicated(placement.ReplicatedConfig{
+			Options:     loadmgr.Options{Migrate: true, Seed: 1},
+			MaxReplicas: 2,
+		})))...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			tb.Errorf("Close: %v", err)
+		}
+	})
+	incr, ok := f.FuncID("incr")
+	if !ok {
+		tb.Fatal("libc module has no incr")
+	}
+	runWarmPlan(tb, f, warmPlan(incr, 64, 64))
+	return f, incr
+}
+
+// skewSchedule is fleet-skew's offered load at 200k calls per simulated
+// second: Poisson arrivals, keys by Zipf(2.0) rank over 64 keys, and
+// arguments from 256 values.
+func skewSchedule(seed int64, incr uint32, n int) []TimedRequest {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 2.0, 1, 63)
+	const meanGap = 599e6 / 200e3 // cycles between arrivals
+	out := make([]TimedRequest, n)
+	var at float64
+	for i := range out {
+		at += rng.ExpFloat64() * meanGap
+		out[i] = TimedRequest{At: uint64(at), Req: Request{
+			Key:    fmt.Sprintf("k%03d", zipf.Uint64()),
+			FuncID: incr,
+			Args:   []uint32{uint32(rng.Intn(256))},
+		}}
+	}
+	return out
+}
+
+// runSkewSchedule runs sched and fails on any call that did not compute
+// incr.
+func runSkewSchedule(tb testing.TB, f *Fleet, sched []TimedRequest) {
+	resps, err := f.RunSchedule(sched)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, r := range resps {
+		if r.Err != nil || r.Errno != 0 || r.Val != sched[i].Req.Args[0]+1 {
+			tb.Fatalf("call %d: %+v", i, r)
+		}
+	}
+}
+
+// runScheduleAllocs bounds the allocations of one RunSchedule on the
+// skewFleet, whatever its length: the response slice, the routing
+// counts, the position array, the jobs and their done channels (6), the
+// barrier's placement round (candidate lists, heat snapshots and the
+// migrator's plan, 17 in a round that moves nothing), and slack for a
+// round whose moves open a session.
+const runScheduleAllocs = 32
+
+// TestRunScheduleAllocs: a schedule's calls allocate nothing, so a
+// 5,000-call schedule on the fleet-skew fleet makes no more allocations
+// than a constant, the same bound a 500-call one meets.
+func TestRunScheduleAllocs(t *testing.T) {
+	f, incr := skewFleet(t)
+	for _, n := range []int{500, 5000} {
+		sched := skewSchedule(int64(n), incr, n)
+		for i := 0; i < 3; i++ {
+			runSkewSchedule(t, f, sched) // warm: replica sets, cache, queues
+		}
+		if got := testing.AllocsPerRun(5, func() { runSkewSchedule(t, f, sched) }); got > runScheduleAllocs {
+			t.Fatalf("%d-call schedule: %v allocs, want <= %d", n, got, runScheduleAllocs)
+		}
+	}
+}
+
+// BenchmarkRunSchedule times 5,000-call schedules on the fleet-skew
+// fleet, reporting host ns and allocations per call.
+func BenchmarkRunSchedule(b *testing.B) {
+	f, incr := skewFleet(b)
+	sched := skewSchedule(1, incr, 5000)
+	runSkewSchedule(b, f, sched)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runSkewSchedule(b, f, sched)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	calls := float64(b.N * len(sched))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/call")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/calls, "allocs/call")
 }

@@ -161,7 +161,7 @@ func TestRecvfromBadFD(t *testing.T) {
 	k := New()
 	var errno int
 	k.SpawnNative("p", Cred{}, func(s *Sys) int {
-		_, _, errno = s.Recvfrom(42, 16)
+		_, _, errno = s.Recvfrom(42, 16, nil)
 		return 0
 	})
 	if err := k.Run(0); err != nil {
@@ -212,7 +212,7 @@ func TestSocketRebindMovesPort(t *testing.T) {
 		if e := s.Sendto(fd2, 11, []byte("m")); e != 0 {
 			return 2
 		}
-		data, _, e := s.Recvfrom(fd, 16)
+		data, _, e := s.Recvfrom(fd, 16, nil)
 		delivered = e == 0 && string(data) == "m"
 		return 0
 	})

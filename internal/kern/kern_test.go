@@ -323,7 +323,7 @@ func TestSocketDatagramRoundTrip(t *testing.T) {
 		if e := s.Bind(fd, 111); e != 0 {
 			return 1
 		}
-		data, src, e := s.Recvfrom(fd, 1024)
+		data, src, e := s.Recvfrom(fd, 1024, nil)
 		if e != 0 {
 			return 2
 		}
@@ -340,7 +340,7 @@ func TestSocketDatagramRoundTrip(t *testing.T) {
 		if e := s.Sendto(fd, 111, []byte("hi")); e != 0 {
 			return 2
 		}
-		data, _, e := s.Recvfrom(fd, 1024)
+		data, _, e := s.Recvfrom(fd, 1024, nil)
 		if e != 0 {
 			return 3
 		}
@@ -638,7 +638,7 @@ func TestDeadlockDetection(t *testing.T) {
 	k.SpawnNative("stuck", Cred{}, func(s *Sys) int {
 		fd, _ := s.Socket()
 		s.Bind(fd, 1)
-		s.Recvfrom(fd, 64) // nothing will ever arrive
+		s.Recvfrom(fd, 64, nil) // nothing will ever arrive
 		return 0
 	})
 	err := k.Run(0)

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/vm"
 )
@@ -294,17 +295,19 @@ func (s *Sys) Sendto(fd int, port uint16, b []byte) int {
 	return e
 }
 
-// Recvfrom blocks for the next datagram on fd, returning payload and
-// source port.
-func (s *Sys) Recvfrom(fd int, maxSize int) ([]byte, uint16, int) {
+// Recvfrom blocks for the next datagram on fd, receiving at most
+// maxSize bytes of it, and returns the payload and source port. The
+// payload is read into buf's array, grown when too small, so a caller
+// that passes back the slice it got receives without allocating.
+func (s *Sys) Recvfrom(fd int, maxSize int, buf []byte) ([]byte, uint16, int) {
 	addr := s.alloc(maxSize)
 	srcAddr := s.alloc(4)
 	v, e := s.Call(SYSrecvfrom, uint32(fd), addr, uint32(maxSize), srcAddr)
 	if e != 0 {
 		return nil, 0, e
 	}
-	buf, err := s.p.Space.ReadBytes(addr, int(v))
-	if err != nil {
+	buf = slices.Grow(buf[:0], int(v))[:v]
+	if err := s.p.Space.ReadInto(addr, buf); err != nil {
 		return nil, 0, EFAULT
 	}
 	src, err := s.p.Space.Read32(srcAddr)

@@ -77,6 +77,28 @@ func TestCachePutOverwrites(t *testing.T) {
 	}
 }
 
+// TestCacheHitVerifiesCall: the table is keyed by one hash of module,
+// function and args, so a hit checks all three against the entry; an
+// entry whose stored call differs under the same hash (a collision,
+// forced here by editing the entry) answers as a miss.
+func TestCacheHitVerifiesCall(t *testing.T) {
+	for name, collide := range map[string]func(*cacheEntry){
+		"module":   func(e *cacheEntry) { e.module++ },
+		"function": func(e *cacheEntry) { e.fn++ },
+		"args":     func(e *cacheEntry) { e.args[0]++ },
+	} {
+		c := NewResultCache(2)
+		c.Put(1, 2, []uint32{41}, 42)
+		collide(&c.ents[0])
+		if _, ok := c.Get(1, 2, []uint32{41}); ok {
+			t.Fatalf("hit on an entry with a different %s under the same hash", name)
+		}
+		if hits, misses, _ := c.Stats(); hits != 0 || misses != 1 {
+			t.Fatalf("%s collision: hits %d misses %d, want 0 and 1", name, hits, misses)
+		}
+	}
+}
+
 func TestHashArgsSpread(t *testing.T) {
 	seen := map[uint64][]uint32{}
 	for i := uint32(0); i < 1000; i++ {

@@ -16,14 +16,12 @@ type HeatTracker struct {
 	mu    sync.Mutex
 	alpha float64
 
-	keyHeat  map[string]float64 // EWMA calls/round per key
-	keyWin   map[string]float64 // current round's counts per key
-	keyShard map[string]int     // tracker's view of key placement
+	// keys holds every key's heat state, found with one lookup.
+	keys map[string]*keyState
 
-	// Tenant heat (QoS): which tenant class each key last called under,
-	// and per-tenant EWMA demand. Populated only by RecordTenant with a
-	// non-empty tenant, so untenanted fleets never touch these maps.
-	keyTenant  map[string]string
+	// Tenant heat (QoS): per-tenant EWMA demand. Populated only by
+	// RecordTenant with a non-empty tenant, so untenanted fleets never
+	// touch these maps.
 	tenantHeat map[string]float64
 	tenantWin  map[string]float64
 
@@ -31,6 +29,31 @@ type HeatTracker struct {
 	shardWin  []float64 // current round's counts per shard
 
 	rounds uint64
+}
+
+// keyState is one key's heat. A key has one while the tracker knows
+// its shard or its heat: from its first Record or Rebind until its heat
+// decays below minHeat.
+type keyState struct {
+	heat float64 // EWMA calls/round; 0 while untracked
+	win  float64 // current round's counts
+	// shard is the tracker's view of the key's placement, -1 when
+	// unknown.
+	shard int
+	// tenant is the QoS class the key last called under ("" when
+	// untenanted).
+	tenant string
+}
+
+// state returns key's record, making an empty one for a new key.
+// Caller holds h.mu.
+func (h *HeatTracker) state(key string) *keyState {
+	k := h.keys[key]
+	if k == nil {
+		k = &keyState{shard: -1}
+		h.keys[key] = k
+	}
+	return k
 }
 
 // NewHeatTracker builds a tracker over the given shard count. alpha in
@@ -41,10 +64,7 @@ func NewHeatTracker(shards int, alpha float64) *HeatTracker {
 	}
 	return &HeatTracker{
 		alpha:      alpha,
-		keyHeat:    map[string]float64{},
-		keyWin:     map[string]float64{},
-		keyShard:   map[string]int{},
-		keyTenant:  map[string]string{},
+		keys:       map[string]*keyState{},
 		tenantHeat: map[string]float64{},
 		tenantWin:  map[string]float64{},
 		shardHeat:  make([]float64, shards),
@@ -67,11 +87,12 @@ func (h *HeatTracker) RecordTenant(key, tenantName string, shard int, n float64)
 	if shard < 0 || shard >= len(h.shardWin) {
 		return
 	}
-	h.keyWin[key] += n
+	k := h.state(key)
+	k.win += n
 	h.shardWin[shard] += n
-	h.keyShard[key] = shard
+	k.shard = shard
 	if tenantName != "" {
-		h.keyTenant[key] = tenantName
+		k.tenant = tenantName
 		h.tenantWin[tenantName] += n
 	}
 }
@@ -82,29 +103,28 @@ func (h *HeatTracker) RecordTenant(key, tenantName string, shard int, n float64)
 func (h *HeatTracker) Advance() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for key, heat := range h.keyHeat {
-		next := h.alpha*h.keyWin[key] + (1-h.alpha)*heat
-		if next < minHeat {
-			delete(h.keyHeat, key)
-			delete(h.keyShard, key)
-			delete(h.keyTenant, key)
-			continue
+	for key, k := range h.keys {
+		win := k.win
+		k.win = 0
+		if k.heat > 0 {
+			if next := h.alpha*win + (1-h.alpha)*k.heat; next >= minHeat {
+				k.heat = next
+				continue
+			}
+			k.heat, k.shard, k.tenant = 0, -1, ""
 		}
-		h.keyHeat[key] = next
+		if win > 0 {
+			if next := h.alpha * win; next >= minHeat {
+				k.heat = next
+			} else {
+				// Too faint to track: drop the placement Record left.
+				k.shard, k.tenant = -1, ""
+			}
+		}
+		if k.heat == 0 && k.shard < 0 {
+			delete(h.keys, key)
+		}
 	}
-	for key, win := range h.keyWin {
-		if _, known := h.keyHeat[key]; known || win <= 0 {
-			continue
-		}
-		if next := h.alpha * win; next >= minHeat {
-			h.keyHeat[key] = next
-		} else {
-			// Too faint to track: drop the placement entry Record left.
-			delete(h.keyShard, key)
-			delete(h.keyTenant, key)
-		}
-	}
-	h.keyWin = map[string]float64{}
 	for i, heat := range h.shardHeat {
 		h.shardHeat[i] = h.alpha*h.shardWin[i] + (1-h.alpha)*heat
 		h.shardWin[i] = 0
@@ -125,7 +145,7 @@ func (h *HeatTracker) Advance() {
 			h.tenantHeat[tn] = next
 		}
 	}
-	h.tenantWin = map[string]float64{}
+	clear(h.tenantWin)
 	h.rounds++
 }
 
@@ -160,10 +180,10 @@ func (h *HeatTracker) ShardHeat() []float64 {
 func (h *HeatTracker) KeyHeat(key string) (heat float64, shard int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if sid, ok := h.keyShard[key]; ok {
-		return h.keyHeat[key], sid
+	if k := h.keys[key]; k != nil {
+		return k.heat, k.shard
 	}
-	return h.keyHeat[key], -1
+	return 0, -1
 }
 
 // TenantHeat returns a snapshot of per-tenant EWMA demand. Empty on
@@ -183,7 +203,10 @@ func (h *HeatTracker) TenantHeat() map[string]float64 {
 func (h *HeatTracker) KeyTenant(key string) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.keyTenant[key]
+	if k := h.keys[key]; k != nil {
+		return k.tenant
+	}
+	return ""
 }
 
 // ImbalanceScore is max shard heat over mean shard heat: 1 is perfect
@@ -220,12 +243,13 @@ func (h *HeatTracker) Rebind(key string, to int) {
 	if to < 0 || to >= len(h.shardHeat) {
 		return
 	}
-	from, ok := h.keyShard[key]
-	if !ok || from == to {
-		h.keyShard[key] = to
+	k := h.state(key)
+	from := k.shard
+	if from < 0 || from == to {
+		k.shard = to
 		return
 	}
-	heat := h.keyHeat[key]
+	heat := k.heat
 	h.shardHeat[from] -= heat
 	if h.shardHeat[from] < 0 {
 		h.shardHeat[from] = 0
@@ -233,14 +257,14 @@ func (h *HeatTracker) Rebind(key string, to int) {
 	h.shardHeat[to] += heat
 	// Any un-folded window counts move too: they were routed to the old
 	// shard, but the key will answer from the new one from now on.
-	if win := h.keyWin[key]; win > 0 {
+	if win := k.win; win > 0 {
 		h.shardWin[from] -= win
 		if h.shardWin[from] < 0 {
 			h.shardWin[from] = 0
 		}
 		h.shardWin[to] += win
 	}
-	h.keyShard[key] = to
+	k.shard = to
 }
 
 // keysOn returns the keys currently placed on shard, for the migrator.
@@ -249,9 +273,9 @@ func (h *HeatTracker) keysOn(shard int) map[string]float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := map[string]float64{}
-	for key, sid := range h.keyShard {
-		if sid == shard {
-			out[key] = h.keyHeat[key]
+	for key, k := range h.keys {
+		if k.shard == shard {
+			out[key] = k.heat
 		}
 	}
 	return out

@@ -47,11 +47,8 @@ func TestHeatDecayForgetsKeys(t *testing.T) {
 	if heat, sid := h.KeyHeat("once"); heat != 0 || sid != -1 {
 		t.Fatalf("decayed key still tracked: (%v, %d)", heat, sid)
 	}
-	if got := len(h.keyHeat); got != 0 {
-		t.Fatalf("keyHeat retains %d entries after full decay", got)
-	}
-	if got := len(h.keyShard); got != 0 {
-		t.Fatalf("keyShard retains %d entries after full decay", got)
+	if got := len(h.keys); got != 0 {
+		t.Fatalf("tracker retains %d key records after full decay", got)
 	}
 }
 

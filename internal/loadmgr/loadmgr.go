@@ -18,9 +18,10 @@
 //     with a per-key cooldown against flapping and a seeded tie-break
 //     among equally hot candidates.
 //   - ResultCache is a bounded per-shard LRU memoizing (module,
-//     function, args-hash) -> response for idempotent functions,
-//     verifying full argument equality on every hit so a hash
-//     collision can never change response bytes.
+//     function, args) -> response for idempotent functions under one
+//     64-bit hash, verifying module, function and full argument
+//     equality on every hit so a hash collision can never change
+//     response bytes.
 //
 // Everything is deterministic given the sequence of Record/Advance
 // calls and the configured seed; nothing here reads wall-clock time or

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -30,8 +31,8 @@ import (
 // from every later allocation, rebind, and replica placement.
 type Pool struct {
 	mu     sync.Mutex
-	assign map[string][]int // bindings, primary first
-	load   []int            // bindings per shard
+	assign map[string]binding
+	load   []int // bindings per shard
 	// weight is the per-shard cost factor (nil = homogeneous).
 	weight []float64
 	// down marks dead shards: never allocated, never a move target.
@@ -44,6 +45,38 @@ type Pool struct {
 	// dropped primary of a replicated key, with the surviving replica
 	// that took over (see SetObserver). Fired outside p.mu.
 	observe func(key string, from, to int)
+}
+
+// binding is one key's shards. A singly bound key holds only its
+// primary; a key with replicas also holds its whole set, primary
+// first, so only a replica set allocates.
+type binding struct {
+	primary int
+	set     []int // nil while singly bound
+}
+
+// bindingOf returns the binding of a non-empty set, primary first.
+func bindingOf(set []int) binding {
+	if len(set) == 1 {
+		return binding{primary: set[0]}
+	}
+	return binding{primary: set[0], set: set}
+}
+
+// n returns how many shards the key is bound to.
+func (b binding) n() int {
+	if b.set == nil {
+		return 1
+	}
+	return len(b.set)
+}
+
+// has reports whether the key is bound to shard sid.
+func (b binding) has(sid int) bool {
+	if b.set == nil {
+		return b.primary == sid
+	}
+	return slices.Contains(b.set, sid)
 }
 
 // SetObserver installs a callback fired after every primary failover:
@@ -66,13 +99,13 @@ func (p *Pool) SetObserver(fn func(key string, from, to int)) {
 // of a replicated key, -1 otherwise. Caller holds p.mu and fires the
 // observer after unlocking.
 func (p *Pool) dropPromoting(key string, sid int) int {
-	set := p.assign[key]
-	wasPrimary := len(set) > 1 && set[0] == sid
+	b := p.assign[key]
+	wasPrimary := b.n() > 1 && b.primary == sid
 	if !p.dropLocked(key, sid) {
 		return -1
 	}
 	if wasPrimary {
-		return p.assign[key][0]
+		return p.assign[key].primary
 	}
 	return -1
 }
@@ -80,7 +113,7 @@ func (p *Pool) dropPromoting(key string, sid int) int {
 // NewPool returns an empty pool over the given number of shards.
 func NewPool(shards int) *Pool {
 	return &Pool{
-		assign:   map[string][]int{},
+		assign:   map[string]binding{},
 		load:     make([]int, shards),
 		down:     make([]bool, shards),
 		draining: make([]bool, shards),
@@ -139,13 +172,15 @@ func (p *Pool) Draining(sid int) bool {
 func (p *Pool) KeysOn(sid int) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.keysOnLocked(sid)
+}
+
+// keysOnLocked is KeysOn for a caller holding p.mu.
+func (p *Pool) keysOnLocked(sid int) []string {
 	var keys []string
-	for key, set := range p.assign {
-		for _, s := range set {
-			if s == sid {
-				keys = append(keys, key)
-				break
-			}
+	for key, b := range p.assign {
+		if b.has(sid) {
+			keys = append(keys, key)
 		}
 	}
 	sort.Strings(keys)
@@ -167,30 +202,21 @@ func (p *Pool) PlanDrain(sid int) []Move {
 		return nil
 	}
 	p.draining[sid] = true
-	var keys []string
-	for key, set := range p.assign {
-		for _, s := range set {
-			if s == sid {
-				keys = append(keys, key)
-				break
-			}
-		}
-	}
-	sort.Strings(keys)
+	keys := p.keysOnLocked(sid)
 	extra := make([]int, len(p.load))
 	var moves []Move
 	for _, key := range keys {
-		set := p.assign[key]
+		b := p.assign[key]
 		switch {
-		case len(set) == 1:
+		case b.n() == 1:
 			to, ok := p.leastLoadedPlanned(extra)
 			if !ok {
 				continue // nowhere to go; the OnShardDown fence will retry
 			}
 			extra[to]++
 			moves = append(moves, Move{Kind: MoveMigrate, Key: key, From: sid, To: to})
-		case set[0] == sid:
-			moves = append(moves, Move{Kind: MovePromote, Key: key, From: sid, To: set[1]})
+		case b.primary == sid:
+			moves = append(moves, Move{Kind: MovePromote, Key: key, From: sid, To: b.set[1]})
 		default:
 			moves = append(moves, Move{Kind: MoveDrain, Key: key, From: sid})
 		}
@@ -225,8 +251,8 @@ func (p *Pool) leastLoadedPlanned(extra []int) (int, bool) {
 // least one other binding survives to take over.
 func (p *Pool) Promote(key string, from int) bool {
 	p.mu.Lock()
-	set, ok := p.assign[key]
-	if !ok || len(set) < 2 || set[0] != from {
+	b, ok := p.assign[key]
+	if !ok || b.n() < 2 || b.primary != from {
 		p.mu.Unlock()
 		return false
 	}
@@ -253,12 +279,14 @@ func NewWeightedPool(weights []float64) *Pool {
 func (p *Pool) Get(key string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.getLocked(key)
+	return p.getLocked(key).primary
 }
 
-func (p *Pool) getLocked(key string) int {
-	if set, ok := p.assign[key]; ok {
-		return set[0]
+// getLocked returns key's binding with one lookup, first binding an
+// unbound key as Get describes. Caller holds p.mu.
+func (p *Pool) getLocked(key string) binding {
+	if b, ok := p.assign[key]; ok {
+		return b
 	}
 	sid, best := -1, 0.0
 	for i := 0; i < len(p.load); i++ {
@@ -275,9 +303,9 @@ func (p *Pool) getLocked(key string) int {
 		// than panic.
 		sid = 0
 	}
-	p.assign[key] = []int{sid}
+	p.assign[key] = binding{primary: sid}
 	p.load[sid]++
-	return sid
+	return binding{primary: sid}
 }
 
 // slotCost is the weighted load shard i would carry after taking one
@@ -294,32 +322,40 @@ func (p *Pool) slotCost(i int) float64 {
 func (p *Pool) Lookup(key string) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if set, ok := p.assign[key]; ok {
-		return set[0], true
+	if b, ok := p.assign[key]; ok {
+		return b.primary, true
 	}
 	return 0, false
 }
 
 // Replicas returns every shard bound to key, primary first.
-func (p *Pool) Replicas(key string) []int {
+func (p *Pool) Replicas(key string) []int { return p.AppendReplicas(nil, key) }
+
+// AppendReplicas appends every shard bound to key, primary first, to
+// buf and returns it.
+func (p *Pool) AppendReplicas(buf []int, key string) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]int(nil), p.assign[key]...)
+	b, ok := p.assign[key]
+	switch {
+	case !ok:
+		return buf
+	case b.set == nil:
+		return append(buf, b.primary)
+	}
+	return append(buf, b.set...)
 }
 
-// GetReplicas is Get plus the replica set under one lock — the
-// replicating strategy's hot path. It appends the replica set, primary
-// first, to buf and returns it, and appends nothing unless the key
-// holds more than one binding, so a caller passing a large enough
-// buffer allocates nothing.
+// GetReplicas is Get plus the replica set under one lock and one
+// lookup — the replicating strategy's hot path. It appends the replica
+// set, primary first, to buf and returns it, and appends nothing unless
+// the key holds more than one binding, so a caller passing a large
+// enough buffer allocates nothing.
 func (p *Pool) GetReplicas(key string, buf []int) (primary int, reps []int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	primary = p.getLocked(key)
-	if set := p.assign[key]; len(set) > 1 {
-		buf = append(buf, set...)
-	}
-	return primary, buf
+	b := p.getLocked(key)
+	return b.primary, append(buf, b.set...)
 }
 
 // Put reclaims every binding of key — primary and replicas. It is a
@@ -327,7 +363,14 @@ func (p *Pool) GetReplicas(key string, buf []int) (primary int, reps []int) {
 func (p *Pool) Put(key string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, sid := range p.assign[key] {
+	b, ok := p.assign[key]
+	if !ok {
+		return
+	}
+	if b.set == nil {
+		p.load[b.primary]--
+	}
+	for _, sid := range b.set {
 		p.load[sid]--
 	}
 	delete(p.assign, key)
@@ -350,24 +393,17 @@ func (p *Pool) PutIf(key string, sid int) {
 
 // dropLocked removes key's binding on sid, if present.
 func (p *Pool) dropLocked(key string, sid int) bool {
-	set, ok := p.assign[key]
-	if !ok {
+	b, ok := p.assign[key]
+	if !ok || !b.has(sid) {
 		return false
 	}
-	for i, cur := range set {
-		if cur != sid {
-			continue
-		}
-		set = append(set[:i], set[i+1:]...)
-		p.load[sid]--
-		if len(set) == 0 {
-			delete(p.assign, key)
-		} else {
-			p.assign[key] = set
-		}
-		return true
+	p.load[sid]--
+	if b.set == nil {
+		delete(p.assign, key)
+	} else {
+		p.assign[key] = bindingOf(slices.DeleteFunc(b.set, func(cur int) bool { return cur == sid }))
 	}
-	return false
+	return true
 }
 
 // Rebind atomically moves key's binding from shard `from` to shard
@@ -378,11 +414,11 @@ func (p *Pool) dropLocked(key string, sid int) bool {
 func (p *Pool) Rebind(key string, from, to int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	set, ok := p.assign[key]
-	if !ok || len(set) != 1 || set[0] != from || to < 0 || to >= len(p.load) || p.down[to] || p.draining[to] {
+	b, ok := p.assign[key]
+	if !ok || b.n() != 1 || b.primary != from || to < 0 || to >= len(p.load) || p.down[to] || p.draining[to] {
 		return false
 	}
-	p.assign[key] = []int{to}
+	p.assign[key] = binding{primary: to}
 	p.load[from]--
 	p.load[to]++
 	return true
@@ -397,16 +433,15 @@ func (p *Pool) Rebind(key string, from, to int) bool {
 func (p *Pool) AddReplica(key string, from, to int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	set, ok := p.assign[key]
-	if !ok || set[0] != from || to < 0 || to >= len(p.load) || p.down[to] || p.draining[to] {
+	b, ok := p.assign[key]
+	if !ok || b.primary != from || to < 0 || to >= len(p.load) || p.down[to] || p.draining[to] || b.has(to) {
 		return false
 	}
-	for _, cur := range set {
-		if cur == to {
-			return false
-		}
+	set := []int{b.primary, to}
+	if b.set != nil {
+		set = append(b.set, to)
 	}
-	p.assign[key] = append(set, to)
+	p.assign[key] = binding{primary: b.primary, set: set}
 	p.load[to]++
 	return true
 }
@@ -417,8 +452,8 @@ func (p *Pool) AddReplica(key string, from, to int) bool {
 func (p *Pool) DropReplica(key string, from int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	set, ok := p.assign[key]
-	if !ok || len(set) < 2 || set[0] == from {
+	b, ok := p.assign[key]
+	if !ok || b.n() < 2 || b.primary == from {
 		return false
 	}
 	return p.dropLocked(key, from)
@@ -449,8 +484,8 @@ func (p *Pool) ReplicatedKeys() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string
-	for key, set := range p.assign {
-		if len(set) > 1 {
+	for key, b := range p.assign {
+		if b.n() > 1 {
 			out = append(out, key)
 		}
 	}
@@ -478,16 +513,7 @@ func (p *Pool) ReclaimShard(sid int) (orphans, failovers []string) {
 		return nil, nil
 	}
 	p.down[sid] = true
-	var keys []string
-	for key, set := range p.assign {
-		for _, s := range set {
-			if s == sid {
-				keys = append(keys, key)
-				break
-			}
-		}
-	}
-	sort.Strings(keys)
+	keys := p.keysOnLocked(sid)
 	type promo struct {
 		key string
 		to  int

@@ -172,3 +172,30 @@ func TestPoolLeastLoadedExcluding(t *testing.T) {
 		t.Errorf("weighted least-loaded = %d, want 0", sid)
 	}
 }
+
+// TestPoolBindAllocs: a singly bound key holds its primary by value, so
+// binding a fresh key (here while another is released, at a steady
+// table size) allocates nothing.
+func TestPoolBindAllocs(t *testing.T) {
+	const live = 64
+	p := NewPool(2)
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	for _, key := range keys[:live] {
+		p.Get(key)
+	}
+	next := live
+	bind := func() {
+		p.Put(keys[next-live])
+		p.Get(keys[next])
+		next++
+	}
+	if n := testing.AllocsPerRun(500, bind); n != 0 {
+		t.Fatalf("fresh-key bind: %v allocs, want 0", n)
+	}
+	if n := p.Assigned(); n != live {
+		t.Fatalf("Assigned = %d, want %d", n, live)
+	}
+}

@@ -76,14 +76,24 @@ type Replicated struct {
 	targetFrac float64
 
 	mu sync.Mutex
-	// rr holds per-key round-robin cursors over the replica set.
-	rr map[string]uint64
-	// idemWin counts this round's idempotent calls per key; idemHeat is
-	// the folded EWMA the replica sizing runs on.
-	idemWin, idemHeat map[string]float64
-	// hits counts idempotent calls served per (replicated key, shard) —
-	// the per-replica hit distribution the bench layer records.
-	hits map[string]map[int]uint64
+	// keys holds the idempotent-call state of every key that has it,
+	// found with one lookup per call.
+	keys map[string]*idemKey
+}
+
+// idemKey is one key's idempotent-call state. A key has one from its
+// first idempotent call until its folded heat decays below the drop
+// floor.
+type idemKey struct {
+	// rr is the round-robin cursor over the replica set.
+	rr uint64
+	// win counts this round's idempotent calls; heat is the folded EWMA
+	// the replica sizing runs on.
+	win, heat float64
+	// hits counts, by shard, the idempotent calls served while the key
+	// was replicated: the per-replica hit distribution the bench layer
+	// records.
+	hits []uint64
 }
 
 // NewReplicated builds a replicating strategy.
@@ -94,10 +104,7 @@ func NewReplicated(cfg ReplicatedConfig) *Replicated {
 		wantMax:     cfg.MaxReplicas,
 		budget:      cfg.Budget,
 		targetFrac:  cfg.TargetFraction,
-		rr:          map[string]uint64{},
-		idemWin:     map[string]float64{},
-		idemHeat:    map[string]float64{},
-		hits:        map[string]map[int]uint64{},
+		keys:        map[string]*idemKey{},
 	}
 	if r.budget <= 0 {
 		r.budget = DefaultReplicaBudget
@@ -142,16 +149,19 @@ func (r *Replicated) Route(c Call) int {
 	var buf [8]int // a set of up to 8 replicas is read without allocating
 	sid, reps := r.pool.GetReplicas(c.Key, buf[:0])
 	r.mu.Lock()
-	r.idemWin[c.Key]++
+	k := r.keys[c.Key]
+	if k == nil {
+		k = &idemKey{}
+		r.keys[c.Key] = k
+	}
+	k.win++
 	if len(reps) > 1 {
-		sid = reps[int(r.rr[c.Key]%uint64(len(reps)))]
-		r.rr[c.Key]++
-		h := r.hits[c.Key]
-		if h == nil {
-			h = map[int]uint64{}
-			r.hits[c.Key] = h
+		sid = reps[int(k.rr%uint64(len(reps)))]
+		k.rr++
+		if sid >= len(k.hits) {
+			k.hits = append(k.hits, make([]uint64, sid+1-len(k.hits))...)
 		}
-		h[sid]++
+		k.hits[sid]++
 	}
 	r.mu.Unlock()
 	r.heat.RecordTenant(c.Key, c.Tenant, sid, 1)
@@ -188,35 +198,24 @@ func (r *Replicated) planReplicas() ([]Move, map[string]bool) {
 		alpha = loadmgr.DefaultAlpha
 	}
 	r.mu.Lock()
-	for key, win := range r.idemWin {
-		next := alpha*win + (1-alpha)*r.idemHeat[key]
-		if next < 1e-3 {
-			delete(r.idemHeat, key)
-			delete(r.hits, key)
-			delete(r.rr, key)
+	cands := make([]keyIdemHeat, 0, len(r.keys))
+	for key, k := range r.keys {
+		if k.win > 0 {
+			k.heat = alpha*k.win + (1-alpha)*k.heat
+			k.win = 0
+		} else {
+			// No calls this round: decay toward the drop floor.
+			k.heat *= 1 - alpha
+		}
+		if k.heat < 1e-3 {
+			delete(r.keys, key)
 			continue
 		}
-		r.idemHeat[key] = next
+		cands = append(cands, keyIdemHeat{key, k.heat})
 	}
-	for key := range r.idemHeat {
-		if _, live := r.idemWin[key]; !live {
-			// No calls this round: decay toward the drop floor.
-			r.idemHeat[key] *= 1 - alpha
-			if r.idemHeat[key] < 1e-3 {
-				delete(r.idemHeat, key)
-				delete(r.hits, key)
-				delete(r.rr, key)
-			}
-		}
-	}
-	r.idemWin = map[string]float64{}
-	cands := make([]keyIdemHeat, 0, len(r.idemHeat))
-	for key, h := range r.idemHeat {
-		cands = append(cands, keyIdemHeat{key, h})
-	}
-	tracked := make(map[string]bool, len(r.idemHeat))
-	for key := range r.idemHeat {
-		tracked[key] = true
+	tracked := make(map[string]bool, len(cands))
+	for _, c := range cands {
+		tracked[c.key] = true
 	}
 	r.mu.Unlock()
 	// Keys whose heat decayed away but still hold replicas must stay in
@@ -261,8 +260,9 @@ func (r *Replicated) planReplicas() ([]Move, map[string]bool) {
 	var moves []Move
 	budget := r.budget
 	skip := map[string]bool{}
+	var cur []int
 	for _, c := range cands {
-		cur := r.pool.Replicas(c.key)
+		cur = r.pool.AppendReplicas(cur[:0], c.key)
 		if len(cur) == 0 {
 			continue // released since last seen
 		}
@@ -325,14 +325,17 @@ type ReplicaHit struct {
 func (r *Replicated) HitDistribution() map[string][]ReplicaHit {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string][]ReplicaHit, len(r.hits))
-	for key, byShard := range r.hits {
-		row := make([]ReplicaHit, 0, len(byShard))
-		for sid, n := range byShard {
-			row = append(row, ReplicaHit{Shard: sid, Calls: n})
+	out := map[string][]ReplicaHit{}
+	for key, k := range r.keys {
+		var row []ReplicaHit
+		for sid, n := range k.hits {
+			if n > 0 {
+				row = append(row, ReplicaHit{Shard: sid, Calls: n})
+			}
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i].Shard < row[j].Shard })
-		out[key] = row
+		if row != nil {
+			out[key] = row
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/loadmgr"
@@ -161,5 +162,92 @@ func BenchmarkReplicatedRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Route(c)
+	}
+}
+
+// TestRebalanceKeepsKeyRecords: a rebalance that drains a cooled key's
+// replicas, replicates a new hot key and migrates a background key
+// keeps every per-key record. HitDistribution reads the same before and
+// after it, and each key's KeyHeat after it is its window folded into
+// its heat (alpha 0.5) on the shard it had, or on the migration's
+// target.
+func TestRebalanceKeepsKeyRecords(t *testing.T) {
+	r := NewReplicated(ReplicatedConfig{
+		Options:     loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 1},
+		MaxReplicas: 3})
+	if err := r.Bind(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"hot", "warm", "hot2"}
+	for c := 0; c < 8; c++ {
+		keys = append(keys, fmt.Sprintf("bg%d", c))
+	}
+	// round routes hot, warm and hot2 idempotent calls and a few
+	// non-idempotent background calls, counting each key's calls.
+	round := func(hot, warm, hot2 int) map[string]int {
+		win := map[string]int{}
+		route := func(key string, idem bool, n int) {
+			for i := 0; i < n; i++ {
+				r.Route(Call{Key: key, Idempotent: idem})
+				win[key]++
+			}
+		}
+		route("hot", true, hot)
+		route("warm", true, warm)
+		route("hot2", true, hot2)
+		for c := 0; c < 8; c++ {
+			route(fmt.Sprintf("bg%d", c), false, c%3+1)
+		}
+		return win
+	}
+	for n := 0; n < 4; n++ {
+		round(24, 24, 0)
+		for _, mv := range r.Rebalance() {
+			r.Commit(mv)
+		}
+	}
+	// warm goes quiet and hot2 arrives.
+	win := round(24, 0, 60)
+	hits := r.HitDistribution()
+	type keyHeat struct {
+		heat  float64
+		shard int
+	}
+	before := map[string]keyHeat{}
+	for _, key := range keys {
+		h, sid := r.heat.KeyHeat(key)
+		before[key] = keyHeat{h, sid}
+	}
+
+	kinds := map[MoveKind]int{}
+	migrated := map[string]int{}
+	for _, mv := range r.Rebalance() {
+		if !r.Commit(mv) {
+			t.Fatalf("move %+v did not commit", mv)
+		}
+		kinds[mv.Kind]++
+		if mv.Kind == MoveMigrate {
+			migrated[mv.Key] = mv.To
+		}
+	}
+	if kinds[MoveDrain] == 0 || kinds[MoveReplicate] == 0 || kinds[MoveMigrate] == 0 {
+		t.Fatalf("rebalance committed %v, want drains, replicas and migrations", kinds)
+	}
+
+	if got := r.HitDistribution(); !reflect.DeepEqual(got, hits) {
+		t.Fatalf("HitDistribution after the rebalance = %v, before %v", got, hits)
+	}
+	if len(hits["hot"]) != 3 || len(hits["warm"]) != 3 {
+		t.Fatalf("HitDistribution = %v, want hot and warm served from 3 shards each", hits)
+	}
+	for _, key := range keys {
+		b := before[key]
+		want := keyHeat{0.5*float64(win[key]) + 0.5*b.heat, b.shard}
+		if to, ok := migrated[key]; ok {
+			want.shard = to
+		}
+		if h, sid := r.heat.KeyHeat(key); h != want.heat || sid != want.shard {
+			t.Fatalf("KeyHeat(%s) = (%v, %d) after the rebalance, want (%v, %d)", key, h, sid, want.heat, want.shard)
+		}
 	}
 }

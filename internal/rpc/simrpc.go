@@ -61,8 +61,11 @@ func StartSimServer(k *kern.Kernel, port uint16) *kern.Proc {
 			return 1
 		}
 		var reply xdr.Encoder
+		var call []byte // reused for every datagram received
 		for {
-			call, src, errno := s.Recvfrom(fd, 64*1024)
+			var src uint16
+			var errno int
+			call, src, errno = s.Recvfrom(fd, 64*1024, call)
 			if errno != 0 {
 				return 1
 			}
@@ -96,6 +99,7 @@ func NewSimClient(s *kern.Sys, clientPort, serverPort uint16) (*SimClient, error
 	if errno := s.Bind(fd, clientPort); errno != 0 {
 		return nil, fmt.Errorf("rpc: sim bind(%d): errno %d", clientPort, errno)
 	}
+	var raw []byte // reused for every reply received
 	return &SimClient{&Client{
 		send: func(m []byte) error {
 			m = m[markLen:]
@@ -106,7 +110,8 @@ func NewSimClient(s *kern.Sys, clientPort, serverPort uint16) (*SimClient, error
 			return nil
 		},
 		recv: func() ([]byte, error) {
-			raw, _, errno := s.Recvfrom(fd, 64*1024)
+			var errno int
+			raw, _, errno = s.Recvfrom(fd, 64*1024, raw)
 			if errno != 0 {
 				return nil, fmt.Errorf("rpc: sim recvfrom: errno %d", errno)
 			}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/clock"
@@ -98,4 +99,51 @@ func TestSimRPCUnknownProc(t *testing.T) {
 		t.Fatal("unknown procedure succeeded")
 	}
 	k.Kill(server, kern.SIGKILL)
+}
+
+// TestSimRPCCallAllocs gates the Figure 8 RPC row at no allocation per
+// call: each endpoint receives into one buffer it keeps, and the codec
+// and the loopback socket reuse theirs.
+func TestSimRPCCallAllocs(t *testing.T) {
+	const markNo = 398
+	k := kern.New()
+	var marks, want uint64
+	k.RegisterSyscall(markNo, "test_mark", func(*kern.Kernel, *kern.Proc, []uint32) kern.Sysret {
+		marks++
+		return kern.Sysret{}
+	})
+	server := StartSimServer(k, SimServerPort)
+	var callErr error
+	client := k.SpawnNative("client", kern.Cred{}, func(s *kern.Sys) int {
+		c, err := NewSimClient(s, 2222, SimServerPort)
+		if err != nil {
+			callErr = err
+			return 1
+		}
+		for i := uint32(0); ; i++ {
+			s.Call(markNo)
+			if v, err := c.Incr(i); err != nil || v != i+1 {
+				callErr = fmt.Errorf("incr(%d) = %d, %v", i, v, err)
+				return 1
+			}
+		}
+	})
+	defer k.Kill(server, kern.SIGKILL)
+	defer k.Kill(client, kern.SIGKILL)
+	// One run: the client makes one call and traps the next mark.
+	call := func() {
+		want = marks + 1
+		if err := k.RunUntil(func() bool { return marks >= want || callErr != nil }, 0); err != nil {
+			t.Fatal(err)
+		}
+		if callErr != nil {
+			t.Fatal(callErr)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		call() // warm: sockets, buffers, scratch pages
+	}
+	if n := testing.AllocsPerRun(200, call); n != 0 {
+		t.Fatalf("simulated RPC call: %v allocs, want 0", n)
+	}
 }

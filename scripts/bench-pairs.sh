@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# bench-pairs.sh — compare two checkouts on one benchmark workload with
+# alternating pairs of runs.
+#
+#   scripts/bench-pairs.sh -o OUT_DIR [-s SECONDS] PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SEED]
+#
+# Pair i (from 0) runs `bash bench/run.sh --workload WORKLOAD --seed
+# SEED+i --trace 0 --out ...` once in each checkout, the parent first on
+# even pairs and the change first on odd ones, so drift in the machine's
+# speed falls on both sides alike. SEED defaults to 1 and SECONDS to the
+# benchmark's own run_seconds.
+#
+# For every end-to-end metric in CHANGE_DIR's BENCHMARK.json it prints
+# each pair's change against the parent in percent, their median, and
+# in how many pairs the change was better by the metric's direction.
+# OUT_DIR receives both checkouts' --out files (parent.jsonl,
+# change.jsonl), every run's output (pair-N-parent.txt,
+# pair-N-change.txt) and the table (summary.txt). Nothing else is
+# written outside the checkouts' own benchmark build directories.
+set -euo pipefail
+
+usage() {
+	echo "usage: $0 -o OUT_DIR [-s SECONDS] PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SEED]" >&2
+	exit 2
+}
+
+out= seconds=
+while getopts "o:s:" opt; do
+	case $opt in
+	o) out=$OPTARG ;;
+	s) seconds=$OPTARG ;;
+	*) usage ;;
+	esac
+done
+shift $((OPTIND - 1))
+[ -n "$out" ] && [ $# -ge 4 ] && [ $# -le 5 ] || usage
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3 pairs=$4 seed=${5:-1}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+: > "$out/parent.jsonl"
+: > "$out/change.jsonl"
+
+# run SIDE DIR PAIR: one benchmark run of checkout DIR; its last output
+# line is the JSON summary.
+run() {
+	local side=$1 dir=$2 pair=$3 extra=()
+	[ -n "$seconds" ] && extra=(--seconds "$seconds")
+	echo "== pair $pair: $side (seed $((seed + pair)))" >&2
+	(cd "$dir" && bash bench/run.sh --workload "$workload" --seed $((seed + pair)) \
+		--trace 0 --out "$out/$side.jsonl" "${extra[@]}") > "$out/pair-$pair-$side.txt"
+}
+
+for ((i = 0; i < pairs; i++)); do
+	if ((i % 2 == 0)); then
+		run parent "$parent" "$i"
+		run change "$change" "$i"
+	else
+		run change "$change" "$i"
+		run parent "$parent" "$i"
+	fi
+done
+
+# The last line of every run, parent and change side by side per pair.
+summaries() {
+	for ((i = 0; i < pairs; i++)); do
+		tail -n 1 "$out/pair-$i-parent.txt"
+		tail -n 1 "$out/pair-$i-change.txt"
+	done
+}
+
+summaries | jq -rs --slurpfile spec "$change/BENCHMARK.json" '
+	def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+		else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	. as $runs
+	| [range(0; $runs | length; 2) | [$runs[.], $runs[. + 1]]] as $pairs
+	| ($pairs | map(.[0].failed + .[1].failed) | add) as $failed
+	| "metric\tper-pair change (%)\tmedian (%)\twins",
+	  ($spec[0].end_to_end[] as $m
+	   | [$pairs[] | [.[0].metrics[$m.name].value, .[1].metrics[$m.name].value]] as $v
+	   | [$v[] | if .[0] == 0 then 0 else (.[1] - .[0]) / .[0] * 100 end] as $d
+	   | [$v[] | select(if $m.better == "higher" then .[1] > .[0] else .[1] < .[0] end)] as $w
+	   | "\($m.name)\t\($d | map(. * 100 | round / 100) | join(" "))\t\($d | median * 100 | round / 100)\t\($w | length)/\($v | length)"),
+	  "failed calls over all runs: \($failed)"
+' | awk -F '\t' 'NF == 4 { printf "%-22s  %-*s  %10s  %5s\n", $1, w, $2, $3, $4; next } { print }' \
+	w=$((pairs * 8 > 20 ? pairs * 8 : 20)) | tee "$out/summary.txt"
