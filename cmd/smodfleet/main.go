@@ -20,9 +20,9 @@
 // saturation knee marked. -json writes the machine-readable
 // BENCH_fleet.json the CI bench job archives per commit.
 //
-// The load curve also hosts the loadmgr story: -skew draws arrival
-// keys from a Zipf popularity distribution (hot clients pin to one
-// shard), -rebalance lets the migrator move hot keys between
+// The load curve also hosts the load-management story: -skew draws
+// arrival keys from a Zipf popularity distribution (hot clients pin to
+// one shard), -rebalance lets the migrator move hot keys between
 // the -epochs barriers of each point, and -cache N memoizes the
 // module's idempotent functions per shard (pair with -argscard to give
 // the memo table repeats to hit).
@@ -479,8 +479,9 @@ func describeCurve(cfg measure.LoadCurveConfig) {
 	fmt.Println()
 }
 
-// reportCurve prints one measured curve: the table, loadmgr totals,
-// per-profile utilization at the knee, and the knee histogram.
+// reportCurve prints one measured curve: the table, migration, replica
+// and cache totals, per-profile utilization at the knee, and the knee
+// histogram.
 func reportCurve(cfg measure.LoadCurveConfig, points []measure.LoadPoint) {
 	fmt.Print(measure.LoadCurveTable(points))
 	var migr, hits, misses, radd, rdrop uint64

@@ -15,7 +15,7 @@
 //     kernel, so every charge on that shard's hot path is scaled once,
 //     at construction, with zero per-call arithmetic;
 //   - relative cost factors (Profile.CostFactor, CostFactors) the
-//     session pool and the loadmgr migrator weigh placement by, so hot
+//     session pool and the placement migrator weigh placement by, so hot
 //     keys land on fast shards and slow shards keep the cold tail;
 //   - measured capacity estimates (Calibrate) derived from a real
 //     calibration stretch on a scaled kernel, for rate sweeps and

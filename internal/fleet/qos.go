@@ -39,7 +39,7 @@ type shardQOS struct {
 	weight []int
 	totalW int
 	bucket []*tenant.Bucket
-	drr    *tenant.DRR
+	drr    *tenant.DRR[pendingCall]
 	knee   int
 	window int
 	// inflight counts injected-but-unfinished calls; the pump stops at
@@ -79,7 +79,7 @@ func newShardQOS(set *tenant.Set, shards int) *shardQOS {
 	for _, w := range q.weight {
 		q.totalW += w
 	}
-	q.drr = tenant.NewDRR(q.weight)
+	q.drr = tenant.NewDRR[pendingCall](q.weight)
 	q.admitted = make([]uint64, len(q.names))
 	q.shed = make([]uint64, len(q.names))
 	q.queueMax = make([]int, len(q.names))
@@ -169,11 +169,10 @@ func (sh *shard) qosArrive(j *job, i int, at uint64) {
 func (sh *shard) qosPump() {
 	q := sh.qos
 	for q.inflight < q.window {
-		v, _, ok := q.drr.Dequeue()
+		pc, _, ok := q.drr.Dequeue()
 		if !ok {
 			return
 		}
-		pc := v.(pendingCall)
 		before := sh.submitted
 		sh.inject(pc.j, pc.i, pc.at)
 		if sh.submitted > before {
@@ -187,11 +186,10 @@ func (sh *shard) qosPump() {
 // runStretch.
 func (sh *shard) qosFail(resp Response) {
 	for {
-		v, _, ok := sh.qos.drr.Dequeue()
+		pc, _, ok := sh.qos.drr.Dequeue()
 		if !ok {
 			return
 		}
-		pc := v.(pendingCall)
 		sh.finishSlot(pc.j, pc.i, resp)
 	}
 }

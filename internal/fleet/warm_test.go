@@ -34,11 +34,11 @@ func runWarmPlan(tb testing.TB, f *Fleet, plan []Request) {
 	}
 }
 
-// warmCallFleet opens a 1-shard fleet without a result cache and warms
-// a session for each of 16 keys, returning it with a 256-call plan over
-// those keys.
-func warmCallFleet(tb testing.TB) (*Fleet, []Request) {
-	f, err := Open(testOpts(1)...)
+// warmCallFleet opens a 1-shard fleet without a result cache, with
+// extra options, and warms a session for each of 16 keys, returning it
+// with a 256-call plan over those keys.
+func warmCallFleet(tb testing.TB, extra ...Option) (*Fleet, []Request) {
+	f, err := Open(append(testOpts(1), extra...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -81,12 +81,31 @@ func TestWarmSessionsStartNoGoroutines(t *testing.T) {
 const warmCallAllocsMax = 0.02
 
 // TestWarmCallAllocs ratchets the allocations of a warm call through
-// RunPlan: 1 shard, 16 warm keys, no result cache.
+// RunPlan: 1 shard, 16 warm keys, no result cache. On the two-class
+// fleet the calls alternate between qosSet's classes and wait in the
+// shard's QoS queue, which holds them by value.
 func TestWarmCallAllocs(t *testing.T) {
-	f, plan := warmCallFleet(t)
-	perPlan := testing.AllocsPerRun(20, func() { runWarmPlan(t, f, plan) })
-	if perCall := perPlan / float64(len(plan)); perCall > warmCallAllocsMax {
-		t.Fatalf("warm call: %.2f allocs, want <= %.2f", perCall, warmCallAllocsMax)
+	cases := []struct {
+		name    string
+		opts    []Option
+		tenants []string
+	}{
+		{"untenanted", nil, nil},
+		{"two-class", []Option{WithTenants(qosSet(0, 0))}, []string{"victim", "aggressor"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, plan := warmCallFleet(t, tc.opts...)
+			for i := range plan {
+				if len(tc.tenants) > 0 {
+					plan[i].Tenant = tc.tenants[i%len(tc.tenants)]
+				}
+			}
+			perPlan := testing.AllocsPerRun(20, func() { runWarmPlan(t, f, plan) })
+			if perCall := perPlan / float64(len(plan)); perCall > warmCallAllocsMax {
+				t.Fatalf("warm call: %.4f allocs, want <= %.2f", perCall, warmCallAllocsMax)
+			}
+		})
 	}
 }
 
@@ -263,9 +282,9 @@ func runSkewSchedule(tb testing.TB, f *Fleet, sched []TimedRequest) {
 // runScheduleAllocs bounds the allocations of one RunSchedule on the
 // skewFleet, whatever its length: the response slice, the routing
 // counts, the position array, the jobs and their done channels (6), the
-// barrier's placement round (candidate lists, heat snapshots and the
-// migrator's plan, 17 in a round that moves nothing), and slack for a
-// round whose moves open a session.
+// barrier's placement round (none in a round that moves nothing, see
+// placement's TestReplicatedRebalanceAllocs), and slack for a round
+// whose moves open a session.
 const runScheduleAllocs = 32
 
 // TestRunScheduleAllocs: a schedule's calls allocate nothing, so a

@@ -1,34 +1,19 @@
-// Package loadmgr is the fleet's load-management brain: it watches
-// per-key and per-shard call rates, decides when a hot client key
-// should move to a colder shard, and memoizes responses of functions
-// the module policy declares idempotent.
+// Package loadmgr holds the tuning of the fleet's heat-driven placement
+// and the per-shard result cache:
 //
-// The package deliberately contains no fleet mechanics — it is pure
-// bookkeeping and decision logic, so the fleet layer stays the only
-// owner of sessions, inboxes, and kernel stretches:
-//
-//   - HeatTracker maintains exponentially-weighted moving averages of
-//     the call rate of every client key and every shard, fed from the
-//     fleet's routing path. Heat advances in discrete rounds (one per
-//     rebalance barrier), so identical request sequences produce
-//     identical heat states — the property that keeps migration
-//     decisions deterministic under fleet.RunPlan.
-//   - Migrator turns a heat snapshot into a bounded list of key
-//     migrations (hottest shard -> coldest shard), greedy by key heat,
-//     with a per-key cooldown against flapping and a seeded tie-break
-//     among equally hot candidates.
+//   - Options tunes the heat records and the migrator behind the
+//     heat-driven placement strategies, which live in
+//     internal/placement with one heat record per key.
 //   - ResultCache is a bounded per-shard LRU memoizing (module,
 //     function, args) -> response for idempotent functions under one
 //     64-bit hash, verifying module, function and full argument
 //     equality on every hit so a hash collision can never change
 //     response bytes.
 //
-// Everything is deterministic given the sequence of Record/Advance
-// calls and the configured seed; nothing here reads wall-clock time or
-// global randomness.
+// Nothing here reads wall-clock time or global randomness.
 package loadmgr
 
-// Options tunes the heat tracker and migrator behind the heat-driven
+// Options tunes the heat tracking and migration behind the heat-driven
 // placement strategies (see internal/placement).
 type Options struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]: the weight of the
@@ -62,20 +47,3 @@ const (
 	DefaultMaxMovesPerRound   = 4
 	DefaultCooldownRounds     = 2
 )
-
-// withDefaults resolves zero fields.
-func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = DefaultAlpha
-	}
-	if o.ImbalanceThreshold <= 0 {
-		o.ImbalanceThreshold = DefaultImbalanceThreshold
-	}
-	if o.MaxMovesPerRound <= 0 {
-		o.MaxMovesPerRound = DefaultMaxMovesPerRound
-	}
-	if o.CooldownRounds <= 0 {
-		o.CooldownRounds = DefaultCooldownRounds
-	}
-	return o
-}

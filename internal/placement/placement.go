@@ -25,6 +25,15 @@
 //     so any replica's answer is THE answer; non-idempotent calls pin
 //     to the primary.
 //
+// The three heat-driven strategies share one core: the sticky pool,
+// one heat record per key, and the migrator. A key's record holds its
+// placement heat (EWMA calls per round, this round's window, its
+// shard and its QoS tenant) and, under Replicated, its idempotent
+// heat, round-robin cursor and per-shard hits. The records live in
+// one map under one lock, beside the pool's own, and every rebalance
+// barrier folds them in one pass before the migrator plans from them
+// in place. loadmgr.Options tunes the fold and the migrator.
+//
 // Every strategy is deterministic given the sequence of Route /
 // Rebalance / Commit / Release / Evicted calls and its configured
 // seed — the property that keeps fleet.RunPlan cycle counts

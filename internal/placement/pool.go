@@ -145,37 +145,9 @@ func (p *Pool) AddShard(weight float64) int {
 	return sid
 }
 
-// SetDraining marks shard sid as draining: it keeps its current
-// bindings (they still route to it) but is excluded from every new
-// allocation, rebind target, and replica target until the drain
-// completes and the shard is reclaimed. It reports whether the shard
-// was live (not down, not already draining).
-func (p *Pool) SetDraining(sid int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sid < 0 || sid >= len(p.load) || p.down[sid] || p.draining[sid] {
-		return false
-	}
-	p.draining[sid] = true
-	return true
-}
-
-// Draining reports whether shard sid is currently draining.
-func (p *Pool) Draining(sid int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return sid >= 0 && sid < len(p.draining) && p.draining[sid]
-}
-
-// KeysOn returns every key holding a binding on shard sid, sorted —
-// the deterministic sweep list a drain plan is built from.
-func (p *Pool) KeysOn(sid int) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.keysOnLocked(sid)
-}
-
-// keysOnLocked is KeysOn for a caller holding p.mu.
+// keysOnLocked returns every key holding a binding on shard sid,
+// sorted: the deterministic sweep list of a drain plan or a reclaim.
+// Caller holds p.mu.
 func (p *Pool) keysOnLocked(sid int) []string {
 	var keys []string
 	for key, b := range p.assign {
@@ -477,20 +449,17 @@ func (p *Pool) LeastLoadedExcluding(excl map[int]bool) (int, bool) {
 	return sid, found
 }
 
-// ReplicatedKeys returns every key currently holding more than one
-// binding, sorted — the deterministic sweep list for replica-set
-// maintenance.
-func (p *Pool) ReplicatedKeys() []string {
+// appendReplicatedKeys appends every key holding more than one binding
+// to buf, in no particular order, and returns it.
+func (p *Pool) appendReplicatedKeys(buf []string) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []string
 	for key, b := range p.assign {
 		if b.n() > 1 {
-			out = append(out, key)
+			buf = append(buf, key)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return buf
 }
 
 // ReclaimShard marks shard sid dead and reclaims every binding it
@@ -546,18 +515,15 @@ func (p *Pool) Down(sid int) bool {
 	return sid >= 0 && sid < len(p.down) && p.down[sid]
 }
 
-// DownShards returns a copy of the per-shard down mask.
-func (p *Pool) DownShards() []bool {
+// appendUnavailable appends, per shard, whether it takes no new keys,
+// rebinds or replicas (it is down or draining) to buf and returns it.
+func (p *Pool) appendUnavailable(buf []bool) []bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]bool(nil), p.down...)
-}
-
-// DrainingShards returns a copy of the per-shard draining mask.
-func (p *Pool) DrainingShards() []bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]bool(nil), p.draining...)
+	for i, d := range p.down {
+		buf = append(buf, d || p.draining[i])
+	}
+	return buf
 }
 
 // LiveShards returns how many shards are still allocatable — neither

@@ -2,8 +2,11 @@ package placement
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/loadmgr"
 )
@@ -165,6 +168,119 @@ func BenchmarkReplicatedRoute(b *testing.B) {
 	}
 }
 
+// skewReplicated builds the fleet-skew benchmark's strategy (2 shards,
+// at most 2 replicas, migration on) and a 5,000-route epoch of
+// idempotent calls over 64 Zipf(2.0) keys, and runs three epochs, each
+// closed by a committed rebalance, so the replica set and the
+// migrations have settled.
+func skewReplicated(tb testing.TB) (*Replicated, []Call) {
+	r := NewReplicated(ReplicatedConfig{
+		Options: loadmgr.Options{Migrate: true, Seed: 1}, MaxReplicas: 2})
+	if err := r.Bind(2, nil); err != nil {
+		tb.Fatal(err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 2.0, 1, 63)
+	epoch := make([]Call, 5000)
+	for i := range epoch {
+		epoch[i] = Call{Key: fmt.Sprintf("k%02d", zipf.Uint64()), Idempotent: true}
+	}
+	for i := 0; i < 3; i++ {
+		for _, c := range epoch {
+			r.Route(c)
+		}
+		for _, mv := range r.Rebalance() {
+			r.Commit(mv)
+		}
+	}
+	return r, epoch
+}
+
+// rebalanceAllocs bounds a rebalance that plans no move on the
+// skewReplicated strategy. The records, shard heat, masks, candidate
+// lists and fence set are read in place or reused, and sorting
+// allocates nothing, so the barrier allocates nothing at all.
+const rebalanceAllocs = 0
+
+// TestReplicatedRebalanceAllocs: after a 5,000-route epoch, a
+// rebalance that plans no move allocates at most rebalanceAllocs. The
+// epoch's routes, all of warm keys, allocate nothing themselves.
+func TestReplicatedRebalanceAllocs(t *testing.T) {
+	r, epoch := skewReplicated(t)
+	got := testing.AllocsPerRun(10, func() {
+		for _, c := range epoch {
+			r.Route(c)
+		}
+		if moves := r.Rebalance(); len(moves) != 0 {
+			t.Fatalf("rebalance planned %v, want no move", moves)
+		}
+	})
+	if got > rebalanceAllocs {
+		t.Fatalf("epoch and rebalance: %v allocs, want <= %d", got, rebalanceAllocs)
+	}
+}
+
+// BenchmarkReplicatedRebalance runs epochs of the
+// TestReplicatedRebalanceAllocs scenario, each its 5,000 routes and the
+// rebalance that closes it, and reports the rebalance alone as
+// ns/barrier. The routes allocate nothing, so allocs/op is the
+// barrier's.
+func BenchmarkReplicatedRebalance(b *testing.B) {
+	r, epoch := skewReplicated(b)
+	var barrier time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range epoch {
+			r.Route(c)
+		}
+		start := time.Now()
+		for _, mv := range r.Rebalance() {
+			r.Commit(mv)
+		}
+		barrier += time.Since(start)
+	}
+	b.ReportMetric(float64(barrier.Nanoseconds())/float64(b.N), "ns/barrier")
+}
+
+// TestReplicatedConcurrent routes calls from several goroutines while
+// barriers rebalance and commit, as live calls overlap a fleet's
+// barrier path. Under -race it checks that the pool and the heat
+// records are only shared under their locks.
+func TestReplicatedConcurrent(t *testing.T) {
+	r := NewReplicated(ReplicatedConfig{
+		Options:     loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 1},
+		MaxReplicas: 3})
+	if err := r.Bind(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				key := "hot"
+				if i%2 == 1 {
+					key = fmt.Sprintf("k%d", (g+i)%9)
+				}
+				c := Call{Key: key, Idempotent: i%5 != 0, Tenant: []string{"", "a"}[i%2]}
+				if sid := r.Route(c); sid < 0 || sid >= 4 {
+					t.Errorf("Route(%+v) = %d", c, sid)
+					return
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 40; round++ {
+		for _, mv := range r.Rebalance() {
+			r.Commit(mv)
+		}
+		r.HitDistribution()
+		r.Imbalance()
+	}
+	wg.Wait()
+}
+
 // TestRebalanceKeepsKeyRecords: a rebalance that drains a cooled key's
 // replicas, replicates a new hot key and migrates a background key
 // keeps every per-key record. HitDistribution reads the same before and
@@ -209,14 +325,14 @@ func TestRebalanceKeepsKeyRecords(t *testing.T) {
 	// warm goes quiet and hot2 arrives.
 	win := round(24, 0, 60)
 	hits := r.HitDistribution()
-	type keyHeat struct {
+	type heatAt struct {
 		heat  float64
 		shard int
 	}
-	before := map[string]keyHeat{}
+	before := map[string]heatAt{}
 	for _, key := range keys {
-		h, sid := r.heat.KeyHeat(key)
-		before[key] = keyHeat{h, sid}
+		h, sid := keyHeat(&r.balancer, key)
+		before[key] = heatAt{h, sid}
 	}
 
 	kinds := map[MoveKind]int{}
@@ -242,11 +358,11 @@ func TestRebalanceKeepsKeyRecords(t *testing.T) {
 	}
 	for _, key := range keys {
 		b := before[key]
-		want := keyHeat{0.5*float64(win[key]) + 0.5*b.heat, b.shard}
+		want := heatAt{0.5*float64(win[key]) + 0.5*b.heat, b.shard}
 		if to, ok := migrated[key]; ok {
 			want.shard = to
 		}
-		if h, sid := r.heat.KeyHeat(key); h != want.heat || sid != want.shard {
+		if h, sid := keyHeat(&r.balancer, key); h != want.heat || sid != want.shard {
 			t.Fatalf("KeyHeat(%s) = (%v, %d) after the rebalance, want (%v, %d)", key, h, sid, want.heat, want.shard)
 		}
 	}

@@ -39,7 +39,7 @@ func FuzzTenantAdmission(f *testing.F) {
 				totalW += c.Weight
 				buckets[i] = NewBucket(c.Rate, c.Burst)
 			}
-			d := NewDRR(weights)
+			d := NewDRR[int](weights)
 			rng := seed | 1
 			admitted := make([]int, n)
 			served := make([]int, n)
@@ -98,7 +98,7 @@ func FuzzTenantAdmission(f *testing.F) {
 			weights[i] = c.Weight
 			totalW += c.Weight
 		}
-		d := NewDRR(weights)
+		d := NewDRR[int](weights)
 		const K = 8
 		for i := 0; i < n; i++ {
 			for j := 0; j < totalW*K; j++ {

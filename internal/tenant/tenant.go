@@ -252,24 +252,58 @@ func Shed(classQueued, weight, totalQueued, totalWeight, knee int) bool {
 	return classQueued*totalWeight >= weight*totalQueued
 }
 
-// DRR is a deficit-round-robin scheduler over per-class FIFO queues:
-// the classic Shreedhar/Varghese weighted fair queueing algorithm with
-// unit cost per request, so each class is served `weight` requests per
-// visit while backlogged. Pull-based: Enqueue files work, Dequeue
+// DRR is a deficit-round-robin scheduler over per-class FIFO queues
+// of T: the classic Shreedhar/Varghese weighted fair queueing algorithm
+// with unit cost per request, so each class is served `weight` requests
+// per visit while backlogged. Pull-based: Enqueue files work, Dequeue
 // yields the next request in fair order. Purely deterministic — serving
-// order is a function of the enqueue sequence alone.
-type DRR struct {
+// order is a function of the enqueue sequence alone. Requests are held
+// by value, and a class queue reuses its array once it drains, so a
+// steady stream of requests allocates nothing.
+type DRR[T any] struct {
 	quanta  []int
 	deficit []int
-	queues  [][]any
+	queues  []fifo[T]
 	queued  int
 	cur     int
 	visited bool // cur's deficit already credited this visit
 }
 
+// fifo is one class's queue: q[head:] waits, oldest first.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+// push queues v behind the waiting requests. Once the served front of
+// the queue fills its array, the waiting requests move down first, so
+// a queue that never drains keeps a bounded array.
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, v)
+}
+
+// pop takes the oldest waiting request.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.q[f.head]
+	f.q[f.head] = zero
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// len returns how many requests wait.
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
 // NewDRR builds a scheduler over len(weights) classes. Non-positive
 // weights are lifted to DefaultWeight so every class makes progress.
-func NewDRR(weights []int) *DRR {
+func NewDRR[T any](weights []int) *DRR[T] {
 	q := make([]int, len(weights))
 	for i, w := range weights {
 		if w < 1 {
@@ -277,29 +311,30 @@ func NewDRR(weights []int) *DRR {
 		}
 		q[i] = w
 	}
-	return &DRR{
+	return &DRR[T]{
 		quanta:  q,
 		deficit: make([]int, len(weights)),
-		queues:  make([][]any, len(weights)),
+		queues:  make([]fifo[T], len(weights)),
 	}
 }
 
 // Enqueue files one request for class.
-func (d *DRR) Enqueue(class int, v any) {
-	d.queues[class] = append(d.queues[class], v)
+func (d *DRR[T]) Enqueue(class int, v T) {
+	d.queues[class].push(v)
 	d.queued++
 }
 
 // Dequeue yields the next request and its class in DRR order (false
 // when idle).
-func (d *DRR) Dequeue() (any, int, bool) {
+func (d *DRR[T]) Dequeue() (T, int, bool) {
 	if d.queued == 0 {
-		return nil, 0, false
+		var zero T
+		return zero, 0, false
 	}
 	for {
 		class := d.cur
-		q := d.queues[class]
-		if len(q) == 0 {
+		q := &d.queues[class]
+		if q.len() == 0 {
 			// An empty class forfeits its deficit (the DRR rule that
 			// stops idle classes hoarding credit).
 			d.deficit[class] = 0
@@ -315,10 +350,9 @@ func (d *DRR) Dequeue() (any, int, bool) {
 			continue
 		}
 		d.deficit[class]--
-		v := q[0]
-		d.queues[class] = q[1:]
+		v := q.pop()
 		d.queued--
-		if len(d.queues[class]) == 0 {
+		if q.len() == 0 {
 			d.deficit[class] = 0
 			d.turn()
 		}
@@ -327,13 +361,13 @@ func (d *DRR) Dequeue() (any, int, bool) {
 }
 
 // turn passes the visit to the next class.
-func (d *DRR) turn() {
+func (d *DRR[T]) turn() {
 	d.cur = (d.cur + 1) % len(d.queues)
 	d.visited = false
 }
 
 // Len returns the total queued requests across classes.
-func (d *DRR) Len() int { return d.queued }
+func (d *DRR[T]) Len() int { return d.queued }
 
 // ClassLen returns one class's queued requests.
-func (d *DRR) ClassLen(class int) int { return len(d.queues[class]) }
+func (d *DRR[T]) ClassLen(class int) int { return d.queues[class].len() }

@@ -135,7 +135,7 @@ func TestShedPolicy(t *testing.T) {
 
 func TestDRRWeightedShares(t *testing.T) {
 	// Weights 3:1, both backlogged: every 4 serves split 3/1.
-	d := NewDRR([]int{3, 1})
+	d := NewDRR[int]([]int{3, 1})
 	for i := 0; i < 40; i++ {
 		d.Enqueue(i%2, i)
 	}
@@ -153,7 +153,7 @@ func TestDRRWeightedShares(t *testing.T) {
 }
 
 func TestDRRFIFOWithinClass(t *testing.T) {
-	d := NewDRR([]int{1, 1})
+	d := NewDRR[int]([]int{1, 1})
 	for i := 0; i < 6; i++ {
 		d.Enqueue(0, i)
 	}
@@ -166,20 +166,61 @@ func TestDRRFIFOWithinClass(t *testing.T) {
 		if class != 0 {
 			t.Fatalf("served class %d, only class 0 has work", class)
 		}
-		if v.(int) <= last {
-			t.Fatalf("out of order: %d after %d", v.(int), last)
+		if v <= last {
+			t.Fatalf("out of order: %d after %d", v, last)
 		}
-		last = v.(int)
+		last = v
 	}
 	if last != 5 {
 		t.Fatalf("drained to %d, want 5", last)
 	}
 }
 
+// TestDRRFIFOWhileQueueing: requests filed while others wait keep FIFO
+// order within their class, also when a class queue moves its waiting
+// requests down to make room, and a drained scheduler serves new
+// requests like a fresh one.
+func TestDRRFIFOWhileQueueing(t *testing.T) {
+	d := NewDRR[int]([]int{2, 1})
+	next := [2]int{}
+	want := [2]int{}
+	serve := func() {
+		v, class, ok := d.Dequeue()
+		if !ok {
+			t.Fatal("idle with requests queued")
+		}
+		if v != want[class] {
+			t.Fatalf("class %d served %d, want %d", class, v, want[class])
+		}
+		want[class]++
+	}
+	for round := 0; round < 200; round++ {
+		for class := 0; class < 2; class++ {
+			for i := 0; i < 2+round%3; i++ {
+				d.Enqueue(class, next[class])
+				next[class]++
+			}
+		}
+		for i := 0; i < 3+round%2; i++ {
+			serve()
+		}
+	}
+	for d.Len() > 0 {
+		serve()
+	}
+	if want != next {
+		t.Fatalf("served up to %v, filed %v", want, next)
+	}
+	d.Enqueue(1, next[1])
+	if v, class, ok := d.Dequeue(); !ok || class != 1 || v != next[1] {
+		t.Fatalf("after draining: Dequeue = (%d, %d, %v), want (%d, 1, true)", v, class, ok, next[1])
+	}
+}
+
 func TestDRRIdleClassForfeitsDeficit(t *testing.T) {
 	// Class 1 (weight 5) goes idle; when it returns it must not burst
 	// through hoarded credit beyond one visit's quantum.
-	d := NewDRR([]int{1, 5})
+	d := NewDRR[int]([]int{1, 5})
 	for i := 0; i < 20; i++ {
 		d.Enqueue(0, i)
 	}
@@ -210,7 +251,7 @@ func TestDRRIdleClassForfeitsDeficit(t *testing.T) {
 }
 
 func TestDRRConservation(t *testing.T) {
-	d := NewDRR([]int{2, 1, 4})
+	d := NewDRR[int]([]int{2, 1, 4})
 	n := 0
 	for i := 0; i < 31; i++ {
 		d.Enqueue(i%3, i)
