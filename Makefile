@@ -119,11 +119,11 @@ mix:
 	$(GO) run ./cmd/smodfleet -loadcurve -mix fast=2,slow=2,crypto=1 -skew 1.2 -epochs 8 -rebalance -json BENCH_mix.json
 
 # The chaos drills' end-to-end smoke: a kill-drill load curve on a
-# replicated fleet (availability under shard loss). Their property
-# tests run with everything else under `make race`.
+# replicated fleet (availability under shard loss), the drill `make
+# trace` records (TRACE_FLAGS, below). Their property tests run with
+# everything else under `make race`.
 chaos:
-	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 -skew 1.5 -epochs 6 \
-		-replicas 2 -chaos kill:0@4 -json /tmp/BENCH_chaos_smoke.json
+	$(GO) run ./cmd/smodfleet $(TRACE_FLAGS) -json /tmp/BENCH_chaos_smoke.json
 
 # The elastic-fleet smoke: a standalone SLO-autoscaled load curve (see
 # README "Elastic fleet & autoscaler"). The autoscaler and add/drain

@@ -68,17 +68,17 @@ func (g *gate) FleetCall(key string, funcID uint32, args []uint32) (uint32, int3
 	return g.f.FleetCall(key, funcID, args)
 }
 
-func (g *gate) FleetRelease(key string) error {
+func (g *gate) Release(key string) error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if !g.accepting {
 		return errDraining
 	}
-	return g.f.FleetRelease(key)
+	return g.f.Release(key)
 }
 
-func (g *gate) FleetFuncID(name string) (uint32, bool) {
-	return g.f.FleetFuncID(name)
+func (g *gate) FuncID(name string) (uint32, bool) {
+	return g.f.FuncID(name)
 }
 
 // drain refuses new calls and returns once every in-flight call has

@@ -51,13 +51,16 @@ func (f *Fleet) applyChaos() error {
 	return nil
 }
 
-// warmJob builds the jobWarm that re-attaches key's session, recorded
-// as span. It consumes a pending CorruptWarm fault for key, which
-// poisons the warm. Caller holds f.mu (write).
-func (f *Fleet) warmJob(span trace.Kind, key string) *job {
-	j := &job{kind: jobWarm, span: span, key: key, corrupt: f.corrupt[key]}
-	delete(f.corrupt, key)
-	return j
+// warmJob builds the control job that warms key's session with warm,
+// the shard method of its span: (*shard).warmIn, replicaIn or rewarmIn.
+// It consumes a pending CorruptWarm fault for key, which poisons the
+// warm. Caller holds f.mu (write).
+func (f *Fleet) warmJob(warm func(*shard, string), span trace.Kind, key string) *job {
+	if f.corrupt[key] {
+		delete(f.corrupt, key)
+		warm = func(sh *shard, key string) { sh.moveIn(span, key, true) }
+	}
+	return &job{key: key, ctl: warm}
 }
 
 // killShard permanently removes shard sid: reclaim its bindings (the
@@ -111,7 +114,7 @@ func (f *Fleet) rewarm(rehomes []placement.Rehome) error {
 		if rh.To < 0 || rh.To >= len(f.shards) || f.down[rh.To] {
 			continue
 		}
-		jobs = append(jobs, f.enqueue(rh.To, f.warmJob(trace.KRewarm, rh.Key)))
+		jobs = append(jobs, f.enqueue(rh.To, f.warmJob((*shard).rewarmIn, trace.KRewarm, rh.Key)))
 	}
 	f.mu.Unlock()
 	awaitAll(jobs)
@@ -137,7 +140,12 @@ func (f *Fleet) stallShard(sid int, cycles uint64) {
 	if sid < 0 || sid >= len(f.shards) {
 		return
 	}
-	j := &job{kind: jobStall, cycles: cycles}
+	j := &job{ctl: func(sh *shard, _ string) {
+		before := sh.k.Clk.Cycles()
+		sh.k.Clk.Advance(cycles)
+		sh.st.StallCycles += cycles
+		sh.emitSpan(trace.KStall, before, "", "")
+	}}
 	if err := f.send(sid, j); err != nil {
 		return // down or closed: a dead shard cannot stall
 	}
@@ -152,16 +160,9 @@ func (f *Fleet) dropSession(key string) {
 	if !ok {
 		return
 	}
-	j := &job{kind: jobDrop, key: key}
+	j := &job{key: key, ctl: (*shard).drop}
 	if err := f.send(sid, j); err != nil {
 		return
 	}
 	<-j.done
-}
-
-// DownShards returns how many shards chaos faults have killed.
-func (f *Fleet) DownShards() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.down) - f.liveShards()
 }

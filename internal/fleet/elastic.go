@@ -159,8 +159,6 @@ func (f *Fleet) growShard(p backend.Profile) error {
 	f.shards = append(f.shards, sh)
 	f.down = append(f.down, false)
 	f.draining = append(f.draining, false)
-	f.drained = append(f.drained, false)
-	f.cfg.backends = append(f.cfg.backends, backend.Assignment{Shard: id, Profile: p})
 	f.added++
 	f.mu.Unlock()
 	if f.tr != nil {
@@ -202,7 +200,6 @@ func (f *Fleet) retireShard(sid int) error {
 		return ErrFleetClosed
 	}
 	f.down[sid] = true
-	f.drained[sid] = true
 	f.drainedN++
 	close(f.shards[sid].inbox)
 	f.mu.Unlock()
@@ -284,22 +281,20 @@ func (f *Fleet) autoStep(auto *autoscale.Controller) error {
 // histograms bucket by bit length, so the estimate is the p99 bucket's
 // upper edge — a conservative (never optimistic) tail read.
 func (f *Fleet) collectWindow() (p99us float64, calls uint64) {
-	var jobs []*job
 	f.mu.RLock()
 	if f.closed {
 		f.mu.RUnlock()
 		return 0, 0
 	}
-	for sid := range f.shards {
-		if !f.down[sid] {
-			jobs = append(jobs, f.enqueue(sid, &job{kind: jobWindow}))
-		}
-	}
+	hists := make([][latBuckets]uint64, len(f.shards))
+	jobs := f.broadcast(func(sh *shard, _ string) {
+		hists[sh.id], sh.winHist = sh.winHist, [latBuckets]uint64{}
+	}, "")
 	f.mu.RUnlock()
 	awaitAll(jobs)
 	var hist [latBuckets]uint64
-	for _, j := range jobs {
-		for i, n := range j.hist {
+	for _, h := range hists {
+		for i, n := range h {
 			hist[i] += n
 		}
 	}

@@ -159,18 +159,17 @@ type Fleet struct {
 	// their inboxes are closed and they are skipped by sends, Release
 	// broadcasts, and Close.
 	down []bool
-	// draining marks shards with a drain queued or in progress; drained
-	// marks shards retired on purpose (a subset of down, counted apart
-	// from chaos kills in Stats).
+	// draining marks shards with a drain queued or in progress.
 	draining []bool
-	drained  []bool
 	// pendingAdds and pendingDrains queue shard-lifecycle operations
 	// until the next rebalance barrier applies them (FIFO, adds first),
 	// keeping RunPlan/RunSchedule deterministic.
 	pendingAdds   []backend.Profile
 	pendingDrains []int
 	added         int
-	drainedN      int
+	// drainedN counts shards retired on purpose (a subset of down,
+	// counted apart from chaos kills in Stats).
+	drainedN int
 	// pendingSwap and pendingAuto queue control-plane replacements —
 	// a new placement strategy, a new (or nil) autoscaler config —
 	// applied at the next rebalance barrier (see reconcile.go). Both
@@ -252,7 +251,6 @@ func Open(opts ...Option) (*Fleet, error) {
 		tr:       cfg.tr,
 		down:     make([]bool, cfg.shards),
 		draining: make([]bool, cfg.shards),
-		drained:  make([]bool, cfg.shards),
 		corrupt:  map[string]bool{},
 	}
 	f.place.Store(&placeBox{p: cfg.place})
@@ -352,6 +350,19 @@ func (f *Fleet) enqueue(sid int, j *job) *job {
 	return j
 }
 
+// broadcast enqueues a control job running ctl with key on every live
+// shard and returns the jobs. The caller holds f.mu (either side) and
+// has checked that the fleet is open.
+func (f *Fleet) broadcast(ctl func(*shard, string), key string) []*job {
+	var jobs []*job
+	for sid := range f.shards {
+		if !f.down[sid] {
+			jobs = append(jobs, f.enqueue(sid, &job{key: key, ctl: ctl}))
+		}
+	}
+	return jobs
+}
+
 // awaitAll waits until every job in jobs is done.
 func awaitAll(jobs []*job) {
 	for _, j := range jobs {
@@ -422,7 +433,7 @@ func (f *Fleet) Do(req Request) Response {
 		req  [1]Request
 		resp [1]Response
 	}{req: [1]Request{req}}
-	c.kind, c.plan, c.out = jobCalls, c.req[:], c.resp[:]
+	c.plan, c.out = c.req[:], c.resp[:]
 	if err := f.route(&c.req[0], &c.job); err != nil {
 		return Response{Err: err, Shard: -1}
 	}
@@ -463,7 +474,7 @@ func (f *Fleet) submitGrouped(plan []Request, sched []TimedRequest) ([]Response,
 	}
 	// A barrier job starts its own stretch: that keeps plan cycle counts
 	// deterministic and bases a schedule's arrivals at the stretch start.
-	all := job{kind: jobCalls, barrier: true, plan: plan, sched: sched}
+	all := job{barrier: true, plan: plan, sched: sched}
 	n := all.calls()
 	all.out = make([]Response, n)
 	f.mu.RLock()
@@ -576,18 +587,13 @@ func (f *Fleet) RunSchedule(treqs []TimedRequest) ([]Response, error) {
 // LRU cap).
 func (f *Fleet) Release(key string) error {
 	f.placement().Release(key)
-	var jobs []*job
 	f.mu.RLock()
 	if f.closed {
 		f.mu.RUnlock()
 		return ErrFleetClosed
 	}
-	for sid := range f.shards {
-		// A dead shard's sessions died with it; nothing to sweep.
-		if !f.down[sid] {
-			jobs = append(jobs, f.enqueue(sid, &job{kind: jobRelease, key: key}))
-		}
-	}
+	// A dead shard's sessions died with it; nothing to sweep.
+	jobs := f.broadcast((*shard).evict, key)
 	f.mu.RUnlock()
 	awaitAll(jobs)
 	return nil
@@ -620,7 +626,7 @@ func (f *Fleet) Rebalance() (int, error) {
 	applied, err := f.rebalance()
 	// The barrier closes with one metrics publication — the coherent
 	// snapshot the registry's snapshot-at-barrier semantics promise. The
-	// underlying jobStats control jobs cost zero simulated cycles, so a
+	// underlying stats control jobs cost zero simulated cycles, so a
 	// metered run replays bit for bit.
 	if err == nil && f.met != nil {
 		f.publishMetrics(f.Stats())
@@ -711,12 +717,12 @@ func (f *Fleet) applyMoves(moves []placement.Move) (int, error) {
 		switch mv.Kind {
 		case placement.MoveMigrate:
 			jobs = append(jobs,
-				f.enqueue(mv.From, &job{kind: jobTeardown, span: trace.KMigrateOut, key: mv.Key}),
-				f.enqueue(mv.To, f.warmJob(trace.KWarmIn, mv.Key)))
+				f.enqueue(mv.From, &job{key: mv.Key, ctl: (*shard).migrateOut}),
+				f.enqueue(mv.To, f.warmJob((*shard).warmIn, trace.KWarmIn, mv.Key)))
 		case placement.MoveReplicate:
-			jobs = append(jobs, f.enqueue(mv.To, f.warmJob(trace.KReplicaIn, mv.Key)))
+			jobs = append(jobs, f.enqueue(mv.To, f.warmJob((*shard).replicaIn, trace.KReplicaIn, mv.Key)))
 		case placement.MoveDrain, placement.MovePromote:
-			jobs = append(jobs, f.enqueue(mv.From, &job{kind: jobTeardown, span: trace.KReplicaOut, key: mv.Key}))
+			jobs = append(jobs, f.enqueue(mv.From, &job{key: mv.Key, ctl: (*shard).replicaOut}))
 		}
 	}
 	f.mu.Unlock()
@@ -738,16 +744,17 @@ func (f *Fleet) Stats() Stats {
 		return f.final
 	}
 	shards := f.shards
+	per := make([]ShardStats, len(shards))
+	snap := func(sh *shard, _ string) { per[sh.id] = sh.snapshot() }
 	jobs := make([]*job, len(shards)) // nil for a dead shard
 	for sid := range shards {
 		if !f.down[sid] {
-			jobs[sid] = f.enqueue(sid, &job{kind: jobStats})
+			jobs[sid] = f.enqueue(sid, &job{ctl: snap})
 		}
 	}
 	f.mu.RUnlock()
 	// A dead shard's goroutine is awaited outside the lock: a kill
 	// closes its inbox under the write side.
-	per := make([]ShardStats, len(shards))
 	downCount := 0
 	for sid, j := range jobs {
 		if j == nil {
@@ -757,7 +764,6 @@ func (f *Fleet) Stats() Stats {
 			continue
 		}
 		<-j.done
-		per[sid] = j.stats
 	}
 	return f.fleetStats(per, downCount)
 }

@@ -16,7 +16,7 @@ import (
 //
 // Publication follows snapshot-at-barrier semantics: every rebalance
 // barrier ends with one publishMetrics call, which reads the fleet's
-// coherent Stats snapshot (the zero-simulated-cycle jobStats path) and
+// coherent Stats snapshot (zero-simulated-cycle control jobs) and
 // stores each value into its pre-resolved series. Nothing here touches
 // a simulated clock, so a metered run replays bit for bit.
 
@@ -136,7 +136,7 @@ func (m *fleetMetrics) publish(st Stats, load []int, live int, cost float64, bar
 
 // publishMetrics pushes one barrier snapshot into the registry. Runs
 // at the end of every Rebalance and once more at Close (with the final
-// stats). The Stats snapshot rides jobStats control jobs, which cost
+// stats). The Stats snapshot rides control jobs, which cost
 // zero simulated cycles — so metering a run cannot change it.
 func (f *Fleet) publishMetrics(st Stats) {
 	if f.met == nil {

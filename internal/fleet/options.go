@@ -191,12 +191,19 @@ func (c *config) resolve() error {
 		}
 	}
 	if c.auto != nil {
-		if c.auto.SLOMicros <= 0 {
-			return fmt.Errorf("fleet: autoscaler SLO must be > 0, got %g", c.auto.SLOMicros)
-		}
-		if c.auto.Profile.Name == "" && c.auto.Profile.Scale == 0 {
-			c.auto.Profile = c.backends[0].Profile
-		}
+		return resolveAuto(c.auto, backend.ProfileOf(c.backends, 0))
+	}
+	return nil
+}
+
+// resolveAuto checks an autoscaler configuration and gives a zero-value
+// Profile shard 0's profile p0 (Open and SetAutoscaler).
+func resolveAuto(c *autoscale.Config, p0 backend.Profile) error {
+	if c.SLOMicros <= 0 {
+		return fmt.Errorf("fleet: autoscaler SLO must be > 0, got %g", c.SLOMicros)
+	}
+	if c.Profile.Name == "" && c.Profile.Scale == 0 {
+		c.Profile = p0
 	}
 	return nil
 }

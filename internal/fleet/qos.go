@@ -28,9 +28,9 @@ import (
 // skipped and the dispatch path is byte-identical to an untenanted
 // fleet (the zero-perturbation discipline the bench gate relies on).
 
-// shardQOS is one shard's QoS state: the per-class token buckets and
-// DRR queues plus counters. Owned by the shard goroutine, like
-// everything else on shard.
+// shardQOS is one shard's QoS state: the per-class token buckets, DRR
+// queues and counters. Owned by the shard goroutine, like everything
+// else on shard.
 type shardQOS struct {
 	set    *tenant.Set
 	names  []string       // class names, set order (+ implicit default last)
@@ -45,9 +45,8 @@ type shardQOS struct {
 	// inflight counts injected-but-unfinished calls; the pump stops at
 	// window so queued work actually waits in the per-tenant queues.
 	inflight int
-	admitted []uint64
-	shed     []uint64
-	queueMax []int
+	// stats counts each class; snapshot fills in Sessions.
+	stats []TenantStats
 }
 
 // newShardQOS builds the per-shard state for a normalized set, with
@@ -80,9 +79,7 @@ func newShardQOS(set *tenant.Set, shards int) *shardQOS {
 		q.totalW += w
 	}
 	q.drr = tenant.NewDRR[pendingCall](q.weight)
-	q.admitted = make([]uint64, len(q.names))
-	q.shed = make([]uint64, len(q.names))
-	q.queueMax = make([]int, len(q.names))
+	q.stats = make([]TenantStats, len(q.names))
 	return q
 }
 
@@ -115,9 +112,7 @@ func (sh *shard) installQOS(set *tenant.Set, shards int) {
 	if old != nil {
 		for i, name := range q.names {
 			if oi, ok := old.index[name]; ok {
-				q.admitted[i] = old.admitted[oi]
-				q.shed[i] = old.shed[oi]
-				q.queueMax[i] = old.queueMax[oi]
+				q.stats[i] = old.stats[oi]
 			}
 		}
 	}
@@ -138,7 +133,7 @@ func (sh *shard) qosArrive(j *job, i int, at uint64) {
 		shed = true
 	}
 	if shed {
-		q.shed[class]++
+		q.stats[class].Shed++
 		if sh.ring != nil {
 			sh.ring.Emit(trace.Event{
 				Kind:   trace.KShed,
@@ -152,11 +147,9 @@ func (sh *shard) qosArrive(j *job, i int, at uint64) {
 		sh.finishSlot(j, i, Response{Err: ErrOverload, Shard: sh.id})
 		return
 	}
-	q.admitted[class]++
+	q.stats[class].Admitted++
 	q.drr.Enqueue(class, pendingCall{j: j, i: i, at: at})
-	if l := q.drr.ClassLen(class); l > q.queueMax[class] {
-		q.queueMax[class] = l
-	}
+	q.stats[class].QueueMax = max(q.stats[class].QueueMax, q.drr.ClassLen(class))
 }
 
 // qosPump moves queued requests into the inject path in DRR fair order,
@@ -260,9 +253,9 @@ func (f *Fleet) applyTenantWeights(p placement.Placement, set *tenant.Set) {
 
 // applyTenants lands a queued SetTenants — and, on a tenanted fleet, a
 // bucket-rate re-split after an elastic resize changed the live shard
-// count. Runs on the barrier path after applyElastic. jobTenants is a
-// control job like jobStats: it executes between kernel stretches and
-// costs zero simulated cycles.
+// count. Runs on the barrier path after applyElastic. The swap is a
+// control job: it executes between kernel stretches and costs zero
+// simulated cycles.
 func (f *Fleet) applyTenants() error {
 	f.mu.Lock()
 	set := f.pendingTenants
@@ -282,12 +275,7 @@ func (f *Fleet) applyTenants() error {
 	}
 	f.tenantShards = live
 	f.tenants.Store(set)
-	var jobs []*job
-	for sid := range f.shards {
-		if !f.down[sid] {
-			jobs = append(jobs, f.enqueue(sid, &job{kind: jobTenants, tset: set, tshards: live}))
-		}
-	}
+	jobs := f.broadcast(qosSwap(set, live), "")
 	f.mu.Unlock()
 	awaitAll(jobs)
 	f.applyTenantWeights(f.placement(), set)
@@ -299,6 +287,14 @@ func (f *Fleet) applyTenants() error {
 		f.tr.EmitControl(trace.Event{Kind: trace.KBarrier, Val: int64(f.barriers.Load()), Note: note})
 	}
 	return nil
+}
+
+// qosSwap returns the control function of a tenant-set swap: install
+// set with bucket rates split over live shards. Built here because a
+// closure in applyTenants would capture its reassigned set, which then
+// moves to the heap on every barrier.
+func qosSwap(set *tenant.Set, live int) func(*shard, string) {
+	return func(sh *shard, _ string) { sh.installQOS(set, live) }
 }
 
 // IsOverload reports whether err (a Response.Err or a wrapped fleet

@@ -94,18 +94,15 @@ func (f *Fleet) SwapPlacement(p placement.Placement) error {
 // told otherwise). A zero-value Profile defaults to shard 0's profile,
 // as at Open.
 func (f *Fleet) SetAutoscaler(cfg *autoscale.Config) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if cfg != nil {
-		if cfg.SLOMicros <= 0 {
-			return errors.New("fleet: autoscaler SLO must be > 0")
-		}
 		c := *cfg
-		if c.Profile.Name == "" && c.Profile.Scale == 0 {
-			c.Profile = f.cfg.backends[0].Profile
+		if err := resolveAuto(&c, f.shards[0].profile); err != nil {
+			return err
 		}
 		cfg = &c
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.closed {
 		return ErrFleetClosed
 	}
@@ -126,10 +123,8 @@ func (f *Fleet) applyAutoConfig() {
 	f.pendingAuto, f.pendingAutoSet = nil, false
 	if cfg == nil {
 		f.auto = nil
-		f.cfg.auto = nil
 	} else {
 		f.auto = autoscale.New(*cfg)
-		f.cfg.auto = cfg
 	}
 	f.mu.Unlock()
 	if f.tr != nil {
@@ -163,9 +158,10 @@ func (f *Fleet) applySwap() error {
 		return nil
 	}
 	shards := len(f.shards)
-	factors := backend.CostFactors(f.cfg.backends)
+	factors := make([]float64, shards)
 	var dead []int
-	for sid := range f.shards {
+	for sid, sh := range f.shards {
+		factors[sid] = sh.profile.CostFactor()
 		if f.down[sid] {
 			dead = append(dead, sid)
 		}

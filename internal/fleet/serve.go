@@ -7,10 +7,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// Network-serving adapter: the three methods that structurally satisfy
-// rpc.FleetBackend, so smodfleetd can front a fleet with
-// rpc.RegisterFleetService without the rpc package ever importing this
-// one. A served call is a live single-call job — no implicit barrier —
+// Network-serving adapter: FleetCall, with Release and FuncID, makes a
+// Fleet structurally satisfy rpc.FleetBackend, so smodfleetd can front
+// a fleet with rpc.RegisterFleetService without the rpc package ever
+// importing this one. A served call is a live single-call job — no implicit barrier —
 // which is exactly the wall-clock open-loop mode a daemon serves in:
 // calls land between barriers, and barrier work (rebalance, reconcile
 // actions, autoscaler windows) happens only when the reconcile loop
@@ -38,9 +38,3 @@ func (f *Fleet) FleetCall(key string, funcID uint32, args []uint32) (uint32, int
 	}
 	return 0, 0, int32(r.Shard), r.Err
 }
-
-// FleetRelease evicts the key's warm sessions fleet-wide.
-func (f *Fleet) FleetRelease(key string) error { return f.Release(key) }
-
-// FleetFuncID resolves a registered module function name.
-func (f *Fleet) FleetFuncID(name string) (uint32, bool) { return f.FuncID(name) }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kern"
 	"repro/internal/loadmgr"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -49,7 +48,6 @@ type clientProc struct {
 	head    int
 	park    kern.WaitQ
 	closing bool
-	born    uint64 // spawn sequence, LRU tie-break
 	lastUse uint64 // admission sequence of last routed job
 	// inflight counts injected-but-unfinished calls (queued or being
 	// served); a client with calls in flight is never LRU-evicted.
@@ -89,41 +87,6 @@ func (cp *clientProc) pop() pendingCall {
 	return pc
 }
 
-// jobKind discriminates the shard inbox messages.
-type jobKind int
-
-const (
-	// jobCalls is a batch of calls: immediate, or a schedule when the
-	// job reads a timed sequence (sched).
-	jobCalls jobKind = iota
-	jobStats
-	jobRelease
-	// jobTeardown and jobWarm are the two halves of every session move:
-	// jobTeardown kills a key's session on the shard it leaves (a
-	// migration's old copy, a dropped or promoted-away replica), and
-	// jobWarm pre-attaches it where it arrives (a migration's new home,
-	// a replica add, an orphan re-warm after a shard death). The job's
-	// span names which, and picks the counter it bumps. Both are
-	// control jobs: they run between kernel stretches, so every call
-	// already in the shard's inbox ahead of them drains on the old
-	// assignment first.
-	jobTeardown
-	jobWarm
-	// Chaos control jobs (see internal/chaos and fleet chaos.go):
-	// jobStall advances the shard clock (a straggler drill); jobDrop
-	// tears down one live session (the key recovers by re-attaching).
-	jobStall
-	jobDrop
-	// jobWindow snapshots and resets the shard's latency-window
-	// histogram — the autoscaler's per-barrier observation feed. A
-	// control job like the others, it costs no simulated cycles.
-	jobWindow
-	// jobTenants swaps the shard's QoS state (tenant set + per-shard
-	// bucket rates) between stretches — the SetTenants barrier
-	// broadcast and the post-resize rate re-split (see qos.go).
-	jobTenants
-)
-
 // latBuckets sizes the power-of-2 latency histograms: bucket i counts
 // completions whose latency has bit length i (bucket 0 is latency 0),
 // so the worst case (full uint64) lands in bucket 64.
@@ -132,7 +95,6 @@ const latBuckets = 65
 // job is one unit of work sent to a shard: a batch of calls (immediate
 // or on a timed arrival schedule), or a control job between stretches.
 type job struct {
-	kind jobKind
 	// A batch of calls reads the caller's request sequence, plan or
 	// sched (sched makes the job a schedule: each request enters the
 	// shard at its At offset from the job's admission into a kernel
@@ -158,24 +120,13 @@ type job struct {
 	// into it, so mixing RunPlan with concurrent Do traffic is not
 	// deterministic (nor could it be: pool routing already races).
 	barrier bool
-	key     string // jobRelease / session move / chaos target
-	// span is a session move's trace kind: KMigrateOut or KReplicaOut
-	// for a jobTeardown, KWarmIn, KReplicaIn or KRewarm for a jobWarm.
-	span trace.Kind
-	// cycles is the jobStall clock advance.
-	cycles uint64
-	// corrupt poisons a jobWarm: the freshly warmed session is
-	// discarded on arrival, as if the handoff payload failed
-	// verification, and the key re-allocates cold.
-	corrupt bool
-	stats   ShardStats
-	// hist carries a jobWindow's histogram snapshot back to the fleet.
-	hist []uint64
-	// tset and tshards carry a jobTenants swap: the new tenant set (nil
-	// disables tenancy) and the live shard count its bucket rates split
-	// over.
-	tset    *tenant.Set
-	tshards int
+	// key and ctl make a control job: the shard calls ctl(sh, key)
+	// between stretches, so every call already in its inbox ahead of the
+	// job drains first. Session moves, releases and drops name a shard
+	// method, which allocates nothing; stats, the autoscaler window,
+	// stalls and tenant swaps are closures.
+	key string
+	ctl func(sh *shard, key string)
 	// done closes when the job has run; enqueue makes it.
 	done chan struct{}
 }
@@ -241,12 +192,11 @@ type shard struct {
 	onEvict func(key string)
 
 	clients map[string]*clientProc
-	// live holds clients' values in spawn (born) order, the order the
-	// LRU walk and shutdown visit them in.
-	live    []*clientProc
-	byPID   map[int]*clientProc
-	spawned uint64
-	seq     uint64 // job admission sequence for LRU accounting
+	// live holds clients' values in spawn order, the order the LRU walk
+	// and shutdown visit them in.
+	live  []*clientProc
+	byPID map[int]*clientProc
+	seq   uint64 // job admission sequence for LRU accounting
 
 	// Stretch state: pipelined dispatch admits jobs into the running
 	// kernel stretch from the RunUntil predicate, so one stretch serves
@@ -262,39 +212,26 @@ type shard struct {
 	stash         *job // first control job seen mid-stretch (barrier)
 	inboxClosed   bool
 
-	evictions uint64
-	// idleCycles accumulates the clock jumps stretchDone makes over
-	// idle gaps to the next scheduled arrival.
-	idleCycles uint64
+	// st holds the shard's own counters; snapshot adds the kernel's,
+	// the SecModule layer's, the cache's and the QoS classes'.
+	st ShardStats
 
 	// Result-cache and placement state (nil/zero without
 	// WithResultCache, or under sticky placement): cache memoizes
 	// idempotent responses, idemp marks which funcIDs qualify (from the
 	// module spec), mid keys cache entries by module.
-	cache       *loadmgr.ResultCache
-	idemp       map[uint32]bool
-	mid         int
-	migratedOut uint64
-	migratedIn  uint64
-	replicasIn  uint64
-	replicasOut uint64
-
-	// Chaos drill counters (see ShardStats).
-	rewarms      uint64
-	rewarmMax    uint64
-	stallCycles  uint64
-	drops        uint64
-	corruptWarms uint64
-	warmMax      uint64
+	cache *loadmgr.ResultCache
+	idemp map[uint32]bool
+	mid   int
 
 	// qos, when non-nil, replaces the FIFO admit with the per-tenant
 	// admission pipeline (see qos.go). Owned by the shard goroutine;
-	// swapped only between stretches (jobTenants).
+	// swapped only between stretches (a control job).
 	qos *shardQOS
 
 	// winHist buckets completed-call latencies by bit length since the
-	// last jobWindow collection — host-side counters only, so recording
-	// never perturbs the simulated clocks.
+	// autoscaler last collected its window — host-side counters only, so
+	// recording never perturbs the simulated clocks.
 	winHist [latBuckets]uint64
 
 	// ring is the shard's flight-recorder lane (nil without WithTrace).
@@ -316,6 +253,7 @@ func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.Resul
 		id:      id,
 		profile: profile,
 		cfg:     cfg,
+		st:      ShardStats{Shard: id, Profile: profile.Name},
 		k:       kern.New(),
 		clients: map[string]*clientProc{},
 		byPID:   map[int]*clientProc{},
@@ -531,9 +469,9 @@ func (sh *shard) next() (*job, bool) {
 
 // loop is the shard goroutine: call jobs open a pipelined kernel
 // stretch (which admits further arriving call jobs while it runs);
-// control jobs (stats, release, session moves, ...) execute between
-// stretches, so their answers reflect every job submitted before them,
-// and are done once they ran. It exits when the inbox closes.
+// control jobs run between stretches, so what they see reflects every
+// job submitted before them, and are done once they ran. It exits when
+// the inbox closes.
 func (sh *shard) loop() {
 	for {
 		j, ok := sh.next()
@@ -541,66 +479,12 @@ func (sh *shard) loop() {
 			sh.shutdown()
 			return
 		}
-		switch j.kind {
-		case jobCalls:
+		if j.ctl == nil {
 			// Its calls close done as they finish.
 			sh.runStretch(j)
 			continue
-		case jobStats:
-			j.stats = sh.snapshot()
-		case jobRelease:
-			sh.evict(j.key)
-		case jobTeardown:
-			before := sh.k.Clk.Cycles()
-			sh.teardown(j.key)
-			if j.span == trace.KMigrateOut {
-				sh.migratedOut++
-			} else {
-				sh.replicasOut++
-			}
-			sh.emitSpan(j.span, before, j.key, "")
-		case jobWarm:
-			before := sh.k.Clk.Cycles()
-			note := "corrupt"
-			if sh.warmChecked(j) {
-				note = ""
-				d := sh.k.Clk.Cycles() - before
-				switch j.span {
-				case trace.KWarmIn:
-					sh.migratedIn++
-				case trace.KReplicaIn:
-					sh.replicasIn++
-				case trace.KRewarm:
-					sh.rewarms++
-					sh.rewarmMax = max(sh.rewarmMax, d)
-				}
-				sh.warmMax = max(sh.warmMax, d)
-			}
-			sh.emitSpan(j.span, before, j.key, note)
-		case jobStall:
-			before := sh.k.Clk.Cycles()
-			sh.k.Clk.Advance(j.cycles)
-			sh.stallCycles += j.cycles
-			sh.emitSpan(trace.KStall, before, "", "")
-		case jobDrop:
-			if sh.clients[j.key] != nil {
-				sh.evict(j.key)
-				sh.drops++
-				if sh.ring != nil {
-					sh.ring.Emit(trace.Event{
-						Kind:   trace.KDrop,
-						Shard:  sh.id,
-						Cycles: sh.k.Clk.Cycles(),
-						Key:    j.key,
-					})
-				}
-			}
-		case jobWindow:
-			j.hist = append(j.hist[:0], sh.winHist[:]...)
-			sh.winHist = [latBuckets]uint64{}
-		case jobTenants:
-			sh.installQOS(j.tset, j.tshards)
 		}
+		j.ctl(sh, j.key)
 		close(j.done)
 	}
 }
@@ -704,7 +588,7 @@ func (sh *shard) drainInbox() {
 				sh.inboxClosed = true
 				return
 			}
-			if j.kind == jobCalls && !j.barrier {
+			if j.ctl == nil && !j.barrier {
 				sh.admit(j)
 			} else {
 				sh.stash = j
@@ -785,7 +669,7 @@ func (sh *shard) stretchDone() bool {
 			return false
 		}
 		if now := sh.k.Clk.Cycles(); at > now {
-			sh.idleCycles += at - now
+			sh.st.IdleCycles += at - now
 			sh.k.Clk.Advance(at - now)
 		}
 		sh.injectDue()
@@ -856,8 +740,7 @@ func (sh *shard) ensureClient(key string) *clientProc {
 		len(sh.clients) >= sh.cfg.maxSessions {
 		sh.evictLRU()
 	}
-	sh.spawned++
-	cp = &clientProc{key: key, born: sh.spawned, lastUse: sh.seq}
+	cp = &clientProc{key: key, lastUse: sh.seq}
 	cp.queue = cp.queue1[:0]
 	cp.steps = clientSteps{sh: sh, cp: cp, attach: core.Handshake{
 		Module:     sh.cfg.module,
@@ -880,46 +763,22 @@ func (sh *shard) dropLive(cp *clientProc) {
 }
 
 // evictLRU reclaims the least-recently-used idle session, the first
-// spawned among equals. Clients with calls in flight, or touched
-// by the job currently being admitted, are never evicted; if every
-// session is busy the cap is soft. With QoS on, the victim comes from
-// the class furthest over its weighted session share first — so an
-// aggressor's key churn recycles the aggressor's own warm sessions
-// instead of evicting a victim tenant's.
+// spawned among equals. Clients with calls in flight, or touched by the
+// job currently being admitted, are never evicted; if every session is
+// busy the cap is soft. With QoS on, sessions rank first by how far
+// their class sits over its weighted share of warm sessions
+// (classSessions*totalWeight - classWeight*totalSessions, positive
+// means over-share), so an aggressor's key churn recycles the
+// aggressor's own warm sessions instead of evicting a victim tenant's;
+// without it every session ranks at zero.
 func (sh *shard) evictLRU() {
-	if sh.qos != nil {
-		sh.evictLRUTenant()
-		return
-	}
-	var victim *clientProc
-	for _, cp := range sh.live {
-		if cp.inflight > 0 || cp.lastUse == sh.seq {
-			continue
-		}
-		// sh.live is in spawn order: the first of equal lastUse wins.
-		if victim == nil || cp.lastUse < victim.lastUse {
-			victim = cp
-		}
-	}
-	if victim != nil {
-		sh.evict(victim.key)
-		sh.evictions++
-	}
-}
-
-// evictLRUTenant is the QoS victim selection: rank eligible sessions by
-// how far their class sits over its weighted share of warm sessions
-// (overShare = classSessions*totalWeight - classWeight*totalSessions,
-// positive means over-share), then LRU, then spawn order. The ordering
-// is a strict total order on integers with a unique final tie-break
-// (born).
-func (sh *shard) evictLRUTenant() {
 	q := sh.qos
-	counts := make([]int, len(q.names))
-	total := 0
-	for _, cp := range sh.live {
-		counts[q.classOf(cp.tenant)]++
-		total++
+	var counts []int
+	if q != nil {
+		counts = make([]int, len(q.names))
+		for _, cp := range sh.live {
+			counts[q.classOf(cp.tenant)]++
+		}
 	}
 	var victim *clientProc
 	var vOver int
@@ -927,17 +786,19 @@ func (sh *shard) evictLRUTenant() {
 		if cp.inflight > 0 || cp.lastUse == sh.seq {
 			continue
 		}
-		c := q.classOf(cp.tenant)
-		over := counts[c]*q.totalW - q.weight[c]*total
-		if victim == nil || over > vOver ||
-			(over == vOver && (cp.lastUse < victim.lastUse ||
-				(cp.lastUse == victim.lastUse && cp.born < victim.born))) {
+		over := 0
+		if q != nil {
+			c := q.classOf(cp.tenant)
+			over = counts[c]*q.totalW - q.weight[c]*len(sh.live)
+		}
+		// sh.live is in spawn order: the first of equal rank wins.
+		if victim == nil || over > vOver || (over == vOver && cp.lastUse < victim.lastUse) {
 			victim, vOver = cp, over
 		}
 	}
 	if victim != nil {
 		sh.evict(victim.key)
-		sh.evictions++
+		sh.st.Evictions++
 	}
 }
 
@@ -1009,71 +870,100 @@ func (sh *shard) warm(key string) {
 	}
 }
 
-// warmChecked warms a key's session, honoring a chaos-corrupted
-// handoff: the warmed session is torn down again immediately (firing
-// the eviction hook, so the binding is reclaimed and the key
-// re-allocates cold on its next call). Returns whether the warm stuck.
-func (sh *shard) warmChecked(j *job) bool {
-	sh.warm(j.key)
-	if !j.corrupt {
-		return true
-	}
-	sh.evict(j.key)
-	sh.corruptWarms++
-	return false
+// The halves of every session move, each a control job's ctl:
+// migrateOut and replicaOut kill a key's session on the shard it leaves
+// (a migration's old copy, a dropped or promoted-away replica), and
+// warmIn, replicaIn and rewarmIn pre-attach it where it arrives (a
+// migration's new home, a replica add, an orphan re-warm after a shard
+// death). Each records its span and counts itself.
+func (sh *shard) migrateOut(key string) { sh.moveOut(trace.KMigrateOut, key, &sh.st.MigratedOut) }
+func (sh *shard) replicaOut(key string) { sh.moveOut(trace.KReplicaOut, key, &sh.st.ReplicasOut) }
+func (sh *shard) warmIn(key string)     { sh.moveIn(trace.KWarmIn, key, false) }
+func (sh *shard) replicaIn(key string)  { sh.moveIn(trace.KReplicaIn, key, false) }
+func (sh *shard) rewarmIn(key string)   { sh.moveIn(trace.KRewarm, key, false) }
+
+// moveOut tears down key's session as span and counts it in n.
+func (sh *shard) moveOut(span trace.Kind, key string, n *uint64) {
+	before := sh.k.Clk.Cycles()
+	sh.teardown(key)
+	*n++
+	sh.emitSpan(span, before, key, "")
 }
 
-// snapshot merges the shard's counters.
+// moveIn warms key's session as span. A corrupt warm, a chaos-poisoned
+// handoff, is torn down again at once (firing the eviction hook, so the
+// binding is reclaimed and the key re-allocates cold on its next call)
+// and counts only as corrupt.
+func (sh *shard) moveIn(span trace.Kind, key string, corrupt bool) {
+	before := sh.k.Clk.Cycles()
+	sh.warm(key)
+	if corrupt {
+		sh.evict(key)
+		sh.st.CorruptWarms++
+		sh.emitSpan(span, before, key, "corrupt")
+		return
+	}
+	d := sh.k.Clk.Cycles() - before
+	switch span {
+	case trace.KWarmIn:
+		sh.st.MigratedIn++
+	case trace.KReplicaIn:
+		sh.st.ReplicasIn++
+	case trace.KRewarm:
+		sh.st.Rewarms++
+		sh.st.RewarmMaxCycles = max(sh.st.RewarmMaxCycles, d)
+	}
+	sh.st.WarmMaxCycles = max(sh.st.WarmMaxCycles, d)
+	sh.emitSpan(span, before, key, "")
+}
+
+// drop tears down key's live session, a chaos drop fault; the key
+// recovers by re-attaching on its next call.
+func (sh *shard) drop(key string) {
+	if sh.clients[key] == nil {
+		return
+	}
+	sh.evict(key)
+	sh.st.SessionsDropped++
+	if sh.ring != nil {
+		sh.ring.Emit(trace.Event{
+			Kind:   trace.KDrop,
+			Shard:  sh.id,
+			Cycles: sh.k.Clk.Cycles(),
+			Key:    key,
+		})
+	}
+}
+
+// snapshot merges the shard's counters with the kernel's, the
+// SecModule layer's, the result cache's and, with QoS on, the classes'.
 func (sh *shard) snapshot() ShardStats {
-	live := 0
-	for _, cp := range sh.live {
-		if cp.proc.State != kern.StateZombie && cp.proc.State != kern.StateDead {
-			live++
-		}
-	}
-	st := ShardStats{
-		Shard:           sh.id,
-		Profile:         sh.profile.Name,
-		Cycles:          sh.k.Clk.Cycles(),
-		Ticks:           sh.k.Clk.Ticks(),
-		Calls:           sh.sm.Calls,
-		SessionsOpened:  sh.sm.SessionsOpened,
-		PolicyChecks:    sh.sm.PolicyChecks,
-		ContextSwitches: sh.k.ContextSwitches,
-		Syscalls:        sh.k.SyscallCount,
-		LiveSessions:    live,
-		Evictions:       sh.evictions,
-		MigratedOut:     sh.migratedOut,
-		MigratedIn:      sh.migratedIn,
-		ReplicasIn:      sh.replicasIn,
-		ReplicasOut:     sh.replicasOut,
-		IdleCycles:      sh.idleCycles,
-		Rewarms:         sh.rewarms,
-		RewarmMaxCycles: sh.rewarmMax,
-		StallCycles:     sh.stallCycles,
-		SessionsDropped: sh.drops,
-		CorruptWarms:    sh.corruptWarms,
-		WarmMaxCycles:   sh.warmMax,
-	}
+	st := sh.st
+	st.Cycles, st.Ticks = sh.k.Clk.Cycles(), sh.k.Clk.Ticks()
+	st.Calls, st.SessionsOpened, st.PolicyChecks = sh.sm.Calls, sh.sm.SessionsOpened, sh.sm.PolicyChecks
+	st.ContextSwitches, st.Syscalls = sh.k.ContextSwitches, sh.k.SyscallCount
 	if sh.cache != nil {
 		cs := sh.cache.Snapshot()
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	}
-	if q := sh.qos; q != nil {
-		sessions := make([]int, len(q.names))
-		for _, cp := range sh.live {
-			if cp.proc.State != kern.StateZombie && cp.proc.State != kern.StateDead {
-				sessions[q.classOf(cp.tenant)]++
+	q := sh.qos
+	if q != nil {
+		for i := range q.stats {
+			q.stats[i].Sessions = 0
+		}
+	}
+	for _, cp := range sh.live {
+		if cp.proc.State != kern.StateZombie && cp.proc.State != kern.StateDead {
+			st.LiveSessions++
+			if q != nil {
+				q.stats[q.classOf(cp.tenant)].Sessions++
 			}
 		}
+	}
+	if q != nil {
 		st.Tenants = make(map[string]TenantStats, len(q.names))
 		for i, name := range q.names {
-			st.Tenants[name] = TenantStats{
-				Admitted: q.admitted[i],
-				Shed:     q.shed[i],
-				QueueMax: q.queueMax[i],
-				Sessions: sessions[i],
-			}
+			st.Tenants[name] = q.stats[i]
 		}
 	}
 	return st

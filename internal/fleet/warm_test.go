@@ -147,6 +147,36 @@ func TestFleetCallAllocs(t *testing.T) {
 	}
 }
 
+// warmDoBytes bounds the heap bytes of a warm Do: one object holding its
+// job, request and response, in the 256-byte size class, and the job's
+// done channel, in the 112-byte class (go1.24 sizes).
+const warmDoBytes = 384
+
+// TestWarmDoBytes gates the heap bytes of a warm Do on the
+// TestWarmCallAllocs fleet, averaged over 1,000 calls.
+func TestWarmDoBytes(t *testing.T) {
+	f, plan := warmCallFleet(t)
+	req := plan[0]
+	do := func() {
+		if r := f.Do(req); r.Err != nil || r.Errno != 0 || r.Val != req.Args[0]+1 {
+			t.Fatalf("Do = %+v", r)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		do()
+	}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		do()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got > warmDoBytes {
+		t.Fatalf("warm Do: %d bytes per call, want <= %d", got, warmDoBytes)
+	}
+}
+
 // churnFleet opens a 1-shard fleet capped at one warm session and
 // returns a function that runs a one-call plan of the next of keys
 // fresh keys: each evicts the last key's session and opens its own.
@@ -281,11 +311,10 @@ func runSkewSchedule(tb testing.TB, f *Fleet, sched []TimedRequest) {
 
 // runScheduleAllocs bounds the allocations of one RunSchedule on the
 // skewFleet, whatever its length: the response slice, the routing
-// counts, the position array, the jobs and their done channels (6), the
-// barrier's placement round (none in a round that moves nothing, see
-// placement's TestReplicatedRebalanceAllocs), and slack for a round
-// whose moves open a session.
-const runScheduleAllocs = 32
+// counts, the position array, the job array, and one done channel per
+// involved shard (2). The barrier before it allocates nothing (see
+// placement's TestReplicatedRebalanceAllocs).
+const runScheduleAllocs = 6
 
 // TestRunScheduleAllocs: a schedule's calls allocate nothing, so a
 // 5,000-call schedule on the fleet-skew fleet makes no more allocations

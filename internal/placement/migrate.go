@@ -49,13 +49,14 @@ type balancer struct {
 	rng      *rand.Rand
 	round    uint64
 	cooldown map[string]uint64
-	// tweights is the QoS tenant weight table (nil = untenanted). When
-	// set, candidates on the hot shard are ordered by their tenant's
+	// tweights is the QoS tenant weight table, sorted by tenant name so
+	// the overshares sum in one order (nil = untenanted). When set,
+	// candidates on the hot shard are ordered by their tenant's
 	// overshare — demand share minus weight share — before heat, so an
 	// aggressor's keys move (and churn sessions) before a victim's warm
 	// keys are ever touched. With no weights every key ties at overshare
 	// zero and the plan is the historical heat order bit for bit.
-	tweights map[string]int
+	tweights []tenantWeight
 
 	// Barrier scratch, reused by every Rebalance: the shards that take
 	// no new work (down or draining), the per-shard costs and the
@@ -125,16 +126,20 @@ func (b *balancer) Route(c Call) int {
 // migrator its tenant weight table so plans move aggressor keys first.
 // Nil clears the bias. Must be called after Bind.
 func (b *balancer) SetTenantWeights(weights map[string]int) {
-	var w map[string]int
-	if len(weights) > 0 {
-		w = make(map[string]int, len(weights))
-		for tn, v := range weights {
-			w[tn] = v
-		}
+	var w []tenantWeight
+	for tn, v := range weights {
+		w = append(w, tenantWeight{tn, v})
 	}
+	slices.SortFunc(w, func(x, y tenantWeight) int { return strings.Compare(x.name, y.name) })
 	b.mu.Lock()
 	b.tweights = w
 	b.mu.Unlock()
+}
+
+// tenantWeight is one QoS class's weight.
+type tenantWeight struct {
+	name   string
+	weight int
 }
 
 // candidate is one movable key on the costliest shard. prio is the
@@ -274,16 +279,16 @@ func (b *balancer) tenantOvershare() map[string]float64 {
 	}
 	var totHeat float64
 	var totW int
-	for tn, w := range b.tweights {
-		totW += w
-		totHeat += b.tenantHeat[tn]
+	for _, tw := range b.tweights {
+		totW += tw.weight
+		totHeat += b.tenantHeat[tw.name]
 	}
 	if totHeat <= 0 || totW <= 0 {
 		return nil
 	}
 	out := make(map[string]float64, len(b.tweights))
-	for tn, w := range b.tweights {
-		out[tn] = b.tenantHeat[tn]/totHeat - float64(w)/float64(totW)
+	for _, tw := range b.tweights {
+		out[tw.name] = b.tenantHeat[tw.name]/totHeat - float64(tw.weight)/float64(totW)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -269,6 +270,25 @@ func TestMigratorTenantBias(t *testing.T) {
 	moves = plan(cleared, nil, nil)
 	if len(moves) != 1 || moves[0].Key != "vic-key" {
 		t.Fatalf("cleared plan = %v, want vic-key again", moves)
+	}
+}
+
+// TestTenantOvershareDeterministic: the tenant overshares sum the
+// tenants' heat in one order, so they agree to the last bit on every
+// run. Summed in map order, three equal-weight tenants at heats 0.1, 0.2
+// and 0.3 gave one tenant two different overshares over 200 runs.
+func TestTenantOvershareDeterministic(t *testing.T) {
+	b := tunedBalancer(t, 2, loadmgr.Options{})
+	b.SetTenantWeights(map[string]int{"a": 1, "b": 1, "c": 1})
+	b.tenantHeat = map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}
+	seen := map[uint64]int{}
+	for i := 0; i < 200; i++ {
+		b.mu.Lock()
+		seen[math.Float64bits(b.tenantOvershare()["a"])]++
+		b.mu.Unlock()
+	}
+	if len(seen) != 1 {
+		t.Fatalf("tenant a's overshare took %d bit patterns over 200 runs: %v", len(seen), seen)
 	}
 }
 

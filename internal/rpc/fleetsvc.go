@@ -50,8 +50,8 @@ const ErrnoTooManyArgs int32 = 7
 // stays up); a nonzero errno is a normal reply.
 type FleetBackend interface {
 	FleetCall(key string, funcID uint32, args []uint32) (val uint32, errno int32, shard int32, err error)
-	FleetRelease(key string) error
-	FleetFuncID(name string) (uint32, bool)
+	Release(key string) error
+	FuncID(name string) (uint32, bool)
 }
 
 // RegisterFleetService wires the fleet program onto s. The handlers
@@ -87,7 +87,7 @@ func RegisterFleetService(s *Server, b FleetBackend) {
 		if err != nil {
 			return err
 		}
-		return b.FleetRelease(key)
+		return b.Release(key)
 	})
 	s.Register(FleetProg, FleetVers, ProcFleetFuncID, func(args []byte, res *xdr.Encoder) error {
 		d := xdr.NewDecoder(args)
@@ -95,7 +95,7 @@ func RegisterFleetService(s *Server, b FleetBackend) {
 		if err != nil {
 			return err
 		}
-		id, ok := b.FleetFuncID(name)
+		id, ok := b.FuncID(name)
 		res.PutBool(ok)
 		res.PutUint32(id)
 		return nil

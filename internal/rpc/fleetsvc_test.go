@@ -33,14 +33,14 @@ func (ff *fakeFleet) FleetCall(key string, funcID uint32, args []uint32) (uint32
 	return args[0] + 1, 0, int32(len(key) % 4), nil
 }
 
-func (ff *fakeFleet) FleetRelease(key string) error {
+func (ff *fakeFleet) Release(key string) error {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
 	ff.released = append(ff.released, key)
 	return nil
 }
 
-func (ff *fakeFleet) FleetFuncID(name string) (uint32, bool) {
+func (ff *fakeFleet) FuncID(name string) (uint32, bool) {
 	if name == "incr" {
 		return 7, true
 	}
