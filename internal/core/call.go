@@ -21,7 +21,7 @@ import (
 // retried syscall then completes with the result in RV.
 func (sm *SMod) sysCall(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret {
 	mid, funcID, retaddr := int(args[0]), args[1], args[2]
-	s := sm.sessions[sessKey{p.PID, mid}]
+	s := sm.sessions[sessKeyOf(p.PID, mid)]
 	if s == nil {
 		return kern.Sysret{Err: errnoFromErr(ErrNotAttached)}
 	}

@@ -137,10 +137,17 @@ type nameVer struct {
 	version int
 }
 
-type sessKey struct {
-	clientPID int
-	mid       int
+// sessKey keys sessions by client PID and module ID: the PID in the
+// high 32 bits and the module ID in the low 32, so every lookup takes
+// the map's 64-bit fast path. PIDs and module IDs fit in 32 bits.
+type sessKey uint64
+
+func sessKeyOf(clientPID, mid int) sessKey {
+	return sessKey(uint64(uint32(clientPID))<<32 | uint64(uint32(mid)))
 }
+
+// mid returns the module ID of the key.
+func (k sessKey) mid() int { return int(uint32(k)) }
 
 // policyScratch is what checkPolicy reuses from one check to the next:
 // the attribute map, the assertion list and the query's scratch.
@@ -190,7 +197,7 @@ func (sm *SMod) Find(name string, version int) int {
 
 // SessionFor returns the active session of clientPID for module mid.
 func (sm *SMod) SessionFor(clientPID, mid int) *Session {
-	return sm.sessions[sessKey{clientPID, mid}]
+	return sm.sessions[sessKeyOf(clientPID, mid)]
 }
 
 // SessionsOf returns all active sessions whose client is pid, in
@@ -198,7 +205,7 @@ func (sm *SMod) SessionFor(clientPID, mid int) *Session {
 func (sm *SMod) SessionsOf(pid int) []*Session {
 	var out []*Session
 	for _, mid := range sm.mids {
-		if s := sm.sessions[sessKey{pid, mid}]; s != nil {
+		if s := sm.sessions[sessKeyOf(pid, mid)]; s != nil {
 			out = append(out, s)
 		}
 	}
@@ -209,7 +216,7 @@ func (sm *SMod) SessionsOf(pid int) []*Session {
 // order.
 func (sm *SMod) teardownClient(pid int) {
 	for _, mid := range sm.mids {
-		if s := sm.sessions[sessKey{pid, mid}]; s != nil {
+		if s := sm.sessions[sessKeyOf(pid, mid)]; s != nil {
 			sm.teardown(s, false)
 		}
 	}
@@ -245,7 +252,7 @@ func (sm *SMod) onExec(k *kern.Kernel, p *kern.Proc) {
 // clients to a single handle introduces a performance bottleneck").
 func (sm *SMod) onFork(k *kern.Kernel, parent, child *kern.Proc) {
 	for _, mid := range sm.mids {
-		s := sm.sessions[sessKey{parent.PID, mid}]
+		s := sm.sessions[sessKeyOf(parent.PID, mid)]
 		if s == nil {
 			continue
 		}
@@ -263,7 +270,7 @@ func (sm *SMod) onFork(k *kern.Kernel, parent, child *kern.Proc) {
 // died first — the client is killed too, because its protected library
 // vanished beneath it.
 func (sm *SMod) teardown(s *Session, handleDied bool) {
-	key := sessKey{s.Client.PID, s.Module.ID}
+	key := sessKeyOf(s.Client.PID, s.Module.ID)
 	if sm.sessions[key] != s {
 		return // already torn down
 	}

@@ -234,7 +234,7 @@ func (sm *SMod) Register(spec *ModuleSpec) (*Module, error) {
 // worker for sys_smod_remove).
 func (sm *SMod) Remove(m *Module) {
 	for key, s := range sm.sessions {
-		if key.mid == m.ID {
+		if key.mid() == m.ID {
 			sm.teardown(s, false)
 		}
 	}

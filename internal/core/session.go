@@ -153,7 +153,7 @@ func (sm *SMod) sysStartSession(k *kern.Kernel, p *kern.Proc, args []uint32) ker
 	if m == nil {
 		return kern.Sysret{Err: kern.ENOENT}
 	}
-	if sm.sessions[sessKey{p.PID, mid}] != nil {
+	if sm.sessions[sessKeyOf(p.PID, mid)] != nil {
 		return kern.Sysret{Err: kern.EBUSY}
 	}
 
@@ -332,7 +332,7 @@ func (sm *SMod) openSession(client *kern.Proc, m *Module) (*Session, error) {
 		CallQ:  callq,
 		RetQ:   retq,
 	}
-	sm.sessions[sessKey{client.PID, m.ID}] = s
+	sm.sessions[sessKeyOf(client.PID, m.ID)] = s
 	sm.byHandlePID[handle.PID] = s
 	sm.SessionsOpened++
 	return s, nil
@@ -366,7 +366,7 @@ func (sm *SMod) sysSessionInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern
 // client (Figure 1 step 4): it "completes the internal synchronization
 // data structures", blocking until the handle has finished phase 1.
 func (sm *SMod) sysHandleInfo(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret {
-	s := sm.sessions[sessKey{p.PID, int(args[0])}]
+	s := sm.sessions[sessKeyOf(p.PID, int(args[0]))]
 	if s == nil {
 		return kern.Sysret{Err: kern.EINVAL}
 	}

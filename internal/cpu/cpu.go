@@ -136,13 +136,19 @@ func OperandIsAddress(op byte) bool {
 	return false
 }
 
-// InstrLen returns the encoded length of the instruction starting with op.
-func InstrLen(op byte) uint32 {
-	if HasOperand(op) {
-		return 5
+// instrLen holds InstrLen for every opcode byte.
+var instrLen = func() (t [256]uint8) {
+	for op := range t {
+		t[op] = 1
+		if HasOperand(byte(op)) {
+			t[op] = 5
+		}
 	}
-	return 1
-}
+	return t
+}()
+
+// InstrLen returns the encoded length of the instruction starting with op.
+func InstrLen(op byte) uint32 { return uint32(instrLen[op]) }
 
 // Context is the register file of one SM32 execution context.
 type Context struct {
@@ -204,12 +210,47 @@ const (
 // charge. The clock therefore sees the charges of one Advance per
 // instruction, in the same order, and Exec flushes at least once per
 // tick, so the tick fires after the same instruction.
+//
+// Within a run the machine also keeps three run-local translations
+// (see window): the page of the last fetch, of the last word read and
+// of the last word written that hit the TLB. An access inside one of
+// them skips the probe. A zero Machine holds none, and all three are
+// dropped at the start of every Exec and Step and before every access
+// that takes vm's full path, so none outlives kernel code, a fault, a
+// copy-on-write break or an epoch bump. Inside a run nothing else
+// changes a mapping or a protection, so a translation needs no epoch
+// check: between two hits of one run the TLB answers the same. Each is
+// filled only by a hit of its own kind, so a read-only, copy-on-write
+// or --x page is never accessed on another kind's say-so.
 type Machine struct {
 	Space *vm.Space
 	Clock *clock.Clock
 
 	pending uint64 // cycles of executed instructions not yet charged
 	full    bool   // the current instruction took vm's full path
+
+	fetched, read, written window
+}
+
+// A window is a run-local translation: page holds the addresses from
+// base, and an access of the window's width that starts less than limit
+// bytes above base lies inside it. The zero window holds nothing.
+type window struct {
+	page  *mem.Page
+	base  uint32
+	limit uint32
+}
+
+// The limits of a fetch window (an opcode and its immediate) and of a
+// word window: the offsets at which the access fits in the page.
+const (
+	fetchLimit = mem.PageSize - 4
+	wordLimit  = mem.PageSize - 3
+)
+
+// drop forgets the run-local translations.
+func (m *Machine) drop() {
+	m.fetched, m.read, m.written = window{}, window{}, window{}
 }
 
 // flush charges the pending cycles.
@@ -221,16 +262,55 @@ func (m *Machine) flush() {
 }
 
 // miss prepares an access for vm's full path: it flushes the pending
-// charge and ends Exec's run after the current instruction.
+// charge, drops the run-local translations and ends Exec's run after
+// the current instruction.
 func (m *Machine) miss() {
 	m.flush()
+	m.drop()
 	m.full = true
 }
 
-// read32 reads the word at addr from a TLB hit, or through vm.
+// load reads the word at addr from the read window; false means the
+// window does not hold it, and the caller takes read32.
+func (m *Machine) load(addr uint32) (uint32, bool) {
+	if off := addr - m.read.base; off < m.read.limit {
+		return binary.LittleEndian.Uint32(m.read.page.Data[off:]), true
+	}
+	return 0, false
+}
+
+// store writes the word at addr to the write window; false means the
+// window does not hold it, and the caller takes write32.
+func (m *Machine) store(addr, v uint32) bool {
+	if off := addr - m.written.base; off < m.written.limit {
+		binary.LittleEndian.PutUint32(m.written.page.Data[off:], v)
+		return true
+	}
+	return false
+}
+
+// pop is Pop from the read window; false means the caller takes Pop.
+func (m *Machine) pop(ctx *Context) (uint32, bool) {
+	v, ok := m.load(ctx.SP)
+	if ok {
+		ctx.SP += 4
+	}
+	return v, ok
+}
+
+// push is Push to the write window. It moves SP down either way, so on
+// false the caller writes v at ctx.SP with write32.
+func (m *Machine) push(ctx *Context, v uint32) bool {
+	ctx.SP -= 4
+	return m.store(ctx.SP, v)
+}
+
+// read32 reads the word at addr from a TLB hit, which becomes the read
+// window, or through vm.
 func (m *Machine) read32(addr uint32) (uint32, error) {
 	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
 		if pg, ok := m.Space.Cached(addr, vm.AccessRead); ok {
+			m.read = window{pg, addr - off, wordLimit}
 			return binary.LittleEndian.Uint32(pg.Data[off:]), nil
 		}
 	}
@@ -238,10 +318,12 @@ func (m *Machine) read32(addr uint32) (uint32, error) {
 	return m.Space.Read32(addr)
 }
 
-// write32 writes the word at addr to a TLB hit, or through vm.
+// write32 writes the word at addr to a TLB hit, which becomes the write
+// window, or through vm.
 func (m *Machine) write32(addr, v uint32) error {
 	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
 		if pg, ok := m.Space.Cached(addr, vm.AccessWrite); ok {
+			m.written = window{pg, addr - off, wordLimit}
 			binary.LittleEndian.PutUint32(pg.Data[off:], v)
 			return nil
 		}
@@ -271,11 +353,27 @@ func (m *Machine) Peek(ctx *Context, idx int) (uint32, error) {
 	return m.read32(ctx.SP + uint32(4*idx))
 }
 
-// fetchFull is the fetch through vm, for an instruction whose page the
-// fetch TLB misses or whose immediate may straddle into the next page:
-// the opcode, then the immediate of an op that carries one, so a fault
-// names the first byte that fails.
-func (m *Machine) fetchFull(pc uint32) (op byte, imm uint32, err error) {
+// decode reads the instruction at pc from the fetch window; false means
+// the window does not hold it, and the caller takes fetch.
+func (m *Machine) decode(pc uint32) (op byte, imm uint32, ok bool) {
+	if off := pc - m.fetched.base; off < m.fetched.limit {
+		b := m.fetched.page.Data[off : off+5]
+		return b[0], binary.LittleEndian.Uint32(b[1:]), true
+	}
+	return 0, 0, false
+}
+
+// fetch reads the instruction at pc from a fetch TLB hit, which becomes
+// the fetch window, or through vm: the opcode, then the immediate of an
+// op that carries one, so a fault names the first byte that fails.
+func (m *Machine) fetch(pc uint32) (op byte, imm uint32, err error) {
+	if off := pc & (mem.PageSize - 1); off <= mem.PageSize-5 {
+		if pg, ok := m.Space.CachedExec(pc); ok {
+			m.fetched = window{pg, pc - off, fetchLimit}
+			b := pg.Data[off : off+5]
+			return b[0], binary.LittleEndian.Uint32(b[1:]), nil
+		}
+	}
 	m.miss()
 	if op, err = m.Space.FetchExec(pc); err != nil || !HasOperand(op) {
 		return op, 0, err
@@ -290,6 +388,7 @@ func (m *Machine) fetchFull(pc uint32) (op byte, imm uint32, err error) {
 // decode failures and division by zero. A faulting instruction is not
 // charged.
 func (m *Machine) Step(ctx *Context) (Stop, error) {
+	m.drop()
 	stop, err := m.step(ctx)
 	m.flush()
 	return stop, err
@@ -306,6 +405,7 @@ func (m *Machine) Exec(ctx *Context, max int) (n int, stop Stop, err error) {
 	if m.Clock != nil {
 		until = m.Clock.UntilTick()
 	}
+	m.drop()
 	for n < max {
 		n++
 		m.full = false
@@ -318,17 +418,15 @@ func (m *Machine) Exec(ctx *Context, max int) (n int, stop Stop, err error) {
 }
 
 // step executes a single instruction, adding its cost to the pending
-// charge.
+// charge. Every word access tries its run-local window first (load,
+// store, pop, push) and on a miss takes the method that probes the TLB
+// and then vm's full path.
 func (m *Machine) step(ctx *Context) (Stop, error) {
 	pc := ctx.PC
-	var op byte
-	var imm uint32
-	if pg, ok := m.Space.CachedExec(pc); ok && pc&(mem.PageSize-1) <= mem.PageSize-5 {
-		b := pg.Data[pc&(mem.PageSize-1):]
-		op, imm = b[0], binary.LittleEndian.Uint32(b[1:])
-	} else {
-		var err error
-		if op, imm, err = m.fetchFull(pc); err != nil {
+	op, imm, ok := m.decode(pc)
+	var err error
+	if !ok {
+		if op, imm, err = m.fetch(pc); err != nil {
 			return Stop{}, &Fault{PC: pc, Err: err}
 		}
 	}
@@ -353,117 +451,163 @@ func (m *Machine) step(ctx *Context) (Stop, error) {
 
 	case PUSHI:
 		cost = costMem
-		if err := m.Push(ctx, imm); err != nil {
-			return fail(err)
+		if !m.push(ctx, imm) {
+			if err = m.write32(ctx.SP, imm); err != nil {
+				return fail(err)
+			}
 		}
 	case DUP:
 		cost = costMem
-		v, err := m.Peek(ctx, 0)
-		if err != nil {
-			return fail(err)
+		v, ok := m.load(ctx.SP)
+		if !ok {
+			if v, err = m.Peek(ctx, 0); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, v); err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
 	case DROP:
 		ctx.SP += 4
 	case SWAP:
 		cost = costMem
-		a, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		a, ok := m.pop(ctx)
+		if !ok {
+			if a, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		b, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		b, ok := m.pop(ctx)
+		if !ok {
+			if b, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, a); err != nil {
-			return fail(err)
+		if !m.push(ctx, a) {
+			if err = m.write32(ctx.SP, a); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, b); err != nil {
-			return fail(err)
+		if !m.push(ctx, b) {
+			if err = m.write32(ctx.SP, b); err != nil {
+				return fail(err)
+			}
 		}
 	case OVER:
 		cost = costMem
-		v, err := m.Peek(ctx, 1)
-		if err != nil {
-			return fail(err)
+		v, ok := m.load(ctx.SP + 4)
+		if !ok {
+			if v, err = m.Peek(ctx, 1); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, v); err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
 
 	case LOAD:
 		cost = costMem
-		addr, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		addr, ok := m.pop(ctx)
+		if !ok {
+			if addr, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		v, err := m.read32(addr)
-		if err != nil {
-			return fail(err)
+		v, ok := m.load(addr)
+		if !ok {
+			if v, err = m.read32(addr); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, v); err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
 	case STORE:
 		cost = costMem
-		addr, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		addr, ok := m.pop(ctx)
+		if !ok {
+			if addr, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.write32(addr, v); err != nil {
-			return fail(err)
+		if !m.store(addr, v) {
+			if err = m.write32(addr, v); err != nil {
+				return fail(err)
+			}
 		}
 	case LOADB:
 		cost = costMem
-		addr, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		addr, ok := m.pop(ctx)
+		if !ok {
+			if addr, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
 		m.miss()
-		b, err := m.Space.Read8(addr)
-		if err != nil {
+		var b byte
+		if b, err = m.Space.Read8(addr); err != nil {
 			return fail(err)
 		}
-		if err := m.Push(ctx, uint32(b)); err != nil {
-			return fail(err)
+		if !m.push(ctx, uint32(b)) {
+			if err = m.write32(ctx.SP, uint32(b)); err != nil {
+				return fail(err)
+			}
 		}
 	case STOREB:
 		cost = costMem
-		addr, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		addr, ok := m.pop(ctx)
+		if !ok {
+			if addr, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
 		m.miss()
-		if err := m.Space.Write8(addr, byte(v)); err != nil {
+		if err = m.Space.Write8(addr, byte(v)); err != nil {
 			return fail(err)
 		}
 	case LOADFP:
 		cost = costMem
-		v, err := m.read32(ctx.FP + imm)
-		if err != nil {
-			return fail(err)
+		v, ok := m.load(ctx.FP + imm)
+		if !ok {
+			if v, err = m.read32(ctx.FP + imm); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, v); err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
 	case STOREFP:
 		cost = costMem
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.write32(ctx.FP+imm, v); err != nil {
-			return fail(err)
+		if !m.store(ctx.FP+imm, v) {
+			if err = m.write32(ctx.FP+imm, v); err != nil {
+				return fail(err)
+			}
 		}
 
 	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR,
@@ -472,13 +616,17 @@ func (m *Machine) step(ctx *Context) (Stop, error) {
 		if op == MUL || op == DIV || op == MOD {
 			cost = costMulDiv
 		}
-		b, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		b, ok := m.pop(ctx)
+		if !ok {
+			if b, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		a, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		a, ok := m.pop(ctx)
+		if !ok {
+			if a, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
 		var r uint32
 		switch op {
@@ -525,124 +673,126 @@ func (m *Machine) step(ctx *Context) (Stop, error) {
 		case GEU:
 			r = boolWord(a >= b)
 		}
-		if err := m.Push(ctx, r); err != nil {
-			return fail(err)
+		if !m.push(ctx, r) {
+			if err = m.write32(ctx.SP, r); err != nil {
+				return fail(err)
+			}
 		}
-	case NOT:
+	case NOT, NEG:
 		cost = costMem
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, boolWord(v == 0)); err != nil {
-			return fail(err)
+		if op == NOT {
+			v = boolWord(v == 0)
+		} else {
+			v = -v
 		}
-	case NEG:
-		cost = costMem
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		if err := m.Push(ctx, -v); err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
 
 	case JMP:
 		cost = costBranch
 		next = imm
-	case JZ:
+	case JZ, JNZ:
 		cost = costBranch
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if v == 0 {
-			next = imm
-		}
-	case JNZ:
-		cost = costBranch
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		if v != 0 {
+		if (v == 0) == (op == JZ) {
 			next = imm
 		}
 	case CALL:
 		cost = costBranch + costMem
-		if err := m.Push(ctx, next); err != nil {
-			return fail(err)
+		if !m.push(ctx, next) {
+			if err = m.write32(ctx.SP, next); err != nil {
+				return fail(err)
+			}
 		}
 		next = imm
 	case CALLI:
 		cost = costBranch + costMem
-		target, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		target, ok := m.pop(ctx)
+		if !ok {
+			if target, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-		if err := m.Push(ctx, next); err != nil {
-			return fail(err)
+		if !m.push(ctx, next) {
+			if err = m.write32(ctx.SP, next); err != nil {
+				return fail(err)
+			}
 		}
 		next = target
 	case RET:
 		cost = costBranch + costMem
-		ra, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		ra, ok := m.pop(ctx)
+		if !ok {
+			if ra, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
 		next = ra
 
 	case ENTER:
 		cost = costMem
-		if err := m.Push(ctx, ctx.FP); err != nil {
-			return fail(err)
+		if !m.push(ctx, ctx.FP) {
+			if err = m.write32(ctx.SP, ctx.FP); err != nil {
+				return fail(err)
+			}
 		}
 		ctx.FP = ctx.SP
 		ctx.SP -= imm
 	case LEAVE:
 		cost = costMem
 		ctx.SP = ctx.FP
-		fp, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		fp, ok := m.pop(ctx)
+		if !ok {
+			if fp, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
 		ctx.FP = fp
 
-	case GETSP:
+	case GETSP, GETFP, PUSHRV:
 		cost = costMem
-		if err := m.Push(ctx, ctx.SP); err != nil {
-			return fail(err)
+		v := ctx.SP
+		if op == GETFP {
+			v = ctx.FP
+		} else if op == PUSHRV {
+			v = ctx.RV
 		}
-	case SETSP:
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		if !m.push(ctx, v) {
+			if err = m.write32(ctx.SP, v); err != nil {
+				return fail(err)
+			}
 		}
-		ctx.SP = v
-	case GETFP:
-		cost = costMem
-		if err := m.Push(ctx, ctx.FP); err != nil {
-			return fail(err)
+	case SETSP, SETFP, SETRV:
+		v, ok := m.pop(ctx)
+		if !ok {
+			if v, err = m.Pop(ctx); err != nil {
+				return fail(err)
+			}
 		}
-	case SETFP:
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
+		switch op {
+		case SETSP:
+			ctx.SP = v
+		case SETFP:
+			ctx.FP = v
+		default:
+			ctx.RV = v
 		}
-		ctx.FP = v
 	case ADDSP:
 		ctx.SP += imm
-	case SETRV:
-		v, err := m.Pop(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		ctx.RV = v
-	case PUSHRV:
-		cost = costMem
-		if err := m.Push(ctx, ctx.RV); err != nil {
-			return fail(err)
-		}
 	}
 
 	ctx.PC = next

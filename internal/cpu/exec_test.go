@@ -191,6 +191,29 @@ var execSeedSources = []string{
 	// Words straddling from the private page into an unmapped one.
 	"\tPUSHI 0x20FFE\n\tLOAD\n",
 	"\tPUSHI 7\n\tPUSHI 0x20FFD\n\tSTORE\n",
+	// Load the private page from a read hit, store to it and load it
+	// again: in a fork child the store breaks copy-on-write partway
+	// through a run, and the next load must see the new page.
+	"\tPUSHI 0x20010\n\tLOAD\n\tDROP\n\tPUSHI 0x20010\n\tLOAD\n\tPUSHI 1\n\tADD\n\tPUSHI 0x20010\n" +
+		"\tSTORE\n\tPUSHI 0x20010\n\tLOAD\n\tDROP\n\tJMP 0x10000\n",
+	// Read the private page, then run the stack on it: in a fork child
+	// the first push breaks copy-on-write, so it must not write where
+	// the read found the page.
+	"\tPUSHI 0x20010\n\tLOAD\n\tDROP\n\tPUSHI 0x20014\n\tSETSP\n\tDUP\n\tPUSHI 1\n\tADD\n" +
+		"\tPUSHI 0x80000\n\tSETSP\n\tPUSHI 0x20010\n\tLOAD\n\tDROP\n\tJMP 0x10000\n",
+	// Read the program's own text after fetching from it, by LOAD and
+	// by a LOADFP that starts a run (LOADB's full path ends the run
+	// before it): on a --x page both fault.
+	"\tNOP\n\tNOP\n\tPUSHI 0x10000\n\tLOAD\n\tJMP 0x10000\n",
+	"\tPUSHI 0x10000\n\tSETFP\n\tPUSHI 0x7FF00\n\tLOADB\n\tLOADFP 0\n\tJMP 0x10000\n",
+	// Return into the stack page the return address was popped from:
+	// the fetch faults.
+	"\tPUSHI 0x7FFF0\n\tRET\n",
+	// Move SP to the boundary of the two data pages and push and pop
+	// on both, load and store a word straddling it, then move SP back.
+	"\tPUSHI 0x41004\n\tSETSP\n\tPUSHI 5\n\tPUSHI 6\n\tADD\n\tPUSHI 7\n\tSWAP\n" +
+		"\tPUSHI 0x40FFD\n\tLOAD\n\tDROP\n\tPUSHI 3\n\tPUSHI 0x40FFD\n\tSTORE\n\tDROP\n\tDROP\n" +
+		"\tPUSHI 0x80000\n\tSETSP\n\tPUSHI 1\n\tDROP\n\tJMP 0x10000\n",
 }
 
 // FuzzExec runs one program in two identical worlds, through Exec in

@@ -121,6 +121,33 @@ func BenchmarkExec(b *testing.B) {
 	}
 }
 
+// TestWindowsEndWithTheRun: a run-local translation does not outlive
+// its run. Between two runs of stepLoop, whose every instruction
+// touches its stack, the stack is unmapped; the next run, by Exec or by
+// Step, must fault on it instead of using the page it last hit.
+func TestWindowsEndWithTheRun(t *testing.T) {
+	for _, step := range []bool{false, true} {
+		m, ctx := stepLoop(t)
+		run := func() error {
+			if step {
+				_, err := m.Step(ctx)
+				return err
+			}
+			_, _, err := m.Exec(ctx, 100)
+			return err
+		}
+		for i := 0; i < 10; i++ {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Space.Unmap(0x7000, 0x8000)
+		if err := run(); !errors.Is(err, vm.ErrNoMapping) {
+			t.Fatalf("step %v: after the stack is unmapped, run = %v; want a fault", step, err)
+		}
+	}
+}
+
 // TestExecAllocs: a warm Exec loop allocates nothing.
 func TestExecAllocs(t *testing.T) {
 	m, ctx := stepLoop(t)

@@ -47,6 +47,8 @@ type shardQOS struct {
 	inflight int
 	// stats counts each class; snapshot fills in Sessions.
 	stats []TenantStats
+	// counts is evictLRU's scratch: live sessions per class.
+	counts []int
 }
 
 // newShardQOS builds the per-shard state for a normalized set, with
@@ -80,6 +82,7 @@ func newShardQOS(set *tenant.Set, shards int) *shardQOS {
 	}
 	q.drr = tenant.NewDRR[pendingCall](q.weight)
 	q.stats = make([]TenantStats, len(q.names))
+	q.counts = make([]int, len(q.names))
 	return q
 }
 

@@ -775,7 +775,8 @@ func (sh *shard) evictLRU() {
 	q := sh.qos
 	var counts []int
 	if q != nil {
-		counts = make([]int, len(q.names))
+		counts = q.counts
+		clear(counts)
 		for _, cp := range sh.live {
 			counts[q.classOf(cp.tenant)]++
 		}

@@ -177,11 +177,12 @@ func TestWarmDoBytes(t *testing.T) {
 	}
 }
 
-// churnFleet opens a 1-shard fleet capped at one warm session and
-// returns a function that runs a one-call plan of the next of keys
-// fresh keys: each evicts the last key's session and opens its own.
-func churnFleet(tb testing.TB, keys int) func() {
-	f, err := Open(append(testOpts(1), WithSessionCap(1))...)
+// churnFleet opens a 1-shard fleet capped at one warm session, with
+// opts, and returns a function that runs a one-call plan of the next of
+// keys fresh keys: each evicts the last key's session and opens its
+// own. The plans take their tenants from tenants in turn, if any.
+func churnFleet(tb testing.TB, keys int, tenants []string, opts ...Option) func() {
+	f, err := Open(append(append(testOpts(1), WithSessionCap(1)), opts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -197,6 +198,9 @@ func churnFleet(tb testing.TB, keys int) func() {
 	plans := make([][]Request, keys)
 	for i := range plans {
 		plans[i] = []Request{{Key: fmt.Sprintf("churn%06d", i), FuncID: incr, Args: []uint32{uint32(i)}}}
+		if len(tenants) > 0 {
+			plans[i][0].Tenant = tenants[i%len(tenants)]
+		}
 	}
 	next := 0
 	return func() {
@@ -224,21 +228,35 @@ func churnFleet(tb testing.TB, keys int) func() {
 const sessionChurnAllocs = 13
 
 // TestSessionChurnAllocs ratchets the allocations of a call that opens
-// a session and evicts another.
+// a session and evicts another. On the two-class fleet the keys
+// alternate between qosSet's classes, and the eviction ranks sessions
+// by their class's overshare without allocating.
 func TestSessionChurnAllocs(t *testing.T) {
-	churn := churnFleet(t, 1000)
-	for i := 0; i < 10; i++ {
-		churn() // warm: frames, spare objects, queues, tables
+	cases := []struct {
+		name    string
+		opts    []Option
+		tenants []string
+	}{
+		{"untenanted", nil, nil},
+		{"two-class", []Option{WithTenants(qosSet(0, 0))}, []string{"victim", "aggressor"}},
 	}
-	if got := testing.AllocsPerRun(200, churn); got > sessionChurnAllocs {
-		t.Fatalf("session churn: %.2f allocs per call, want <= %d", got, sessionChurnAllocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			churn := churnFleet(t, 1000, tc.tenants, tc.opts...)
+			for i := 0; i < 10; i++ {
+				churn() // warm: frames, spare objects, queues, tables
+			}
+			if got := testing.AllocsPerRun(200, churn); got > sessionChurnAllocs {
+				t.Fatalf("session churn: %.2f allocs per call, want <= %d", got, sessionChurnAllocs)
+			}
+		})
 	}
 }
 
 // BenchmarkSessionChurn times calls that each open a session and evict
 // another, on the TestSessionChurnAllocs fleet.
 func BenchmarkSessionChurn(b *testing.B) {
-	churn := churnFleet(b, 1<<14)
+	churn := churnFleet(b, 1<<14, nil)
 	for i := 0; i < 10; i++ {
 		churn()
 	}

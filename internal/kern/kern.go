@@ -732,14 +732,8 @@ func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 	}
 	// Read up to 6 argument words from the user stack. Words past its
 	// top are expected to be unmapped and read as zero.
-	p.args = [6]uint32{}
-	for i := range p.args {
-		v, ok := p.Space.Probe32(p.CPU.SP + uint32(4*i))
-		if !ok {
-			break
-		}
-		p.args[i] = v
-	}
+	n := p.Space.ProbeWords(p.CPU.SP, p.args[:])
+	clear(p.args[n:])
 	res := fn(k, p, p.args[:])
 	if res.BlockOn != nil {
 		k.sleep(p, res.BlockOn)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,32 +94,41 @@ var probeAddrs = []struct {
 	{"wrapping page-crossing", 0xFFFFFFFE},
 }
 
-// readBoth reads addr with Read32 in a and Probe32 in b and fails the
-// test if the results or any side effect differ.
-func readBoth(t *testing.T, a, b *probeWorld, name string, addr uint32) {
+// readBoth reads n words from addr, in a with one Read32 per word up to
+// the first error and in b with ProbeWords, and fails the test if the
+// words, their count or any side effect differ.
+func readBoth(t *testing.T, a, b *probeWorld, name string, addr uint32, n int) {
 	t.Helper()
-	want, err := a.handle.Read32(addr)
-	got, ok := b.handle.Probe32(addr)
-	if ok != (err == nil) || got != want {
-		t.Fatalf("%s %#x: Probe32 = %#x, %v; Read32 = %#x, %v", name, addr, got, ok, want, err)
+	var want []uint32
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		var v uint32
+		if v, err = a.handle.Read32(addr + uint32(4*i)); err == nil {
+			want = append(want, v)
+		}
+	}
+	got := make([]uint32, n)
+	got = got[:b.handle.ProbeWords(addr, got)]
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s %#x: ProbeWords = %#x; Read32 = %#x, then %v", name, addr, got, want, err)
 	}
 	if sa, sb := a.state(), b.state(); sa != sb {
-		t.Fatalf("%s %#x: side effects differ\nRead32:\n%sProbe32:\n%s", name, addr, sa, sb)
+		t.Fatalf("%s %#x: side effects differ\nRead32:\n%sProbeWords:\n%s", name, addr, sa, sb)
 	}
 }
 
-// TestProbe32MatchesRead32 pins Probe32 to Read32: the same value and
-// success, and the same zero-fills, partner aliases, counters and cycle
-// charges, over every fault path, touched twice so resident pages are
-// covered too.
-func TestProbe32MatchesRead32(t *testing.T) {
+// TestProbeWordsMatchesRead32 pins a one-word ProbeWords to Read32: the
+// same value and success, and the same zero-fills, partner aliases,
+// counters and cycle charges, over every fault path, touched twice so
+// resident pages are covered too.
+func TestProbeWordsMatchesRead32(t *testing.T) {
 	a, b := newProbeWorld(t), newProbeWorld(t)
 	if a.state() != b.state() {
 		t.Fatal("worlds differ before the sweep")
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, c := range probeAddrs {
-			readBoth(t, a, b, c.name, c.addr)
+			readBoth(t, a, b, c.name, c.addr, 1)
 		}
 	}
 	if a.handle.ShareFaults == 0 || a.handle.ZeroFills == 0 {
@@ -126,29 +136,58 @@ func TestProbe32MatchesRead32(t *testing.T) {
 	}
 }
 
-// TestProbe32MatchesRead32Random repeats the comparison on fresh worlds
-// for random reads near every boundary of the layout.
-func TestProbe32MatchesRead32Random(t *testing.T) {
+// TestProbeWordsRuns pins ProbeWords over several words, which it
+// translates once per page, to one Read32 per word up to the first
+// error. Each run starts in fresh worlds, so its first word takes the
+// fault, and is read twice.
+func TestProbeWordsRuns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		addr uint32
+		want int // words read
+	}{
+		{"six words inside one page", 0x400010, 6},
+		{"a start at the last word of a page", 0x400FFC, 6},
+		{"a word straddling two pages", 0x400FF6, 6},
+		{"a run into an unmapped page", 0x7FEFFFF4, 3},
+		{"a first word that aliases a partner entry", 0x01000FF4, 6},
+	} {
+		a, b := newProbeWorld(t), newProbeWorld(t)
+		for pass := 0; pass < 2; pass++ {
+			readBoth(t, a, b, c.name, c.addr, 6)
+		}
+		got := make([]uint32, 6)
+		if n := b.handle.ProbeWords(c.addr, got); n != c.want {
+			t.Fatalf("%s: ProbeWords read %d words, want %d", c.name, n, c.want)
+		}
+	}
+}
+
+// TestProbeWordsMatchesRead32Random repeats the comparison on fresh
+// worlds for random runs of one to eight words near every boundary of
+// the layout.
+func TestProbeWordsMatchesRead32Random(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
 		a, b := newProbeWorld(t), newProbeWorld(t)
 		for i := 0; i < 100; i++ {
 			c := probeAddrs[rng.Intn(len(probeAddrs))]
 			addr := c.addr&^(mem.PageSize-1) + uint32(rng.Intn(int(mem.PageSize)+16)) - 8
-			readBoth(t, a, b, c.name, addr)
+			readBoth(t, a, b, c.name, addr, 1+rng.Intn(8))
 		}
 	}
 }
 
-// TestProbe32Allocs: an expected fault costs no allocation.
-func TestProbe32Allocs(t *testing.T) {
+// TestProbeWordsAllocs: an expected fault costs no allocation.
+func TestProbeWordsAllocs(t *testing.T) {
 	w := newProbeWorld(t)
+	var args [6]uint32
 	if n := testing.AllocsPerRun(100, func() {
-		w.handle.Probe32(0x7FEFFFFC)
-		w.handle.Probe32(0x7FF00000)
-		w.handle.Probe32(0x3004)
+		w.handle.ProbeWords(0x7FEFFFF4, args[:])
+		w.handle.ProbeWords(0x7FF00000, args[:])
+		w.handle.ProbeWords(0x3004, args[:])
 	}); n != 0 {
-		t.Fatalf("Probe32 allocs = %v, want 0", n)
+		t.Fatalf("ProbeWords allocs = %v, want 0", n)
 	}
 }
 

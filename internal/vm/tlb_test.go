@@ -108,7 +108,7 @@ const (
 	opWrite32
 	opRead8
 	opWrite8
-	opProbe32
+	opProbeWords
 	opFetchExec
 	opFetchExec32
 	opReadBytes
@@ -181,9 +181,22 @@ func (w *tlbWorld) apply(o tlbOp) string {
 		return result(s.Read8(addr))
 	case opWrite8:
 		return result(nil, s.Write8(addr, o.val))
-	case opProbe32:
-		v, ok := s.Probe32(addr)
-		return fmt.Sprint(v, ok)
+	case opProbeWords:
+		// The uncached world is the reference: one Read32 per word up
+		// to the first error.
+		var words [8]uint32
+		n := int(o.val%8) + 1
+		if !w.uncached {
+			return fmt.Sprint(words[:s.ProbeWords(addr, words[:n])])
+		}
+		for i := 0; i < n; i++ {
+			v, err := s.Read32(addr + uint32(4*i))
+			if err != nil {
+				return fmt.Sprint(words[:i])
+			}
+			words[i] = v
+		}
+		return fmt.Sprint(words[:n])
 	case opFetchExec:
 		return result(s.FetchExec(addr))
 	case opFetchExec32:
@@ -347,7 +360,7 @@ var tlbSeeds = [][]tlbOp{
 	// faults on cached pages, and a second handshake.
 	{
 		{opRead32, 0, at(4, 1), 0xFE, 0}, {opFetchExec32, 0, at(4, 0), 0, 0},
-		{opProbe32, 0, at(7, 0), 0, 0}, {opFetchExec32, 0, at(0, 0), 0xFE, 0},
+		{opProbeWords, 0, at(7, 0), 0, 5}, {opFetchExec32, 0, at(0, 0), 0xFE, 0},
 		{opWrite8, 0, at(0, 0), 3, 1}, {opReadBytes, 1, at(6, 0), 0xFD, 7},
 		{opForceShare, 0, 0, 0, 1}, {opRead32, 0, at(4, 0), 0, 0},
 	},
@@ -387,6 +400,13 @@ var tlbSeeds = [][]tlbOp{
 		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
 		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
 		{opUnmap, 0, at(5, 3), 0, 0}, {opFetchExec, 2, at(5, 1), 0, 0},
+	},
+	// Runs of words across a page boundary, into an unmapped page, and
+	// over a partner entry the first word aliases.
+	{
+		{opProbeWords, 0, at(6, 0), 0xFC, 5}, {opProbeWords, 0, at(6, 1), 0xFD, 7},
+		{opProbeWords, 0, at(4, 0), 0xFE, 3}, {opWrite32, 1, at(4, 1), 0, 9},
+		{opProbeWords, 0, at(4, 0), 0xFC, 4},
 	},
 }
 

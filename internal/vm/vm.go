@@ -853,22 +853,41 @@ func (s *Space) Read32(addr uint32) (uint32, error) {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
 }
 
-// Probe32 is Read32 for a reader that expects some words to be
-// unmapped, such as the kernel reading syscall arguments past the stack
-// top: it faults pages in exactly as Read32 does (zero-fill, partner
-// sharing, counters and cycle charges) but reports a failure as false
-// instead of building an error.
-func (s *Space) Probe32(addr uint32) (uint32, bool) {
-	var b [4]byte
-	for done := 0; done < len(b); {
-		a := addr + uint32(done)
-		pg, err := s.translate(a, AccessRead)
-		if err != nil {
-			return 0, false
+// ProbeWords fills dst with the words at addr, addr+4, ... for a reader
+// that expects some of them to be unmapped, such as the kernel reading
+// syscall arguments past the stack top. It returns how many words it
+// read: it stops at the first word that fails and leaves the rest of
+// dst alone. Each word faults its pages in exactly as Read32 does
+// (zero-fill, partner sharing, counters and cycle charges, TLB fills),
+// but a failure costs no error. A page is translated once for all the
+// words it holds: translating it again, with no translation of another
+// page between, would hit the TLB slot the first one left or, in a space
+// that caches nothing, fault a resident page in again, which changes
+// nothing.
+func (s *Space) ProbeWords(addr uint32, dst []uint32) int {
+	var pg *mem.Page
+	var base uint32 // pg's first address
+	for i := range dst {
+		a := addr + uint32(4*i)
+		var b [4]byte
+		if off := a - base; pg != nil && off <= mem.PageSize-4 {
+			b = [4]byte(pg.Data[off : off+4])
+		} else {
+			for done := 0; done < len(b); {
+				a := a + uint32(done)
+				if pg == nil || a&^(mem.PageSize-1) != base {
+					var err error
+					if pg, err = s.translate(a, AccessRead); err != nil {
+						return i
+					}
+					base = a &^ (mem.PageSize - 1)
+				}
+				done += copy(b[done:], pg.Data[a-base:])
+			}
 		}
-		done += copy(b[done:], pg.Data[a&(mem.PageSize-1):])
+		dst[i] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, true
+	return len(dst)
 }
 
 // Write32 writes a little-endian 32-bit word.

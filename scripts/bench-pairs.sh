@@ -11,8 +11,17 @@
 # benchmark's own run_seconds.
 #
 # For every end-to-end metric in CHANGE_DIR's BENCHMARK.json it prints
-# each pair's change against the parent in percent, their median, and
-# in how many pairs the change was better by the metric's direction.
+# each pair's change against the parent in percent, their median, in how
+# many pairs the change was better by the metric's direction, the
+# parent's median and q1-q3 over the pairs (quartiles as bench/stats.go
+# takes them), the change's median, and a verdict:
+#
+#   gain   the change won at least 9 of every 10 pairs and its median is
+#          better than the parent's by more than the parent's q3-q1;
+#   worse  the change's median is worse than the parent's by more than
+#          the metric's bound;
+#
+# and blank otherwise.
 # OUT_DIR receives both checkouts' --out files (parent.jsonl,
 # change.jsonl), every run's output (pair-N-parent.txt,
 # pair-N-change.txt) and the table (summary.txt). Nothing else is
@@ -73,15 +82,27 @@ summaries() {
 summaries | jq -rs --slurpfile spec "$change/BENCHMARK.json" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor]
 		else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	def quartile($i): sort as $s | ($s | length) as $n
+		| if $n == 1 then $s[0] else
+			([([($i * ($n + 1) / 4 | floor), 1] | max), $n - 1] | min) as $j
+			| ($i * ($n + 1) - $j * 4) as $d
+			| ($s[$j - 1] * (4 - $d) + $s[$j] * $d) / 4 end;
 	. as $runs
 	| [range(0; $runs | length; 2) | [$runs[.], $runs[. + 1]]] as $pairs
 	| ($pairs | map(.[0].failed + .[1].failed) | add) as $failed
-	| "metric\tper-pair change (%)\tmedian (%)\twins",
+	| "metric\tper-pair change (%)\tmedian (%)\twins\tparent median\tparent q1-q3\tchange median\tverdict",
 	  ($spec[0].end_to_end[] as $m
 	   | [$pairs[] | [.[0].metrics[$m.name].value, .[1].metrics[$m.name].value]] as $v
 	   | [$v[] | if .[0] == 0 then 0 else (.[1] - .[0]) / .[0] * 100 end] as $d
 	   | [$v[] | select(if $m.better == "higher" then .[1] > .[0] else .[1] < .[0] end)] as $w
-	   | "\($m.name)\t\($d | map(. * 100 | round / 100) | join(" "))\t\($d | median * 100 | round / 100)\t\($w | length)/\($v | length)"),
+	   | ($v | map(.[0])) as $p | ($p | median) as $pm | ($v | map(.[1]) | median) as $cm
+	   | ($p | quartile(1)) as $q1 | ($p | quartile(3)) as $q3
+	   | (if $m.better == "higher" then $cm - $pm else $pm - $cm end) as $better
+	   | (if ($w | length) * 10 >= ($v | length) * 9 and $better > $q3 - $q1 then "gain"
+	      elif -$better > $m.bound * ($pm | fabs) then "worse" else "" end) as $verdict
+	   | "\($m.name)\t\($d | map(. * 100 | round / 100) | join(" "))\t\($d | median * 100 | round / 100)\t\($w | length)/\($v | length)\t\($pm)\t\($q1)\t\($q3)\t\($cm)\t\($verdict)"),
 	  "failed calls over all runs: \($failed)"
-' | awk -F '\t' 'NF == 4 { printf "%-22s  %-*s  %10s  %5s\n", $1, w, $2, $3, $4; next } { print }' \
-	w=$((pairs * 8 > 20 ? pairs * 8 : 20)) | tee "$out/summary.txt"
+' | awk -F '\t' '
+	NR == 1 { printf "%-22s  %-*s  %10s  %5s  %13s  %27s  %13s  %s\n", $1, w, $2, $3, $4, $5, $6, $7, $8; next }
+	NF == 9 { printf "%-22s  %-*s  %10s  %5s  %13.6g  %13.6g-%-13.6g  %13.6g  %s\n", $1, w, $2, $3, $4, $5, $6, $7, $8, $9; next }
+	{ print }' w=$((pairs * 8 > 20 ? pairs * 8 : 20)) | tee "$out/summary.txt"
