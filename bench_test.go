@@ -175,28 +175,46 @@ conditions: app_domain == "secmodule" -> "allow";
 func BenchmarkSimRPCHostSpeed(b *testing.B) {
 	k := kern.New()
 	server := rpc.StartSimServer(k, rpc.SimServerPort)
-	var calls int
-	client := k.SpawnNative("client", kern.Cred{}, func(s *kern.Sys) int {
-		c, err := rpc.NewSimClient(s, 2222, rpc.SimServerPort)
-		if err != nil {
-			return 1
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Incr(uint32(i)); err != nil {
-				return 1
-			}
-			calls++
-		}
-		return 0
-	})
+	ic := &incrCalls{n: b.N}
+	client := k.SpawnStepper("client", kern.Cred{}, ic)
 	b.ResetTimer()
 	if err := k.RunUntil(func() bool {
 		return client.State == kern.StateZombie || client.State == kern.StateDead
 	}, 0); err != nil {
 		b.Fatal(err)
 	}
-	if calls != b.N {
-		b.Fatalf("calls = %d, want %d", calls, b.N)
+	if ic.calls != b.N {
+		b.Fatalf("calls = %d, want %d", ic.calls, b.N)
 	}
 	k.Kill(server, kern.SIGKILL)
+}
+
+// incrCalls is a client process, a kern.Stepper: it opens an
+// rpc.SimClient and makes n test-incr calls, counting the calls that
+// succeed, and exits with status 1 at the first that fails.
+type incrCalls struct {
+	n, calls int
+	c        *rpc.SimClient
+	opened   bool
+}
+
+func (ic *incrCalls) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
+	if ic.c == nil {
+		ic.c = rpc.NewSimClient(s, 2222, rpc.SimServerPort)
+		return ic.c.Open(), false, 0
+	}
+	sc, done, _, err := ic.c.Result(val, errno)
+	switch {
+	case !done:
+		return sc, false, 0
+	case err != nil:
+		return kern.Syscall{}, true, 1
+	case ic.opened:
+		ic.calls++
+	}
+	ic.opened = true
+	if ic.calls == ic.n {
+		return kern.Syscall{}, true, 0
+	}
+	return ic.c.PrepareIncr(uint32(ic.calls)), false, 0
 }

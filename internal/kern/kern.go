@@ -794,7 +794,7 @@ func (k *Kernel) doExit(p *Proc, status int) {
 	if p.native != nil && p.native.g != nil {
 		// Release a goroutine waiting in a syscall; it ends via
 		// runtime.Goexit.
-		close(p.native.g.quit)
+		p.native.g.stop()
 	}
 	if p.Parent != nil && p.Parent.State != StateZombie && p.Parent.State != StateDead {
 		k.Wakeup(&p.Parent.waitq)

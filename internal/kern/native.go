@@ -8,8 +8,8 @@ import (
 )
 
 // Native processes run Go code as simulated processes. They exist so
-// that bulky but security-irrelevant userland (the RPC client/server
-// for the Figure 8 baseline, the fleet's session clients, test
+// that bulky but security-irrelevant userland (the RPC client and
+// server of the Figure 8 baseline, the fleet's session clients, test
 // drivers) does not have to be written in SM32 assembly. They obey the
 // same rules as SM32 processes: they interact with the world only
 // through syscalls, each syscall charges the same trap/copy costs, and
@@ -17,11 +17,14 @@ import (
 //
 // The kernel drives a native process as a Stepper, called inline from
 // dispatch: each Step is handed the last syscall's result and returns
-// the next syscall, or an exit. Blocking Go code (SpawnNative) runs on
-// a goroutine of its own behind a Stepper adapter that alternates with
-// the kernel. Native compute between syscalls costs zero simulated
-// cycles unless the code charges itself with Sys.Burn, which the RPC
-// baseline uses to account for XDR marshal work.
+// the next syscall, or an exit. The RPC baseline and the fleet's
+// session clients are Steppers, so their syscalls never leave the
+// kernel's goroutine. Blocking Go code (SpawnNative: the examples,
+// calibration, tests) runs on a goroutine of its own behind a Stepper
+// adapter, in strict alternation with the kernel over one unbuffered
+// channel each way. Native compute between syscalls costs zero
+// simulated cycles unless the code charges itself with Sys.Burn, which
+// the RPC baseline uses to account for XDR marshal work.
 
 // Syscall is one system call a native process asks the kernel for: its
 // number and up to six word arguments.
@@ -41,51 +44,97 @@ type Stepper interface {
 	Step(s *Sys, val uint32, errno int) (sc Syscall, exit bool, status int)
 }
 
-// natReply is the kernel's answer to a goroutine's syscall.
+// natMsg is what a goroutine hands the kernel: its next syscall, or its
+// end and exit status.
+type natMsg struct {
+	sc     Syscall
+	end    bool
+	status int
+}
+
+// natReply is the kernel's answer to a goroutine's syscall: its result,
+// or quit once the process has exited.
 type natReply struct {
 	val   uint32
 	errno int
+	quit  bool
 }
 
 // goStepper is the Stepper that runs a blocking func(*Sys) int on a
 // goroutine of its own. The two alternate strictly: the kernel waits in
-// Step while the goroutine runs, and the goroutine waits in Sys.Call
-// while the kernel services its syscall. The goroutine starts on the
-// first Step, so a process killed before its first dispatch never
-// starts one.
+// Step for the goroutine's next message on req while the goroutine
+// runs, and the goroutine waits in Sys.Call for its result on reply
+// while the kernel services the syscall. So each hand-off is one send
+// on an unbuffered channel whose receiver is waiting, or about to. The
+// goroutine starts on the first Step, so a process killed before its
+// first dispatch never starts one.
 type goStepper struct {
 	fn    func(*Sys) int
-	req   chan Syscall  // goroutine -> kernel: service this syscall
-	reply chan natReply // kernel -> goroutine: its result
+	req   chan natMsg   // goroutine -> kernel: the next syscall, or the end
+	reply chan natReply // kernel -> goroutine: the result, or quit
 	done  chan struct{} // closed when the goroutine ends
-	quit  chan struct{} // closed at exit; unblocks the goroutine
 
-	status  int
-	started bool
+	// Kept by the kernel side (in Step and stop).
+	started bool // the goroutine was started
+	running bool // the goroutine runs while the kernel waits in Step
+	ended   bool // the goroutine sent its end, or is told to quit
+	// Kept by the goroutine: it received a quit, so nobody waits for its
+	// end.
+	quit bool
 }
 
 // Step hands the goroutine its last syscall's result (starting the
 // goroutine on the first call) and waits for its next syscall or its
 // end.
 func (g *goStepper) Step(s *Sys, val uint32, errno int) (Syscall, bool, int) {
+	g.running = true
 	if !g.started {
 		g.started = true
-		go func() {
-			defer close(g.done)
-			g.status = g.fn(s)
-		}()
+		go g.run(s)
 	} else {
-		select {
-		case g.reply <- natReply{val: val, errno: errno}:
-		case <-g.done:
-			return Syscall{}, true, g.status
-		}
+		g.reply <- natReply{val: val, errno: errno}
 	}
-	select {
-	case sc := <-g.req:
-		return sc, false, 0
-	case <-g.done:
-		return Syscall{}, true, g.status
+	m := <-g.req
+	g.running = false
+	switch {
+	case m.end:
+		g.ended = true
+		return Syscall{}, true, m.status
+	case g.ended:
+		// The goroutine exited its own process by a direct kernel call
+		// while it ran, then asked for a syscall: tell it to quit.
+		g.reply <- natReply{quit: true}
+		return Syscall{}, true, 0
+	}
+	return m.sc, false, 0
+}
+
+// run is the goroutine: it runs fn and sends the kernel its end. An end
+// by runtime.Goexit (a test driver's t.Fatal) is sent too, with status
+// 0, unless it was a quit, for which nobody waits.
+func (g *goStepper) run(s *Sys) {
+	defer close(g.done)
+	status := 0
+	defer func() {
+		if !g.quit {
+			g.req <- natMsg{end: true, status: status}
+		}
+	}()
+	status = g.fn(s)
+}
+
+// stop tells the goroutine that its process exited, so that it ends
+// via runtime.Goexit instead of waiting in Sys.Call for good. Only a
+// goroutine that has started and not yet ended is told. One parked in
+// Sys.Call gets the quit now; one that is running (it exited its own
+// process by a direct kernel call) gets it at its next syscall.
+func (g *goStepper) stop() {
+	if !g.started || g.ended {
+		return
+	}
+	g.ended = true
+	if !g.running {
+		g.reply <- natReply{quit: true}
 	}
 }
 
@@ -118,29 +167,25 @@ func (s *Sys) Proc() *Proc { return s.p }
 // code run by SpawnNative may call it; a Stepper returns its syscalls
 // from Step instead, and calling this from one panics.
 func (s *Sys) Call(no uint32, args ...uint32) (uint32, int) {
+	sc := Syscall{No: no}
+	copy(sc.Args[:], args)
+	return s.call(sc)
+}
+
+// call hands sc to the kernel and waits for its result. A process that
+// exited meanwhile ends its goroutine here.
+func (s *Sys) call(sc Syscall) (uint32, int) {
 	g := s.g
 	if g == nil {
 		panic("kern: Sys.Call from a stepper; return the syscall from Step")
 	}
-	select {
-	case <-g.quit:
-		runtime.Goexit()
-	default:
-	}
-	sc := Syscall{No: no}
-	copy(sc.Args[:], args)
-	select {
-	case g.req <- sc:
-	case <-g.quit:
+	g.req <- natMsg{sc: sc}
+	r := <-g.reply
+	if r.quit {
+		g.quit = true
 		runtime.Goexit()
 	}
-	select {
-	case rep := <-g.reply:
-		return rep.val, rep.errno
-	case <-g.quit:
-		runtime.Goexit()
-	}
-	panic("unreachable")
+	return r.val, r.errno
 }
 
 // Burn charges n simulated cycles of native compute (e.g. XDR marshal
@@ -276,45 +321,83 @@ func (s *Sys) Msgrcv(id int, mtype int32, maxSize int) (int32, []byte, int) {
 	return int32(getLE32(buf)), buf[4:], 0
 }
 
+// The socket syscalls come in split-phase form for a Stepper: SocketCall,
+// BindCall, SendtoCall and RecvfromCall build the syscall, staging a
+// send's payload or reserving a receive's buffers in scratch space, and
+// Received reads back what a recvfrom delivered. Socket, Bind, Sendto
+// and Recvfrom drive them from blocking code.
+
+// SocketCall returns the socket syscall that creates a loopback
+// datagram socket; its value is the socket's descriptor.
+func (s *Sys) SocketCall() Syscall {
+	return Syscall{No: SYSsocket, Args: [6]uint32{afLocalSim, sockDgram}}
+}
+
+// BindCall returns the bind syscall that binds socket fd to a simulated
+// loopback port.
+func (s *Sys) BindCall(fd int, port uint16) Syscall {
+	return Syscall{No: SYSbind, Args: [6]uint32{uint32(fd), uint32(port)}}
+}
+
+// SendtoCall stages b and returns the sendto syscall that sends it from
+// socket fd as one datagram to port.
+func (s *Sys) SendtoCall(fd int, port uint16, b []byte) Syscall {
+	return Syscall{No: SYSsendto, Args: [6]uint32{uint32(fd), s.stage(b), uint32(len(b)), uint32(port)}}
+}
+
+// RecvfromCall reserves the buffers of a receive of at most maxSize
+// bytes and returns the recvfrom syscall that blocks for the next
+// datagram on socket fd. Received reads back what it delivered.
+func (s *Sys) RecvfromCall(fd int, maxSize int) Syscall {
+	addr := s.alloc(maxSize)
+	srcAddr := s.alloc(4)
+	return Syscall{No: SYSrecvfrom, Args: [6]uint32{uint32(fd), addr, uint32(maxSize), srcAddr}}
+}
+
+// Received reads back what the recvfrom sc delivered, given the
+// syscall's value and errno, and returns the payload and source port.
+// The payload is read into buf's array, grown when too small, so a
+// caller that passes back the slice it got receives without allocating.
+func (s *Sys) Received(sc Syscall, val uint32, errno int, buf []byte) ([]byte, uint16, int) {
+	if errno != 0 {
+		return nil, 0, errno
+	}
+	buf = slices.Grow(buf[:0], int(val))[:val]
+	if err := s.p.Space.ReadInto(sc.Args[1], buf); err != nil {
+		return nil, 0, EFAULT
+	}
+	src, err := s.p.Space.Read32(sc.Args[3])
+	if err != nil {
+		return nil, 0, EFAULT
+	}
+	return buf, uint16(src), 0
+}
+
 // Socket creates a loopback datagram socket.
 func (s *Sys) Socket() (int, int) {
-	v, e := s.Call(SYSsocket, afLocalSim, sockDgram, 0)
-	return int(v), e
+	fd, e := s.call(s.SocketCall())
+	return int(fd), e
 }
 
 // Bind binds the socket to a simulated loopback port.
 func (s *Sys) Bind(fd int, port uint16) int {
-	_, e := s.Call(SYSbind, uint32(fd), uint32(port))
+	_, e := s.call(s.BindCall(fd, port))
 	return e
 }
 
 // Sendto sends a datagram to port.
 func (s *Sys) Sendto(fd int, port uint16, b []byte) int {
-	addr := s.stage(b)
-	_, e := s.Call(SYSsendto, uint32(fd), addr, uint32(len(b)), uint32(port))
+	_, e := s.call(s.SendtoCall(fd, port, b))
 	return e
 }
 
 // Recvfrom blocks for the next datagram on fd, receiving at most
-// maxSize bytes of it, and returns the payload and source port. The
-// payload is read into buf's array, grown when too small, so a caller
-// that passes back the slice it got receives without allocating.
+// maxSize bytes of it, and returns the payload and source port, read
+// into buf's array as Received does.
 func (s *Sys) Recvfrom(fd int, maxSize int, buf []byte) ([]byte, uint16, int) {
-	addr := s.alloc(maxSize)
-	srcAddr := s.alloc(4)
-	v, e := s.Call(SYSrecvfrom, uint32(fd), addr, uint32(maxSize), srcAddr)
-	if e != 0 {
-		return nil, 0, e
-	}
-	buf = slices.Grow(buf[:0], int(v))[:v]
-	if err := s.p.Space.ReadInto(addr, buf); err != nil {
-		return nil, 0, EFAULT
-	}
-	src, err := s.p.Space.Read32(srcAddr)
-	if err != nil {
-		return nil, 0, EFAULT
-	}
-	return buf, uint16(src), 0
+	sc := s.RecvfromCall(fd, maxSize)
+	v, e := s.call(sc)
+	return s.Received(sc, v, e, buf)
 }
 
 // nativeScratchSize is the data segment size for native processes.
@@ -351,10 +434,9 @@ func (k *Kernel) SpawnStepper(name string, cred Cred, st Stepper) *Proc {
 func (k *Kernel) SpawnNative(name string, cred Cred, fn func(*Sys) int) *Proc {
 	g := &goStepper{
 		fn:    fn,
-		req:   make(chan Syscall),
+		req:   make(chan natMsg),
 		reply: make(chan natReply),
 		done:  make(chan struct{}),
-		quit:  make(chan struct{}),
 	}
 	p := k.SpawnStepper(name, cred, g)
 	p.native.g = g

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -243,5 +244,47 @@ func TestNativeKilledBeforeDispatchStartsNoGoroutine(t *testing.T) {
 	}
 	if g.started || ran {
 		t.Fatalf("started %v ran %v, want neither", g.started, ran)
+	}
+}
+
+// A native process that exits itself by a direct kernel call, while
+// its goroutine runs, ends that goroutine at its next syscall, which
+// does not return.
+func TestNativeKilledWhileRunningEndsAtNextSyscall(t *testing.T) {
+	k := New()
+	returned := false
+	p := k.SpawnNative("self-kill", Cred{}, func(s *Sys) int {
+		s.Kernel().Kill(s.Proc(), SIGKILL)
+		s.Getpid()
+		returned = true
+		return 0
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, p.native.g)
+	if returned {
+		t.Fatal("the killed process's syscall returned")
+	}
+	if p.KilledBy != SIGKILL {
+		t.Fatalf("KilledBy = %d, want SIGKILL", p.KilledBy)
+	}
+}
+
+// A goroutine that ends by runtime.Goexit, as a test driver's t.Fatal
+// does, ends its process with status 0, and the kernel runs on.
+func TestNativeGoexitEndsProcess(t *testing.T) {
+	k := New()
+	p := k.SpawnNative("goexit", Cred{}, func(s *Sys) int {
+		s.Getpid()
+		runtime.Goexit()
+		return 7
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, p.native.g)
+	if p.State != StateDead || p.ExitStatus != 0 {
+		t.Fatalf("state %v status %d, want dead with status 0", p.State, p.ExitStatus)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/obj"
 	"repro/internal/rpc"
+	"repro/internal/xdr"
 )
 
 // The four Figure 8 workloads. The getpid and SMOD rows run as SM32
@@ -196,40 +197,78 @@ func RunSMODIncrWithSpec(name string, calls, trials int, mutate func(*core.SMod,
 // function served by the simulated RPC server over loopback datagrams.
 func RunSimRPCIncr(calls, trials int) (Stats, error) {
 	k := kern.New()
-	marks := markKernel(k)
-	server := rpc.StartSimServer(k, rpc.SimServerPort)
+	return runSimRPCIncr(k, markKernel(k), calls, trials)
+}
 
-	var clientErr error
-	client := k.SpawnNative("rpc-bench", benchCred(), func(s *kern.Sys) int {
-		c, err := rpc.NewSimClient(s, 2222, rpc.SimServerPort)
-		if err != nil {
-			clientErr = err
-			return 1
-		}
-		for t := 0; t < trials; t++ {
-			s.Call(SysMark)
-			for i := 0; i < calls; i++ {
-				v, err := c.Incr(uint32(i))
-				if err != nil || v != uint32(i)+1 {
-					clientErr = fmt.Errorf("rpc incr(%d) = %d, %v", i, v, err)
-					return 1
-				}
-			}
-		}
-		s.Call(SysMark)
-		return 0
-	})
+// runSimRPCIncr runs the RPC row on k, whose SysMark handler appends
+// the timestamps to marks.
+func runSimRPCIncr(k *kern.Kernel, marks *[]uint64, calls, trials int) (Stats, error) {
+	server := rpc.StartSimServer(k, rpc.SimServerPort)
+	tr := &rpcTrials{calls: calls, trials: trials}
+	client := k.SpawnStepper("rpc-bench", benchCred(), tr)
 	err := k.RunUntil(func() bool {
 		return client.State == kern.StateZombie || client.State == kern.StateDead
 	}, 0)
 	if err != nil {
 		return Stats{}, err
 	}
-	if clientErr != nil {
-		return Stats{}, clientErr
+	if tr.err != nil {
+		return Stats{}, tr.err
 	}
 	k.Kill(server, kern.SIGKILL)
 	return Compute("RPC(test-incr)", calls, *marks)
+}
+
+// rpcTrials is the RPC row's client process, a kern.Stepper: it opens
+// a SimClient, runs trials of (mark; calls incr calls), makes a final
+// mark and exits. A failed or wrong call ends it with status 1 and the
+// error in err.
+type rpcTrials struct {
+	calls, trials int
+	c             *rpc.SimClient
+	busy          bool // c has an open or a call in progress
+	marks         int  // marks made
+	i             int  // calls made in the current trial
+	err           error
+}
+
+func (r *rpcTrials) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
+	switch {
+	case r.c == nil:
+		r.c = rpc.NewSimClient(s, 2222, rpc.SimServerPort)
+		r.busy = true
+		return r.c.Open(), false, 0
+	case r.busy:
+		sc, done, res, err := r.c.Result(val, errno)
+		if !done {
+			return sc, false, 0
+		}
+		r.busy = false
+		if r.marks > 0 { // a call, not the open
+			var v uint32
+			if err == nil {
+				v, err = xdr.NewDecoder(res).Uint32()
+			}
+			if err != nil || v != uint32(r.i)+1 {
+				err = fmt.Errorf("rpc incr(%d) = %d, %v", r.i, v, err)
+			}
+			r.i++
+		}
+		if err != nil {
+			r.err = err
+			return kern.Syscall{}, true, 1
+		}
+	}
+	if r.marks > 0 && r.marks <= r.trials && r.i < r.calls {
+		r.busy = true
+		return r.c.PrepareIncr(uint32(r.i)), false, 0
+	}
+	if r.marks > r.trials {
+		return kern.Syscall{}, true, 0
+	}
+	r.marks++
+	r.i = 0
+	return kern.Syscall{No: SysMark}, false, 0
 }
 
 // DefaultScale is the default benchmark scale: the paper used 1,000,000

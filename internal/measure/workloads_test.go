@@ -1,10 +1,12 @@
 package measure
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kern"
 )
 
 func TestMarksCountMatchesTrials(t *testing.T) {
@@ -17,6 +19,31 @@ func TestMarksCountMatchesTrials(t *testing.T) {
 	}
 	if s.CallsPerTrial != 50 {
 		t.Fatalf("calls/trial = %d", s.CallsPerTrial)
+	}
+}
+
+// The RPC row's client and server run on the goroutine that runs the
+// kernel: while the row runs, as seen from the mark handler, no
+// goroutine has been started for them.
+func TestSimRPCRowStartsNoGoroutine(t *testing.T) {
+	k := kern.New()
+	var marks []uint64
+	before := runtime.NumGoroutine()
+	most := 0
+	k.RegisterSyscall(SysMark, "bench_mark", func(k *kern.Kernel, _ *kern.Proc, _ []uint32) kern.Sysret {
+		most = max(most, runtime.NumGoroutine())
+		marks = append(marks, k.Clk.Cycles())
+		return kern.Sysret{}
+	})
+	s, err := runSimRPCIncr(k, &marks, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Trials != 3 {
+		t.Fatalf("trials = %d, want 3", s.Trials)
+	}
+	if most > before {
+		t.Fatalf("%d goroutines while the RPC row ran, %d before it", most, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/kern"
@@ -15,6 +16,11 @@ import (
 // dispatch, the reply path, and a switch back. Marshal/unmarshal work
 // is charged explicitly (Sys.Burn) at CostRPCLayer + CostXDRPerByte
 // per message, since native Go compute is otherwise free.
+//
+// Both endpoints are kern.Steppers, stepped inline by the kernel: the
+// server is a process of its own (StartSimServer), and SimClient is a
+// split-phase client that a Stepper body drives one syscall at a time.
+// Neither runs a goroutine.
 //
 // The service is the paper's test-incr: "The function tested for both
 // RPC and SecModule returns the argument value incremented by one."
@@ -48,89 +54,167 @@ func incr(args []byte, res *xdr.Encoder) error {
 
 // StartSimServer spawns the simulated RPC server process. It serves
 // forever; callers kill it (or just stop running the kernel) when done.
-// Every reply is encoded into one encoder the process reuses.
 func StartSimServer(k *kern.Kernel, port uint16) *kern.Proc {
 	srv := NewServer()
 	srv.Register(TestIncrProg, TestIncrVers, ProcIncr, incr)
-	return k.SpawnNative("rpc.testincrd", kern.Cred{Name: "rpc-server"}, func(s *kern.Sys) int {
-		fd, errno := s.Socket()
+	return k.SpawnStepper("rpc.testincrd", kern.Cred{Name: "rpc-server"}, &simServer{srv: srv, port: port})
+}
+
+// simPhase is the syscall a simulated endpoint waits for.
+type simPhase uint8
+
+const (
+	simIdle simPhase = iota
+	simSocket
+	simBind
+	simSend
+	simRecv
+)
+
+// simServer is the server process: socket, bind, then receive,
+// dispatch and send, forever. An undecodable datagram is dropped, and a
+// failed syscall ends the process with status 1. Every call is received
+// into one buffer and every reply encoded into one encoder, both kept.
+type simServer struct {
+	srv   *Server
+	port  uint16
+	fd    int
+	phase simPhase
+	recv  kern.Syscall // the recvfrom in progress
+	call  []byte
+	reply xdr.Encoder
+}
+
+func (v *simServer) Step(s *kern.Sys, val uint32, errno int) (kern.Syscall, bool, int) {
+	switch v.phase {
+	case simIdle:
+		v.phase = simSocket
+		return s.SocketCall(), false, 0
+	case simSocket:
 		if errno != 0 {
-			return 1
+			return kern.Syscall{}, true, 1
 		}
-		if errno := s.Bind(fd, port); errno != 0 {
-			return 1
+		v.fd = int(val)
+		v.phase = simBind
+		return s.BindCall(v.fd, v.port), false, 0
+	case simRecv:
+		call, src, errno := s.Received(v.recv, val, errno, v.call)
+		if errno != 0 {
+			return kern.Syscall{}, true, 1
 		}
-		var reply xdr.Encoder
-		var call []byte // reused for every datagram received
-		for {
-			var src uint16
-			var errno int
-			call, src, errno = s.Recvfrom(fd, 64*1024, call)
-			if errno != 0 {
-				return 1
-			}
-			chargeMsg(s, len(call)) // unmarshal call
-			reply.Reset()
-			if srv.Dispatch(call, &reply) != nil {
-				continue // undecodable datagram: drop
-			}
-			chargeMsg(s, reply.Len()) // marshal reply
-			if errno := s.Sendto(fd, src, reply.Bytes()); errno != 0 {
-				return 1
-			}
+		v.call = call
+		chargeMsg(s, len(call)) // unmarshal call
+		v.reply.Reset()
+		if v.srv.Dispatch(call, &v.reply) == nil {
+			chargeMsg(s, v.reply.Len()) // marshal reply
+			v.phase = simSend
+			return s.SendtoCall(v.fd, src, v.reply.Bytes()), false, 0
 		}
-	})
+		// An undecodable datagram: drop it.
+	default: // bound, or a reply sent
+		if errno != 0 {
+			return kern.Syscall{}, true, 1
+		}
+	}
+	v.phase = simRecv
+	v.recv = s.RecvfromCall(v.fd, 64*1024)
+	return v.recv, false, 0
 }
 
-// SimClient is a simulated-process RPC client endpoint: a Client
-// whose transport is the simulated loopback, charging the marshal and
-// unmarshal cost of every message it sends and receives.
+// SimClient is the client endpoint of the simulated RPC, in split-phase
+// form for a kern.Stepper body, in the idiom of core.Handshake: Open
+// and Prepare return the first syscall of opening the client's socket
+// and of a call, and Result takes each syscall's result and returns the
+// next syscall until the operation is done. A call charges the marshal
+// and unmarshal cost of every message it sends and receives, and skips
+// replies to other XIDs.
 type SimClient struct {
-	*Client
+	s          *kern.Sys
+	port       uint16 // the client's own
+	serverPort uint16
+	fd         int
+	phase      simPhase
+	codec      Client       // the call's encoder, XID and decoded reply; no transport
+	recv       kern.Syscall // the recvfrom in progress
+	raw        []byte       // every reply is received into it
 }
 
-// NewSimClient creates the client socket inside the calling simulated
-// process and aims it at the server port.
-func NewSimClient(s *kern.Sys, clientPort, serverPort uint16) (*SimClient, error) {
-	fd, errno := s.Socket()
-	if errno != 0 {
-		return nil, fmt.Errorf("rpc: sim socket: errno %d", errno)
-	}
-	if errno := s.Bind(fd, clientPort); errno != 0 {
-		return nil, fmt.Errorf("rpc: sim bind(%d): errno %d", clientPort, errno)
-	}
-	var raw []byte // reused for every reply received
-	return &SimClient{&Client{
-		send: func(m []byte) error {
-			m = m[markLen:]
-			chargeMsg(s, len(m)) // marshal call
-			if errno := s.Sendto(fd, serverPort, m); errno != 0 {
-				return fmt.Errorf("rpc: sim sendto: errno %d", errno)
-			}
-			return nil
-		},
-		recv: func() ([]byte, error) {
-			var errno int
-			raw, _, errno = s.Recvfrom(fd, 64*1024, raw)
-			if errno != 0 {
-				return nil, fmt.Errorf("rpc: sim recvfrom: errno %d", errno)
-			}
-			chargeMsg(s, len(raw)) // unmarshal reply
-			return raw, nil
-		},
-	}}, nil
+// NewSimClient returns a client of the process s that will bind
+// clientPort and call the server at serverPort. Open makes its socket.
+func NewSimClient(s *kern.Sys, clientPort, serverPort uint16) *SimClient {
+	return &SimClient{s: s, port: clientPort, serverPort: serverPort}
 }
 
-// Incr calls the test-incr procedure: it returns x+1 as computed by
-// the server.
-func (c *SimClient) Incr(x uint32) (uint32, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.begin(TestIncrProg, TestIncrVers, ProcIncr).PutUint32(x)
-	res, err := c.finish()
-	if err != nil {
-		return 0, err
+// Open returns the first syscall of opening the client's socket: socket,
+// then bind. Feed each result to Result until it reports done.
+func (c *SimClient) Open() kern.Syscall {
+	c.phase = simSocket
+	return c.s.SocketCall()
+}
+
+// Prepare begins a call of (prog, vers, proc) with the XDR-encoded args
+// under a fresh XID, charges its marshal cost and returns the sendto
+// that sends it. Feed each result to Result until it reports done.
+func (c *SimClient) Prepare(prog, vers, proc uint32, args []byte) kern.Syscall {
+	c.codec.begin(prog, vers, proc).PutRaw(args)
+	m := c.codec.call.Bytes()[markLen:]
+	chargeMsg(c.s, len(m)) // marshal call
+	c.phase = simSend
+	return c.s.SendtoCall(c.fd, c.serverPort, m)
+}
+
+// PrepareIncr prepares a call of the test-incr procedure on x.
+func (c *SimClient) PrepareIncr(x uint32) kern.Syscall {
+	var args [4]byte
+	binary.BigEndian.PutUint32(args[:], x)
+	return c.Prepare(TestIncrProg, TestIncrVers, ProcIncr, args[:])
+}
+
+// Result takes the result of the syscall the client returned last.
+// While the operation is in progress it returns the next syscall;
+// then done, with the call's results (nil for Open), which point into
+// the client's reply buffer and are valid until its next call, or the
+// error.
+func (c *SimClient) Result(val uint32, errno int) (next kern.Syscall, done bool, res []byte, err error) {
+	s := c.s
+	switch c.phase {
+	case simSocket:
+		if errno != 0 {
+			return c.end(nil, fmt.Errorf("rpc: sim socket: errno %d", errno))
+		}
+		c.fd = int(val)
+		c.phase = simBind
+		return s.BindCall(c.fd, c.port), false, nil, nil
+	case simBind:
+		if errno != 0 {
+			return c.end(nil, fmt.Errorf("rpc: sim bind(%d): errno %d", c.port, errno))
+		}
+		return c.end(nil, nil)
+	case simSend:
+		if errno != 0 {
+			return c.end(nil, fmt.Errorf("rpc: sim sendto: errno %d", errno))
+		}
+	case simRecv:
+		raw, _, errno := s.Received(c.recv, val, errno, c.raw)
+		if errno != 0 {
+			return c.end(nil, fmt.Errorf("rpc: sim recvfrom: errno %d", errno))
+		}
+		c.raw = raw
+		chargeMsg(s, len(raw)) // unmarshal reply
+		if res, ok, err := c.codec.match(raw); ok {
+			return c.end(res, err)
+		}
+	default:
+		panic("rpc: SimClient.Result with no operation in progress")
 	}
-	d := xdr.NewDecoder(res)
-	return d.Uint32()
+	// The call is sent, or a stale reply skipped: wait for the reply.
+	c.phase = simRecv
+	c.recv = s.RecvfromCall(c.fd, 64*1024)
+	return c.recv, false, nil, nil
+}
+
+// end ends the operation in progress with res or err.
+func (c *SimClient) end(res []byte, err error) (kern.Syscall, bool, []byte, error) {
+	c.phase = simIdle
+	return kern.Syscall{}, true, res, err
 }

@@ -392,7 +392,8 @@ func (c *Client) Call(prog, vers, proc uint32, args []byte) ([]byte, error) {
 // begin starts a call to (prog, vers, proc) under a fresh XID in the
 // client's encoder and returns the encoder, for the caller to append
 // the arguments. The caller holds c.mu until it is done with the
-// results finish returns.
+// results finish returns (a SimClient's codec, used by one simulated
+// process, needs no lock).
 func (c *Client) begin(prog, vers, proc uint32) *xdr.Encoder {
 	c.xid++
 	beginRecord(&c.call)
@@ -416,14 +417,25 @@ func (c *Client) finish() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.reply.Decode(raw); err != nil {
-			return nil, err
+		if res, ok, err := c.match(raw); ok {
+			return res, err
 		}
-		if c.reply.XID != c.xid {
-			continue
-		}
-		return checkReply(&c.reply)
 	}
+}
+
+// match decodes raw as the reply to the call begun last. It reports ok
+// false for a reply to another XID (a stale datagram), which the caller
+// skips; otherwise it returns the call's results, which point into raw,
+// or the error the reply decodes to or its status reports.
+func (c *Client) match(raw []byte) (res []byte, ok bool, err error) {
+	if err := c.reply.Decode(raw); err != nil {
+		return nil, true, err
+	}
+	if c.reply.XID != c.xid {
+		return nil, false, nil
+	}
+	res, err = checkReply(&c.reply)
+	return res, true, err
 }
 
 // checkReply converts reply status to a Go error.
