@@ -4,16 +4,33 @@
 
 GO ?= go
 
-.PHONY: all ci lint build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix chaos elastic observe trace serve qos
+.PHONY: all ci lint inline build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix chaos elastic observe trace serve qos
 
 all: ci
 
 ci: lint build test race
 
-# gofmt must be clean; vet is part of the same lint gate.
-lint: vet
+# gofmt must be clean; vet and the inlining check are part of the same
+# lint gate.
+lint: vet inline
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The SM32 hot path is cheap only while the compiler inlines these at
+# every call site: the clock charge, the interpreter's fetch and word
+# windows, and vm's TLB probes. -gcflags=-m lists every function the
+# compiler can inline; fail unless each of these is listed.
+INLINED = '(*Clock).Advance' \
+	'(*Machine).decode' '(*Machine).load' '(*Machine).store' '(*Machine).pop' '(*Machine).push' \
+	'(*Space).hit' '(*Space).Cached' '(*Space).CachedExec'
+
+inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/clock ./internal/cpu ./internal/vm 2>&1)" || \
+		{ echo "$$out"; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$out" | awk -v f="$$f" '/: can inline / && $$NF == f { found = 1 } END { exit !found }' || \
+			{ echo "FAIL: $$f is not inlined"; exit 1; }; \
+	done
 
 build:
 	$(GO) build ./...

@@ -62,8 +62,20 @@ func (c *Clock) OnTick(fn func()) { c.onTick = fn }
 // Advance (to charge interrupt-handling cycles) are supported; the
 // recursion terminates because each handler invocation consumes the
 // boundary that triggered it.
+//
+// Every simulated instruction run and every kernel charge ends here, so
+// Advance is an add and a compare the compiler inlines at each call
+// site (`make inline` checks it); crossing a boundary takes tick.
 func (c *Clock) Advance(n uint64) {
 	c.cycles += n
+	if c.cycles >= c.nextTick {
+		c.tick()
+	}
+}
+
+// tick fires the timer interrupts for the tick boundaries the clock has
+// crossed: Advance's slow path.
+func (c *Clock) tick() {
 	for c.onTick != nil && c.cycles >= c.nextTick {
 		c.nextTick += CyclesPerTick
 		c.ticks++

@@ -20,7 +20,7 @@ func TestSMODCallAllocs(t *testing.T) {
 	k, sm := newSMod(t)
 	registerLibc(t, sm, nil)
 	var marks, want uint64
-	k.RegisterSyscall(testMarkNo, "test_mark", func(*kern.Kernel, *kern.Proc, []uint32) kern.Sysret {
+	k.RegisterSyscall(testMarkNo, "test_mark", 0, func(*kern.Kernel, *kern.Proc, []uint32) kern.Sysret {
 		marks++
 		return kern.Sysret{}
 	})

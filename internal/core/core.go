@@ -170,13 +170,13 @@ func Attach(k *kern.Kernel) *SMod {
 		sessions:    map[sessKey]*Session{},
 		byHandlePID: map[int]*Session{},
 	}
-	k.RegisterSyscall(SysFindNo, "smod_find", sm.sysFind)
-	k.RegisterSyscall(SysSessionInfoNo, "smod_session_info", sm.sysSessionInfo)
-	k.RegisterSyscall(SysHandleInfoNo, "smod_handle_info", sm.sysHandleInfo)
-	k.RegisterSyscall(SysAddNo, "smod_add", sm.sysAdd)
-	k.RegisterSyscall(SysRemoveNo, "smod_remove", sm.sysRemove)
-	k.RegisterSyscall(SysCallNo, "smod_call", sm.sysCall)
-	k.RegisterSyscall(SysStartSessionNo, "smod_start_session", sm.sysStartSession)
+	k.RegisterSyscall(SysFindNo, "smod_find", 2, sm.sysFind)
+	k.RegisterSyscall(SysSessionInfoNo, "smod_session_info", 0, sm.sysSessionInfo)
+	k.RegisterSyscall(SysHandleInfoNo, "smod_handle_info", 1, sm.sysHandleInfo)
+	k.RegisterSyscall(SysAddNo, "smod_add", 2, sm.sysAdd)
+	k.RegisterSyscall(SysRemoveNo, "smod_remove", 3, sm.sysRemove)
+	k.RegisterSyscall(SysCallNo, "smod_call", 3, sm.sysCall)
+	k.RegisterSyscall(SysStartSessionNo, "smod_start_session", 1, sm.sysStartSession)
 
 	k.OnExit(sm.onExit)
 	k.OnExec(sm.onExec)

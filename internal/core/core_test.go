@@ -542,7 +542,7 @@ func TestSyscallTableMatchesFigure4(t *testing.T) {
 		320: "smod_start_session",
 	}
 	for no, name := range want {
-		if got := k.SyscallName(no); got != name {
+		if got := k.Sysent(no).Name; got != name {
 			t.Errorf("syscall %d = %q, want %q", no, got, name)
 		}
 	}

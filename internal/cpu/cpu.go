@@ -16,8 +16,9 @@
 // (SETRV / PUSHRV). The caller pops its own arguments.
 //
 // Syscall convention: arguments are pushed right to left, then TRAP n.
-// The kernel reads arguments at SP, SP+4, ... and delivers the result by
-// setting RV. The stack is unchanged by TRAP itself.
+// The kernel reads as many argument words as syscall n declares at SP,
+// SP+4, ... and delivers the result by setting RV. The stack is
+// unchanged by TRAP itself.
 package cpu
 
 import (
@@ -211,17 +212,22 @@ const (
 // instruction, in the same order, and Exec flushes at least once per
 // tick, so the tick fires after the same instruction.
 //
-// Within a run the machine also keeps three run-local translations
-// (see window): the page of the last fetch, of the last word read and
-// of the last word written that hit the TLB. An access inside one of
-// them skips the probe. A zero Machine holds none, and all three are
-// dropped at the start of every Exec and Step and before every access
-// that takes vm's full path, so none outlives kernel code, a fault, a
-// copy-on-write break or an epoch bump. Inside a run nothing else
-// changes a mapping or a protection, so a translation needs no epoch
-// check: between two hits of one run the TLB answers the same. Each is
-// filled only by a hit of its own kind, so a read-only, copy-on-write
-// or --x page is never accessed on another kind's say-so.
+// The machine also keeps run-local translations (see window): the page
+// of the last fetch, of the last two words read and of the last two
+// words written that hit the TLB. An access inside one of them skips
+// the probe; the first read and write windows are tried inline at every
+// access site, the second ones just before the TLB. A zero Machine
+// holds none. They are dropped before every access that takes vm's full
+// path, so none outlives a fault or a copy-on-write break, and they
+// outlive a run, and the kernel code between two runs, only while the
+// space and its vm.Generation are the ones the last run ended under:
+// Exec and Step drop them otherwise. Whatever removes, replaces or
+// re-flags a page moves the generation, and the only protection changes
+// that do not (the kernel's WriteText and ReadText) are undone within
+// one kernel call, so no translation needs a check of its own: while
+// the generation holds, the TLB would answer the same. Each is filled
+// only by a hit of its own kind, so a read-only, copy-on-write or --x
+// page is never accessed on another kind's say-so.
 type Machine struct {
 	Space *vm.Space
 	Clock *clock.Clock
@@ -230,6 +236,12 @@ type Machine struct {
 	full    bool   // the current instruction took vm's full path
 
 	fetched, read, written window
+	read2, written2        window // what the last fills of read and written displaced
+
+	// ran and gen are the space and generation the last run ended
+	// under.
+	ran *vm.Space
+	gen vm.Generation
 }
 
 // A window is a run-local translation: page holds the addresses from
@@ -251,6 +263,22 @@ const (
 // drop forgets the run-local translations.
 func (m *Machine) drop() {
 	m.fetched, m.read, m.written = window{}, window{}, window{}
+	m.read2, m.written2 = window{}, window{}
+}
+
+// begin starts a run: it keeps the translations only if the space and
+// its generation are still the ones the last run ended under.
+func (m *Machine) begin() {
+	if m.Space != m.ran || m.Space.Generation() != m.gen {
+		m.drop()
+	}
+}
+
+// end finishes a run: it charges the pending cycles and notes what the
+// translations were taken under.
+func (m *Machine) end() {
+	m.flush()
+	m.ran, m.gen = m.Space, m.Space.Generation()
 }
 
 // flush charges the pending cycles.
@@ -305,12 +333,16 @@ func (m *Machine) push(ctx *Context, v uint32) bool {
 	return m.store(ctx.SP, v)
 }
 
-// read32 reads the word at addr from a TLB hit, which becomes the read
-// window, or through vm.
+// read32 reads the word at addr from the second read window or a TLB
+// hit, which becomes the read window, or through vm.
 func (m *Machine) read32(addr uint32) (uint32, error) {
+	if off := addr - m.read2.base; off < m.read2.limit {
+		m.read, m.read2 = m.read2, m.read
+		return binary.LittleEndian.Uint32(m.read.page.Data[off:]), nil
+	}
 	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
 		if pg, ok := m.Space.Cached(addr, vm.AccessRead); ok {
-			m.read = window{pg, addr - off, wordLimit}
+			m.read, m.read2 = window{pg, addr - off, wordLimit}, m.read
 			return binary.LittleEndian.Uint32(pg.Data[off:]), nil
 		}
 	}
@@ -318,12 +350,17 @@ func (m *Machine) read32(addr uint32) (uint32, error) {
 	return m.Space.Read32(addr)
 }
 
-// write32 writes the word at addr to a TLB hit, which becomes the write
-// window, or through vm.
+// write32 writes the word at addr to the second write window or a TLB
+// hit, which becomes the write window, or through vm.
 func (m *Machine) write32(addr, v uint32) error {
+	if off := addr - m.written2.base; off < m.written2.limit {
+		m.written, m.written2 = m.written2, m.written
+		binary.LittleEndian.PutUint32(m.written.page.Data[off:], v)
+		return nil
+	}
 	if off := addr & (mem.PageSize - 1); off <= mem.PageSize-4 {
 		if pg, ok := m.Space.Cached(addr, vm.AccessWrite); ok {
-			m.written = window{pg, addr - off, wordLimit}
+			m.written, m.written2 = window{pg, addr - off, wordLimit}, m.written
 			binary.LittleEndian.PutUint32(pg.Data[off:], v)
 			return nil
 		}
@@ -388,9 +425,9 @@ func (m *Machine) fetch(pc uint32) (op byte, imm uint32, err error) {
 // decode failures and division by zero. A faulting instruction is not
 // charged.
 func (m *Machine) Step(ctx *Context) (Stop, error) {
-	m.drop()
+	m.begin()
 	stop, err := m.step(ctx)
-	m.flush()
+	m.end()
 	return stop, err
 }
 
@@ -405,7 +442,7 @@ func (m *Machine) Exec(ctx *Context, max int) (n int, stop Stop, err error) {
 	if m.Clock != nil {
 		until = m.Clock.UntilTick()
 	}
-	m.drop()
+	m.begin()
 	for n < max {
 		n++
 		m.full = false
@@ -413,7 +450,7 @@ func (m *Machine) Exec(ctx *Context, max int) (n int, stop Stop, err error) {
 			break
 		}
 	}
-	m.flush()
+	m.end()
 	return n, stop, err
 }
 

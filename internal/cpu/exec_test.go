@@ -31,6 +31,11 @@ const (
 	shareHi  = 0x80000 // also the stack top
 )
 
+// maxExecSpaces bounds the spaces of an exec world: the client, the
+// handle and the fork child newExecWorld may build, and the forks
+// between adds.
+const maxExecSpaces = 6
+
 // execWorld is the memory and clock one program runs against. Its
 // clock is a kernel's, so the kernel's tick handler is installed.
 type execWorld struct {
@@ -111,6 +116,30 @@ func newExecWorld(t *testing.T, world byte, prog []byte) *execWorld {
 	}
 	w.ctx = cpu.Context{PC: pc, SP: shareHi, FP: shareHi}
 	return w
+}
+
+// between changes w's memory as kernel code between two runs could, as
+// control byte c asks. Only a byte with bit 4 clear asks: bit 7 forks
+// the space the program runs in, keeping the child so that the pages
+// both hold stay copy-on-write, and bits 5-6 name a page to unmap and
+// map again empty: the private page, the first data page or the stack
+// page. A world stops forking at maxExecSpaces spaces, since diff
+// compares every one after every call.
+func (w *execWorld) between(t *testing.T, c byte) {
+	t.Helper()
+	if c&0x10 != 0 {
+		return
+	}
+	if c&0x80 != 0 && len(w.spaces) < maxExecSpaces {
+		w.spaces = append(w.spaces, w.run.Fork())
+	}
+	if i := c >> 5 & 3; i != 0 {
+		page := [...]uint32{0, privPage, dataPage, stackLo}[i]
+		w.run.Unmap(page, page+mem.PageSize)
+		if _, err := w.run.Map(page, mem.PageSize, vm.ProtRW, "remapped"); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // diff returns a description of the first difference between w and o,
@@ -216,13 +245,26 @@ var execSeedSources = []string{
 		"\tPUSHI 0x80000\n\tSETSP\n\tPUSHI 1\n\tDROP\n\tJMP 0x10000\n",
 }
 
+// cowSeedSources store, between runs that fork, to pages the fork made
+// copy-on-write: the first increments a private word through its stack,
+// so both pages sit in write windows when a run ends; the second also
+// stores to the first data page.
+var cowSeedSources = []string{
+	"\tPUSHI 0x20010\n\tLOAD\n\tPUSHI 1\n\tADD\n\tPUSHI 0x20010\n\tSTORE\n\tJMP 0x10000\n",
+	"\tPUSHI 0x20010\n\tLOAD\n\tDUP\n\tPUSHI 0x40010\n\tSTORE\n\tPUSHI 1\n\tADD\n\tPUSHI 0x20010\n" +
+		"\tSTORE\n\tJMP 0x10000\n",
+}
+
 // FuzzExec runs one program in two identical worlds, through Exec in
-// one and RefMachine's Step in the other. ctl drives the calls: each
-// byte gives an Exec call its instruction limit (1 << the low four
-// bits) and, with bit 4 set, first moves both clocks to (byte >> 5)
-// cycles before their next tick. After every call the reference steps
-// as many instructions as Exec reported; no earlier one may have
-// trapped, halted, faulted or fired a tick, and the worlds must agree.
+// one and RefMachine's Step in the other, with one Machine for all of
+// a world's Exec calls, as the kernel keeps one per process. ctl drives
+// the calls: each byte gives an Exec call its instruction limit (1 <<
+// the low four bits) and first, with bit 4 set, moves both clocks to
+// (byte >> 5) cycles before their next tick, or with bit 4 clear
+// changes both worlds' memory as between says. After every call the
+// reference steps as many instructions as Exec reported; no earlier one
+// may have trapped, halted, faulted or fired a tick, and the worlds
+// must agree.
 func FuzzExec(f *testing.F) {
 	ctls := [][]byte{{0x0F}, {0x00, 0x01, 0x1C, 0x3F, 0xFF}, {0x93, 0x18, 0x0A, 0xB5}}
 	worlds := []byte{0x00, 0x01, 0x02, 0x1D, 0x16, 0x21, 0x40, 0x61, 0x35}
@@ -233,6 +275,20 @@ func FuzzExec(f *testing.F) {
 		}
 		for j, w := range worlds {
 			f.Add(w, ctls[(i+j)%len(ctls)], o.Text)
+		}
+	}
+	// Runs of up to 64 instructions, which fill the windows once the
+	// TLBs are warm, then a fork between two runs (0x86), a remapped
+	// private page (0x26), and a fork with a remapped stack (0xE6) or
+	// data page (0xC6).
+	cowCtl := []byte{0x06, 0x06, 0x06, 0x06, 0x86, 0x06, 0x26, 0x06, 0xE6, 0x06, 0xC6, 0x06}
+	for i, src := range cowSeedSources {
+		o, err := asm.Assemble("seed.s", src)
+		if err != nil {
+			f.Fatalf("copy-on-write seed %d: %v", i, err)
+		}
+		for _, w := range []byte{0x00, 0x21, 0x40, 0x61} {
+			f.Add(w, cowCtl, o.Text)
 		}
 	}
 	f.Fuzz(func(t *testing.T, world byte, ctl, prog []byte) {
@@ -248,6 +304,8 @@ func FuzzExec(f *testing.F) {
 		budget := 4096
 		for call := 0; call < 256 && budget > 0; call++ {
 			c := ctl[call%len(ctl)]
+			got.between(t, c)
+			want.between(t, c)
 			if c&0x10 != 0 {
 				for _, w := range []*execWorld{got, want} {
 					if u, d := w.clk.UntilTick(), uint64(c>>5); u > d {

@@ -121,11 +121,12 @@ func BenchmarkExec(b *testing.B) {
 	}
 }
 
-// TestWindowsEndWithTheRun: a run-local translation does not outlive
-// its run. Between two runs of stepLoop, whose every instruction
-// touches its stack, the stack is unmapped; the next run, by Exec or by
-// Step, must fault on it instead of using the page it last hit.
-func TestWindowsEndWithTheRun(t *testing.T) {
+// TestNoWindowOutlivesAnEpochBump: a run-local translation does not
+// outlive an epoch bump. Between two runs of stepLoop, whose every
+// instruction touches its stack, the stack is unmapped; the next run, by
+// Exec or by Step, must fault on it instead of using the page it last
+// hit.
+func TestNoWindowOutlivesAnEpochBump(t *testing.T) {
 	for _, step := range []bool{false, true} {
 		m, ctx := stepLoop(t)
 		run := func() error {

@@ -278,7 +278,7 @@ func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.Resul
 		// shared.
 		sh.mid = sh.sm.Module(mid).ID
 	}
-	sh.k.RegisterSyscall(SysParkNo, "fleet_park", sh.sysPark)
+	sh.k.RegisterSyscall(SysParkNo, "fleet_park", 0, sh.sysPark)
 	return sh, nil
 }
 

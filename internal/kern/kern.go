@@ -143,6 +143,12 @@ type Proc struct {
 	State    ProcState
 	Cred     Cred
 
+	// machine runs an SM32 process's code on Space. It lasts as long as
+	// the address space, so the translations it keeps between runs
+	// survive a trap: loadImage and fork give each new SM32 space a new
+	// machine, and exit forgets it.
+	machine cpu.Machine
+
 	// ExitStatus is valid once State >= StateZombie.
 	ExitStatus int
 	// KilledBy is the fatal signal, if any.
@@ -167,7 +173,7 @@ type Proc struct {
 	onRunq  bool
 	// args holds the arguments of the syscall being serviced. It lives
 	// in the process so that servicing a syscall allocates nothing.
-	args [6]uint32
+	args [maxSyscallArgs]uint32
 	// pending marks a blocked syscall, number pendingNo, to retry on
 	// wakeup. An SM32 retry rereads its arguments from the user stack;
 	// a native retry finds them still in args.
@@ -226,10 +232,9 @@ type Kernel struct {
 	// BenchmarkLiveCount).
 	nlive int
 
-	// syscalls holds the handlers by syscall number; a nil entry or a
-	// number past the end is ENOSYS.
-	syscalls []SyscallFn
-	sysNames map[uint32]string
+	// sysent is the syscall table, indexed by number; an entry with no
+	// handler, or a number past the end, is ENOSYS.
+	sysent []Sysent
 
 	// spareProcs and spareSys hold released descriptors, most recently
 	// released last, for newProc and SpawnStepper to reuse (at most
@@ -268,6 +273,9 @@ type Kernel struct {
 	// Stats.
 	ContextSwitches uint64
 	SyscallCount    uint64
+	// ArgFaults counts SM32 traps that found a declared argument word
+	// unmapped past the caller's stack and read it as zero.
+	ArgFaults uint64
 
 	// MaxStepsPerSlice bounds SM32 instructions executed per dispatch
 	// when no tick fires, keeping runaway loops schedulable.
@@ -282,8 +290,7 @@ func New() *Kernel {
 		Phys:      mem.NewPhys(536_440_832),
 		Costs:     clock.Base(),
 		procs:     map[int]*Proc{},
-		syscalls:  make([]SyscallFn, syscallTableSize),
-		sysNames:  map[uint32]string{},
+		sysent:    make([]Sysent, syscallTableSize),
 		msgqs:     map[int]*MsgQueue{},
 		msgqKeys:  map[int32]int{},
 		ports:     map[uint16]*Socket{},
@@ -315,31 +322,32 @@ func (k *Kernel) newSpace() *vm.Space {
 	return s
 }
 
-// syscallTableSize bounds syscall numbers: handlers sit in a table
+// syscallTableSize bounds syscall numbers: entries sit in a table
 // indexed by number, and every number in this tree is below it.
 const syscallTableSize = 512
 
-// RegisterSyscall installs handler as syscall number no, which must be
-// below syscallTableSize. The SecModule layer uses this to add the
-// Figure 4 syscalls (301-320) without kern importing core.
-func (k *Kernel) RegisterSyscall(no uint32, name string, fn SyscallFn) {
+// RegisterSyscall installs handler fn as syscall number no, which must
+// be below syscallTableSize, reading nargs argument words (at most six).
+// The SecModule layer uses this to add the Figure 4 syscalls (301-320)
+// without kern importing core.
+func (k *Kernel) RegisterSyscall(no uint32, name string, nargs int, fn SyscallFn) {
 	if no >= syscallTableSize {
 		panic(fmt.Sprintf("kern: syscall number %d, the table holds %d", no, syscallTableSize))
 	}
-	k.syscalls[no] = fn
-	k.sysNames[no] = name
-}
-
-// syscall returns the handler of syscall no, or nil.
-func (k *Kernel) syscall(no uint32) SyscallFn {
-	if uint64(no) < uint64(len(k.syscalls)) {
-		return k.syscalls[no]
+	if nargs < 0 || nargs > maxSyscallArgs {
+		panic(fmt.Sprintf("kern: syscall %s reads %d argument words, at most %d", name, nargs, maxSyscallArgs))
 	}
-	return nil
+	k.sysent[no] = Sysent{Name: name, NArgs: nargs, Fn: fn}
 }
 
-// SyscallName returns the registered name of syscall no, or "".
-func (k *Kernel) SyscallName(no uint32) string { return k.sysNames[no] }
+// Sysent returns the table entry of syscall no; its Fn is nil when no
+// handler is registered.
+func (k *Kernel) Sysent(no uint32) Sysent {
+	if uint64(no) < uint64(len(k.sysent)) {
+		return k.sysent[no]
+	}
+	return Sysent{}
+}
 
 // RegisterProgram adds an executable image under path in the simulated
 // filesystem (for execve and SpawnProgram).
@@ -662,7 +670,7 @@ func (k *Kernel) dispatch(p *Proc) error {
 }
 
 func (k *Kernel) dispatchSM32(p *Proc) error {
-	m := &cpu.Machine{Space: p.Space, Clock: k.Clk}
+	m := &p.machine
 
 	// Retry a syscall that blocked earlier: arguments are still on the
 	// user stack, PC already past the TRAP.
@@ -674,7 +682,6 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 		if p.State != StateRunning {
 			return nil
 		}
-		m.Space = p.Space // execve may have replaced the address space
 	}
 
 	// Exec ends a run at every tick it fires, so the loop sees k.preempt
@@ -709,7 +716,6 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 			if p.State != StateRunning {
 				return nil // exited or switched away
 			}
-			m.Space = p.Space // execve may have replaced the address space
 		}
 		if k.preempt {
 			return nil
@@ -723,18 +729,22 @@ func (k *Kernel) dispatchSM32(p *Proc) error {
 func (k *Kernel) serviceTrap(p *Proc, no uint32) bool {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
-	fn := k.syscall(no)
-	if fn == nil {
+	e := k.Sysent(no)
+	if e.Fn == nil {
 		nosys := int32(ENOSYS)
 		p.CPU.RV = uint32(-nosys)
 		k.Clk.Advance(k.Costs.Trap)
 		return true
 	}
-	// Read up to 6 argument words from the user stack. Words past its
-	// top are expected to be unmapped and read as zero.
-	n := p.Space.ProbeWords(p.CPU.SP, p.args[:])
-	clear(p.args[n:])
-	res := fn(k, p, p.args[:])
+	// Read the declared argument words off the user stack, as OpenBSD
+	// copies in sy_argsize bytes. A word past the stack top is unmapped
+	// and reads as zero.
+	args := p.args[:e.NArgs]
+	if n := p.Space.ProbeWords(p.CPU.SP, args); n < len(args) {
+		clear(args[n:])
+		k.ArgFaults++
+	}
+	res := e.Fn(k, p, args)
 	if res.BlockOn != nil {
 		k.sleep(p, res.BlockOn)
 		return false
@@ -784,6 +794,7 @@ func (k *Kernel) doExit(p *Proc, status int) {
 	p.State = StateZombie
 	k.nlive--
 	p.Space.UnmapAll()
+	p.machine = cpu.Machine{}
 	for _, s := range p.fds {
 		k.closeSocket(s)
 	}

@@ -177,6 +177,49 @@ val: .word 0
 	}
 }
 
+// TestForkBetweenRunsBreaksCOWOnPush: the translations a process keeps
+// from one run to the next do not survive a fork. One run fills the
+// write window on the stack page; a fork between that run and the next
+// makes the page copy-on-write, so the next push must break
+// copy-on-write instead of writing to the page the child shares.
+func TestForkBetweenRunsBreaksCOWOnPush(t *testing.T) {
+	k := New()
+	p, err := k.Spawn("pusher", Cred{}, buildProg(t, `
+.text
+.global _start
+_start:
+	PUSHI 1
+	PUSHI 2
+	PUSHI 3
+	HALT
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One slice of two pushes: the first faults the stack page in, the
+	// second hits the TLB and fills the write window.
+	k.MaxStepsPerSlice = 2
+	if err := k.dispatch(k.pickNext()); err != nil {
+		t.Fatal(err)
+	}
+	child := k.ForkInto(p, "child")
+	defer k.Kill(child, SIGKILL)
+	k.MaxStepsPerSlice = 1
+	if err := k.dispatch(k.pickNext()); err != nil {
+		t.Fatal(err)
+	}
+	const slot = UserStackTop - 12 // where PUSHI 3 writes
+	if v, err := child.Space.Read32(slot); err != nil || v != 0 {
+		t.Fatalf("child's stack word = %d, %v; the parent's push after the fork reached it", v, err)
+	}
+	if v, err := p.Space.Read32(slot); err != nil || v != 3 {
+		t.Fatalf("parent's stack word = %d, %v; want 3", v, err)
+	}
+	if p.Space.COWCopies != 1 {
+		t.Fatalf("parent broke copy-on-write %d times, want 1", p.Space.COWCopies)
+	}
+}
+
 func TestNativeProcessRunsAndExits(t *testing.T) {
 	k := New()
 	var sawPID int
@@ -709,7 +752,7 @@ func TestRetriedSyscallTickPreempts(t *testing.T) {
 	const tickNo = 398
 	open := false
 	var q WaitQ
-	k.RegisterSyscall(tickNo, "test_tick", func(k *Kernel, _ *Proc, _ []uint32) Sysret {
+	k.RegisterSyscall(tickNo, "test_tick", 0, func(k *Kernel, _ *Proc, _ []uint32) Sysret {
 		if !open {
 			return Sysret{BlockOn: &q}
 		}

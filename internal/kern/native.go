@@ -486,12 +486,12 @@ func (k *Kernel) dispatchNative(p *Proc) error {
 func (k *Kernel) serviceNative(p *Proc, no uint32) (bool, natReply) {
 	k.Clk.Advance(k.Costs.Trap + k.Costs.SyscallDemux)
 	k.SyscallCount++
-	fn := k.syscall(no)
-	if fn == nil {
+	e := k.Sysent(no)
+	if e.Fn == nil {
 		k.Clk.Advance(k.Costs.Trap)
 		return true, natReply{errno: ENOSYS}
 	}
-	res := fn(k, p, p.args[:])
+	res := e.Fn(k, p, p.args[:e.NArgs])
 	if res.BlockOn != nil {
 		k.sleep(p, res.BlockOn)
 		return false, natReply{}

@@ -62,6 +62,7 @@ func (k *Kernel) loadImage(p *Proc, im *obj.Image) error {
 		old.UnmapAll()
 	}
 	p.Space = s
+	p.machine = cpu.Machine{Space: s, Clock: k.Clk}
 	p.CPU = cpu.Context{PC: im.Entry, SP: UserStackTop, FP: UserStackTop}
 	p.started = true
 	return nil
@@ -116,6 +117,7 @@ func (k *Kernel) newChild(p *Proc, name string) *Proc {
 	p.children = append(p.children, child)
 	child.Cred = p.Cred
 	child.CPU = p.CPU
+	child.machine = cpu.Machine{Space: child.Space, Clock: k.Clk}
 	return child
 }
 

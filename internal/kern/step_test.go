@@ -20,7 +20,7 @@ const testBlockNo = 397
 func registerBlock(k *Kernel) (release func()) {
 	open := false
 	var q WaitQ
-	k.RegisterSyscall(testBlockNo, "test_block", func(*Kernel, *Proc, []uint32) Sysret {
+	k.RegisterSyscall(testBlockNo, "test_block", 0, func(*Kernel, *Proc, []uint32) Sysret {
 		if !open {
 			return Sysret{BlockOn: &q}
 		}

@@ -40,11 +40,26 @@ type Sysret struct {
 	BlockOn *WaitQ
 }
 
-// SyscallFn is a syscall handler. args holds up to six words read from
-// the caller's stack; pointer arguments refer to the caller's address
+// SyscallFn is a syscall handler. args holds exactly the argument words
+// its table entry declares, read from the caller's stack (or handed over
+// by a native caller); pointer arguments refer to the caller's address
 // space and must be accessed via CopyIn/CopyOut. The slice is the
 // kernel's buffer, valid only until the handler returns.
 type SyscallFn func(k *Kernel, p *Proc, args []uint32) Sysret
+
+// Sysent is one entry of the syscall table, after OpenBSD's struct
+// sysent: the syscall's name, the number of argument words its handler
+// reads (sy_narg) and the handler. A trap reads exactly NArgs words off
+// the caller's stack and hands the handler a slice of that length, so a
+// handler reading past its declared count panics.
+type Sysent struct {
+	Name  string
+	NArgs int
+	Fn    SyscallFn
+}
+
+// maxSyscallArgs is the most argument words a syscall may declare.
+const maxSyscallArgs = 6
 
 func ok(v uint32) Sysret    { return Sysret{Val: v} }
 func fail(errno int) Sysret { return Sysret{Err: errno} }
@@ -97,24 +112,26 @@ func (k *Kernel) CopyInStr(p *Proc, addr uint32) (string, error) {
 	return "", fmt.Errorf("kern: unterminated string at %#x", addr)
 }
 
+// registerBaseSyscalls fills k's table with the classic syscalls. Each
+// declares the argument words its handler reads.
 func registerBaseSyscalls(k *Kernel) {
-	k.RegisterSyscall(SYSexit, "exit", sysExit)
-	k.RegisterSyscall(SYSfork, "fork", sysFork)
-	k.RegisterSyscall(SYSwrite, "write", sysWrite)
-	k.RegisterSyscall(SYSwait4, "wait4", sysWait4)
-	k.RegisterSyscall(SYSobreak, "break", sysObreak)
-	k.RegisterSyscall(SYSgetpid, "getpid", sysGetpid)
-	k.RegisterSyscall(SYSptrace, "ptrace", sysPtrace)
-	k.RegisterSyscall(SYSkill, "kill", sysKill)
-	k.RegisterSyscall(SYSexecve, "execve", sysExecve)
-	k.RegisterSyscall(SYSsocket, "socket", sysSocket)
-	k.RegisterSyscall(SYSbind, "bind", sysBind)
-	k.RegisterSyscall(SYSsendto, "sendto", sysSendto)
-	k.RegisterSyscall(SYSrecvfrom, "recvfrom", sysRecvfrom)
-	k.RegisterSyscall(SYSmsgget, "msgget", sysMsgget)
-	k.RegisterSyscall(SYSmsgsnd, "msgsnd", sysMsgsnd)
-	k.RegisterSyscall(SYSmsgrcv, "msgrcv", sysMsgrcv)
-	k.RegisterSyscall(SYSyield, "yield", sysYield)
+	k.RegisterSyscall(SYSexit, "exit", 1, sysExit)
+	k.RegisterSyscall(SYSfork, "fork", 0, sysFork)
+	k.RegisterSyscall(SYSwrite, "write", 3, sysWrite)
+	k.RegisterSyscall(SYSwait4, "wait4", 2, sysWait4)
+	k.RegisterSyscall(SYSobreak, "break", 1, sysObreak)
+	k.RegisterSyscall(SYSgetpid, "getpid", 0, sysGetpid)
+	k.RegisterSyscall(SYSptrace, "ptrace", 2, sysPtrace)
+	k.RegisterSyscall(SYSkill, "kill", 2, sysKill)
+	k.RegisterSyscall(SYSexecve, "execve", 1, sysExecve)
+	k.RegisterSyscall(SYSsocket, "socket", 2, sysSocket)
+	k.RegisterSyscall(SYSbind, "bind", 2, sysBind)
+	k.RegisterSyscall(SYSsendto, "sendto", 4, sysSendto)
+	k.RegisterSyscall(SYSrecvfrom, "recvfrom", 4, sysRecvfrom)
+	k.RegisterSyscall(SYSmsgget, "msgget", 1, sysMsgget)
+	k.RegisterSyscall(SYSmsgsnd, "msgsnd", 3, sysMsgsnd)
+	k.RegisterSyscall(SYSmsgrcv, "msgrcv", 4, sysMsgrcv)
+	k.RegisterSyscall(SYSyield, "yield", 0, sysYield)
 }
 
 func sysExit(k *Kernel, p *Proc, args []uint32) Sysret {
@@ -290,6 +307,12 @@ func le32(v uint32) []byte {
 // WriteText pokes bytes into a mapped region regardless of its write
 // protection — the kernel-side loader path (program text is mapped R-X
 // for userland but the kernel writes it during load/decrypt).
+//
+// WriteText and ReadText are the only code that changes an entry's
+// Prot, and each restores it before it returns, within one kernel call.
+// No bump marks the change, so this is what lets the translations an
+// SM32 process's cpu.Machine keeps between runs, which check only the
+// space's vm.Generation, skip the protection check.
 func WriteText(s *vm.Space, addr uint32, b []byte) error {
 	e := s.FindEntry(addr)
 	if e == nil {
@@ -303,7 +326,8 @@ func WriteText(s *vm.Space, addr uint32, b []byte) error {
 }
 
 // ReadText reads bytes from a mapped region regardless of read
-// protection (kernel-side).
+// protection (kernel-side). Like WriteText, it restores the entry's
+// Prot before it returns.
 func ReadText(s *vm.Space, addr uint32, n int) ([]byte, error) {
 	e := s.FindEntry(addr)
 	if e == nil {

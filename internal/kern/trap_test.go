@@ -1,6 +1,9 @@
 package kern
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The syscall trap path must not allocate on success: a trap that
 // builds an error for every argument word past the stack top, or
@@ -82,4 +85,65 @@ func BenchmarkTrapGetpid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trap()
 	}
+}
+
+// TestShortCallerReadsZeros: a caller that pushes fewer argument words
+// than its syscall declares still hands the handler all of them, the
+// missing ones, past the stack top, read as zero; the kernel counts the
+// trap in ArgFaults.
+func TestShortCallerReadsZeros(t *testing.T) {
+	const no = 400
+	k := New()
+	var got []uint32
+	k.RegisterSyscall(no, "test_args", 3, func(_ *Kernel, _ *Proc, args []uint32) Sysret {
+		got = append([]uint32(nil), args...)
+		return ok(0)
+	})
+	if _, err := k.Spawn("short", Cred{}, buildProg(t, fmt.Sprintf(`
+.text
+.global _start
+_start:
+	PUSHI 7
+	TRAP %d
+	HALT
+`, no))); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[7 0 0]" {
+		t.Fatalf("handler got %v, want [7 0 0]", got)
+	}
+	if k.ArgFaults != 1 {
+		t.Fatalf("ArgFaults = %d, want 1", k.ArgFaults)
+	}
+}
+
+// TestHandlerSeesOnlyDeclaredArgs: a handler gets a slice of exactly its
+// declared words, so reading past them panics instead of reading a
+// stale or zero word.
+func TestHandlerSeesOnlyDeclaredArgs(t *testing.T) {
+	const no = 400
+	k := New()
+	k.RegisterSyscall(no, "test_overread", 1, func(_ *Kernel, _ *Proc, args []uint32) Sysret {
+		return ok(args[1])
+	})
+	if _, err := k.Spawn("overread", Cred{}, buildProg(t, fmt.Sprintf(`
+.text
+.global _start
+_start:
+	PUSHI 2
+	PUSHI 1
+	TRAP %d
+	HALT
+`, no))); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a handler reading past its declared words did not panic")
+		}
+	}()
+	k.Run(0)
 }

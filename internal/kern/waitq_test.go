@@ -127,7 +127,7 @@ func TestMsgRTokenOfFreedQueueNeverWakes(t *testing.T) {
 	const consumeNo = 396
 	id := k.AllocMsgq()
 	tries := 0
-	k.RegisterSyscall(consumeNo, "test_consume", func(k *Kernel, _ *Proc, _ []uint32) Sysret {
+	k.RegisterSyscall(consumeNo, "test_consume", 0, func(k *Kernel, _ *Proc, _ []uint32) Sysret {
 		tries++
 		var b [4]byte
 		if _, ok := k.MsgRecvKernel(id, 0, b[:]); !ok {

@@ -21,7 +21,7 @@ import (
 // timestamps accumulate into.
 func markKernel(k *kern.Kernel) *[]uint64 {
 	marks := &[]uint64{}
-	k.RegisterSyscall(SysMark, "bench_mark", func(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret {
+	k.RegisterSyscall(SysMark, "bench_mark", 0, func(k *kern.Kernel, p *kern.Proc, args []uint32) kern.Sysret {
 		*marks = append(*marks, k.Clk.Cycles())
 		return kern.Sysret{Val: 0}
 	})

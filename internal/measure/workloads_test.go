@@ -30,7 +30,7 @@ func TestSimRPCRowStartsNoGoroutine(t *testing.T) {
 	var marks []uint64
 	before := runtime.NumGoroutine()
 	most := 0
-	k.RegisterSyscall(SysMark, "bench_mark", func(k *kern.Kernel, _ *kern.Proc, _ []uint32) kern.Sysret {
+	k.RegisterSyscall(SysMark, "bench_mark", 0, func(k *kern.Kernel, _ *kern.Proc, _ []uint32) kern.Sysret {
 		most = max(most, runtime.NumGoroutine())
 		marks = append(marks, k.Clk.Cycles())
 		return kern.Sysret{}

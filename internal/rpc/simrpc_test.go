@@ -244,7 +244,7 @@ func TestSimRPCCallAllocs(t *testing.T) {
 	const markNo = 398
 	k := kern.New()
 	var marks, want uint64
-	k.RegisterSyscall(markNo, "test_mark", func(*kern.Kernel, *kern.Proc, []uint32) kern.Sysret {
+	k.RegisterSyscall(markNo, "test_mark", 0, func(*kern.Kernel, *kern.Proc, []uint32) kern.Sysret {
 		marks++
 		return kern.Sysret{}
 	})

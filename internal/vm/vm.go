@@ -371,6 +371,21 @@ func NewSpace(phys *mem.Phys, clk *clock.Clock) *Space {
 	return s
 }
 
+// A Generation names the state of a space's translations. While a
+// space's Generation stays the same, every page its TLBs could hold
+// stays mapped at its address in the same entry, needing no
+// copy-on-write break it did not need before, so a translation taken
+// from a TLB hit stays good. Entry protections are the one exception:
+// the kernel's WriteText and ReadText widen one and restore it within a
+// single kernel call, and nothing else changes one.
+type Generation struct {
+	epoch *uint64
+	n     uint64
+}
+
+// Generation returns s's current generation.
+func (s *Space) Generation() Generation { return Generation{s.epoch, *s.epoch} }
+
 // bump invalidates every translation cached under s's epoch, in s and
 // in every space sharing the epoch. Whatever removes, replaces,
 // re-counts or re-flags a page a slot may hold calls it; adding a page
