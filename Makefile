@@ -4,15 +4,15 @@
 
 GO ?= go
 
-.PHONY: all ci lint inline build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix chaos elastic observe trace serve qos
+.PHONY: all ci lint inline fuzzlist build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix chaos elastic observe trace serve qos
 
 all: ci
 
 ci: lint build test race
 
-# gofmt must be clean; vet and the inlining check are part of the same
-# lint gate.
-lint: vet inline
+# gofmt must be clean; vet, the inlining check and the fuzz-target
+# check are part of the same lint gate.
+lint: vet inline fuzzlist
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
@@ -30,6 +30,18 @@ inline:
 	for f in $(INLINED); do \
 		echo "$$out" | awk -v f="$$f" '/: can inline / && $$NF == f { found = 1 } END { exit !found }' || \
 			{ echo "FAIL: $$f is not inlined"; exit 1; }; \
+	done
+
+# Every fuzz target in the tree must run in fuzz-short (below) and in
+# the nightly matrix (.github/workflows/fuzz-nightly.yml); fail on one
+# missing from either list.
+fuzzlist:
+	@for f in $$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]+' . | \
+			sed 's/^func //' | sort -u); do \
+		grep -q -- "-fuzz=$$f -fuzztime" Makefile || \
+			{ echo "FAIL: $$f is missing from make fuzz-short"; exit 1; }; \
+		grep -q "target: $$f$$" .github/workflows/fuzz-nightly.yml || \
+			{ echo "FAIL: $$f is missing from .github/workflows/fuzz-nightly.yml"; exit 1; }; \
 	done
 
 build:

@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/measure"
 	"repro/internal/rpc"
@@ -29,17 +28,8 @@ func usage() {
 	os.Exit(2)
 }
 
-func dialFlag(fs *flag.FlagSet) (tcp *string, udp *string) {
-	tcp = fs.String("tcp", "127.0.0.1:4045", "daemon RPC TCP address")
-	udp = fs.String("udp", "", "daemon RPC UDP address (overrides -tcp)")
-	return
-}
-
-func dial(tcp, udp string) (*rpc.Client, error) {
-	if udp != "" {
-		return rpc.DialUDP(udp, 5*time.Second)
-	}
-	return rpc.DialTCP(tcp)
+func dialFlag(fs *flag.FlagSet) *string {
+	return fs.String("tcp", "127.0.0.1:4045", "daemon RPC TCP address")
 }
 
 func fetch(addr, path string) error {
@@ -63,22 +53,22 @@ func main() {
 	switch os.Args[1] {
 	case "call":
 		fs := flag.NewFlagSet("call", flag.ExitOnError)
-		tcp, udp := dialFlag(fs)
+		tcp := dialFlag(fs)
 		key := fs.String("key", "c0001", "sticky session key")
 		fn := fs.String("fn", "incr", "module function name")
 		arg := fs.Uint("arg", 41, "call argument")
 		release := fs.Bool("release", false, "release the key's sessions afterwards")
 		fs.Parse(os.Args[2:])
-		err = runCall(*tcp, *udp, *key, *fn, uint32(*arg), *release)
+		err = runCall(*tcp, *key, *fn, uint32(*arg), *release)
 	case "burst":
 		fs := flag.NewFlagSet("burst", flag.ExitOnError)
-		tcp, udp := dialFlag(fs)
+		tcp := dialFlag(fs)
 		clients := fs.Int("clients", 8, "concurrent clients")
 		calls := fs.Int("calls", 100, "calls per client")
 		fs.Parse(os.Args[2:])
 		var st measure.WallClockStats
 		st, err = measure.RunWallClockBurst(func() (*rpc.Client, error) {
-			return dial(*tcp, *udp)
+			return rpc.DialTCP(*tcp)
 		}, *clients, *calls)
 		fmt.Println(st)
 	case "status":
@@ -100,8 +90,8 @@ func main() {
 	}
 }
 
-func runCall(tcp, udp, key, fn string, arg uint32, release bool) error {
-	cl, err := dial(tcp, udp)
+func runCall(tcp, key, fn string, arg uint32, release bool) error {
+	cl, err := rpc.DialTCP(tcp)
 	if err != nil {
 		return err
 	}

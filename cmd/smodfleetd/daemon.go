@@ -27,10 +27,9 @@ type Config struct {
 	// SpecPath is the fleet spec document the daemon loads, serves, and
 	// watches for live edits.
 	SpecPath string
-	// TCPAddr, UDPAddr and HTTPAddr are the listen addresses for the
-	// RPC transports and the observability endpoint.
+	// TCPAddr and HTTPAddr are the listen addresses for the RPC service
+	// and the observability endpoint.
 	TCPAddr  string
-	UDPAddr  string
 	HTTPAddr string
 	// Barrier is the reconcile cadence: one reconcile step (and with it
 	// one rebalance barrier) per interval.
@@ -110,7 +109,6 @@ type Daemon struct {
 	reg  *metrics.Registry
 
 	tcpLn   net.Listener
-	udpConn net.PacketConn
 	httpLn  net.Listener
 	httpSrv *http.Server
 
@@ -168,9 +166,6 @@ func New(cfg Config) (*Daemon, error) {
 		if d.tcpLn != nil {
 			d.tcpLn.Close()
 		}
-		if d.udpConn != nil {
-			d.udpConn.Close()
-		}
 		if d.httpLn != nil {
 			d.httpLn.Close()
 		}
@@ -180,12 +175,6 @@ func New(cfg Config) (*Daemon, error) {
 		if d.tcpLn, err = net.Listen("tcp", cfg.TCPAddr); err != nil {
 			closeAll()
 			return nil, fmt.Errorf("smodfleetd: tcp listen: %w", err)
-		}
-	}
-	if cfg.UDPAddr != "" {
-		if d.udpConn, err = net.ListenPacket("udp", cfg.UDPAddr); err != nil {
-			closeAll()
-			return nil, fmt.Errorf("smodfleetd: udp listen: %w", err)
 		}
 	}
 	if cfg.HTTPAddr != "" {
@@ -204,20 +193,13 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// TCPAddr, UDPAddr and HTTPAddr return the bound listener addresses
-// ("" when that listener is disabled).
+// TCPAddr and HTTPAddr return the bound listener addresses ("" when
+// that listener is disabled).
 func (d *Daemon) TCPAddr() string {
 	if d.tcpLn == nil {
 		return ""
 	}
 	return d.tcpLn.Addr().String()
-}
-
-func (d *Daemon) UDPAddr() string {
-	if d.udpConn == nil {
-		return ""
-	}
-	return d.udpConn.LocalAddr().String()
 }
 
 func (d *Daemon) HTTPAddr() string {
@@ -231,9 +213,6 @@ func (d *Daemon) writeAddrFile() error {
 	var b strings.Builder
 	if a := d.TCPAddr(); a != "" {
 		fmt.Fprintf(&b, "tcp=%s\n", a)
-	}
-	if a := d.UDPAddr(); a != "" {
-		fmt.Fprintf(&b, "udp=%s\n", a)
 	}
 	if a := d.HTTPAddr(); a != "" {
 		fmt.Fprintf(&b, "http=%s\n", a)
@@ -327,25 +306,15 @@ func (d *Daemon) Run(ctx context.Context, hup <-chan os.Signal) error {
 	srv := rpc.NewServer()
 	rpc.RegisterFleetService(srv, d.gate)
 
-	// served counts the RPC transports still serving: each returns
-	// once its listener is closed and none of its connections or
-	// workers is left.
-	var served sync.WaitGroup
+	// served is closed once ServeTCP has returned: its listener is
+	// closed and none of its connections is left.
+	served := make(chan struct{})
 	if d.tcpLn != nil {
-		served.Add(1)
 		go func() {
-			defer served.Done()
+			defer close(served)
 			rpc.ServeTCP(d.tcpLn, srv)
 		}()
 		d.cfg.Logf("serving rpc/tcp on %s", d.TCPAddr())
-	}
-	if d.udpConn != nil {
-		served.Add(1)
-		go func() {
-			defer served.Done()
-			rpc.ServeUDP(d.udpConn, srv)
-		}()
-		d.cfg.Logf("serving rpc/udp on %s", d.UDPAddr())
 	}
 	if d.httpSrv != nil {
 		go d.httpSrv.Serve(d.httpLn)
@@ -382,14 +351,11 @@ func (d *Daemon) Run(ctx context.Context, hup <-chan os.Signal) error {
 				d.cfg.Logf("shutdown: drain timed out after %s", d.cfg.DrainTimeout)
 			}
 			if d.tcpLn != nil {
+				// No served connection outlives Run: ServeTCP closes
+				// its connections and returns before the fleet closes.
 				d.tcpLn.Close()
+				<-served
 			}
-			if d.udpConn != nil {
-				d.udpConn.Close()
-			}
-			// No served connection outlives Run: the transports close
-			// theirs and return before the fleet closes.
-			served.Wait()
 			stopLoop()
 			<-loopDone
 			if d.httpSrv != nil {

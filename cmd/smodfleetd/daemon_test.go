@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -57,7 +58,6 @@ func TestDaemonServeEditConverge(t *testing.T) {
 	d, err := New(Config{
 		SpecPath: specPath,
 		TCPAddr:  "127.0.0.1:0",
-		UDPAddr:  "127.0.0.1:0",
 		HTTPAddr: "127.0.0.1:0",
 		Barrier:  20 * time.Millisecond,
 		AddrFile: addrPath,
@@ -81,7 +81,7 @@ func TestDaemonServeEditConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []string{"tcp=", "udp=", "http="} {
+	for _, proto := range []string{"tcp=", "http="} {
 		if !strings.Contains(string(addrs), proto) {
 			t.Fatalf("addr file lacks %q:\n%s", proto, addrs)
 		}
@@ -125,22 +125,6 @@ func TestDaemonServeEditConverge(t *testing.T) {
 	}
 	if st.Errors != 0 || st.TotalCalls != 100 {
 		t.Fatalf("tcp burst lost calls: %+v", st)
-	}
-
-	// One call over UDP too: both transports front the same fleet.
-	ucl, err := rpc.DialUDP(d.UDPAddr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := &rpc.FleetClient{C: ucl}
-	incr, err := fc.FuncID("incr")
-	if err != nil {
-		t.Fatalf("udp FuncID: %v", err)
-	}
-	val, errno, _, err := fc.Call("udp-client", incr, 41)
-	ucl.Close()
-	if err != nil || errno != 0 || val != 42 {
-		t.Fatalf("udp call = (%d, errno %d, %v), want (42, 0, nil)", val, errno, err)
 	}
 
 	// Live edit: 4 -> 2 shards via the SIGHUP reload path.
@@ -290,5 +274,66 @@ func TestDaemonShutdownClosesConnections(t *testing.T) {
 	}
 	if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) && !errors.Is(err, syscall.EPIPE) {
 		t.Fatalf("call after Run returned: %v, want a closed connection", err)
+	}
+}
+
+// TestDaemonRunLeavesNoGoroutine: once Run has returned, every
+// goroutine the daemon started has exited (the listeners', the served
+// connections', the reconcile loop's, the HTTP server's and the
+// fleet's), even with an idle client still connected at shutdown.
+func TestDaemonRunLeavesNoGoroutine(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(specPath, []byte(`{"schema":"smod-fleet-spec/v1","shards":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	d, err := New(Config{SpecPath: specPath, TCPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Barrier: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.Run(ctx, nil) }()
+
+	st, err := measure.RunWallClockBurst(func() (*rpc.Client, error) {
+		return rpc.DialTCP(d.TCPAddr())
+	}, 4, 25)
+	if err != nil || st.Errors != 0 {
+		t.Fatalf("tcp burst: %+v, %v", st, err)
+	}
+	idle, err := rpc.DialTCP(d.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := (&rpc.FleetClient{C: idle}).FuncID("incr"); err != nil {
+		t.Fatalf("FuncID while serving: %v", err)
+	}
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := hc.Get("http://" + d.HTTPAddr() + "/reconcile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines 5 s after Run returned, %d before New:\n%s", runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,7 +1,7 @@
 // Command smodfleetd is the fleet as a long-running network service:
 // it loads a declarative fleet spec (internal/spec), opens the sharded
 // simulated-kernel fleet it describes, serves real client sessions
-// over ONC-RPC on TCP and UDP sockets (internal/rpc's fleet program),
+// over ONC-RPC on TCP sockets (internal/rpc's fleet program),
 // and keeps the live fleet converged onto the spec with a reconcile
 // loop (internal/reconcile) ticking one rebalance barrier per
 // -barrier interval.
@@ -33,7 +33,7 @@
 // Usage:
 //
 //	smodfleetd -spec fleet.json
-//	smodfleetd -spec fleet.json -tcp :4045 -udp :4045 -http :9090
+//	smodfleetd -spec fleet.json -tcp :4045 -http :9090
 //	smodfleetd -spec fleet.json -barrier 100ms -poll 1s -addrfile /tmp/smod.addrs
 //	kill -HUP $(pidof smodfleetd)   # apply a spec edit now
 package main
@@ -53,7 +53,6 @@ func main() {
 	var (
 		specPath = flag.String("spec", "", "fleet spec file (required; see internal/spec)")
 		tcpAddr  = flag.String("tcp", "127.0.0.1:4045", "RPC TCP listen address (empty = disabled)")
-		udpAddr  = flag.String("udp", "", "RPC UDP listen address (empty = disabled)")
 		httpAddr = flag.String("http", "", "metrics/spec/reconcile HTTP listen address (empty = disabled)")
 		barrier  = flag.Duration("barrier", 250*time.Millisecond, "reconcile step (rebalance barrier) interval")
 		poll     = flag.Duration("poll", 2*time.Second, "spec file poll interval (0 = SIGHUP only)")
@@ -71,7 +70,6 @@ func main() {
 	d, err := New(Config{
 		SpecPath:     *specPath,
 		TCPAddr:      *tcpAddr,
-		UDPAddr:      *udpAddr,
 		HTTPAddr:     *httpAddr,
 		Barrier:      *barrier,
 		Poll:         *poll,

@@ -246,13 +246,3 @@ func LibCArchive() (*obj.Archive, error) {
 	a.Add(o)
 	return a, nil
 }
-
-// MustLibCArchive is LibCArchive for initialization contexts where the
-// source is known good.
-func MustLibCArchive() *obj.Archive {
-	a, err := LibCArchive()
-	if err != nil {
-		panic(err)
-	}
-	return a
-}

@@ -117,9 +117,6 @@ func AttachNative(s *kern.Sys, module string, version int, credential string) (*
 	}
 }
 
-// ModuleID returns the attached module's m_id.
-func (c *NativeClient) ModuleID() int { return c.mid }
-
 // Prepare lays out a call of funcID with the given word arguments and
 // returns the smod_call syscall that makes it. The words are laid out
 // exactly like an SM32 client stub would leave them: arguments, then

@@ -398,21 +398,6 @@ func (k *Kernel) OnFork(fn func(k *Kernel, parent, child *Proc)) {
 // Proc returns the process with the given pid, or nil.
 func (k *Kernel) Proc(pid int) *Proc { return k.procs[pid] }
 
-// Current returns the currently dispatched process (valid inside
-// syscall handlers).
-func (k *Kernel) Current() *Proc { return k.cur }
-
-// Procs returns all live (non-dead) processes.
-func (k *Kernel) Procs() []*Proc {
-	var out []*Proc
-	for _, p := range k.procs {
-		if p.State != StateDead {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func (k *Kernel) allocPID() int {
 	k.nextPID++
 	return k.nextPID

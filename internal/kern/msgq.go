@@ -97,15 +97,6 @@ func (q *MsgQueue) deliver(i int) int {
 	return len(m.buf) - 4
 }
 
-// MsgqByKey returns the queue for key, or nil (inspection helper).
-func (k *Kernel) MsgqByKey(key int32) *MsgQueue {
-	id, ok := k.msgqKeys[key]
-	if !ok {
-		return nil
-	}
-	return k.msgqs[id]
-}
-
 // AllocMsgq creates an anonymous kernel-side message queue (no key) and
 // returns its id. The SecModule layer allocates the client/handle call
 // and return queues this way at session start. The queue is the most

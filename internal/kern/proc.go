@@ -123,10 +123,3 @@ func (k *Kernel) newChild(p *Proc, name string) *Proc {
 
 // Ready makes a process created by ForkInto runnable.
 func (k *Kernel) Ready(p *Proc) { k.ready(p) }
-
-// PushWord pushes v onto p's user stack (kernel-side; used while
-// preparing a forced context such as the handle's secret stack).
-func (k *Kernel) PushWord(p *Proc, v uint32) error {
-	p.CPU.SP -= 4
-	return p.Space.Write32(p.CPU.SP, v)
-}

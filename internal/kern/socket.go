@@ -33,9 +33,6 @@ type Socket struct {
 	spare spareBufs
 }
 
-// Port returns the bound port (0 if unbound).
-func (s *Socket) Port() uint16 { return s.port }
-
 // Pending reports the number of queued datagrams.
 func (s *Socket) Pending() int { return len(s.queue) }
 

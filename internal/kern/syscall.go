@@ -3,7 +3,6 @@ package kern
 import (
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/vm"
 )
 
@@ -338,10 +337,4 @@ func ReadText(s *vm.Space, addr uint32, n int) ([]byte, error) {
 	b, err := s.ReadBytes(addr, n)
 	e.Prot = saved
 	return b, err
-}
-
-// StackPageRoundDown gives the page-aligned base for an initial stack
-// mapping below top.
-func StackPageRoundDown(top uint32, size uint32) uint32 {
-	return mem.PageAlign(top - size)
 }

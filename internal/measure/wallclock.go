@@ -3,7 +3,7 @@ package measure
 // Wall-clock client driver: where every other workload in this package
 // runs under simulated time (RunPlan/RunSchedule, bit-for-bit
 // deterministic), this one drives a *served* fleet — smodfleetd's
-// TCP/UDP sockets — with real concurrent clients and measures real
+// TCP sockets — with real concurrent clients and measures real
 // elapsed time. The two clocks never mix: the server's simulated-time
 // metrics (per-shard cycles, simulated p99) stay deterministic for a
 // given call sequence, while the wall-clock numbers here describe the
@@ -17,10 +17,6 @@ import (
 
 	"repro/internal/rpc"
 )
-
-// ClientKey names the c-th sticky client key, matching the warm keys
-// the benchmarks use.
-func ClientKey(c int) string { return benchKey(c) }
 
 // WallClockStats is one wall-clock burst measurement.
 type WallClockStats struct {
@@ -99,7 +95,7 @@ func RunWallClockBurst(dial func() (*rpc.Client, error), clients, callsPerClient
 				fail(fmt.Errorf("measure: client %d FuncID: %w", c, err))
 				return
 			}
-			key := ClientKey(c)
+			key := benchKey(c)
 			local := make([]float64, 0, callsPerClient)
 			for i := 0; i < callsPerClient; i++ {
 				t0 := time.Now()

@@ -34,9 +34,6 @@ type Image struct {
 	Placements []Placement
 }
 
-// TextEnd returns the first address past the text segment.
-func (im *Image) TextEnd() uint32 { return im.TextBase + uint32(len(im.Text)) }
-
 // LinkOptions parameterizes a link.
 type LinkOptions struct {
 	TextBase uint32

@@ -30,12 +30,6 @@ func (ks *Keystore) AddPrincipal(name string, secret []byte) {
 	ks.secrets[name] = append([]byte(nil), secret...)
 }
 
-// HasPrincipal reports whether the principal has a registered secret.
-func (ks *Keystore) HasPrincipal(name string) bool {
-	_, ok := ks.secrets[name]
-	return ok
-}
-
 const sigScheme = "hmac-sha256:"
 
 // signedBody returns the canonical byte string covered by the

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -77,33 +78,37 @@ func TestDecodeReplyOnCallFails(t *testing.T) {
 }
 
 func TestClientSkipsStaleXIDs(t *testing.T) {
-	// A transport that first yields a stale reply, then the right one.
+	// A server end that answers the call with a stale reply record
+	// first, then the right one.
 	srv := newIncrServer()
-	var queued [][]byte
-	c := &Client{
-		send: func(m []byte) error {
-			m = m[markLen:]
-			call, err := decodeCall(m)
-			if err != nil {
-				return err
-			}
-			// Queue a stale reply first.
-			stale := encodeReply(&ReplyMsg{XID: call.XID + 1000, Status: ReplyAccepted,
-				AcceptStat: AcceptSuccess, Results: encodeUint32(0xBAD)})
-			real, err := dispatch(srv, m)
-			if err != nil {
-				return err
-			}
-			queued = append(queued, stale, real)
-			return nil
-		},
-		recv: func() ([]byte, error) {
-			r := queued[0]
-			queued = queued[1:]
-			return r, nil
-		},
-		clos: func() error { return nil },
-	}
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		m, err := newRecordReader(server).next()
+		if err != nil {
+			return
+		}
+		call, err := decodeCall(m)
+		if err != nil {
+			return
+		}
+		stale := encodeReply(&ReplyMsg{XID: call.XID + 1000, Status: ReplyAccepted,
+			AcceptStat: AcceptSuccess, Results: encodeUint32(0xBAD)})
+		real, err := dispatch(srv, m)
+		if err != nil {
+			return
+		}
+		if writeRecord(server, stale) == nil {
+			writeRecord(server, real)
+		}
+	}()
+	c := newStreamClient(client)
+	defer func() {
+		c.Close()
+		<-done
+	}()
 	res, err := c.Call(TestIncrProg, TestIncrVers, ProcIncr, encodeUint32(4))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +119,7 @@ func TestClientSkipsStaleXIDs(t *testing.T) {
 }
 
 func TestProgMismatchReportedToCaller(t *testing.T) {
-	c := NewPipeClient(newIncrServer())
+	c, _, _ := pipeClient(t, newIncrServer())
 	_, err := c.Call(TestIncrProg, 9, ProcIncr, nil)
 	if err == nil || !containsSub(err.Error(), "version mismatch") {
 		t.Fatalf("err = %v, want version mismatch", err)

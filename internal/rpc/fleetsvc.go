@@ -2,11 +2,11 @@ package rpc
 
 // Fleet service: the wire protocol smodfleetd serves to real network
 // clients. Where simrpc measures the paper's local-RPC baseline inside
-// the machine simulator, this program runs over the real transports
-// (ServeTCP/ServeUDP) and fronts a live fleet: each call names a
-// sticky client key, a registered function id, and its arguments, and
-// the reply carries the value, the simulated kernel errno, and the
-// shard that served it. The service layer stays ignorant of the fleet
+// the machine simulator, this program runs over the real transport
+// (ServeTCP) and fronts a live fleet: each call names a sticky client
+// key, a registered function id, and its arguments, and the reply
+// carries the value, the simulated kernel errno, and the shard that
+// served it. The service layer stays ignorant of the fleet
 // package — the daemon adapts *fleet.Fleet onto FleetBackend — so the
 // dependency arrow keeps pointing rpc <- fleet, never back.
 
@@ -102,12 +102,10 @@ func RegisterFleetService(s *Server, b FleetBackend) {
 	})
 }
 
-// FleetClient is a typed client for the fleet program over any Client
-// transport (TCP, UDP, or in-process pipe). Safe for concurrent use
-// exactly when the underlying Client is (TCP and pipe clients are;
-// UDP clients are single-flight). Each method encodes its call into
-// the client's encoder and decodes the reply in place, under the
-// client's lock.
+// FleetClient is a typed client for the fleet program over a Client's
+// connection. It is safe for concurrent use: each method encodes its
+// call into the client's encoder and decodes the reply in place, under
+// the client's lock, so calls on one connection go one at a time.
 type FleetClient struct {
 	C *Client
 }

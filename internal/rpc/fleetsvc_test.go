@@ -47,14 +47,11 @@ func (ff *fakeFleet) FuncID(name string) (uint32, bool) {
 	return 0, false
 }
 
-// TestFleetServicePipe exercises the full proc surface over the
-// in-process pipe transport.
+// TestFleetServicePipe exercises the full proc surface through
+// ServeTCP over an in-memory pipe connection.
 func TestFleetServicePipe(t *testing.T) {
 	ff := &fakeFleet{}
-	s := NewServer()
-	RegisterFleetService(s, ff)
-	fc := &FleetClient{C: NewPipeClient(s)}
-	defer fc.C.Close()
+	fc, _, _ := pipeFleetClient(t, ff)
 
 	incr, err := fc.FuncID("incr")
 	if err != nil {

@@ -2,11 +2,12 @@
 // (RFC 1831), the baseline the paper measures SecModule against: "We
 // compare against an identical no-op function implemented as a locally
 // running RPC service" (section 4.5). It provides the call/reply
-// message codec, client and server endpoints, and three transports:
-// record-marked TCP and UDP over the host network (real sockets), and
-// an in-memory pipe for tests. A fourth "transport" lives in simrpc.go:
-// a client/server pair running as simulated processes inside the
-// internal/kern simulator, which is what the Figure 8 RPC row measures.
+// message codec, client and server endpoints, and one transport over
+// the host network: record-marked TCP on real sockets. The other
+// endpoints live in simrpc.go: a client/server pair running as
+// simulated processes inside the internal/kern simulator, over its
+// loopback datagram sockets, which is what the Figure 8 RPC row
+// measures.
 package rpc
 
 import (

@@ -6,7 +6,6 @@ import (
 	"net"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/xdr"
 )
@@ -301,7 +300,7 @@ func TestRecordFragmentReassembly(t *testing.T) {
 }
 
 func TestPipeClientIncr(t *testing.T) {
-	c := NewPipeClient(newIncrServer())
+	c, _, _ := pipeClient(t, newIncrServer())
 	res, err := c.Call(TestIncrProg, TestIncrVers, ProcIncr, encodeUint32(10))
 	if err != nil {
 		t.Fatal(err)
@@ -331,27 +330,6 @@ func TestTCPClientServer(t *testing.T) {
 		if decodeUint32(t, res) != i+1 {
 			t.Fatalf("incr(%d) != %d", i, i+1)
 		}
-	}
-}
-
-func TestUDPClientServer(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback UDP in this environment: %v", err)
-	}
-	defer pc.Close()
-	go ServeUDP(pc, newIncrServer())
-	c, err := DialUDP(pc.LocalAddr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Call(TestIncrProg, TestIncrVers, ProcIncr, encodeUint32(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decodeUint32(t, res) != 101 {
-		t.Fatal("incr(100) != 101")
 	}
 }
 

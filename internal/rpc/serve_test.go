@@ -69,12 +69,16 @@ type pipeAddr struct{}
 func (pipeAddr) Network() string { return "pipe" }
 func (pipeAddr) String() string  { return "pipe" }
 
-// serveOn runs ServeTCP on l with the fleet service over b. The
-// returned channel closes when ServeTCP returns; the test's cleanup
-// closes l and waits for that.
-func serveOn(t testing.TB, l net.Listener, b FleetBackend) <-chan struct{} {
+// fleetServer returns a server of the fleet service over b.
+func fleetServer(b FleetBackend) *Server {
 	s := NewServer()
 	RegisterFleetService(s, b)
+	return s
+}
+
+// serveOn runs ServeTCP on l with s. The returned channel closes when
+// ServeTCP returns; the test's cleanup closes l and waits for that.
+func serveOn(t testing.TB, l net.Listener, s *Server) <-chan struct{} {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -87,18 +91,25 @@ func serveOn(t testing.TB, l net.Listener, b FleetBackend) <-chan struct{} {
 	return served
 }
 
-// pipeFleetClient serves b over a pipe listener and returns a fleet
-// client on one of its connections.
-func pipeFleetClient(t testing.TB, b FleetBackend) (*FleetClient, *pipeListener, <-chan struct{}) {
+// pipeClient serves s over a pipe listener and returns a client on one
+// of its connections.
+func pipeClient(t testing.TB, s *Server) (*Client, *pipeListener, <-chan struct{}) {
 	l := newPipeListener()
-	served := serveOn(t, l, b)
+	served := serveOn(t, l, s)
 	conn, err := l.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := &FleetClient{C: newStreamClient(conn)}
-	t.Cleanup(func() { fc.C.Close() })
-	return fc, l, served
+	c := newStreamClient(conn)
+	t.Cleanup(func() { c.Close() })
+	return c, l, served
+}
+
+// pipeFleetClient serves the fleet service over b on a pipe listener
+// and returns a fleet client on one of its connections.
+func pipeFleetClient(t testing.TB, b FleetBackend) (*FleetClient, *pipeListener, <-chan struct{}) {
+	c, l, served := pipeClient(t, fleetServer(b))
+	return &FleetClient{C: c}, l, served
 }
 
 // servedCallAllocs bounds the allocations of one warm served call,
@@ -147,7 +158,7 @@ func (c *countConn) Write(b []byte) (int, error) {
 // with one Read and writes it, record mark included, with one Write.
 func TestOneReadPerRecord(t *testing.T) {
 	l := newPipeListener()
-	serveOn(t, l, &fakeFleet{})
+	serveOn(t, l, fleetServer(&fakeFleet{}))
 	client, server := net.Pipe()
 	cc, sc := &countConn{Conn: client}, &countConn{Conn: server}
 	if err := l.accept(sc); err != nil {
@@ -175,7 +186,7 @@ func TestOneReadPerRecord(t *testing.T) {
 // EMFILE is retried, and the listener keeps serving.
 func TestServeTCPSurvivesTemporaryAcceptError(t *testing.T) {
 	l := &flakyListener{pipeListener: newPipeListener()}
-	serveOn(t, l, &fakeFleet{})
+	serveOn(t, l, fleetServer(&fakeFleet{}))
 	conn, err := l.dial()
 	if err != nil {
 		t.Fatalf("dial after a temporary Accept error: %v", err)
@@ -236,49 +247,14 @@ func (b *blockingFleet) FleetCall(key string, funcID uint32, args []uint32) (uin
 	return b.fakeFleet.FleetCall(key, funcID, args)
 }
 
-// serveUDP runs ServeUDP on a loopback socket wrapped by wrap and
-// returns its address; cleanup closes the socket and requires
-// ServeUDP to return.
-func serveUDP(t *testing.T, b FleetBackend, wrap func(net.PacketConn) net.PacketConn) string {
-	t.Helper()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback UDP in this environment: %v", err)
-	}
-	s := NewServer()
-	RegisterFleetService(s, b)
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		ServeUDP(wrap(pc), s)
-	}()
-	t.Cleanup(func() {
-		pc.Close()
-		select {
-		case <-served:
-		case <-time.After(5 * time.Second):
-			t.Error("ServeUDP did not return after its socket closed")
-		}
-	})
-	return pc.LocalAddr().String()
-}
-
-func udpFleetClient(t *testing.T, addr string, timeout time.Duration) *FleetClient {
-	t.Helper()
-	c, err := DialUDP(addr, timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return &FleetClient{C: c}
-}
-
-// TestServeUDPServesConcurrently: while one call blocks in the
-// backend, another client's call completes.
-func TestServeUDPServesConcurrently(t *testing.T) {
+// TestServeTCPServesConcurrently: while a call on one connection
+// blocks in the backend, a call on another connection completes.
+func TestServeTCPServesConcurrently(t *testing.T) {
 	b := &blockingFleet{entered: make(chan struct{}), release: make(chan struct{})}
-	addr := serveUDP(t, b, func(pc net.PacketConn) net.PacketConn { return pc })
-	slow := udpFleetClient(t, addr, 10*time.Second)
+	slow, l, _ := pipeFleetClient(t, b)
+	var once sync.Once
+	release := func() { once.Do(func() { close(b.release) }) }
+	t.Cleanup(release) // before ServeTCP's cleanup waits for the blocked call
 	slowErr := make(chan error, 1)
 	go func() {
 		val, _, _, err := slow.Call("slow", 7, 1)
@@ -288,43 +264,22 @@ func TestServeUDPServesConcurrently(t *testing.T) {
 		slowErr <- err
 	}()
 	<-b.entered
-	fast := udpFleetClient(t, addr, 2*time.Second)
+	conn, err := l.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stalled server fails the call at the deadline instead of hanging
+	// the test.
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fast := &FleetClient{C: newStreamClient(conn)}
+	defer fast.C.Close()
 	val, _, _, err := fast.Call("fast", 7, 41)
-	close(b.release)
+	release()
 	if err != nil || val != 42 {
 		t.Fatalf("call beside a blocked one = %d, %v; want 42, nil", val, err)
 	}
 	if err := <-slowErr; err != nil {
 		t.Fatalf("blocked call: %v", err)
-	}
-}
-
-// failOnceConn fails its first WriteTo.
-type failOnceConn struct {
-	net.PacketConn
-	failed atomic.Bool
-}
-
-func (c *failOnceConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	if !c.failed.Swap(true) {
-		return 0, syscall.ENOBUFS
-	}
-	return c.PacketConn.WriteTo(b, addr)
-}
-
-// TestServeUDPSurvivesFailedWrite: a reply whose write fails is
-// dropped, and the server keeps answering.
-func TestServeUDPSurvivesFailedWrite(t *testing.T) {
-	addr := serveUDP(t, &fakeFleet{}, func(pc net.PacketConn) net.PacketConn {
-		return &failOnceConn{PacketConn: pc}
-	})
-	fc := udpFleetClient(t, addr, 200*time.Millisecond)
-	if _, _, _, err := fc.Call("c0001", 7, 1); err == nil {
-		t.Fatal("a call whose reply write failed was answered")
-	}
-	fc = udpFleetClient(t, addr, 2*time.Second)
-	if val, _, _, err := fc.Call("c0001", 7, 2); err != nil || val != 3 {
-		t.Fatalf("call after a failed write = %d, %v; want 3, nil", val, err)
 	}
 }
 
@@ -384,7 +339,7 @@ func BenchmarkServeTCP(b *testing.B) {
 	if err != nil {
 		b.Skipf("no loopback TCP in this environment: %v", err)
 	}
-	serveOn(b, l, &fakeFleet{})
+	serveOn(b, l, fleetServer(&fakeFleet{}))
 	c, err := DialTCP(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)

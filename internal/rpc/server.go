@@ -58,8 +58,9 @@ func (s *Server) Register(prog, vers, proc uint32, h Handler) {
 // Dispatch decodes one call message and appends the reply to reply.
 // It never appends an empty reply: malformed calls that still carry an
 // XID get GARBAGE_ARGS or the appropriate mismatch; calls too broken
-// to decode an XID from return an error and append nothing (a datagram
-// transport drops them, matching real servers).
+// to decode an XID from return an error and append nothing (ServeTCP
+// ends the connection, and the simulated server drops the datagram,
+// as real servers do).
 func (s *Server) Dispatch(callBytes []byte, reply *xdr.Encoder) error {
 	var call CallMsg
 	err := call.Decode(callBytes)

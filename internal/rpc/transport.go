@@ -13,18 +13,17 @@ import (
 	"repro/internal/xdr"
 )
 
-// Host-network transports: record-marked TCP (RFC 1831 section 10) and
-// UDP, both over real sockets, plus an in-memory pipe for tests. These
-// exist so the RPC stack is a genuine baseline, not a stub; the
+// The host-network transport: record-marked TCP (RFC 1831 section 10)
+// over real sockets, served by ServeTCP and called through DialTCP. It
+// exists so the RPC stack is a genuine baseline, not a stub; the
 // simulated Figure 8 row lives in simrpc.go.
 //
-// Every endpoint reuses its buffers from call to call. A stream
-// connection reads through one buffered reader into one record buffer,
-// and encodes each message it sends into one encoder, record mark
-// included, so a message costs one Write and, when it is small, one
-// Read. A datagram endpoint keeps one datagram buffer and one encoder.
+// Both ends reuse their buffers from call to call. A connection reads
+// through one buffered reader into one record buffer, and encodes each
+// message it sends into one encoder, record mark included, so a
+// message costs one Write and, when it is small, one Read.
 
-// maxRecord bounds a single record/datagram.
+// maxRecord bounds a single record.
 const maxRecord = 1 << 20
 
 // readChunk bounds how far ReadRecord allocates ahead of the bytes that
@@ -217,73 +216,17 @@ func serveConn(c net.Conn, s *Server) {
 	}
 }
 
-// udpWorkers is how many datagrams ServeUDP serves at once. A worker
-// stays in its handler for the whole call (a fleet call waits for its
-// shard), so with one worker a single slow call would stall every UDP
-// client. Each worker holds a 64 KiB datagram buffer, so 8 of them keep
-// 8 calls in flight for half a megabyte.
-const udpWorkers = 8
-
-// ServeUDP answers RPC datagrams on conn with udpWorkers workers, each
-// with its own datagram buffer and reply encoder. Undecodable calls
-// are dropped, as real servers drop them, and so is a reply whose
-// write fails. ServeUDP returns once conn is closed and every worker
-// has exited.
-func ServeUDP(conn net.PacketConn, s *Server) {
-	var wg sync.WaitGroup
-	for i := 0; i < udpWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			serveDatagrams(conn, s)
-		}()
-	}
-	wg.Wait()
-}
-
-// serveDatagrams is one ServeUDP worker.
-func serveDatagrams(conn net.PacketConn, s *Server) {
-	buf := make([]byte, 64*1024)
-	var reply xdr.Encoder
-	var delay time.Duration
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			delay = backoff(delay)
-			time.Sleep(delay)
-			continue
-		}
-		delay = 0
-		reply.Reset()
-		if err := s.Dispatch(buf[:n], &reply); err != nil {
-			continue
-		}
-		conn.WriteTo(reply.Bytes(), addr) // a failed write drops this reply only
-	}
-}
-
-// Client issues RPC calls over a stream or datagram endpoint. It keeps
-// one encoder for the call it sends and one decoded reply, reused by
-// every call under mu.
+// Client issues RPC calls over one record-marked stream connection.
+// It keeps one encoder for the call it sends, the connection's record
+// reader and one decoded reply, reused by every call under mu.
 type Client struct {
 	mu    sync.Mutex
 	xid   uint32
 	call  xdr.Encoder
 	reply ReplyMsg
-	// send transmits a call message encoded after beginRecord's
-	// record-mark slot: a stream transport fills the mark in and writes
-	// the whole record, a datagram transport sends what follows the
-	// slot. recv returns the next reply message, which may point into a
-	// buffer the following recv reuses.
-	send func(msg []byte) error
-	recv func() ([]byte, error)
-	clos func() error
+	conn  net.Conn // nil in a SimClient's codec, which has no transport
+	rr    *recordReader
 }
-
-var errDeadline = errors.New("rpc: timed out")
 
 // DialTCP connects a record-marked TCP client.
 func DialTCP(addr string) (*Client, error) {
@@ -296,88 +239,14 @@ func DialTCP(addr string) (*Client, error) {
 
 // newStreamClient returns a record-marked client on conn.
 func newStreamClient(conn net.Conn) *Client {
-	rr := newRecordReader(conn)
-	return &Client{
-		send: func(rec []byte) error {
-			if err := markRecord(rec); err != nil {
-				return err
-			}
-			_, err := conn.Write(rec)
-			return err
-		},
-		recv: rr.next,
-		clos: conn.Close,
-	}
+	return &Client{conn: conn, rr: newRecordReader(conn)}
 }
 
-// DialUDP connects a datagram client with the given receive timeout
-// (zero means wait forever).
-func DialUDP(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 64*1024)
-	return &Client{
-		send: func(m []byte) error {
-			_, err := conn.Write(m[markLen:])
-			return err
-		},
-		recv: func() ([]byte, error) {
-			if timeout > 0 {
-				if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-					return nil, err
-				}
-			}
-			n, err := conn.Read(buf)
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					return nil, errDeadline
-				}
-				return nil, err
-			}
-			return buf[:n], nil
-		},
-		clos: conn.Close,
-	}, nil
-}
-
-// NewPipeClient returns a client that dispatches directly into s
-// through an in-memory "transport" (useful in unit tests where no
-// network is available).
-func NewPipeClient(s *Server) *Client {
-	var reply xdr.Encoder
-	pending := false
-	return &Client{
-		send: func(m []byte) error {
-			reply.Reset()
-			if err := s.Dispatch(m[markLen:], &reply); err != nil {
-				return err
-			}
-			pending = true
-			return nil
-		},
-		recv: func() ([]byte, error) {
-			if !pending {
-				return nil, io.EOF
-			}
-			pending = false
-			return reply.Bytes(), nil
-		},
-		clos: func() error { return nil },
-	}
-}
-
-// Close releases the client's connection.
-func (c *Client) Close() error {
-	if c.clos == nil {
-		return nil
-	}
-	return c.clos()
-}
+// Close closes the client's connection.
+func (c *Client) Close() error { return c.conn.Close() }
 
 // Call issues one RPC and returns a copy of the XDR-encoded results.
-// Mismatched XIDs in replies (stale datagrams) are skipped.
+// Replies to other XIDs are skipped.
 func (c *Client) Call(prog, vers, proc uint32, args []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -402,18 +271,23 @@ func (c *Client) begin(prog, vers, proc uint32) *xdr.Encoder {
 	return &c.call
 }
 
-// finish sends the call begun with begin and waits for its reply,
-// skipping replies to other XIDs. The results it returns point into
-// the transport's buffer and are valid until the client's next call.
+// finish sends the call begun with begin as one record and waits for
+// its reply, skipping replies to other XIDs. The results it returns
+// point into the connection's record buffer and are valid until the
+// client's next call.
 func (c *Client) finish() ([]byte, error) {
-	if err := c.send(c.call.Bytes()); err != nil {
+	rec := c.call.Bytes()
+	if err := markRecord(rec); err != nil {
 		return nil, err
 	}
-	if c.call.Len() > readChunk {
+	if _, err := c.conn.Write(rec); err != nil {
+		return nil, err
+	}
+	if len(rec) > readChunk {
 		c.call = xdr.Encoder{}
 	}
 	for {
-		raw, err := c.recv()
+		raw, err := c.rr.next()
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +298,7 @@ func (c *Client) finish() ([]byte, error) {
 }
 
 // match decodes raw as the reply to the call begun last. It reports ok
-// false for a reply to another XID (a stale datagram), which the caller
+// false for a reply to another XID (a stale reply), which the caller
 // skips; otherwise it returns the call's results, which point into raw,
 // or the error the reply decodes to or its status reports.
 func (c *Client) match(raw []byte) (res []byte, ok bool, err error) {
