@@ -9,7 +9,7 @@ import (
 	"repro/internal/measure"
 )
 
-// doc builds a single-curve BENCH document, as -loadcurve writes one,
+// doc builds a single-curve BENCH document, as a -curve run writes one,
 // with the given per-point (p95, saturated) pairs under one fixed
 // workload shape.
 func doc(points ...measure.LoadPoint) *measure.BenchFleet {
@@ -160,7 +160,7 @@ func TestCompareMultiCurve(t *testing.T) {
 	if fails := compare(base, lost, 0.15, 0.5, 0.10); len(fails) < 2 {
 		t.Fatalf("lost mixed curves not flagged: %v", fails)
 	}
-	// A single -loadcurve baseline gates against the suite's
+	// A single-curve baseline gates against the suite's
 	// same-shape "uniform" curve by name.
 	single := multiDoc(map[string][]measure.LoadPoint{
 		"uniform": {pt(100, 10, false), pt(300, 90, true)},

@@ -1,11 +1,10 @@
-// Command smodfleet measures aggregate smod_call throughput across a
-// fleet of independent simulated kernels, extending the paper's
-// single-kernel Figure 8 latencies with a scaling curve: the same
-// SecModule libc traffic, sharded by client key over 1..N shards.
+// Command smodfleet measures a fleet of simulated kernels, extending
+// the paper's single-kernel Figure 8 latencies to sharded smod_call
+// traffic. It has three modes.
 //
-// Three modes exist:
-//
-// The default scaling sweep runs two workloads per shard count:
+// By default it runs the scaling sweep: the same SecModule libc
+// traffic, sharded by client key, for each -shards count and two
+// workloads:
 //
 //   - closed-loop: a fixed set of warm sticky clients, each issuing its
 //     next call only after the previous returned (steady state);
@@ -13,64 +12,28 @@
 //     full session setup, with warm-session capacity bounded per shard
 //     and reclaimed LRU (session churn).
 //
-// -loadcurve switches to the open-loop latency-vs-offered-load curve:
-// arrivals follow a Poisson (or fixed-interval) schedule in simulated
-// clock time, each call's latency is recorded on its shard's clock,
-// and the table reports p50/p95/p99 per offered rate with the
-// saturation knee marked. -json writes the machine-readable
-// BENCH_fleet.json the CI bench job archives per commit.
+// -curve runs the open-loop latency-vs-offered-load curve that one
+// curve document describes (schema smod-curve/v1; see README "Open-loop
+// load curves"): a fleet spec, the workload every point offers it, and
+// the utilization grid that turns a capacity probe into offered rates.
+// Arrivals follow a Poisson (or fixed-interval) schedule in simulated
+// time, each call's latency is recorded on its shard's clock, and the
+// table reports p50/p95/p99 per offered rate with the saturation knee
+// marked. -suite runs the CI gate suite, the eleven documents of
+// curves/suite embedded in the binary, and prints each pair's knees
+// side by side.
 //
-// The load curve also hosts the load-management story: -skew draws
-// arrival keys from a Zipf popularity distribution (hot clients pin to
-// one shard), -rebalance lets the migrator move hot keys between
-// the -epochs barriers of each point, and -cache N memoizes the
-// module's idempotent functions per shard (pair with -argscard to give
-// the memo table repeats to hit).
-//
-// -mix makes the measured fleet heterogeneous: a mix string like
-// "fast=2,slow=2,crypto=1" assigns a backend machine-class profile to
-// every shard (scaled cost model, optional per-call overhead, and for
-// "crypto" a modcrypt-encrypted module archive). Placement and
-// migration then weigh shard speed — hot keys land on fast shards —
-// unless -heatonly forces the raw-heat balancer, the A/B baseline.
-// The auto rate sweep derives mixed-fleet capacity from per-profile
-// calibration stretches, and each point records per-profile
-// utilization.
-//
-// -chaos turns a load curve into a deterministic fault drill: the
-// schedule ("kill:0@5", "stall:1@6+50000", ...; see internal/chaos) is
-// replayed identically at every point's rebalance barriers — warm-up is
-// barrier 1, each -epochs sub-schedule adds one — so the curve shows
-// what offered load the fleet still serves while shards die, stall, or
-// lose sessions mid-point. -rewarmbudget records the declared per-
-// re-warm cycle budget next to the curve for cmd/benchdiff to gate.
-//
-// -autoscale runs every load-curve point on an elastic fleet: the
-// fleet opens at -asmin shards and the SLO autoscaler
-// (internal/autoscale) resizes it between -asmin and -asmax at the
-// epoch barriers to hold the -slo p99 target at minimum backend cost —
-// growing one shard on a breach, draining the priciest shard after
-// sustained comfort. -warmup excludes each point's leading adaptation
-// epochs from the latency quantiles (the calls still run). Each point
-// records the mean live shard count, mean fleet cost, and the slowest
-// resize warm-in for cmd/benchdiff's warm-budget gate.
-//
-// -suite runs the CI gate suite — uniform, skewed+rebalancing, the
-// mixed-fleet cost-aware/heat-only pair, the dominant-key replication
-// pair, the kill-drill availability curve, and the elastic
-// fixed-vs-autoscaled pair — and writes them as named curves into one
-// BENCH_fleet.json for cmd/benchdiff to gate.
+// -json writes the run's BENCH document (the scaling rows, or one curve
+// per document, named after it); nothing is written without it. -trace
+// and -events export a curve run's flight recorder, and -metrics serves
+// the metrics registry while any run is in flight.
 //
 // Usage:
 //
 //	smodfleet                              # default scaling sweep
 //	smodfleet -shards 1,2,4,8 -clients 16 -calls 100
-//	smodfleet -loadcurve                   # load curve + BENCH_fleet.json
-//	smodfleet -loadcurve -lcshards 4 -skew 1.2 -epochs 8 -rebalance  # skewed, migrating
-//	smodfleet -loadcurve -mix fast=2,slow=2 -skew 1.2 -epochs 8 -rebalance
-//	smodfleet -loadcurve -mix fast=2,slow=2 -skew 1.2 -epochs 8 -rebalance -heatonly
-//	smodfleet -loadcurve -lcshards 4 -skew 1.5 -epochs 8 -replicas 4 -chaos kill:0@5
-//	smodfleet -loadcurve -lcshards 4 -epochs 10 -warmup 5 -rebalance -autoscale -slo 60 -asmin 2 -asmax 6
+//	smodfleet -curve cmd/smodfleet/curves/loadcurve.json
+//	smodfleet -curve cmd/smodfleet/curves/kill-drill.json -trace TRACE_fleet.json
 //	smodfleet -suite -json BENCH_fleet.json
 package main
 
@@ -93,144 +56,49 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultUtil is the -util default: the utilization fractions of
-// measured capacity the auto rate sweep offers.
-const defaultUtil = "0.2,0.5,0.8,0.95,1.1,1.4"
-
 func main() {
 	var (
 		shardList   = flag.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
-		clients     = flag.Int("clients", 16, "closed-loop sticky clients (and load-curve warm keys)")
+		clients     = flag.Int("clients", 16, "closed-loop sticky clients")
 		calls       = flag.Int("calls", 50, "closed-loop calls per client")
 		openCalls   = flag.Int("opencalls", 64, "open-loop total calls (fresh key each)")
 		maxSessions = flag.Int("maxsessions", 8, "open-loop warm-session cap per shard (LRU reclaim)")
 		openLoop    = flag.Bool("open", true, "also run the open-loop (session churn) sweep")
 
-		loadCurve = flag.Bool("loadcurve", false, "run the latency-vs-offered-load curve instead of the scaling sweep")
-		lcShards  = flag.Int("lcshards", 2, "load curve: fleet size")
-		lcCalls   = flag.Int("lccalls", 300, "load curve: arrivals measured per offered-load point")
-		process   = flag.String("process", "poisson", "load curve: arrival process (poisson|uniform)")
-		seed      = flag.Int64("seed", 1, "load curve: arrival schedule seed")
-		rateList  = flag.String("rates", "", "load curve: comma-separated offered calls/sec (default: -util fractions of measured capacity)")
-		utilList  = flag.String("util", defaultUtil, "load curve: utilization fractions for the auto rate sweep")
-		jsonPath  = flag.String("json", "", "write BENCH_fleet.json to this path (default BENCH_fleet.json in -loadcurve/-suite modes, off otherwise)")
+		curvePath = flag.String("curve", "", "run the load curve this smod-curve/v1 document describes instead of the scaling sweep")
+		suite     = flag.Bool("suite", false, "run the CI gate suite: the eleven embedded curves/suite documents, in BENCH order")
+		jsonPath  = flag.String("json", "", "write the run's BENCH document (BENCH_fleet.json format) to this path")
 
-		skew      = flag.Float64("skew", 0, "load curve: Zipf exponent for key popularity (0 = uniform; try 1.2)")
-		epochs    = flag.Int("epochs", 1, "load curve: barrier-separated sub-schedules per point (rebalance acts between them)")
-		rebalance = flag.Bool("rebalance", false, "load curve: migrate hot keys across shards at epoch barriers")
-		cacheSize = flag.Int("cache", 0, "load curve: per-shard idempotent result-cache entries (0 = off)")
-		argsCard  = flag.Int("argscard", 0, "load curve: distinct argument values (0 = all unique; small values feed the result cache)")
-
-		mix          = flag.String("mix", "", "load curve: heterogeneous backend mix, e.g. fast=2,slow=2,crypto=1 (overrides -lcshards)")
-		heatOnly     = flag.Bool("heatonly", false, "load curve: with -rebalance, migration balances raw heat, ignoring backend cost weights (A/B baseline for -mix)")
-		replicas     = flag.Int("replicas", 0, "load curve: serve idempotent hot keys from up to N shards at once, resized at epoch barriers (with -rebalance, the rest keep migrating)")
-		chaosSpec    = flag.String("chaos", "", "load curve: deterministic fault drill replayed at every point, e.g. kill:0@5 or kill:0@4;stall:1@6+50000 (chaos.Parse syntax; barriers count warm-up as 1)")
-		rewarmBudget = flag.Uint64("rewarmbudget", chaos.DefaultRewarmBudgetCycles, "load curve: declared per-re-warm cycle budget recorded with -chaos curves (benchdiff gates on it)")
-		suite        = flag.Bool("suite", false, "run the CI gate suite (uniform + skewed + mixed cost-aware/heat-only + dominant-key replicated pair + kill-drill + elastic fixed/autoscaled pair + qos isolation pair) into one BENCH document")
-
-		tracePath   = flag.String("trace", "", "write the run's flight recorder as Chrome trace-event JSON (Perfetto-loadable) to this path (-loadcurve/-suite modes)")
-		eventsPath  = flag.String("events", "", "write the run's flight recorder as a JSONL event log to this path (-loadcurve/-suite modes)")
+		tracePath   = flag.String("trace", "", "write the run's flight recorder as Chrome trace-event JSON (Perfetto-loadable) to this path (-curve/-suite modes)")
+		eventsPath  = flag.String("events", "", "write the run's flight recorder as a JSONL event log to this path (-curve/-suite modes)")
 		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address for the duration of the run")
-
-		tenants      = flag.String("tenants", "", "load curve: run every point multi-tenant; QoS classes name:weight:clients[:boost[:rate[:burst]]], comma-separated (e.g. gold:4:4,free:1:4:6)")
-		tenantKnee   = flag.Int("tenantknee", 0, "load curve: per-shard queue-depth shed knee for -tenants (0 = tenant package default)")
-		tenantWindow = flag.Int("tenantwindow", 0, "load curve: per-shard inflight window for -tenants; small values keep WFQ in charge of ordering (0 = tenant package default)")
-
-		autoscale = flag.Bool("autoscale", false, "load curve: run every point on an SLO-autoscaled elastic fleet (see -slo/-asmin/-asmax)")
-		slo       = flag.Float64("slo", 60, "load curve: autoscaler p99 target in simulated microseconds (-autoscale)")
-		asMin     = flag.Int("asmin", 2, "load curve: elastic fleet floor (-autoscale)")
-		asMax     = flag.Int("asmax", 6, "load curve: elastic fleet ceiling (-autoscale)")
-		warmup    = flag.Int("warmup", 0, "load curve: leading epochs per point excluded from the latency quantiles (adaptation window)")
 	)
 	flag.Parse()
 
-	kind, err := parseProcess(*process)
+	var docs []curveDoc
+	var err error
+	switch {
+	case *suite && *curvePath != "":
+		err = fmt.Errorf("-curve and -suite are exclusive")
+	case *suite:
+		docs, err = suiteDocs()
+	case *curvePath != "":
+		var d curveDoc
+		d, err = readCurve(*curvePath)
+		docs = []curveDoc{d}
+	}
 	if err != nil {
 		fatal(err)
 	}
 
-	obs, err := openObservability(*tracePath, *eventsPath, *metricsAddr, *loadCurve || *suite)
+	obs, err := openObservability(*tracePath, *eventsPath, *metricsAddr, docs != nil)
 	if err != nil {
 		fatal(err)
 	}
 	defer obs.export()
 
-	if *suite {
-		err := runSuite(suiteParams{
-			uniformShards: *lcShards,
-			clients:       *clients,
-			calls:         *lcCalls,
-			seed:          *seed,
-			kind:          kind,
-			utilList:      *utilList,
-			jsonPath:      *jsonPath,
-			obs:           obs,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *loadCurve {
-		// The flags fill the fleet spec. -mix or -autoscale replace the
-		// fixed -lcshards size, which an autoscaled curve keeps as its
-		// reference size.
-		place, err := placementOf(*rebalance, *heatOnly, *replicas)
-		if err != nil {
-			fatal(err)
-		}
-		fs := spec.FleetSpec{
-			Schema:      spec.SchemaV1,
-			Mix:         *mix,
-			Placement:   place,
-			Replicas:    *replicas,
-			Seed:        *seed,
-			ResultCache: *cacheSize,
-		}
-		refShards := 0
-		switch {
-		case *autoscale:
-			fs.Autoscale = &spec.AutoscaleSpec{Min: *asMin, Max: *asMax, SLOMicros: *slo}
-			refShards = *lcShards
-		case *mix == "":
-			fs.Shards = *lcShards
-		}
-		if *chaosSpec != "" {
-			fs.RewarmBudgetCycles = *rewarmBudget
-		}
-		if err := fs.Validate(); err != nil {
-			fatal(err)
-		}
-		lcCfg := measure.LoadCurveConfig{
-			Fleet:           fs,
-			RefShards:       refShards,
-			Clients:         *clients,
-			Calls:           *lcCalls,
-			Kind:            kind,
-			ZipfS:           *skew,
-			ArgsCardinality: *argsCard,
-			Epochs:          *epochs,
-			Chaos:           *chaosSpec,
-			WarmupEpochs:    *warmup,
-		}
-		if *tenants != "" {
-			tls, err := parseTenants(*tenants)
-			if err != nil {
-				fatal(err)
-			}
-			lcCfg.Tenants = tls
-			lcCfg.TenantKnee = *tenantKnee
-			lcCfg.TenantWindow = *tenantWindow
-			// The classes own the key space; keep the capacity probe's
-			// warm-key count in step with it.
-			lcCfg.Clients = 0
-			for _, tl := range tls {
-				lcCfg.Clients += tl.Clients
-			}
-		}
-		obs.apply(&lcCfg)
-		if err := runLoadCurve(lcCfg, *rateList, *utilList, *jsonPath); err != nil {
+	if docs != nil {
+		if err := runCurves(docs, obs, *jsonPath); err != nil {
 			fatal(err)
 		}
 		return
@@ -263,24 +131,6 @@ func main() {
 	}
 }
 
-// placementOf maps -rebalance, -heatonly and -replicas onto a spec
-// placement: -rebalance migrates cost-aware, or heat-only under
-// -heatonly, and -replicas alone replicates without migrating. A
-// replica cap under a migrating placement replicates and migrates.
-func placementOf(rebalance, heatOnly bool, replicas int) (string, error) {
-	switch {
-	case heatOnly && !rebalance:
-		return "", fmt.Errorf("-heatonly selects how -rebalance migrates; it needs -rebalance")
-	case heatOnly:
-		return spec.PlacementHeat, nil
-	case rebalance:
-		return spec.PlacementCostAware, nil
-	case replicas > 0:
-		return spec.PlacementReplicated, nil
-	}
-	return spec.PlacementSticky, nil
-}
-
 // observability carries the optional flight recorder, metrics registry,
 // and export paths of one CLI run — groundwork for smodfleetd, where
 // the same recorder and endpoints outlive a single sweep.
@@ -298,7 +148,7 @@ func openObservability(tracePath, eventsPath, metricsAddr string, curveMode bool
 	o := &observability{tracePath: tracePath, eventsPath: eventsPath}
 	if tracePath != "" || eventsPath != "" {
 		if !curveMode {
-			return nil, fmt.Errorf("-trace/-events need -loadcurve or -suite")
+			return nil, fmt.Errorf("-trace/-events need -curve or -suite")
 		}
 		o.rec = trace.New(trace.Config{})
 	}
@@ -312,12 +162,6 @@ func openObservability(tracePath, eventsPath, metricsAddr string, curveMode bool
 		go func() { _ = http.Serve(ln, metrics.NewMux(o.reg)) }()
 	}
 	return o, nil
-}
-
-// apply threads the recorder and registry into one curve config.
-func (o *observability) apply(cfg *measure.LoadCurveConfig) {
-	cfg.Trace = o.rec
-	cfg.Metrics = o.reg
 }
 
 // export writes the flight recorder to the -trace/-events paths: the
@@ -355,16 +199,6 @@ func (o *observability) export() {
 	}
 }
 
-func parseProcess(process string) (measure.ArrivalKind, error) {
-	switch process {
-	case "poisson":
-		return measure.Poisson, nil
-	case "uniform":
-		return measure.Uniform, nil
-	}
-	return 0, fmt.Errorf("unknown arrival process %q (want poisson or uniform)", process)
-}
-
 // scalingRows runs the closed-loop (and optionally open-loop) sweep.
 func scalingRows(shards []int, clients, calls, openCalls, maxSessions int, openLoop bool) ([]measure.ThroughputStats, error) {
 	var rows []measure.ThroughputStats
@@ -387,17 +221,14 @@ func scalingRows(shards []int, clients, calls, openCalls, maxSessions int, openL
 	return rows, nil
 }
 
-// autoRates estimates the fleet's capacity and returns the -util
+// autoRates estimates the fleet's capacity and returns the utils
 // fractions of it as the offered-rate sweep. Homogeneous fleets probe
 // with a short closed-loop run (without skew, migration or caching, so
 // skewed/rebalanced curves sweep the same rates and their knees are
 // comparable); heterogeneous fleets sum per-profile capacities from
-// backend calibration stretches.
-func autoRates(cfg measure.LoadCurveConfig, utilList string) ([]float64, error) {
-	utils, err := parseFloats(utilList)
-	if err != nil {
-		return nil, err
-	}
+// backend calibration stretches. The grid is a function of the config
+// alone, so a curve sweeps the same rates alone as inside the suite.
+func autoRates(cfg measure.LoadCurveConfig, utils []float64) ([]float64, error) {
 	var capacity float64
 	if cfg.Fleet.Mix != "" {
 		as, err := cfg.Fleet.Assignments()
@@ -565,322 +396,76 @@ func reportCurve(cfg measure.LoadCurveConfig, points []measure.LoadPoint) {
 	}
 }
 
-// runLoadCurve drives the single latency-vs-offered-load mode and
-// writes its BENCH document: one curve, named "uniform".
-func runLoadCurve(cfg measure.LoadCurveConfig, rateList, utilList, jsonPath string) error {
+// runCurves measures each document's curve in turn and prints it,
+// then the suite's pair lines. With jsonPath set it writes every curve,
+// named after its document, into one BENCH document.
+func runCurves(docs []curveDoc, obs *observability, jsonPath string) error {
 	fmt.Println(clock.MachineInfo())
-
-	var err error
-	if rateList != "" {
-		cfg.Rates, err = parseFloats(rateList)
-	} else {
-		cfg.Rates, err = autoRates(cfg, utilList)
+	curves := make([]measure.NamedCurve, len(docs))
+	for i, d := range docs {
+		cfg := d.LoadCurveConfig
+		cfg.Trace, cfg.Metrics = obs.rec, obs.reg
+		fmt.Printf("\n--- curve %q ---\n", d.Name)
+		rates, err := autoRates(cfg, d.Util)
+		if err != nil {
+			return fmt.Errorf("%s: %w", d.Name, err)
+		}
+		cfg.Rates = rates
+		describeCurve(cfg)
+		points, err := measure.RunFleetLoadCurve(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", d.Name, err)
+		}
+		reportCurve(cfg, points)
+		curves[i] = measure.NamedCurve{Name: d.Name, Config: cfg, Points: points}
 	}
-	if err != nil {
-		return err
-	}
-
-	describeCurve(cfg)
-	points, err := measure.RunFleetLoadCurve(cfg)
-	if err != nil {
-		return err
-	}
-	reportCurve(cfg, points)
-
+	summarizePairs(curves)
 	if jsonPath == "" {
-		jsonPath = "BENCH_fleet.json"
+		return nil
 	}
-	curves := []measure.NamedCurve{{Name: "uniform", Config: cfg, Points: points}}
 	return writeJSON(jsonPath, measure.NewBenchFleetCurves(curves, nil))
 }
 
-// suiteParams parameterize the CI gate suite.
-type suiteParams struct {
-	uniformShards int
-	clients       int
-	calls         int
-	seed          int64
-	kind          measure.ArrivalKind
-	utilList      string
-	jsonPath      string
-	obs           *observability
-}
-
-// suiteMix is the heterogeneous composition the gate suite sweeps: the
-// 4-shard fast/slow split whose cost-aware-vs-heat-only knee gap is
-// the acceptance signal of the backend layer.
-const suiteMix = "fast=2,slow=2"
-
-// suiteDominantZipf is the single-dominant-key skew of the replication
-// pair: at Zipf(1.5) the rank-0 key draws about half of all arrivals,
-// the regime where one shard caps the whole fleet unless the key is
-// served from several shards at once.
-const suiteDominantZipf = 1.5
-
-// suiteChaosDrill is the gate suite's kill drill: shard 0 dies at
-// barrier 5 of every measured point (warm-up is barrier 1, epochs 2-9),
-// so each point spends roughly half its schedule on 3 of 4 shards.
-const suiteChaosDrill = "kill:0@5"
-
-// Elastic-pair parameters: both curves sweep the same rate grid
-// (fractions of the fixed 4-shard fleet's capacity, topping out past
-// its knee), with enough warm keys that migration can spread load over
-// a grown fleet, and the first half of each point's epochs excluded
-// from the quantiles as the autoscaler's adaptation window. The SLO is
-// the p99 target the autoscaled 2..6-shard fleet must hold at every
-// swept rate — including the top rate the fixed fleet saturates at.
-const (
-	suiteElasticSLO     = 60.0 // p99 target, simulated microseconds
-	suiteElasticMin     = 2
-	suiteElasticMax     = 6
-	suiteElasticFixed   = 4 // the fixed-fleet baseline size
-	suiteElasticClients = 24
-	suiteElasticUtils   = "0.3,0.6,0.9,1.2"
-	suiteElasticEpochs  = 10
-	suiteElasticWarmup  = 5
-)
-
-// QoS-pair parameters: a 2-shard fleet with two tenant classes sweeping
-// the same nominal rate grid twice. In qos-solo the aggressor class is
-// declared but silent (boost 0), so the victim's arrival stream is the
-// whole load; in qos-isolation the aggressor offers suiteQoSBoost times
-// its fair share — far past the shed knee at the upper rates — while
-// the victim's stream is bit-identical to solo (per-class streams are
-// independent). The 64:1 weight ratio approximates strict priority (a
-// DRR round serves up to 64 victim calls per aggressor call), and the
-// inflight window of 1 keeps WFQ in charge of every dispatch — both are
-// what the isolation invariant in cmd/benchdiff needs to hold the
-// victim's p99 within 10% of solo at the overloaded upper rates.
-const (
-	suiteQoSKnee   = 64  // per-shard queue-depth shed knee
-	suiteQoSWindow = 1   // per-shard inflight window
-	suiteQoSBoost  = 6.0 // aggressor's multiple of its proportional share
-)
-
-// suiteQoSTenants builds the pair's class declarations; aggBoost is 0
-// (solo) or suiteQoSBoost (isolation).
-func suiteQoSTenants(aggBoost float64) []measure.TenantLoad {
-	return []measure.TenantLoad{
-		{Name: "victim", Weight: 64, Clients: 4, Boost: 1},
-		{Name: "aggressor", Weight: 1, Clients: 4, Boost: aggBoost},
-	}
-}
-
-// runSuite measures the gate suite — eleven named curves in one BENCH
-// document:
-//
-//	uniform:         homogeneous fleet, uniform keys (the historical gate);
-//	skew-rebalance:  homogeneous fleet, Zipf(1.2) keys, migration on;
-//	mix-costaware:   fast=2,slow=2, Zipf keys, cost-aware migration;
-//	mix-heatonly:    same fleet and rates, migration ignoring shard speed;
-//	skew-dominant:   homogeneous 4-shard fleet, Zipf(1.5) single-dominant
-//	                 key, cost-aware migration only;
-//	skew-replicated: same fleet and rates, hot-key replication on;
-//	chaos-kill:      the skew-replicated fleet and rates, with shard 0
-//	                 killed mid-point at barrier 5 of every point — the
-//	                 availability curve under the kill-one-shard drill;
-//	elastic-fixed:   a fixed 4-shard migrating fleet swept past its knee
-//	                 (uniform keys, warm-up epochs excluded);
-//	elastic-slo:     same workload and rates on the SLO-autoscaled
-//	                 2..6-shard fleet — the elasticity curve: it must
-//	                 hold the p99 SLO at rates the fixed fleet cannot,
-//	                 while averaging no more shards than the fixed fleet;
-//	qos-solo:        a 2-shard tenanted fleet where the weight-4 victim
-//	                 class runs alone (the weight-1 aggressor is declared
-//	                 but silent) — the victim's baseline quantiles;
-//	qos-isolation:   the identical fleet and victim stream with the
-//	                 aggressor flooding at several times its fair share —
-//	                 WFQ and the shed knee must hold the victim's p99
-//	                 within 10% of solo (the isolation invariant).
-//
-// Each paired set sweeps identical offered rates, so knee indices are
-// directly comparable: cost-aware above heat-only is the capacity the
-// cost-aware migrator recovers from a mixed fleet, replicated above
-// dominant is the single-shard ceiling hot-key replication lifts —
-// migration alone cannot help once one key IS the load — and the gap
-// between chaos-kill and skew-replicated is the capacity one dead
-// shard costs a replicated fleet that fails over and re-warms at the
-// barrier.
-func runSuite(p suiteParams) error {
-	fmt.Println(clock.MachineInfo())
-	fmt.Printf("\n=== bench suite: uniform + skew-rebalance + %s cost-aware/heat-only + dominant-key replication pair + kill drill + elastic pair + qos pair ===\n", suiteMix)
-
-	base := measure.LoadCurveConfig{
-		Fleet:   spec.FleetSpec{Schema: spec.SchemaV1, Seed: p.seed},
-		Clients: p.clients,
-		Calls:   p.calls,
-		Kind:    p.kind,
-	}
-	uniform := base
-	uniform.Fleet.Shards = p.uniformShards
-
-	skewed := base
-	skewed.Fleet.Shards = 4
-	skewed.Fleet.Placement = spec.PlacementCostAware
-	skewed.ZipfS = 1.2
-	skewed.Epochs = 8
-
-	mixCost := base
-	mixCost.Fleet.Mix = suiteMix
-	mixCost.Fleet.Placement = spec.PlacementCostAware
-	mixCost.ZipfS = 1.2
-	mixCost.Epochs = 8
-
-	mixHeat := mixCost
-	mixHeat.Fleet.Placement = spec.PlacementHeat
-
-	// The dominant-key pair: one key draws ~half the arrivals, so the
-	// sticky+migrating fleet saturates at its primary shard's capacity;
-	// the replicated variant serves that key from up to 4 shards.
-	dominant := base
-	dominant.Fleet.Shards = 4
-	dominant.Fleet.Placement = spec.PlacementCostAware
-	dominant.ZipfS = suiteDominantZipf
-	dominant.Epochs = 8
-
-	replicated := dominant
-	replicated.Fleet.Replicas = 4
-
-	// The kill drill: the replicated fleet loses shard 0 at barrier 5
-	// of every point (warm-up is barrier 1, so mid-schedule). Survivors
-	// fail hot replicated keys over and re-warm the orphans.
-	chaosKill := replicated
-	chaosKill.Chaos = suiteChaosDrill
-	chaosKill.Fleet.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
-
-	// The elastic pair: a fixed 4-shard fleet swept past its knee vs the
-	// SLO-autoscaled 2..6-shard fleet on the identical rate grid. Uniform
-	// keys over more clients than the ceiling's shard count, so the
-	// migrating balancer can spread load over every shard the autoscaler
-	// adds; half of each point's epochs are the adaptation window.
-	elasticFixed := base
-	elasticFixed.Fleet.Shards = suiteElasticFixed
-	elasticFixed.Fleet.Placement = spec.PlacementCostAware
-	elasticFixed.Clients = suiteElasticClients
-	elasticFixed.Epochs = suiteElasticEpochs
-	elasticFixed.WarmupEpochs = suiteElasticWarmup
-
-	elasticSLO := elasticFixed
-	elasticSLO.Fleet.Shards = 0
-	elasticSLO.RefShards = suiteElasticFixed
-	elasticSLO.Fleet.Autoscale = &spec.AutoscaleSpec{
-		Min: suiteElasticMin, Max: suiteElasticMax, SLOMicros: suiteElasticSLO}
-
-	// The QoS pair: same 2-shard fleet and nominal rate grid, the victim
-	// class's arrival stream bit-identical across both curves, and only
-	// the aggressor's boost differing (0 = silent baseline). WFQ weights
-	// 4:1 plus the shed knee are what must keep the victim's quantiles
-	// in place when the aggressor floods.
-	qosSolo := base
-	qosSolo.Fleet.Shards = 2
-	qosSolo.Clients = 8 // the classes own the key space: 4 + 4
-	qosSolo.TenantKnee = suiteQoSKnee
-	qosSolo.TenantWindow = suiteQoSWindow
-	qosSolo.Tenants = suiteQoSTenants(0)
-
-	qosIso := qosSolo
-	qosIso.Tenants = suiteQoSTenants(suiteQoSBoost)
-
-	curves := []measure.NamedCurve{
-		{Name: "uniform", Config: uniform},
-		{Name: "skew-rebalance", Config: skewed},
-		{Name: "mix-costaware", Config: mixCost},
-		{Name: "mix-heatonly", Config: mixHeat},
-		{Name: "skew-dominant", Config: dominant},
-		{Name: "skew-replicated", Config: replicated},
-		{Name: "chaos-kill", Config: chaosKill},
-		{Name: "elastic-fixed", Config: elasticFixed},
-		{Name: "elastic-slo", Config: elasticSLO},
-		{Name: "qos-solo", Config: qosSolo},
-		{Name: "qos-isolation", Config: qosIso},
-	}
-	// Each A/B pair shares one rate sweep (computed for its first
-	// curve) so the knees are comparable; the others get their own.
-	shared := map[string]string{
-		"mix-heatonly":    "mix-costaware",
-		"skew-replicated": "skew-dominant",
-		"chaos-kill":      "skew-dominant",
-		"elastic-slo":     "elastic-fixed",
-		"qos-isolation":   "qos-solo",
-	}
-	// Per-curve utilization grids: the elastic pair sweeps deeper past
-	// the fixed fleet's knee so the autoscaled headroom is visible.
-	utilOf := map[string]string{"elastic-fixed": suiteElasticUtils}
-	rates := map[string][]float64{}
+// summarizePairs prints the suite's pairs side by side: the knees of
+// the mixed-fleet, dominant-key and kill-drill pairs, the points at
+// which each elastic curve holds its SLO, and the QoS victim's p99
+// ratio per rate. A line is printed only when both of its curves ran,
+// and it reads its parameters from their configs.
+func summarizePairs(curves []measure.NamedCurve) {
+	named := map[string]*measure.NamedCurve{}
 	for i := range curves {
-		cfg := &curves[i].Config
-		if err := cfg.Fleet.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", curves[i].Name, err)
-		}
-		if p.obs != nil {
-			p.obs.apply(cfg)
-		}
-		if src, ok := shared[curves[i].Name]; ok && rates[src] != nil {
-			cfg.Rates = rates[src]
-		} else {
-			utils := p.utilList
-			if u, ok := utilOf[curves[i].Name]; ok {
-				utils = u
-			}
-			rs, err := autoRates(*cfg, utils)
-			if err != nil {
-				return fmt.Errorf("%s: %w", curves[i].Name, err)
-			}
-			cfg.Rates = rs
-			rates[curves[i].Name] = rs
-		}
-		fmt.Printf("\n--- curve %q ---\n", curves[i].Name)
-		describeCurve(*cfg)
-		points, err := measure.RunFleetLoadCurve(*cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", curves[i].Name, err)
-		}
-		curves[i].Points = points
-		reportCurve(*cfg, points)
+		named[curves[i].Name] = &curves[i]
 	}
-
-	kneeOf := func(name string) int {
-		for _, c := range curves {
-			if c.Name == name {
-				return measure.KneeIndex(c.Points)
-			}
-		}
-		return -1
+	knee := func(c *measure.NamedCurve) int { return measure.KneeIndex(c.Points) }
+	if cost, heat := named["mix-costaware"], named["mix-heatonly"]; cost != nil && heat != nil {
+		fmt.Printf("\nmixed-fleet knees (%s, identical rate sweeps): cost-aware index %d, heat-only index %d\n",
+			cost.Config.Fleet.Mix, knee(cost), knee(heat))
 	}
-	fmt.Printf("\nmixed-fleet knees (%s, identical rate sweeps): cost-aware index %d, heat-only index %d\n",
-		suiteMix, kneeOf("mix-costaware"), kneeOf("mix-heatonly"))
-	fmt.Printf("dominant-key knees (Zipf %.1f, identical rate sweeps): replicated index %d, migration-only index %d\n",
-		suiteDominantZipf, kneeOf("skew-replicated"), kneeOf("skew-dominant"))
-	fmt.Printf("availability knees (%s drill, identical rate sweeps): chaos-kill index %d vs healthy replicated index %d\n",
-		suiteChaosDrill, kneeOf("chaos-kill"), kneeOf("skew-replicated"))
-	sloHolds := func(name string) (held, total int) {
-		for _, c := range curves {
-			if c.Name != name {
-				continue
-			}
-			total = len(c.Points)
-			for _, pt := range c.Points {
-				if pt.P99Micros <= suiteElasticSLO {
-					held++
+	dom, rep := named["skew-dominant"], named["skew-replicated"]
+	if dom != nil && rep != nil {
+		fmt.Printf("dominant-key knees (Zipf %.1f, identical rate sweeps): replicated index %d, migration-only index %d\n",
+			dom.Config.ZipfS, knee(rep), knee(dom))
+	}
+	if kill := named["chaos-kill"]; kill != nil && rep != nil {
+		fmt.Printf("availability knees (%s drill, identical rate sweeps): chaos-kill index %d vs healthy replicated index %d\n",
+			kill.Config.Chaos, knee(kill), knee(rep))
+	}
+	if auto, fixed := named["elastic-slo"], named["elastic-fixed"]; auto != nil && fixed != nil && auto.Config.Fleet.Autoscale != nil {
+		slo := auto.Config.Fleet.Autoscale.SLOMicros
+		held := func(c *measure.NamedCurve) (n int) {
+			for _, p := range c.Points {
+				if p.P99Micros <= slo {
+					n++
 				}
 			}
+			return n
 		}
-		return held, total
+		fmt.Printf("elastic pair (p99 SLO %.0f us, identical rate sweeps): autoscaled holds %d/%d points, fixed %d-shard holds %d/%d\n",
+			slo, held(auto), len(auto.Points), fixed.Config.Shards(), held(fixed), len(fixed.Points))
 	}
-	sloHeld, sloTotal := sloHolds("elastic-slo")
-	fixHeld, fixTotal := sloHolds("elastic-fixed")
-	fmt.Printf("elastic pair (p99 SLO %.0f us, identical rate sweeps): autoscaled holds %d/%d points, fixed %d-shard holds %d/%d\n",
-		suiteElasticSLO, sloHeld, sloTotal, suiteElasticFixed, fixHeld, fixTotal)
-	curveOf := func(name string) *measure.NamedCurve {
-		for i := range curves {
-			if curves[i].Name == name {
-				return &curves[i]
-			}
-		}
-		return nil
-	}
-	if solo, iso := curveOf("qos-solo"), curveOf("qos-isolation"); solo != nil && iso != nil {
-		fmt.Printf("qos pair (aggressor boost %.0fx, identical victim streams): victim p99 iso/solo per rate:", suiteQoSBoost)
+	if solo, iso := named["qos-solo"], named["qos-isolation"]; solo != nil && iso != nil && len(solo.Points) == len(iso.Points) {
+		fmt.Printf("qos pair (aggressor boost %.0fx, identical victim streams): victim p99 iso/solo per rate:",
+			iso.Points[0].Tenants["aggressor"].Boost)
 		sheds := 0
 		for i := range solo.Points {
 			sp := solo.Points[i].Tenants["victim"]
@@ -894,12 +479,6 @@ func runSuite(p suiteParams) error {
 		}
 		fmt.Printf("  (%d aggressor calls shed)\n", sheds)
 	}
-
-	jsonPath := p.jsonPath
-	if jsonPath == "" {
-		jsonPath = "BENCH_fleet.json"
-	}
-	return writeJSON(jsonPath, measure.NewBenchFleetCurves(curves, nil))
 }
 
 // writeJSON writes the BENCH document and reports where.
@@ -923,51 +502,6 @@ func parseList(s string, min int) ([]int, error) {
 			return nil, fmt.Errorf("bad count %q", part)
 		}
 		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseTenants parses the -tenants flag: one QoS class per comma-
-// separated entry, name:weight:clients[:boost[:rate[:burst]]]. Boost
-// defaults to 1 (the class offers exactly its proportional share);
-// rate/burst default to 0 (no admission bucket).
-func parseTenants(s string) ([]measure.TenantLoad, error) {
-	var out []measure.TenantLoad
-	for _, entry := range strings.Split(s, ",") {
-		parts := strings.Split(strings.TrimSpace(entry), ":")
-		if len(parts) < 3 || len(parts) > 6 || parts[0] == "" {
-			return nil, fmt.Errorf("bad tenant %q (want name:weight:clients[:boost[:rate[:burst]]])", entry)
-		}
-		tl := measure.TenantLoad{Name: parts[0], Boost: 1}
-		ints := []*int{&tl.Weight, &tl.Clients, nil, &tl.Rate, &tl.Burst}
-		for i, p := range parts[1:] {
-			if i == 2 { // boost is the one float field
-				b, err := strconv.ParseFloat(p, 64)
-				if err != nil || b < 0 {
-					return nil, fmt.Errorf("bad tenant boost %q in %q", p, entry)
-				}
-				tl.Boost = b
-				continue
-			}
-			n, err := strconv.Atoi(p)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad tenant field %q in %q", p, entry)
-			}
-			*ints[i] = n
-		}
-		out = append(out, tl)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q", part)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

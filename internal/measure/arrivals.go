@@ -34,6 +34,28 @@ func (k ArrivalKind) String() string {
 	return "poisson"
 }
 
+// MarshalText spells the kind by name, so a curve document names its
+// arrival process ("poisson" or "uniform").
+func (k ArrivalKind) MarshalText() ([]byte, error) {
+	if k != Poisson && k != Uniform {
+		return nil, fmt.Errorf("measure: unknown arrival kind %d", k)
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText reads a kind by name and rejects any other.
+func (k *ArrivalKind) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "poisson":
+		*k = Poisson
+	case "uniform":
+		*k = Uniform
+	default:
+		return fmt.Errorf("measure: unknown arrival process %q (want poisson or uniform)", b)
+	}
+	return nil
+}
+
 // Arrivals generates n arrival offsets (cycles, non-decreasing, first
 // arrival one gap in) for an offered load of ratePerSec events per
 // simulated second. The seed fully determines the Poisson sequence;

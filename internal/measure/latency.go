@@ -123,7 +123,7 @@ func (r *LatencyRecorder) Histogram() []HistBucket {
 }
 
 // HistogramString renders buckets as an ASCII bar chart (the knee
-// point's latency distribution in cmd/smodfleet -loadcurve output).
+// point's latency distribution in cmd/smodfleet's curve output).
 func HistogramString(bks []HistBucket) string {
 	var maxCount uint64
 	for _, b := range bks {

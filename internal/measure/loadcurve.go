@@ -31,7 +31,9 @@ import (
 )
 
 // LoadCurveConfig describes one load-curve sweep: the fleet every
-// point opens, plus the workload the points offer it.
+// point opens, plus the workload the points offer it. The JSON tags are
+// the fields of a curve document (cmd/smodfleet); Rates, Trace and
+// Metrics are set by the caller, never read from one.
 type LoadCurveConfig struct {
 	// Fleet describes the measured fleet: its size (shards, backend mix
 	// or autoscale band), placement and replica cap, result cache and
@@ -40,39 +42,40 @@ type LoadCurveConfig struct {
 	// bit-for-bit reproducible. Tenancy is part of the workload here
 	// (see Tenants), so Fleet.Tenants must be nil. Held by value: copy a
 	// config and edit its Fleet to derive a paired curve.
-	Fleet spec.FleetSpec
+	Fleet spec.FleetSpec `json:"fleet"`
 	// RefShards is the fixed fleet size an autoscaled curve is compared
 	// against: the size its auto rate grid is calibrated at and the size
 	// its BENCH record names. Valid only when Fleet.Autoscale is set (the
 	// spec's sizing modes are mutually exclusive).
-	RefShards int
+	RefShards int `json:"ref_shards"`
 	// Clients is the number of warm sticky keys arrivals are spread
-	// over (round-robin by seeded rng).
-	Clients int
+	// over (round-robin by seeded rng). A tenanted curve derives it
+	// from its classes (see Tenants).
+	Clients int `json:"clients"`
 	// Calls is the number of arrivals measured per offered-load point.
-	Calls int
+	Calls int `json:"calls"`
 	// Rates is the offered-load sweep, in calls per simulated second
 	// across the whole fleet.
-	Rates []float64
+	Rates []float64 `json:"-"`
 	// Kind selects the arrival process (Poisson or Uniform).
-	Kind ArrivalKind
+	Kind ArrivalKind `json:"process"`
 
 	// ZipfS, when >= 1.01, draws each arrival's key from a Zipf(s)
 	// popularity distribution over the Clients keys instead of
 	// uniformly: rank-1 keys dominate, the skewed-traffic regime where
 	// a sticky pool pins hot clients to one shard. 0 keeps the
 	// historical uniform draw.
-	ZipfS float64
+	ZipfS float64 `json:"zipf_s"`
 	// ArgsCardinality bounds the distinct argument values drawn (0 =
 	// every call unique). Small values make the workload idempotent in
 	// practice — repeated (func, args) sites — so the loadmgr result
 	// cache has something to hit.
-	ArgsCardinality int
+	ArgsCardinality int `json:"args_cardinality"`
 	// Epochs splits each point's schedule into this many back-to-back
 	// RunSchedule barriers (min 1). Each barrier is a rebalance
 	// opportunity, so migration (and replica resizing) needs Epochs >= 2
 	// to act within a point.
-	Epochs int
+	Epochs int `json:"epochs"`
 	// Chaos, when non-empty, runs every point of the sweep as a fault
 	// drill: the schedule (chaos.Parse syntax, e.g. "kill:0@5") is
 	// compiled into a fresh engine per point, so each offered rate
@@ -84,14 +87,14 @@ type LoadCurveConfig struct {
 	// chaos.DefaultRewarmBudgetCycles); the BENCH record carries it for
 	// cmd/benchdiff, and autoscaled curves reuse it for their resize
 	// warm-ins.
-	Chaos string
+	Chaos string `json:"chaos"`
 
 	// WarmupEpochs excludes the first n epochs of every point from the
 	// latency quantiles (the calls still run and still count toward
 	// achieved throughput and the makespan): for elastic points this is
 	// the adaptation window in which the autoscaler is still sizing the
 	// fleet for the point's offered rate.
-	WarmupEpochs int
+	WarmupEpochs int `json:"warmup_epochs"`
 
 	// Tenants, when non-empty, runs every point multi-tenant: the QoS
 	// classes (weight, admission rate, burst) are installed on the
@@ -103,11 +106,11 @@ type LoadCurveConfig struct {
 	// pairs that differ only in one class's Boost (the aggressor/victim
 	// isolation pair) stay comparable point by point. nil keeps the
 	// untenanted baseline bit for bit.
-	Tenants []TenantLoad
+	Tenants []TenantLoad `json:"tenants"`
 	// TenantKnee and TenantWindow configure the QoS set's shed knee and
 	// per-shard inflight window (0 = the tenant package defaults).
-	TenantKnee   int
-	TenantWindow int
+	TenantKnee   int `json:"tenant_knee"`
+	TenantWindow int `json:"tenant_window"`
 
 	// Trace, when non-nil, attaches the flight recorder to every fleet
 	// the sweep opens (fleet.WithTrace): spans and control events from
@@ -119,8 +122,8 @@ type LoadCurveConfig struct {
 	// an instrumented sweep reproduces the bare BENCH numbers bit for
 	// bit. Not part of the workload shape: never recorded in BENCH
 	// documents.
-	Trace   *trace.Recorder
-	Metrics *metrics.Registry
+	Trace   *trace.Recorder   `json:"-"`
+	Metrics *metrics.Registry `json:"-"`
 }
 
 // Shards returns the fleet size the curve is recorded and compared at:
@@ -132,19 +135,72 @@ func (cfg LoadCurveConfig) Shards() int {
 	return cfg.Fleet.MaxShards()
 }
 
-// curveFleet validates and normalizes a copy of the curve's fleet spec.
-func curveFleet(cfg LoadCurveConfig) (spec.FleetSpec, error) {
-	fs := cfg.Fleet
-	if fs.Tenants != nil {
-		return fs, fmt.Errorf("measure: load curves declare tenancy in Tenants, not Fleet.Tenants")
+// Validate checks everything RunFleetLoadCurve refuses before its first
+// point, except an empty Rates, and normalizes the config in place: the
+// fleet spec as spec.FleetSpec.Validate does, and a tenanted curve's
+// Clients as the sum of its classes' keys.
+func (cfg *LoadCurveConfig) Validate() error {
+	if cfg.Fleet.Tenants != nil {
+		return fmt.Errorf("measure: load curves declare tenancy in Tenants, not Fleet.Tenants")
 	}
-	if cfg.RefShards != 0 && fs.Autoscale == nil {
-		return fs, fmt.Errorf("measure: RefShards applies to autoscaled fleets only")
+	if cfg.RefShards != 0 && cfg.Fleet.Autoscale == nil {
+		return fmt.Errorf("measure: RefShards applies to autoscaled fleets only")
 	}
-	if err := fs.Validate(); err != nil {
-		return fs, fmt.Errorf("measure: %w", err)
+	if err := cfg.Fleet.Validate(); err != nil {
+		return fmt.Errorf("measure: %w", err)
 	}
-	return fs, nil
+	if cfg.ZipfS != 0 && cfg.ZipfS < 1.01 {
+		return fmt.Errorf("measure: zipf exponent %.3f too flat (need >= 1.01)", cfg.ZipfS)
+	}
+	if cfg.Chaos != "" {
+		sched, err := chaos.Parse(cfg.Chaos)
+		if err != nil {
+			return fmt.Errorf("measure: %w", err)
+		}
+		if err := sched.Validate(cfg.Fleet.MaxShards()); err != nil {
+			return fmt.Errorf("measure: %w", err)
+		}
+	}
+	if len(cfg.Tenants) > 0 {
+		if cfg.ZipfS > 0 {
+			return fmt.Errorf("measure: tenanted sweeps draw keys uniformly per class (ZipfS must be 0)")
+		}
+		if err := cfg.tenantSet().Normalize(); err != nil {
+			return fmt.Errorf("measure: %w", err)
+		}
+		total, active := 0, 0
+		for _, tl := range cfg.Tenants {
+			if tl.Clients < 1 {
+				return fmt.Errorf("measure: tenant %q needs clients >= 1", tl.Name)
+			}
+			if tl.Boost < 0 {
+				return fmt.Errorf("measure: tenant %q boost %g is negative", tl.Name, tl.Boost)
+			}
+			if tl.Boost > 0 {
+				active++
+			}
+			total += tl.Clients
+		}
+		if active == 0 {
+			return fmt.Errorf("measure: every tenant class is silent (boost 0)")
+		}
+		// The classes own the key space: Clients is derived, not declared.
+		cfg.Clients = total
+	}
+	if cfg.Clients < 1 || cfg.Calls < 1 {
+		return fmt.Errorf("measure: load curve needs clients, calls >= 1")
+	}
+	return nil
+}
+
+// tenantSet declares the curve's QoS classes as a tenant set.
+func (cfg *LoadCurveConfig) tenantSet() *tenant.Set {
+	set := &tenant.Set{Knee: cfg.TenantKnee, Window: cfg.TenantWindow}
+	for _, tl := range cfg.Tenants {
+		set.Classes = append(set.Classes, tenant.Config{
+			Name: tl.Name, Weight: tl.Weight, Rate: tl.Rate, Burst: tl.Burst})
+	}
+	return set
 }
 
 // TenantLoad declares one QoS class of a multi-tenant sweep: its
@@ -289,56 +345,11 @@ const SatAchievedFraction = 0.9
 // LoadPoint per rate. Every point runs on a fresh fleet with the same
 // seed, so points differ only in offered load.
 func RunFleetLoadCurve(cfg LoadCurveConfig) ([]LoadPoint, error) {
-	fs, err := curveFleet(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	cfg.Fleet = fs
-	if cfg.Clients < 1 || cfg.Calls < 1 {
-		return nil, fmt.Errorf("measure: load curve needs clients, calls >= 1")
 	}
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("measure: load curve needs at least one offered rate")
-	}
-	if cfg.Chaos != "" {
-		sched, err := chaos.Parse(cfg.Chaos)
-		if err != nil {
-			return nil, fmt.Errorf("measure: %w", err)
-		}
-		if err := sched.Validate(fs.MaxShards()); err != nil {
-			return nil, fmt.Errorf("measure: %w", err)
-		}
-	}
-	if len(cfg.Tenants) > 0 {
-		if cfg.ZipfS > 0 {
-			return nil, fmt.Errorf("measure: tenanted sweeps draw keys uniformly per class (ZipfS must be 0)")
-		}
-		total, active := 0, 0
-		seen := map[string]bool{}
-		for _, tl := range cfg.Tenants {
-			if tl.Name == "" {
-				return nil, fmt.Errorf("measure: tenant class with no name")
-			}
-			if seen[tl.Name] {
-				return nil, fmt.Errorf("measure: duplicate tenant class %q", tl.Name)
-			}
-			seen[tl.Name] = true
-			if tl.Clients < 1 {
-				return nil, fmt.Errorf("measure: tenant %q needs clients >= 1", tl.Name)
-			}
-			if tl.Boost < 0 {
-				return nil, fmt.Errorf("measure: tenant %q boost %g is negative", tl.Name, tl.Boost)
-			}
-			if tl.Boost > 0 {
-				active++
-			}
-			total += tl.Clients
-		}
-		if active == 0 {
-			return nil, fmt.Errorf("measure: every tenant class is silent (boost 0)")
-		}
-		// The classes own the key space: Clients is derived, not declared.
-		cfg.Clients = total
 	}
 	points := make([]LoadPoint, 0, len(cfg.Rates))
 	for _, rate := range cfg.Rates {
@@ -363,9 +374,6 @@ func loadPointSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.
 	rng := rand.New(rand.NewSource(cfg.Fleet.Seed + 1))
 	var zipf *rand.Zipf
 	if cfg.ZipfS > 0 {
-		if cfg.ZipfS < 1.01 {
-			return nil, fmt.Errorf("zipf exponent %.3f too flat (need >= 1.01)", cfg.ZipfS)
-		}
 		zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Clients-1))
 	}
 	treqs := make([]fleet.TimedRequest, cfg.Calls)
@@ -483,14 +491,9 @@ func runLoadPoint(cfg LoadCurveConfig, rate float64) (point LoadPoint, err error
 	tenanted := len(cfg.Tenants) > 0
 	var treqs []fleet.TimedRequest
 	if tenanted {
-		set := &tenant.Set{Knee: cfg.TenantKnee, Window: cfg.TenantWindow}
-		for _, tl := range cfg.Tenants {
-			set.Classes = append(set.Classes, tenant.Config{
-				Name: tl.Name, Weight: tl.Weight, Rate: tl.Rate, Burst: tl.Burst})
-		}
 		// Install at a barrier after warm-up, so session warming never
 		// competes with the classes' admission buckets.
-		if err := f.SetTenants(set); err != nil {
+		if err := f.SetTenants(cfg.tenantSet()); err != nil {
 			return LoadPoint{}, err
 		}
 		if _, err := f.Rebalance(); err != nil {
@@ -772,7 +775,7 @@ type BenchLoadCurve struct {
 
 // BenchFleet is the machine-readable BENCH_fleet.json document the CI
 // bench job records per commit: named load curves (one for a single
-// -loadcurve run, the gate suite's eleven) and/or the closed/open
+// -curve run, the gate suite's eleven) and/or the closed/open
 // throughput scaling rows, all in simulated time. Sections that were
 // not run are omitted, so consumers can distinguish "not measured"
 // from a degenerate measurement.
@@ -795,8 +798,9 @@ type NamedCurve struct {
 // from its validated spec.
 func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoadCurve {
 	// Points exist only for a config RunFleetLoadCurve accepted, so the
-	// spec validates here too; the record reads its normalized form.
-	fs, _ := curveFleet(cfg)
+	// config validates here too; the record reads its normalized form.
+	_ = cfg.Validate()
+	fs := cfg.Fleet
 	lc := &BenchLoadCurve{
 		Name:          name,
 		Mix:           fs.Mix,
